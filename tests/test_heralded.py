@@ -9,6 +9,11 @@ from fmux.heralded import (
     DiscretizedDensityMatrix,
     HeraldedStateModel,
     VacuousEventError,
+    _drop_vacuous,
+    _error_kernel,
+    _herald_kernel,
+    _hermitize,
+    _norms_squared,
     _scaled_points,
     assemble_density_matrix,
     conditional_wavepacket,
@@ -184,6 +189,38 @@ def test_density_matrix_is_a_state():
     lam = dm.eigenvalues()
     assert lam.min() > -1e-8
     assert abs(lam.sum() - 1.0) < 1e-6
+
+
+def einsum_density_matrix(model):
+    """Oracle: the mixture products as 3-operand einsums over the kernel nodes."""
+    e, we = _error_kernel(model)
+    h, wh = _herald_kernel(model)
+    norms_sq, grid = _norms_squared(model, e)
+    free = model.pump.sigma * math.sqrt(math.pi)
+    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
+    x = grid.detunings
+    env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
+    m_env = np.einsum("k,kx,ky->xy", we / norms_sq, env, env)
+    chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)
+    m_chirp = np.einsum("k,kx,ky->xy", wh, chirp, chirp.conj())
+    return _hermitize(m_env * m_chirp)
+
+
+@pytest.mark.parametrize("factory", [jitter_only_model, gvd_only_model, default_model])
+def test_gemm_assembly_matches_einsum_oracle(factory):
+    m = factory(n_signal=_scaled_points(513, 0.5), n_herald=_scaled_points(129, 0.5),
+                n_jitter=_scaled_points(129, 0.5))
+    rho = assemble_density_matrix(m).matrix
+    oracle = einsum_density_matrix(m)
+    assert np.abs(rho - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_eigenvalues_are_cached_read_only():
+    dm = assemble_density_matrix(small_model())
+    lam = dm.eigenvalues()
+    assert dm.eigenvalues() is lam
+    assert not lam.flags.writeable
+    assert np.allclose(lam, np.linalg.eigvalsh(dm.weighted()), rtol=0, atol=1e-12)
 
 
 def test_density_matrix_validation_rejects_bad_input():

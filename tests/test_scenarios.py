@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fmux import cli, defaults
+from fmux import cli, defaults, heralded
 from fmux.scenarios import (
     SCENARIOS,
     _SCHEMA,
@@ -112,6 +112,30 @@ def test_purity_scenario_reduced_grid(tmp_path):
     assert sum(lam) <= 1.0 + 1e-9
 
 
+def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
+    calls = []
+    solve = heralded.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(heralded.linalg, "eigvalsh", counting)
+    _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
+    assert summary["all_passed"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("jitter_ps, verdict", [("5.3", "negligible"), ("30", "not negligible")])
+def test_purity_combined_phase_factor_wording(tmp_path, jitter_ps, verdict):
+    path = tmp_path / "jitter.cfg"
+    path.write_text(f"[shifter]\nphase_jitter_ps = {jitter_ps}\n")
+    _, summary = run("purity-combined", tmp_path, grid_scale=0.5, config_path=path)
+    line = next(l for l in summary["lines"] if l.startswith("drive-timing-jitter"))
+    assert line.endswith(f"(worst shift; {verdict})")
+    assert summary["checks"]["phase_jitter_factor"]["pass"] == (verdict == "negligible")
+
+
 def test_joint_spectrum_scenario(tmp_path):
     _, summary = run("joint-spectrum", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
@@ -124,7 +148,11 @@ def test_hom_dip_scenario(tmp_path):
     _, summary = run("hom-dip", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
     rows = (tmp_path / "hom-dip" / "hom_dip.csv").read_text().splitlines()[1:]
-    rates = [float(r.split(",")[1]) for r in rows]
+    parsed = [[float(v) for v in r.split(",")] for r in rows]
+    assert all(len(row) == 2 for row in parsed)
+    delays = [row[0] for row in parsed]
+    assert delays == sorted(delays) and delays[0] == -delays[-1]
+    rates = [row[1] for row in parsed]
     mid = len(rates) // 2
     assert rates[mid] == min(rates)
     assert rates[0] > 0.99
@@ -228,3 +256,13 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["stats-sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
     err = capsys.readouterr().err
     assert "statistics.modes" in err
+
+
+@pytest.mark.parametrize("scenario", ["hom-dip", "purity-combined", "lut-dump"])
+@pytest.mark.parametrize("value", ["0", "-8"])
+def test_cli_nonpositive_rf_frequency_exits_two(tmp_path, capsys, scenario, value):
+    path = tmp_path / "rf.cfg"
+    path.write_text(f"[shifter]\nrf_frequency_ghz = {value}\n")
+    code = cli.main([scenario, "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "shifter.rf_frequency_ghz" in capsys.readouterr().err
