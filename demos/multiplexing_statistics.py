@@ -43,8 +43,8 @@ def main():
     print()
 
     pulses = 16_000_000
-    mc_mux = statistics.monte_carlo_counting(mux, pulses, rng=7, workers=4)
-    mc_single = statistics.monte_carlo_counting(single, pulses, rng=8, workers=4)
+    mc_mux = statistics.monte_carlo_counting(mux, pulses, rng=7)
+    mc_single = statistics.monte_carlo_counting(single, pulses, rng=8)
     print(f"Monte Carlo spot check, {pulses} pulses per arm (seeds 7 and 8)")
     print(f"  enhancement  {mc_mux.p_sh / mc_single.p_sh:.3f}")
     print(f"  g2 mux       {mc_mux.g2_h:.4f} +/- {mc_mux.se_g2_h:.4f}")

@@ -47,8 +47,8 @@ def main():
     print("sweep: purity vs spectrometer jitter (dispersion off)")
     print(f"  {'jitter std (GHz)':>17}  {'purity':>7}")
     for s_ghz in (5.0, 10.0, 25.0, 45.0, 70.0):
-        model = with_jitter_std(heralded.jitter_only_model(), s_ghz * GHZ)
-        p = heralded.purity_integral(model, grid_scale=0.5, check_refinement=False)
+        model = with_jitter_std(heralded.jitter_only_model(), s_ghz * GHZ).scaled(0.5)
+        p = heralded.purity_integral(model, check_refinement=False)
         print(f"  {s_ghz:>17.0f}  {p:7.4f}")
     print()
 
@@ -56,8 +56,8 @@ def main():
     print(f"  {'gamma (s^2)':>17}  {'purity':>7}  {'fiber equivalent':>18}")
     for scale, note in ((0.0, "no delay line"), (0.3, "90 m"), (1.0, "300 m"),
                         (1.8, "540 m")):
-        model = heralded.gvd_only_model(gamma=scale * gamma)
-        p = heralded.purity_integral(model, grid_scale=0.5, check_refinement=False)
+        model = heralded.gvd_only_model(gamma=scale * gamma).scaled(0.5)
+        p = heralded.purity_integral(model, check_refinement=False)
         print(f"  {scale * gamma:>17.3e}  {p:7.4f}  {note:>18}")
     print()
 

@@ -7,29 +7,24 @@ wavepacket is displaced by e = omega_H - omega_i; the delay-line dispersion
 adds a quadratic spectral phase accumulated before the shift, i.e. in
 (x - h) where h is the applied shift. Mixing over the herald window and the
 error distribution gives the heralded density matrix, whose purity Tr(rho^2)
-this module evaluates three ways:
+this module evaluates two ways:
 
-* purity_integral(method="factored"), the default: the Gaussian envelope
-  lets every pairwise overlap be written as a displacement factor times a
-  window integral tabulated on midpoint and shift-difference grids, turning
-  the quadruple quadrature into O(n^2) table lookups with no approximation
-  beyond the shared discretization.
-* purity_integral(method="direct"): the literal blocked Gram-matrix sum,
-  parallelizable over herald pairs with a fixed pairwise-tree reduction so
-  any worker count reproduces the same bits.
+* purity_integral: the Gaussian envelope lets every pairwise overlap be
+  written as a displacement factor times a window integral tabulated on
+  midpoint and shift-difference grids, turning the quadruple quadrature into
+  O(n^2) table lookups with no approximation beyond the shared
+  discretization. It is the one fast enough for sweeps.
 * assemble_density_matrix + purity_from_*: materialize rho from one real and
   one complex GEMM product and take eigenvalues or the weighted Frobenius norm.
   A DiscretizedDensityMatrix is eigensolved once, during validation; every
   later eigenvalues() call returns that cached spectrum.
 
-All three agree to well inside the contract tolerances; the factored path is
-the one fast enough for sweeps.
+The two agree to well inside the contract tolerances.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +32,7 @@ from scipy import linalg
 
 from . import defaults
 from .serrodyne import QuadratureConvergenceError
-from .spectral import FrequencyGrid, PumpEnvelope, TopHatWindow
+from .spectral import FrequencyGrid, PumpEnvelope, TopHatWindow, scaled_points
 from .spectrometer import SpectrometerModel, measured_jitter_spectrometer
 
 __all__ = [
@@ -84,21 +79,19 @@ class HeraldedStateModel:
 
     pump.center is the sum (energy-conservation) frequency; filter is the
     signal output top-hat; herald_window is the span of heralds accepted by
-    the feed-forward stage (its center defines zero shift); herald_prior, if
-    given, is a density over absolute herald frequency applied on top of the
-    window (default flat). Grid counts follow the package defaults: 513
-    signal points across the filter support, 129-point quadratures for the
-    herald and error variables, the latter spanning +/- jitter_span_sigmas
-    of the spectrometer's frequency uncertainty.
+    the feed-forward stage (its center defines zero shift), weighted flat.
+    Grid counts follow the package defaults: 513 signal points across the
+    filter support, 129-point quadratures for the herald and error
+    variables, the latter spanning +/- jitter_span_sigmas of the
+    spectrometer's frequency uncertainty. scaled() coarsens or refines all
+    three together.
     """
 
     pump: PumpEnvelope
     filter: TopHatWindow
     gamma: float
-    drive_omega: float
     spectrometer: SpectrometerModel
     herald_window: TopHatWindow
-    herald_prior: object | None = None
     n_signal: int = 513
     n_herald: int = 129
     n_jitter: int = 129
@@ -116,6 +109,15 @@ class HeraldedStateModel:
         """Signal grid across the filter support, edges on-grid."""
         return FrequencyGrid(self.filter.center, self.filter.full_width, self.n_signal)
 
+    def scaled(self, grid_scale: float) -> HeraldedStateModel:
+        """The same model with every quadrature point count scaled by grid_scale."""
+        return replace(
+            self,
+            n_signal=scaled_points(self.n_signal, grid_scale),
+            n_herald=scaled_points(self.n_herald, grid_scale),
+            n_jitter=scaled_points(self.n_jitter, grid_scale),
+        )
+
 
 def default_model(**overrides) -> HeraldedStateModel:
     """Model at the reference operating point (measured jitter plus delay-line GVD)."""
@@ -127,7 +129,6 @@ def default_model(**overrides) -> HeraldedStateModel:
             defaults.DELAY_LENGTH_M,
             defaults.SIGNAL_WAVELENGTH_M,
         ),
-        drive_omega=defaults.TWO_PI * defaults.RF_FREQUENCY_HZ,
         spectrometer=measured_jitter_spectrometer(),
         herald_window=TopHatWindow(
             defaults.HERALD_CENTER, defaults.TWO_PI * defaults.SHIFT_RANGE_HZ
@@ -242,13 +243,7 @@ def _herald_kernel(model: HeraldedStateModel, n: int | None = None):
         win.center - model.spectrometer.reference_frequency
     )
     w = FrequencyGrid(0.0, win.full_width, n).trapezoid_weights()
-    if model.herald_prior is not None:
-        w = w * np.asarray(model.herald_prior(win.center + np.linspace(
-            -win.half_width, win.half_width, n)), dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("herald prior has zero mass on the window")
-    return h, w / total
+    return h, w / w.sum()
 
 
 def _norms_squared(model: HeraldedStateModel, e: np.ndarray, n_signal: int | None = None):
@@ -305,86 +300,17 @@ def _purity_factored(model: HeraldedStateModel, n_signal, n_herald, n_jitter) ->
     return float(np.sum(kernel * t_mid[mid_index]))
 
 
-def _row_block(model, grid, e, h, idx_e, idx_h, lo, hi):
-    """Normalized wavepacket rows lo:hi of the flattened (h, e) ensemble."""
-    x = grid.detunings
-    sig = model.pump.sigma
-    sel_e = idx_e[lo:hi]
-    sel_h = idx_h[lo:hi]
-    env = np.exp(-0.5 * ((x[None, :] - e[sel_e, None]) / sig) ** 2)
-    chirp = np.exp(1j * model.gamma * (x[None, :] - h[sel_h, None]) ** 2)
-    return env * chirp
+def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) -> float:
+    """Heralded-photon purity Tr(rho^2) by quadrature of squared overlaps.
 
-
-def _purity_direct(model: HeraldedStateModel, n_signal, n_herald, n_jitter, workers) -> float:
-    e, we = _error_kernel(model, n_jitter)
-    h, wh = _herald_kernel(model, n_herald)
-    norms_sq, grid = _norms_squared(model, e, n_signal)
-    free = model.pump.sigma * math.sqrt(math.pi)
-    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
-    wx = grid.trapezoid_weights()
-
-    idx_h, idx_e = np.divmod(np.arange(h.size * e.size), e.size)
-    v = wh[idx_h] * we[idx_e]  # ensemble weights
-    inv_norm = 1.0 / np.sqrt(norms_sq[idx_e])
-    n_rows = v.size
-    block = 512
-    starts = list(range(0, n_rows, block))
-    pairs = [(a, b) for ai, a in enumerate(starts) for b in starts[ai:]]
-
-    def block_term(pair):
-        a, b = pair
-        rows_a = _row_block(model, grid, e, h, idx_e, idx_h, a, min(a + block, n_rows))
-        rows_b = (
-            rows_a
-            if b == a
-            else _row_block(model, grid, e, h, idx_e, idx_h, b, min(b + block, n_rows))
-        )
-        z = (rows_a * wx[None, :]) @ rows_b.conj().T
-        wa = v[a : a + block] * inv_norm[a : a + block] ** 2
-        wb = v[b : b + block] * inv_norm[b : b + block] ** 2
-        term = float(np.einsum("i,j,ij->", wa, wb, np.abs(z) ** 2))
-        return term if a == b else 2.0 * term
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_term, pairs))
-    else:
-        partials = [block_term(p) for p in pairs]
-    # pairwise tree reduction: identical bits for any worker count
-    while len(partials) > 1:
-        partials = [
-            partials[i] + partials[i + 1] if i + 1 < len(partials) else partials[i]
-            for i in range(0, len(partials), 2)
-        ]
-    return partials[0]
-
-
-def purity_integral(
-    model: HeraldedStateModel,
-    method: str = "factored",
-    workers: int = 1,
-    check_refinement: bool = True,
-    grid_scale: float = 1.0,
-) -> float:
-    """Heralded-photon purity Tr(rho^2) by direct quadrature of squared overlaps.
-
-    method='factored' (default) and method='direct' evaluate the identical
-    discretized sum; the factored path reorganizes it through window-integral
-    tables and runs in well under a second at default grids. The refinement
-    check repeats the evaluation with doubled grids and raises
+    The discretized overlap sum is reorganized through window-integral
+    tables and runs in well under a second at default grids; use
+    model.scaled() for quick scans on coarser grids. The refinement check
+    repeats the evaluation with doubled grids and raises
     QuadratureConvergenceError if the value moves by more than 1e-3.
-    grid_scale scales all quadrature point counts (for quick scans).
     """
-    ns = _scaled_points(model.n_signal, grid_scale)
-    nh = _scaled_points(model.n_herald, grid_scale)
-    ne = _scaled_points(model.n_jitter, grid_scale)
-    if method == "factored":
-        value = _purity_factored(model, ns, nh, ne)
-    elif method == "direct":
-        value = _purity_direct(model, ns, nh, ne, workers)
-    else:
-        raise ValueError("method must be 'factored' or 'direct'")
+    ns, nh, ne = model.n_signal, model.n_herald, model.n_jitter
+    value = _purity_factored(model, ns, nh, ne)
     if check_refinement:
         refined = _purity_factored(model, 2 * ns - 1, 2 * nh - 1, 2 * ne - 1)
         if abs(refined - value) > 1e-3:
@@ -392,15 +318,6 @@ def purity_integral(
                 f"purity moved by {abs(refined - value):.2e} on grid doubling"
             )
     return min(float(value), 1.0)
-
-
-def _scaled_points(n: int, scale: float) -> int:
-    if scale == 1.0:
-        return n
-    m = max(4, int(round((n - 1) * scale)))
-    if m % 2:
-        m += 1
-    return m + 1
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:

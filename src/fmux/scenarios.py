@@ -196,18 +196,13 @@ class ScenarioConfig:
         return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
 
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
-        scale = self.grid_scale
         return heralded.HeraldedStateModel(
             pump=self.pump(),
             filter=self.signal_filter(),
             gamma=self.gamma() if gvd else 0.0,
-            drive_omega=defaults.TWO_PI * self.get("shifter.rf_frequency_ghz") * 1e9,
             spectrometer=self.build_spectrometer("measured" if jitter else "none"),
             herald_window=self.herald_window(),
-            n_signal=heralded._scaled_points(513, scale),
-            n_herald=heralded._scaled_points(129, scale),
-            n_jitter=heralded._scaled_points(129, scale),
-        )
+        ).scaled(self.grid_scale)
 
     def statistics_model(self, multiplexed: bool = True) -> statistics.MultiplexedStatisticsModel:
         try:
@@ -243,6 +238,14 @@ class ScenarioConfig:
         self.herald_window()
         self.gamma()
         self.statistics_model()
+        if not self.get("statistics.mu_max") > 0:
+            raise ConfigError("statistics.mu_max", "must be positive")
+        n_modes = self.get("statistics.n_modes")
+        for dotted in ("source.mean_pairs_per_pulse", "statistics.mu_max"):
+            product = self.get(dotted) * n_modes
+            if product >= statistics.EXPANSION_LIMIT:
+                raise ConfigError(dotted, f"mu * n_modes = {product:.3f} must be below "
+                                          f"{statistics.EXPANSION_LIMIT} (counting model domain)")
         self.loss_table()
         self._ghz("feedforward.idler_sample_span_ghz")
         self._ghz("source.marginal_fwhm_ghz")
@@ -346,8 +349,6 @@ def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     points = cfg.get("statistics.sweep_points")
     mu_max = cfg.get("statistics.mu_max")
-    if not mu_max > 0:
-        raise ConfigError("statistics.mu_max", "must be positive")
     base_mux = cfg.statistics_model(multiplexed=True)
     base_single = cfg.statistics_model(multiplexed=False)
     mus = np.linspace(mu_max / points, mu_max, points)
@@ -395,7 +396,7 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     pump = cfg.pump()
     window = cfg.signal_filter()
-    points = heralded._scaled_points(257, cfg.grid_scale)
+    points = spectral.scaled_points(257, cfg.grid_scale)
     signal_grid = spectral.FrequencyGrid(window.center, 12.0 * pump.sigma, points)
     herald_grid = spectral.FrequencyGrid(
         pump.center - window.center, 12.0 * pump.sigma, points

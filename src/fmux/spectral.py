@@ -19,6 +19,7 @@ from . import defaults
 
 __all__ = [
     "FrequencyGrid",
+    "scaled_points",
     "PumpEnvelope",
     "TopHatWindow",
     "GaussianWindow",
@@ -90,6 +91,16 @@ class FrequencyGrid:
     def refined(self, factor: int = 2) -> "FrequencyGrid":
         """Same span with (points-1)*factor + 1 samples (keeps end points)."""
         return FrequencyGrid(self.center, self.span, (self.points - 1) * factor + 1)
+
+
+def scaled_points(n: int, scale: float) -> int:
+    """Odd point count near (n - 1) * scale + 1, at least 5; n itself at scale 1."""
+    if scale == 1.0:
+        return n
+    m = max(4, int(round((n - 1) * scale)))
+    if m % 2:
+        m += 1
+    return m + 1
 
 
 @dataclass(frozen=True)
@@ -346,7 +357,11 @@ def apply_filter(
 
 
 def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
-    """Pearson correlation of (omega_s, omega_i) under the joint intensity."""
+    """Pearson correlation of (omega_s, omega_i) under the joint intensity.
+
+    NaN when either marginal has zero variance, e.g. all its weight on one
+    grid point.
+    """
     ws = jsa.signal_grid.trapezoid_weights()
     wh = jsa.herald_grid.trapezoid_weights()
     p = ws[:, None] * jsa.joint_intensity() * wh[None, :]
@@ -359,6 +374,8 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
     mh = float(xh @ ph)
     vs = float(((xs - ms) ** 2) @ ps)
     vh = float(((xh - mh) ** 2) @ ph)
+    if vs == 0.0 or vh == 0.0:
+        return float("nan")
     cov = float((xs - ms) @ p @ (xh - mh))
     return cov / math.sqrt(vs * vh)
 

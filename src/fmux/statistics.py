@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +207,7 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
 
 
 _COUNT_FIELDS = 6  # h, s, sh, s1h, s2h, s1s2h
+MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
 
 
 def _simulate_chunk(mus, eta_s, eta_h, multiplexed, n, seed_seq) -> np.ndarray:
@@ -248,14 +248,12 @@ def monte_carlo_counting(
     model: MultiplexedStatisticsModel,
     pulses: int,
     rng: int | np.random.Generator | None = None,
-    workers: int = 1,
-    chunk: int = 1 << 17,
 ) -> CountingResult:
     """Sample the thermal threshold model pulse by pulse.
 
-    Pulses are partitioned into fixed-size chunks, each driven by its own
+    Pulses are partitioned into chunks of MC_CHUNK, each driven by its own
     counter-based stream spawned from the recorded seed, so results are
-    identical for any worker count and the seed alone reproduces the run.
+    identical for a given seed and the seed alone reproduces the run.
     rng may be a seed or a Generator (a seed is then drawn from it).
     """
     if pulses < 1:
@@ -267,21 +265,14 @@ def monte_carlo_counting(
     else:
         seed = int(rng)
     mus = model.mode_rates()
-    sizes = [chunk] * (pulses // chunk)
-    if pulses % chunk:
-        sizes.append(pulses % chunk)
+    sizes = [MC_CHUNK] * (pulses // MC_CHUNK)
+    if pulses % MC_CHUNK:
+        sizes.append(pulses % MC_CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def job(args):
-        size, child = args
-        return _simulate_chunk(mus, model.eta_s, model.eta_h,
-                               model.multiplexing_enabled, size, child)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, zip(sizes, children)))
-    else:
-        parts = [job(a) for a in zip(sizes, children)]
+    parts = [
+        _simulate_chunk(mus, model.eta_s, model.eta_h, model.multiplexing_enabled, size, child)
+        for size, child in zip(sizes, children)
+    ]
     c_h, c_s, c_sh, c_s1h, c_s2h, c_s1s2h = np.sum(parts, axis=0)
 
     n = float(pulses)

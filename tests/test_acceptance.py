@@ -85,8 +85,8 @@ def test_criterion_6_counting_statistics():
     enhancement = statistics.analytic_counting(mux).p_sh / statistics.analytic_counting(flat).p_sh
     ok_analytic = 2.2 <= enhancement <= 3.4
 
-    mc_mux = statistics.monte_carlo_counting(mux, 16_000_000, rng=7, workers=4)
-    mc_flat = statistics.monte_carlo_counting(flat, 16_000_000, rng=8, workers=4)
+    mc_mux = statistics.monte_carlo_counting(mux, 16_000_000, rng=7)
+    mc_flat = statistics.monte_carlo_counting(flat, 16_000_000, rng=8)
     mc_enh = mc_mux.p_sh / mc_flat.p_sh
     se_enh = mc_enh * math.hypot(mc_mux.se_p_sh / mc_mux.p_sh, mc_flat.se_p_sh / mc_flat.p_sh)
     ok_mc = 2.2 <= mc_enh <= 3.4 and abs(mc_enh - enhancement) <= 3.0 * se_enh
@@ -113,7 +113,7 @@ def test_criterion_7_loss_budget_and_klyshko():
     injected = statistics.MultiplexedStatisticsModel(
         n_modes=1.0, mu=0.01, eta_s=0.14, eta_h=0.13, multiplexing_enabled=False
     )
-    mc = statistics.monte_carlo_counting(injected, 2_000_000, rng=11, workers=4)
+    mc = statistics.monte_carlo_counting(injected, 2_000_000, rng=11)
     s_hat, h_hat = statistics.klyshko_efficiencies(mc)
     se_s = math.sqrt(s_hat * (1 - s_hat) / (mc.p_h * mc.pulses))
     se_h = math.sqrt(h_hat * (1 - h_hat) / (mc.p_s * mc.pulses))
@@ -165,18 +165,18 @@ def test_criterion_8_property_bundle():
     flags["schmidt_vs_integral"] = abs(spectral.schmidt_purity(correlated) - closed_form) <= 1e-2
 
     # the refinement guard stays on here, so this call also checks convergence
-    p45 = heralded.purity_integral(heralded.jitter_only_model(), grid_scale=0.5)
+    p45 = heralded.purity_integral(heralded.jitter_only_model().scaled(0.5))
     p10 = heralded.purity_integral(
-        with_jitter_std(heralded.jitter_only_model(), defaults.TWO_PI * 10e9),
-        grid_scale=0.5, check_refinement=False,
+        with_jitter_std(heralded.jitter_only_model(), defaults.TWO_PI * 10e9).scaled(0.5),
+        check_refinement=False,
     )
     flags["monotone_in_jitter"] = p10 > p45
     flags["grid_refinement"] = abs(p45 - 0.90674) <= 1e-3
 
-    mild = heralded.purity_integral(heralded.gvd_only_model(gamma=-1e-24),
-                                    grid_scale=0.5, check_refinement=False)
-    strong = heralded.purity_integral(heralded.gvd_only_model(),
-                                      grid_scale=0.5, check_refinement=False)
+    mild = heralded.purity_integral(heralded.gvd_only_model(gamma=-1e-24).scaled(0.5),
+                                    check_refinement=False)
+    strong = heralded.purity_integral(heralded.gvd_only_model().scaled(0.5),
+                                      check_refinement=False)
     drive = [serrodyne.phase_jitter_purity(sj, defaults.PUMP_SIGMA, 85e9)
              for sj in (0.0, 5.3e-12, 20e-12)]
     flags["monotone_in_dispersion_and_drive_jitter"] = (
@@ -207,8 +207,8 @@ def test_criterion_8_property_bundle():
         float(np.sum(np.abs(shifted) ** 2) - np.sum(np.abs(pulse) ** 2))
     ) <= 1e-9
 
-    r1 = statistics.monte_carlo_counting(mux, 300_000, rng=123, workers=1)
-    r2 = statistics.monte_carlo_counting(mux, 300_000, rng=123, workers=2)
+    r1 = statistics.monte_carlo_counting(mux, 300_000, rng=123)
+    r2 = statistics.monte_carlo_counting(mux, 300_000, rng=123)
     fields = ("p_h", "p_s", "p_sh", "p_s1h", "p_s2h", "p_s1s2h", "g2_h", "se_p_sh", "se_g2_h")
     flags["seed_reproducibility"] = all(
         getattr(r1, f) == getattr(r2, f)

@@ -14,7 +14,6 @@ from fmux.heralded import (
     _herald_kernel,
     _hermitize,
     _norms_squared,
-    _scaled_points,
     assemble_density_matrix,
     conditional_wavepacket,
     default_model,
@@ -27,7 +26,7 @@ from fmux.heralded import (
     write_density_matrix_text,
 )
 from fmux.spectral import GaussianWindow, TopHatWindow, apply_filter, build_anticorrelated_jsa
-from fmux.spectral import FrequencyGrid, PumpEnvelope, schmidt_purity
+from fmux.spectral import FrequencyGrid, PumpEnvelope, schmidt_purity, scaled_points
 from fmux.spectrometer import JitterDistribution, measured_jitter_spectrometer
 
 GHZ = defaults.TWO_PI * 1e9
@@ -87,23 +86,30 @@ def test_perfect_detection_no_dispersion_is_pure():
     assert abs(purity_integral(m) - 1.0) < 1e-12
 
 
+def direct_purity(model):
+    """Oracle: the literal Gram-matrix sum over every pair of (herald, error) events.
+
+    Same nodes, weights and vacuous-event rule as the engine, but no window
+    tables: each normalized wavepacket is a row, and the purity is the
+    mixture-weighted sum of squared overlaps between all rows.
+    """
+    e, we = _error_kernel(model)
+    h, wh = _herald_kernel(model)
+    norms_sq, grid = _norms_squared(model, e)
+    free = model.pump.sigma * math.sqrt(math.pi)
+    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
+    x = grid.detunings
+    env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)  # (e, x)
+    chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)  # (h, x)
+    rows = (chirp[:, None, :] * env[None, :, :]).reshape(-1, x.size)  # (h, e) flattened
+    v = np.outer(wh, we / norms_sq).ravel()
+    overlaps = (rows * grid.trapezoid_weights()) @ rows.conj().T
+    return float(v @ np.abs(overlaps) ** 2 @ v)
+
+
 def test_factored_matches_direct():
     m = small_model()
-    a = purity_integral(m, method="factored", check_refinement=False)
-    b = purity_integral(m, method="direct", check_refinement=False)
-    assert abs(a - b) < 1e-12
-
-
-def test_direct_worker_count_bit_identical():
-    m = small_model(n_signal=101, n_herald=9, n_jitter=33)
-    one = purity_integral(m, method="direct", workers=1, check_refinement=False)
-    four = purity_integral(m, method="direct", workers=4, check_refinement=False)
-    assert one == four
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        purity_integral(small_model(), method="adaptive")
+    assert abs(purity_integral(m, check_refinement=False) - direct_purity(m)) < 1e-12
 
 
 def brute_force_purity(model):
@@ -208,8 +214,7 @@ def einsum_density_matrix(model):
 
 @pytest.mark.parametrize("factory", [jitter_only_model, gvd_only_model, default_model])
 def test_gemm_assembly_matches_einsum_oracle(factory):
-    m = factory(n_signal=_scaled_points(513, 0.5), n_herald=_scaled_points(129, 0.5),
-                n_jitter=_scaled_points(129, 0.5))
+    m = factory().scaled(0.5)
     rho = assemble_density_matrix(m).matrix
     oracle = einsum_density_matrix(m)
     assert np.abs(rho - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -256,12 +261,12 @@ def test_purity_monotone_in_jitter():
     values = []
     for s_ghz in (10.0, 25.0, 45.0, 70.0):
         m = with_jitter_std(jitter_only_model(), s_ghz * GHZ)
-        values.append(purity_integral(m, check_refinement=False, grid_scale=0.5))
+        values.append(purity_integral(m.scaled(0.5), check_refinement=False))
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_purity_monotone_in_gvd():
-    values = [purity_integral(gvd_only_model(gamma=g), check_refinement=False, grid_scale=0.5)
+    values = [purity_integral(gvd_only_model(gamma=g).scaled(0.5), check_refinement=False)
               for g in (0.0, -1e-24, -3.377e-24, -6e-24)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -285,15 +290,20 @@ def test_grid_refinement_converged_at_defaults():
 
 
 def test_scaled_points():
-    assert _scaled_points(513, 1.0) == 513
-    assert _scaled_points(513, 0.5) % 2 == 1
-    assert _scaled_points(129, 2.0) == 257
-    assert _scaled_points(5, 0.01) >= 4
+    assert scaled_points(513, 1.0) == 513
+    assert scaled_points(513, 0.5) % 2 == 1
+    assert scaled_points(129, 2.0) == 257
+    assert scaled_points(5, 0.01) >= 4
+    m = default_model()
+    assert m.scaled(1.0) == m
+    half = m.scaled(0.5)
+    assert (half.n_signal, half.n_herald, half.n_jitter) == (257, 65, 65)
+    assert replace(half, n_signal=513, n_herald=129, n_jitter=129) == m
 
 
 def test_grid_scale_changes_resolution_not_answer():
     m = jitter_only_model()
-    half = purity_integral(m, check_refinement=False, grid_scale=0.5)
+    half = purity_integral(m.scaled(0.5), check_refinement=False)
     assert abs(half - JITTER_ONLY) < 5e-3
 
 

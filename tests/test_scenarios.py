@@ -266,3 +266,27 @@ def test_cli_nonpositive_rf_frequency_exits_two(tmp_path, capsys, scenario, valu
     code = cli.main([scenario, "--config", str(path), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "shifter.rf_frequency_ghz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["stats-sweep", "hom-dip"])
+@pytest.mark.parametrize("dotted, value", [
+    ("source.mean_pairs_per_pulse", "0.05"),  # mu * n_modes = 0.142
+    ("statistics.mu_max", "0.05"),
+    ("statistics.mu_max", "0"),
+])
+def test_cli_pair_rate_outside_counting_domain_exits_two(tmp_path, capsys, scenario,
+                                                         dotted, value):
+    section, key = dotted.split(".")
+    path = tmp_path / "mu.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    code = cli.main([scenario, "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert dotted in capsys.readouterr().err
+
+
+def test_cli_joint_spectrum_coarse_grid_has_no_traceback(tmp_path, capsys):
+    # at this scale the filtered signal marginal sits on one grid point
+    code = cli.main(["joint-spectrum", "--grid-scale", "0.05",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 0
+    assert "filtered nan" in capsys.readouterr().out

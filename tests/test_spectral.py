@@ -97,6 +97,16 @@ def test_anticorrelated_is_anticorrelated():
     assert intensity_correlation(jsa) < -0.95
 
 
+def test_intensity_correlation_undefined_for_one_point_marginal():
+    # a filter narrower than the grid step leaves the signal on one sample
+    g = FrequencyGrid(0.0, 4.0, 5)
+    w = g.trapezoid_weights()
+    a = np.zeros((5, 5))
+    a[2] = np.exp(-0.5 * g.detunings**2)
+    a /= math.sqrt(w[2] * (w @ a[2] ** 2))
+    assert math.isnan(intensity_correlation(JointSpectralAmplitude(g, g, a)))
+
+
 def test_factorable_jsa_is_pure_and_uncorrelated():
     _, sg, hg = reference_pair()
     jsa = build_factorable_jsa(defaults.PUMP_SIGMA, defaults.PUMP_SIGMA, sg, hg)

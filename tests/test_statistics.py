@@ -145,14 +145,6 @@ def test_mc_seed_reproducible():
     assert c.p_sh != a.p_sh or c.p_h != a.p_h
 
 
-def test_mc_worker_count_invariant():
-    m = model(mu=0.02, eta_s=1.0)
-    one = monte_carlo_counting(m, 300_000, rng=3, workers=1)
-    four = monte_carlo_counting(m, 300_000, rng=3, workers=4)
-    assert one.p_s1s2h > 0  # triples present, so every field is informative
-    assert_identical(one, four)
-
-
 def test_mc_generator_seed_is_recorded():
     m = model()
     r = monte_carlo_counting(m, 50_000, rng=np.random.default_rng(123))
@@ -170,7 +162,7 @@ def test_mc_respects_partial_mode():
 
 def test_klyshko_closed_loop():
     m = model(multiplexed=False, n_modes=1.0)
-    r = monte_carlo_counting(m, 2_000_000, rng=11, workers=4)
+    r = monte_carlo_counting(m, 2_000_000, rng=11)
     eta_s_hat, eta_h_hat = klyshko_efficiencies(r)
     n = r.pulses
     se_s = math.sqrt(eta_s_hat * (1 - eta_s_hat) / (r.p_h * n))
