@@ -47,8 +47,8 @@ def main():
 
     print("single event, step by step")
     idler_true = spect.reference_frequency - 40.0 * GHZ
-    signal_true = defaults.PUMP_SUM - idler_true  # exact energy conservation
-    rng = np.random.default_rng(defaults.DEFAULT_SEED)
+    signal_true = cfg.pump().center - idler_true  # exact energy conservation
+    rng = np.random.default_rng(cfg.seed)
     outcome = sample_herald_event(spect, idler_true, rng)
     entry = lut.lookup(outcome.time_bin_index)
     print(f"  idler detuning (true)      {(idler_true - spect.reference_frequency) / GHZ:8.2f} GHz")

@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 
+from dataclasses import replace
+
 from fmux import defaults, heralded, statistics
+from fmux.scenarios import load_config
 
 GHZ = defaults.TWO_PI * 1e9
+PHOTON_FWHM_HZ = 60e9  # heralded-photon intensity FWHM, the width of one accepted mode
 
 
 def sketch(delays_ps, curve, height=10):
@@ -27,7 +31,8 @@ def sketch(delays_ps, curve, height=10):
 
 
 def main():
-    model = heralded.default_model()
+    cfg = load_config("hom-dip")
+    model = cfg.heralded_model()
     purity = heralded.purity_integral(model)
     dm = heralded.assemble_density_matrix(model)
     w = dm.grid.trapezoid_weights()
@@ -36,13 +41,10 @@ def main():
     mean = float(p @ x)
     sigma_eff = math.sqrt(float(p @ (x - mean) ** 2))  # heralded intensity rms width
 
-    counts = statistics.MultiplexedStatisticsModel(
-        n_modes=statistics.effective_mode_count(defaults.SHIFT_RANGE_HZ,
-                                                defaults.MARGINAL_FWHM_HZ),
-        mu=defaults.MEAN_PAIR_NUMBER,
-        eta_s=defaults.KLYSHKO_SIGNAL,
-        eta_h=defaults.KLYSHKO_HERALD,
-        multiplexing_enabled=True,
+    shift_range_hz = 2.0 * cfg.get("shifter.max_shift_ghz") * 1e9
+    counts = replace(
+        cfg.statistics_model(),
+        n_modes=statistics.effective_mode_count(shift_range_hz, PHOTON_FWHM_HZ),
     )
     g2 = statistics.analytic_counting(counts).g2_h
     visibility = statistics.hom_visibility(purity, g2)

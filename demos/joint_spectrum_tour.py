@@ -7,17 +7,19 @@ numbers the rest of the package is built around.
 """
 
 from fmux import defaults, spectral
+from fmux.scenarios import load_config
 
 GHZ = defaults.TWO_PI * 1e9
 
 
 def main():
-    pump = spectral.PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=0.0)
-    grid = spectral.default_grid(0.0)
+    sigma = load_config("joint-spectrum").pump().sigma
+    pump = spectral.PumpEnvelope(sigma=sigma, center=0.0)
+    grid = spectral.default_grid(0.0, sigma)
     jsa = spectral.build_anticorrelated_jsa(pump, grid, grid)
 
     print("joint spectrum at the reference operating point")
-    print(f"  pump spectral std        {defaults.PUMP_SIGMA / GHZ:8.2f} GHz")
+    print(f"  pump spectral std        {sigma / GHZ:8.2f} GHz")
     print(f"  grid                     {grid.points} points spanning "
           f"{grid.span / GHZ:.0f} GHz per axis")
     print(f"  frequency correlation r  {spectral.intensity_correlation(jsa):8.4f}")

@@ -6,12 +6,15 @@ same efficiencies.
 """
 
 import math
+from dataclasses import replace
 
-from fmux import defaults, losses, statistics
+from fmux import losses, statistics
+from fmux.scenarios import load_config
 
 
 def main():
-    table = losses.reference_loss_table()
+    cfg = load_config("loss-budget")
+    table = cfg.loss_table()
     print("component budget (dB)")
     print(f"  {'component':<28} {'arm':<8} {'loss':>6}")
     for entry in table.entries:
@@ -22,13 +25,7 @@ def main():
               f"efficiency {eff:.4f}")
     print()
 
-    model = statistics.MultiplexedStatisticsModel(
-        n_modes=1.0,
-        mu=defaults.MEAN_PAIR_NUMBER,
-        eta_s=defaults.KLYSHKO_SIGNAL,
-        eta_h=defaults.KLYSHKO_HERALD,
-        multiplexing_enabled=False,
-    )
+    model = replace(cfg.statistics_model(multiplexed=False), n_modes=1.0)
     pulses = 2_000_000
     counts = statistics.monte_carlo_counting(model, pulses, rng=11)
     s_hat, h_hat = statistics.klyshko_efficiencies(counts)
@@ -40,7 +37,8 @@ def main():
     print(f"  herald arm  {h_hat:.4f} +/- {se_h:.4f}")
     print()
 
-    print(losses.format_reconciliation(losses.reconcile(table, (s_hat, h_hat))))
+    print(losses.format_reconciliation(losses.reconcile(table, (s_hat, h_hat),
+                                                       cfg.get("losses.tolerance"))))
     print()
     print("caveat: the ratio estimator needs the signal photon to reach its")
     print("detector whether or not the herald fired. with feed-forward routing")

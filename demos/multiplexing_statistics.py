@@ -8,21 +8,20 @@ enhancement saturates as more modes are accepted.
 from dataclasses import replace
 
 from fmux import defaults, statistics
+from fmux.scenarios import load_config
+
+PHOTON_FWHM_HZ = 60e9  # heralded-photon intensity FWHM, the width of one accepted mode
 
 
 def main():
-    n = statistics.effective_mode_count(defaults.SHIFT_RANGE_HZ, defaults.MARGINAL_FWHM_HZ)
-    mux = statistics.MultiplexedStatisticsModel(
-        n_modes=n,
-        mu=defaults.MEAN_PAIR_NUMBER,
-        eta_s=defaults.KLYSHKO_SIGNAL,
-        eta_h=defaults.KLYSHKO_HERALD,
-        multiplexing_enabled=True,
-    )
+    cfg = load_config("stats-sweep")
+    shift_range_hz = 2.0 * cfg.get("shifter.max_shift_ghz") * 1e9
+    n = statistics.effective_mode_count(shift_range_hz, PHOTON_FWHM_HZ)
+    mux = replace(cfg.statistics_model(), n_modes=n)
     single = replace(mux, multiplexing_enabled=False)
 
-    print(f"correctable span {defaults.SHIFT_RANGE_HZ / 1e9:.0f} GHz over a "
-          f"{defaults.MARGINAL_FWHM_HZ / 1e9:.0f} GHz photon: "
+    print(f"correctable span {shift_range_hz / 1e9:.0f} GHz over a "
+          f"{PHOTON_FWHM_HZ / 1e9:.0f} GHz photon: "
           f"{n:.2f} effective modes")
     print()
 

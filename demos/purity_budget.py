@@ -6,36 +6,37 @@ quadrature grids (the refinement tests bound the error well below the digits
 printed here).
 """
 
+from dataclasses import replace
+
 from fmux import defaults, heralded, serrodyne
+from fmux.scenarios import load_config
 from fmux.spectrometer import JitterDistribution
 
 GHZ = defaults.TWO_PI * 1e9
 
 
 def with_jitter_std(model, std):
-    from dataclasses import replace
-
     spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * defaults.TIME_PER_FREQ))
+                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
     return replace(model, spectrometer=spect)
 
 
 def main():
-    gamma = heralded.gvd_parameter(
-        defaults.FIBER_DISPERSION_PS_NM_KM,
-        defaults.DELAY_LENGTH_M,
-        defaults.SIGNAL_WAVELENGTH_M,
-    )
+    cfg = load_config("purity-combined")
+    combined = cfg.heralded_model()
+    jitter_only = cfg.heralded_model(gvd=False)
+    gvd_only = cfg.heralded_model(jitter=False)
+    gamma = combined.gamma
     print("the two imperfections the feed-forward loop introduces")
     print(f"  spectrometer jitter, as frequency std: "
-          f"{defaults.MEASURED_JITTER_FREQ_STD / GHZ:.0f} GHz")
+          f"{combined.spectrometer.frequency_std() / GHZ:.0f} GHz")
     print(f"  delay-line GVD parameter: {gamma:.3e} s^2 "
-          f"({defaults.DELAY_LENGTH_M:.0f} m of standard fiber)")
+          f"({cfg.get('delay.length_m'):.0f} m of standard fiber)")
     print()
 
-    p_jitter = heralded.purity_integral(heralded.jitter_only_model())
-    p_gvd = heralded.purity_integral(heralded.gvd_only_model())
-    p_both = heralded.purity_integral(heralded.default_model())
+    p_jitter = heralded.purity_integral(jitter_only)
+    p_gvd = heralded.purity_integral(gvd_only)
+    p_both = heralded.purity_integral(combined)
     print("purity with each imperfection alone and combined")
     print(f"  timing jitter only   {p_jitter:.4f}")
     print(f"  dispersion only      {p_gvd:.4f}")
@@ -47,7 +48,7 @@ def main():
     print("sweep: purity vs spectrometer jitter (dispersion off)")
     print(f"  {'jitter std (GHz)':>17}  {'purity':>7}")
     for s_ghz in (5.0, 10.0, 25.0, 45.0, 70.0):
-        model = with_jitter_std(heralded.jitter_only_model(), s_ghz * GHZ).scaled(0.5)
+        model = with_jitter_std(jitter_only, s_ghz * GHZ).scaled(0.5)
         p = heralded.purity_integral(model, check_refinement=False)
         print(f"  {s_ghz:>17.0f}  {p:7.4f}")
     print()
@@ -56,16 +57,17 @@ def main():
     print(f"  {'gamma (s^2)':>17}  {'purity':>7}  {'fiber equivalent':>18}")
     for scale, note in ((0.0, "no delay line"), (0.3, "90 m"), (1.0, "300 m"),
                         (1.8, "540 m")):
-        model = heralded.gvd_only_model(gamma=scale * gamma).scaled(0.5)
+        model = replace(gvd_only, gamma=scale * gamma).scaled(0.5)
         p = heralded.purity_integral(model, check_refinement=False)
         print(f"  {scale * gamma:>17.3e}  {p:7.4f}  {note:>18}")
     print()
 
+    shifter = cfg.shifter()
     p_drive = serrodyne.phase_jitter_purity(
-        defaults.PHASE_JITTER_STD, defaults.PUMP_SIGMA, defaults.SHIFT_MAX_HZ
+        shifter.sigma_jitter, combined.pump.sigma, cfg.get("shifter.max_shift_ghz") * 1e9, shifter
     )
     print("third channel, for completeness: shifter drive timing jitter")
-    print(f"  {defaults.PHASE_JITTER_STD * 1e12:.1f} ps of drive jitter at the "
+    print(f"  {shifter.sigma_jitter * 1e12:.1f} ps of drive jitter at the "
           f"largest shift costs a factor {p_drive:.4f}")
     print("  it is negligible next to the other two and is left out of the")
     print("  combined model above.")

@@ -16,10 +16,7 @@ from .heralded import (
     HeraldedStateModel,
     assemble_density_matrix,
     conditional_wavepacket,
-    default_model,
-    gvd_only_model,
     gvd_parameter,
-    jitter_only_model,
     purity_from_eigenvalues,
     purity_from_trace,
     purity_integral,
@@ -31,7 +28,6 @@ from .serrodyne import (
     ShifterModel,
     apply_temporal_phase,
     build_lut,
-    default_shifter,
     phase_jitter_purity,
     shift_magnitude,
 )
@@ -54,8 +50,6 @@ from .spectrometer import (
     conditional_outcome_distribution,
     frequency_to_arrival_time,
     herald_posterior,
-    measured_jitter_spectrometer,
-    nominal_spectrometer,
     sample_herald_event,
 )
 from .statistics import (
@@ -89,11 +83,8 @@ __all__ = [
     "conditional_outcome_distribution",
     "herald_posterior",
     "sample_herald_event",
-    "nominal_spectrometer",
-    "measured_jitter_spectrometer",
     "ShifterModel",
     "FeedForwardLUT",
-    "default_shifter",
     "shift_magnitude",
     "build_lut",
     "apply_temporal_phase",
@@ -105,9 +96,6 @@ __all__ = [
     "purity_from_eigenvalues",
     "purity_from_trace",
     "gvd_parameter",
-    "default_model",
-    "jitter_only_model",
-    "gvd_only_model",
     "MultiplexedStatisticsModel",
     "CountingResult",
     "effective_mode_count",

@@ -1,8 +1,7 @@
-"""Reference operating point shared across the package.
+"""Physical constants, bench comparison values and the package version.
 
-All frequencies are angular (rad/s) unless the name says Hz. Values are the
-measured parameters of the modeled source; modules take them as defaults and
-accept overrides everywhere.
+The operating point itself lives in data/default.cfg; ScenarioConfig builds
+every model from it.
 """
 
 import math
@@ -10,46 +9,9 @@ import math
 TWO_PI = 2.0 * math.pi
 C_LIGHT = 299_792_458.0  # m/s
 
-# downconversion / spectra
-PUMP_SIGMA = TWO_PI * 50.95e9  # pump spectral amplitude std, rad/s
-FILTER_WIDTH = TWO_PI * 50e9  # signal top-hat full width, rad/s
-MARGINAL_FWHM_HZ = 60e9  # signal/herald marginal intensity FWHM, Hz
-
-# serrodyne shifter
-SHIFT_MAX_HZ = 85e9  # largest correctable shift, Hz
-SHIFT_RANGE_HZ = 2 * SHIFT_MAX_HZ  # full correctable span, Hz
-RF_FREQUENCY_HZ = 8e9  # EOM drive rate, Hz
-PHASE_JITTER_STD = 5.3e-12  # drive-to-pulse timing jitter, s
-
-# time-of-flight spectrometer
-TIME_PER_FREQ = 16e-12 / (TWO_PI * 1e9)  # grating dispersion, s per rad/s (16 ps/GHz)
-TDC_BIN = 33e-12  # timing digitizer bin, s
-NOMINAL_RESOLUTION_FWHM = TWO_PI * 10e9  # quoted frequency resolution (FWHM), rad/s
-# Effective Gaussian width of the measured arrival-time jitter, expressed as a
-# frequency std. Calibrated against the measured heralded-photon purity; the
-# quoted 10 GHz resolution is a different (bin-limited) quantity.
-MEASURED_JITTER_FREQ_STD = TWO_PI * 45e9
-HERALD_SPAN = 1.11e12  # herald acceptance span bounding quadrature grids, rad/s
-
-# delay line dispersion
-FIBER_DISPERSION_PS_NM_KM = 18.0
-DELAY_LENGTH_M = 300.0
-SIGNAL_WAVELENGTH_M = 1535e-9
-
-# absolute centers; only detunings matter for the physics, these anchor exports
-SIGNAL_CENTER = TWO_PI * C_LIGHT / SIGNAL_WAVELENGTH_M  # rad/s
-HERALD_CENTER = SIGNAL_CENTER  # degenerate operating point
-PUMP_SUM = SIGNAL_CENTER + HERALD_CENTER  # rad/s, energy-conservation constant
-
-# counting statistics
-MEAN_PAIR_NUMBER = 0.01  # pairs per mode per pulse
-KLYSHKO_SIGNAL = 0.14
-KLYSHKO_HERALD = 0.13
-
 # bench comparison values; reported next to model outputs, never fitted to
 MEASURED_HOM_VISIBILITY = 0.61
 MEASURED_HOM_VISIBILITY_ERR = 0.04
 MEASURED_ENHANCEMENT = 2.7
 
-DEFAULT_SEED = 7
 PACKAGE_VERSION = "0.1.0"

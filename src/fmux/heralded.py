@@ -33,7 +33,7 @@ from scipy import linalg
 from . import defaults
 from .serrodyne import QuadratureConvergenceError
 from .spectral import FrequencyGrid, PumpEnvelope, TopHatWindow, scaled_points
-from .spectrometer import SpectrometerModel, measured_jitter_spectrometer
+from .spectrometer import SpectrometerModel
 
 __all__ = [
     "HeraldedStateModel",
@@ -46,9 +46,6 @@ __all__ = [
     "purity_from_eigenvalues",
     "purity_from_trace",
     "gvd_parameter",
-    "default_model",
-    "jitter_only_model",
-    "gvd_only_model",
     "write_density_matrix_text",
 ]
 
@@ -80,7 +77,7 @@ class HeraldedStateModel:
     pump.center is the sum (energy-conservation) frequency; filter is the
     signal output top-hat; herald_window is the span of heralds accepted by
     the feed-forward stage (its center defines zero shift), weighted flat.
-    Grid counts follow the package defaults: 513 signal points across the
+    Grid counts default to 513 signal points across the
     filter support, 129-point quadratures for the herald and error
     variables, the latter spanning +/- jitter_span_sigmas of the
     spectrometer's frequency uncertainty. scaled() coarsens or refines all
@@ -117,42 +114,6 @@ class HeraldedStateModel:
             n_herald=scaled_points(self.n_herald, grid_scale),
             n_jitter=scaled_points(self.n_jitter, grid_scale),
         )
-
-
-def default_model(**overrides) -> HeraldedStateModel:
-    """Model at the reference operating point (measured jitter plus delay-line GVD)."""
-    params = dict(
-        pump=PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=defaults.PUMP_SUM),
-        filter=TopHatWindow(defaults.SIGNAL_CENTER, defaults.FILTER_WIDTH),
-        gamma=gvd_parameter(
-            defaults.FIBER_DISPERSION_PS_NM_KM,
-            defaults.DELAY_LENGTH_M,
-            defaults.SIGNAL_WAVELENGTH_M,
-        ),
-        spectrometer=measured_jitter_spectrometer(),
-        herald_window=TopHatWindow(
-            defaults.HERALD_CENTER, defaults.TWO_PI * defaults.SHIFT_RANGE_HZ
-        ),
-    )
-    params.update(overrides)
-    return HeraldedStateModel(**params)
-
-
-def jitter_only_model(**overrides) -> HeraldedStateModel:
-    """Measured spectrometer jitter, dispersion switched off."""
-    overrides.setdefault("gamma", 0.0)
-    return default_model(**overrides)
-
-
-def gvd_only_model(**overrides) -> HeraldedStateModel:
-    """Perfect frequency detection, delay-line dispersion only."""
-    from .spectrometer import JitterDistribution
-
-    ideal = measured_jitter_spectrometer()
-    overrides.setdefault(
-        "spectrometer", replace(ideal, jitter=JitterDistribution.gaussian(0.0))
-    )
-    return default_model(**overrides)
 
 
 @dataclass(frozen=True)

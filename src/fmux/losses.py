@@ -64,12 +64,12 @@ def arm_efficiency(table: LossTable, arm: str) -> float:
     return 10.0 ** (-table.total_db(arm) / 10.0)
 
 
-def reference_loss_table(snspd_db: float = 0.81) -> LossTable:
+def reference_loss_table(snspd_db: float) -> LossTable:
     """Measured component budget of the demonstration setup.
 
     snspd_db selects where in the measured detector range (0.81 to 1.08 dB)
-    to sit; the default is the best measured value, which is the one that
-    reproduces the quoted arm efficiencies.
+    to sit; the configured 0.81 dB is the best measured value, which is the
+    one that reproduces the quoted arm efficiencies.
     """
     return LossTable(
         (
@@ -87,7 +87,7 @@ def reference_loss_table(snspd_db: float = 0.81) -> LossTable:
     )
 
 
-def reconcile(table: LossTable, klyshko: tuple, tolerance: float = 0.02) -> dict:
+def reconcile(table: LossTable, klyshko: tuple, tolerance: float) -> dict:
     """Compare budget efficiencies with Klyshko (eta_s, eta_h) estimates.
 
     Returns one record per arm with absolute and relative differences and a

@@ -17,7 +17,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,7 @@ STREAM_ANTICORRELATION_MAX = -0.9
 STREAM_INDEPENDENCE_MAX = 0.2
 
 GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
+JITTER_MODELS = ("measured", "nominal", "none")
 
 
 class ConfigError(ValueError):
@@ -77,7 +78,6 @@ _SCHEMA = {
     "source.pump_sigma_ghz": float,
     "source.mean_pairs_per_pulse": float,
     "source.signal_wavelength_nm": float,
-    "source.marginal_fwhm_ghz": float,
     "filter.center_offset_ghz": float,
     "filter.full_width_ghz": float,
     "spectrometer.dispersion_ps_per_ghz": float,
@@ -124,13 +124,17 @@ def _default_parser() -> configparser.ConfigParser:
 
 @dataclass
 class ScenarioConfig:
-    """A scenario name plus the full resolved parameter set."""
+    """A scenario name plus the full resolved parameter set.
+
+    The builders below are the one way to turn the configuration into
+    models; each validates its slice of the config.
+    """
 
     scenario: str
-    params: dict = field(default_factory=dict)
-    seed: int = defaults.DEFAULT_SEED
+    params: dict
+    seed: int
+    grid_scale: float
     outdir: str = "."
-    grid_scale: float = 1.0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -141,35 +145,55 @@ class ScenarioConfig:
     def get(self, dotted: str):
         return self.params[dotted]
 
-    # builders; each validates its slice of the config
-
-    def _ghz(self, dotted: str, positive: bool = True) -> float:
+    def _positive(self, dotted: str) -> float:
         v = self.get(dotted)
-        if positive and not v > 0:
+        if not v > 0:
             raise ConfigError(dotted, f"must be positive, got {v}")
-        return v * GHZ
+        return v
+
+    def _ghz(self, dotted: str) -> float:
+        return self._positive(dotted) * GHZ
+
+    def anchor(self) -> float:
+        """Absolute frequency of degeneracy, rad/s: the herald reference and zero shift."""
+        wavelength = self._positive("source.signal_wavelength_nm") / 1e9
+        return defaults.TWO_PI * defaults.C_LIGHT / wavelength
 
     def signal_filter(self) -> spectral.TopHatWindow:
-        center = defaults.SIGNAL_CENTER + self.get("filter.center_offset_ghz") * GHZ
+        center = self.anchor() + self.get("filter.center_offset_ghz") * GHZ
         return spectral.TopHatWindow(center, self._ghz("filter.full_width_ghz"))
 
     def pump(self) -> spectral.PumpEnvelope:
-        herald_ref = defaults.HERALD_CENTER
         return spectral.PumpEnvelope(
             sigma=self._ghz("source.pump_sigma_ghz"),
-            center=self.signal_filter().center + herald_ref,
+            center=self.signal_filter().center + self.anchor(),
         )
 
     def build_spectrometer(self, which: str | None = None) -> spectrometer.SpectrometerModel:
+        """Time-of-flight spectrometer with jitter model which (default spectrometer.jitter_model).
+
+        measured carries spectrometer.MEASURED_JITTER_FREQ_STD, nominal reads
+        nominal_resolution_ghz as a Gaussian FWHM, none has no jitter. The
+        calibrated span is the sampled idler span.
+        """
         which = self.get("spectrometer.jitter_model") if which is None else which
+        dispersion = self._positive("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
         if which == "measured":
-            return spectrometer.measured_jitter_spectrometer()
-        if which == "nominal":
-            return spectrometer.nominal_spectrometer("fwhm")
-        if which == "none":
-            base = spectrometer.nominal_spectrometer("fwhm")
-            return replace(base, jitter=spectrometer.JitterDistribution.gaussian(0.0))
-        raise ConfigError("spectrometer.jitter_model", f"unknown model {which!r}")
+            freq_std = spectrometer.MEASURED_JITTER_FREQ_STD
+        elif which == "nominal":
+            fwhm = defaults.TWO_PI * (self._positive("spectrometer.nominal_resolution_ghz") * 1e9)
+            freq_std = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        elif which == "none":
+            freq_std = 0.0
+        else:
+            raise ValueError(f"unknown jitter model {which!r}")
+        return spectrometer.SpectrometerModel(
+            dispersion=dispersion,
+            tdc_bin=self._positive("spectrometer.tdc_bin_ps") / 1e12,
+            jitter=spectrometer.JitterDistribution.gaussian(freq_std * dispersion),
+            reference_frequency=self.anchor(),
+            calibrated_span=self._ghz("feedforward.idler_sample_span_ghz"),
+        )
 
     def gamma(self) -> float:
         d = self.get("delay.fiber_dispersion_ps_nm_km")
@@ -182,25 +206,23 @@ class ScenarioConfig:
         return heralded.gvd_parameter(d, length, wavelength)
 
     def herald_window(self) -> spectral.TopHatWindow:
-        return spectral.TopHatWindow(
-            defaults.HERALD_CENTER, self._ghz("feedforward.herald_span_ghz")
-        )
+        return spectral.TopHatWindow(self.anchor(), self._ghz("feedforward.herald_span_ghz"))
 
     def shifter(self) -> serrodyne.ShifterModel:
         jitter = self.get("shifter.phase_jitter_ps") * 1e-12
         if jitter < 0:
             raise ConfigError("shifter.phase_jitter_ps", "must be non-negative")
-        self._ghz("shifter.rf_frequency_ghz")  # ConfigError unless positive
-        nu_rf = self.get("shifter.rf_frequency_ghz") * 1e9
+        nu_rf = self._positive("shifter.rf_frequency_ghz") * 1e9
         vmax = self.get("shifter.max_shift_ghz") * 1e9 / (math.pi * nu_rf)
         return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
 
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
+        """Heralded state with the configured jitter model and delay-line GVD, each switchable off."""
         return heralded.HeraldedStateModel(
             pump=self.pump(),
             filter=self.signal_filter(),
             gamma=self.gamma() if gvd else 0.0,
-            spectrometer=self.build_spectrometer("measured" if jitter else "none"),
+            spectrometer=self.build_spectrometer(None if jitter else "none"),
             herald_window=self.herald_window(),
         ).scaled(self.grid_scale)
 
@@ -220,7 +242,7 @@ class ScenarioConfig:
         db = self.get("losses.snspd_db")
         if db < 0:
             raise ConfigError("losses.snspd_db", "must be >= 0 dB")
-        return losses.reference_loss_table(snspd_db=db)
+        return losses.reference_loss_table(db)
 
     def validate(self) -> None:
         """Construct every model the scenarios use so bad fields fail at load."""
@@ -230,10 +252,15 @@ class ScenarioConfig:
                        "statistics.monte_carlo_pulses", "run.hom_delay_points"):
             if self.get(dotted) < 1:
                 raise ConfigError(dotted, "must be a positive integer")
+        for dotted in ("spectrometer.jitter_model", "feedforward.stream_spectrometer"):
+            if self.get(dotted) not in JITTER_MODELS:
+                raise ConfigError(dotted, f"unknown model {self.get(dotted)!r}; "
+                                          f"pick one of {', '.join(JITTER_MODELS)}")
         self.pump()
         self.signal_filter()
         self.build_spectrometer()
         self.build_spectrometer(self.get("feedforward.stream_spectrometer"))
+        self._positive("spectrometer.nominal_resolution_ghz")
         self.shifter()
         self.herald_window()
         self.gamma()
@@ -247,8 +274,6 @@ class ScenarioConfig:
                 raise ConfigError(dotted, f"mu * n_modes = {product:.3f} must be below "
                                           f"{statistics.EXPANSION_LIMIT} (counting model domain)")
         self.loss_table()
-        self._ghz("feedforward.idler_sample_span_ghz")
-        self._ghz("source.marginal_fwhm_ghz")
 
 
 def load_config(
@@ -282,8 +307,8 @@ def load_config(
         scenario=scenario,
         params=params,
         seed=params["run.seed"] if seed is None else int(seed),
-        outdir="." if outdir is None else str(outdir),
         grid_scale=params["run.grid_scale"] if grid_scale is None else float(grid_scale),
+        outdir="." if outdir is None else str(outdir),
     )
     return cfg
 
@@ -309,13 +334,21 @@ def _write_mode_weights(dm: heralded.DiscretizedDensityMatrix, path, top: int = 
             fh.write(f"{i},{max(float(v), 0.0)!r}\n")
 
 
+def _converged_purity(model: heralded.HeraldedStateModel) -> float:
+    """purity_integral, with a grid too coarse to converge reported as a config error."""
+    try:
+        return heralded.purity_integral(model)
+    except serrodyne.QuadratureConvergenceError as err:
+        raise ConfigError("run.grid_scale", f"quadrature grid too coarse: {err}") from err
+
+
 def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     flavor = cfg.scenario
     model = cfg.heralded_model(
         jitter=flavor in ("purity-jitter", "purity-combined"),
         gvd=flavor in ("purity-gvd", "purity-combined"),
     )
-    purity = heralded.purity_integral(model)
+    purity = _converged_purity(model)
     dm = heralded.assemble_density_matrix(model)
     eig_purity = heralded.purity_from_eigenvalues(dm)
     lines, checks = [], {}
@@ -406,7 +439,8 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     r_full = spectral.intensity_correlation(jsa)
     r_filtered = spectral.intensity_correlation(filtered)
     purity_full = spectral.schmidt_purity(jsa)
-    purity_filtered = spectral.schmidt_purity(filtered)
+    # a filtered marginal on one grid point (NaN correlation) makes its purity 1 by construction
+    purity_filtered = float("nan") if math.isnan(r_filtered) else spectral.schmidt_purity(filtered)
     lines, checks = [], {}
     lines.append(f"joint intensity correlation: unfiltered {r_full:.4f}, filtered {r_filtered:.4f}")
     lines.append(f"filter transmission = {transmitted:.5f}")
@@ -434,7 +468,7 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 
 def _run_hom_dip(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     model = cfg.heralded_model()
-    purity = heralded.purity_integral(model)
+    purity = _converged_purity(model)
     dm = heralded.assemble_density_matrix(model)
     w = dm.grid.trapezoid_weights()
     p = np.real(np.diag(dm.matrix)) * w

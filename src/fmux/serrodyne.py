@@ -35,7 +35,6 @@ __all__ = [
     "apply_temporal_phase",
     "phase_jitter_purity",
     "write_lut_text",
-    "default_shifter",
 ]
 
 
@@ -63,14 +62,6 @@ class ShifterModel:
             raise ValueError("nu_rf must be positive")
         if self.v0_max < 0 or self.sigma_jitter < 0:
             raise ValueError("v0_max and sigma_jitter must be non-negative")
-
-
-def default_shifter(sigma_jitter: float = defaults.PHASE_JITTER_STD) -> ShifterModel:
-    """Shifter normalized to v_pi = 1 V with the reference 85 GHz drive limit."""
-    v_pi = 1.0
-    v0_max = defaults.SHIFT_MAX_HZ * v_pi / (math.pi * defaults.RF_FREQUENCY_HZ)
-    return ShifterModel(v_pi=v_pi, nu_rf=defaults.RF_FREQUENCY_HZ, v0_max=v0_max,
-                        sigma_jitter=sigma_jitter)
 
 
 def shift_magnitude(v0: float, model: ShifterModel) -> float:
@@ -129,7 +120,7 @@ def build_lut(
     spectrometer: SpectrometerModel,
     target_center: float,
     model: ShifterModel,
-    span: float = defaults.HERALD_SPAN,
+    span: float,
 ) -> FeedForwardLUT:
     """Table of drive settings for every herald bin reachable within the span.
 
@@ -216,7 +207,7 @@ def phase_jitter_purity(
     sigma_jitter: float,
     sigma: float,
     delta_nu: float,
-    model: ShifterModel | None = None,
+    model: ShifterModel,
     n_jitter: int = 64,
     n_time: int = 128,
     check_refinement: bool = True,
@@ -233,8 +224,6 @@ def phase_jitter_purity(
         raise ValueError("sigma_jitter must be non-negative")
     if not sigma > 0:
         raise ValueError("photon bandwidth must be positive")
-    if model is None:
-        model = default_shifter()
     model = ShifterModel(model.v_pi, model.nu_rf, model.v0_max, sigma_jitter)
 
     def evaluate(nj, nt):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from . import defaults
-
 __all__ = [
     "FrequencyGrid",
     "scaled_points",
@@ -221,7 +219,7 @@ def _normalized(signal_grid, herald_grid, amplitude) -> JointSpectralAmplitude:
     return JointSpectralAmplitude(signal_grid, herald_grid, amplitude / norm)
 
 
-def default_grid(center: float, sigma: float = defaults.PUMP_SIGMA) -> FrequencyGrid:
+def default_grid(center: float, sigma: float) -> FrequencyGrid:
     """513 points spanning +/-6 sigma, the package-wide default discretization."""
     return FrequencyGrid(center, 12.0 * sigma, 513)
 

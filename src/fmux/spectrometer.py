@@ -6,11 +6,10 @@ detector jitter smears the tag. The module exposes the forward conditional
 P(omega_H | omega_i), its Bayesian inverse over a supplied prior, and a
 Monte Carlo sampler that agrees with the forward conditional.
 
-Two stock instruments are provided. nominal_spectrometer carries the quoted
-10 GHz time-of-flight resolution. measured_jitter_spectrometer carries the
-effective Gaussian width of the measured arrival-time jitter, which is much
-wider than the quoted resolution figure and is the width that reproduces the
-measured heralded-photon purity; use it for purity budgets.
+The instrument itself is built from the configuration
+(ScenarioConfig.build_spectrometer). Its measured jitter model carries
+MEASURED_JITTER_FREQ_STD, which is much wider than the quoted resolution
+figure and is the width that reproduces the measured heralded-photon purity.
 """
 
 from __future__ import annotations
@@ -37,9 +36,15 @@ __all__ = [
     "herald_posterior",
     "sample_herald_event",
     "load_jitter_histogram",
-    "nominal_spectrometer",
-    "measured_jitter_spectrometer",
+    "MEASURED_JITTER_FREQ_STD",
 ]
+
+# Effective Gaussian width of the measured arrival-time jitter, expressed as a
+# frequency std (720 ps in time at 16 ps/GHz). Calibrated against the measured
+# heralded-photon purity; the quoted resolution figure is a different
+# (bin-limited) quantity. A tabulated histogram (load_jitter_histogram)
+# replaces this stand-in.
+MEASURED_JITTER_FREQ_STD = defaults.TWO_PI * 45e9  # rad/s
 
 
 class FrequencyRangeError(ValueError):
@@ -293,49 +298,3 @@ def load_jitter_histogram(path) -> JitterDistribution:
     if data.shape[1] != 2:
         raise ValueError("expected two columns: time offset (ps), count")
     return JitterDistribution.from_table(data[:, 0] * 1e-12, data[:, 1])
-
-
-def nominal_spectrometer(
-    interpretation: str = "fwhm",
-    reference_frequency: float = defaults.HERALD_CENTER,
-) -> SpectrometerModel:
-    """Instrument at the quoted 10 GHz time-of-flight resolution.
-
-    interpretation='fwhm' reads the figure as a FWHM (Gaussian std
-    10/2.355 GHz); 'std' reads it as a std-dev directly. The quoted figure
-    under either reading is far narrower than the measured jitter; see
-    measured_jitter_spectrometer for purity work.
-    """
-    if interpretation == "fwhm":
-        freq_std = defaults.NOMINAL_RESOLUTION_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    elif interpretation == "std":
-        freq_std = defaults.NOMINAL_RESOLUTION_FWHM
-    else:
-        raise ValueError("interpretation must be 'fwhm' or 'std'")
-    return SpectrometerModel(
-        dispersion=defaults.TIME_PER_FREQ,
-        tdc_bin=defaults.TDC_BIN,
-        jitter=JitterDistribution.gaussian(freq_std * defaults.TIME_PER_FREQ),
-        reference_frequency=reference_frequency,
-        calibrated_span=6.0 * defaults.HERALD_SPAN,
-    )
-
-
-def measured_jitter_spectrometer(
-    reference_frequency: float = defaults.HERALD_CENTER,
-) -> SpectrometerModel:
-    """Instrument carrying the effective width of the measured timing jitter.
-
-    The arrival-time jitter of the deployed detection chain is far broader
-    than the quoted 10 GHz resolution figure. Its Gaussian stand-in here has
-    a frequency std of 45 GHz (720 ps in time at 16 ps/GHz), calibrated so
-    the jitter-limited heralded purity matches the measured value. Loading a
-    tabulated histogram (load_jitter_histogram) replaces the stand-in.
-    """
-    return SpectrometerModel(
-        dispersion=defaults.TIME_PER_FREQ,
-        tdc_bin=defaults.TDC_BIN,
-        jitter=JitterDistribution.gaussian(defaults.MEASURED_JITTER_FREQ_STD * defaults.TIME_PER_FREQ),
-        reference_frequency=reference_frequency,
-        calibrated_span=6.0 * defaults.HERALD_SPAN,
-    )

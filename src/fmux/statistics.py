@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import defaults
-
 __all__ = [
     "MultiplexedStatisticsModel",
     "CountingResult",
@@ -247,7 +245,7 @@ def _simulate_chunk(mus, eta_s, eta_h, multiplexed, n, seed_seq) -> np.ndarray:
 def monte_carlo_counting(
     model: MultiplexedStatisticsModel,
     pulses: int,
-    rng: int | np.random.Generator | None = None,
+    rng: int | np.random.Generator,
 ) -> CountingResult:
     """Sample the thermal threshold model pulse by pulse.
 
@@ -260,8 +258,6 @@ def monte_carlo_counting(
         raise ValueError("pulses must be positive")
     if isinstance(rng, np.random.Generator):
         seed = int(rng.integers(2**63))
-    elif rng is None:
-        seed = defaults.DEFAULT_SEED
     else:
         seed = int(rng)
     mus = model.mode_rates()

@@ -16,6 +16,8 @@ from fmux import defaults, heralded, losses, serrodyne, spectral, statistics
 from fmux.scenarios import load_config, simulate_feedforward_stream
 from fmux.spectrometer import JitterDistribution
 
+CFG = load_config("purity-combined")
+
 
 def report(criterion: int, ok: bool, text: str) -> None:
     print(f"criterion {criterion}: {text} -> {'pass' if ok else 'FAIL'}")
@@ -24,7 +26,7 @@ def report(criterion: int, ok: bool, text: str) -> None:
 
 def test_criterion_1_jitter_only_purity():
     started = time.perf_counter()
-    purity = heralded.purity_integral(heralded.jitter_only_model())
+    purity = heralded.purity_integral(CFG.heralded_model(gvd=False))
     elapsed = time.perf_counter() - started
     ok = 0.90 <= purity <= 0.94 and elapsed < 120
     report(1, ok, f"timing-jitter-only purity {purity:.5f} in [0.90, 0.94] ({elapsed:.1f} s)")
@@ -32,7 +34,7 @@ def test_criterion_1_jitter_only_purity():
 
 def test_criterion_2_dispersion_only_purity():
     started = time.perf_counter()
-    purity = heralded.purity_integral(heralded.gvd_only_model())
+    purity = heralded.purity_integral(CFG.heralded_model(jitter=False))
     elapsed = time.perf_counter() - started
     ok = 0.93 <= purity <= 0.97 and elapsed < 120
     report(2, ok, f"dispersion-only purity {purity:.5f} in [0.93, 0.97] ({elapsed:.1f} s)")
@@ -40,7 +42,7 @@ def test_criterion_2_dispersion_only_purity():
 
 def test_criterion_3_combined_purity():
     started = time.perf_counter()
-    purity = heralded.purity_integral(heralded.default_model())
+    purity = heralded.purity_integral(CFG.heralded_model())
     elapsed = time.perf_counter() - started
     ok = 0.82 <= purity <= 0.86 and elapsed < 600
     report(3, ok, f"combined purity {purity:.5f} in [0.82, 0.86] ({elapsed:.1f} s)")
@@ -105,7 +107,7 @@ def test_criterion_6_counting_statistics():
 
 def test_criterion_7_loss_budget_and_klyshko():
     started = time.perf_counter()
-    table = losses.reference_loss_table()
+    table = CFG.loss_table()
     eta_s = losses.arm_efficiency(table, "signal")
     eta_h = losses.arm_efficiency(table, "herald")
     ok_budget = abs(eta_s - 0.13) <= 0.005 and abs(eta_h - 0.12) <= 0.005
@@ -131,7 +133,7 @@ def test_criterion_7_loss_budget_and_klyshko():
 
 def with_jitter_std(model, std):
     spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * defaults.TIME_PER_FREQ))
+                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
     return replace(model, spectrometer=spect)
 
 
@@ -140,14 +142,19 @@ def test_criterion_8_property_bundle():
     started = time.perf_counter()
     flags = {}
 
-    pump = spectral.PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=0.0)
-    grid = spectral.default_grid(0.0)
+    sigma = CFG.pump().sigma
+    jitter_only = CFG.heralded_model(gvd=False)
+    gvd_only = CFG.heralded_model(jitter=False)
+    shifter = CFG.shifter()
+
+    pump = spectral.PumpEnvelope(sigma=sigma, center=0.0)
+    grid = spectral.default_grid(0.0, sigma)
     jsa = spectral.build_anticorrelated_jsa(pump, grid, grid)
     norm = float(np.sum(np.abs(jsa.weighted_matrix()) ** 2))
     flags["normalization"] = abs(norm - 1.0) <= 1e-6
 
     dm = heralded.assemble_density_matrix(
-        heralded.jitter_only_model(n_signal=201, n_herald=17, n_jitter=65)
+        replace(jitter_only, n_signal=201, n_herald=17, n_jitter=65)
     )
     w = dm.grid.trapezoid_weights()
     trace = float(np.real(np.diag(dm.matrix)) @ w)
@@ -159,25 +166,24 @@ def test_criterion_8_property_bundle():
     )
 
     correlated = spectral.build_anticorrelated_jsa(
-        pump, grid, grid, phase_matching_sigma=2.0 * defaults.PUMP_SIGMA
+        pump, grid, grid, phase_matching_sigma=2.0 * sigma
     )
-    closed_form = spectral.rotated_gaussian_purity(defaults.PUMP_SIGMA, 2.0 * defaults.PUMP_SIGMA)
+    closed_form = spectral.rotated_gaussian_purity(sigma, 2.0 * sigma)
     flags["schmidt_vs_integral"] = abs(spectral.schmidt_purity(correlated) - closed_form) <= 1e-2
 
     # the refinement guard stays on here, so this call also checks convergence
-    p45 = heralded.purity_integral(heralded.jitter_only_model().scaled(0.5))
+    p45 = heralded.purity_integral(jitter_only.scaled(0.5))
     p10 = heralded.purity_integral(
-        with_jitter_std(heralded.jitter_only_model(), defaults.TWO_PI * 10e9).scaled(0.5),
+        with_jitter_std(jitter_only, defaults.TWO_PI * 10e9).scaled(0.5),
         check_refinement=False,
     )
     flags["monotone_in_jitter"] = p10 > p45
     flags["grid_refinement"] = abs(p45 - 0.90674) <= 1e-3
 
-    mild = heralded.purity_integral(heralded.gvd_only_model(gamma=-1e-24).scaled(0.5),
+    mild = heralded.purity_integral(replace(gvd_only, gamma=-1e-24).scaled(0.5),
                                     check_refinement=False)
-    strong = heralded.purity_integral(heralded.gvd_only_model().scaled(0.5),
-                                      check_refinement=False)
-    drive = [serrodyne.phase_jitter_purity(sj, defaults.PUMP_SIGMA, 85e9)
+    strong = heralded.purity_integral(gvd_only.scaled(0.5), check_refinement=False)
+    drive = [serrodyne.phase_jitter_purity(sj, sigma, 85e9, shifter)
              for sj in (0.0, 5.3e-12, 20e-12)]
     flags["monotone_in_dispersion_and_drive_jitter"] = (
         mild > strong and drive[0] == 1.0 and drive[0] > drive[1] > drive[2]
@@ -191,7 +197,6 @@ def test_criterion_8_property_bundle():
     mc = statistics.monte_carlo_counting(mux, 400_000, rng=5)
     flags["analytic_vs_monte_carlo"] = abs(mc.p_sh - an.p_sh) <= 3.0 * mc.se_p_sh
 
-    shifter = serrodyne.default_shifter()
     v0 = 0.4 * shifter.v_pi
     flags["shift_linearity"] = (
         math.isclose(2.0 * serrodyne.shift_magnitude(v0, shifter),

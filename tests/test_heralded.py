@@ -16,20 +16,23 @@ from fmux.heralded import (
     _norms_squared,
     assemble_density_matrix,
     conditional_wavepacket,
-    default_model,
-    gvd_only_model,
     gvd_parameter,
-    jitter_only_model,
     purity_from_eigenvalues,
     purity_from_trace,
     purity_integral,
     write_density_matrix_text,
 )
-from fmux.spectral import GaussianWindow, TopHatWindow, apply_filter, build_anticorrelated_jsa
-from fmux.spectral import FrequencyGrid, PumpEnvelope, schmidt_purity, scaled_points
-from fmux.spectrometer import JitterDistribution, measured_jitter_spectrometer
+from fmux.scenarios import load_config
+from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
+from fmux.spectral import FrequencyGrid, schmidt_purity, scaled_points
+from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
 
 GHZ = defaults.TWO_PI * 1e9
+
+CFG = load_config("purity-combined")
+COMBINED_MODEL = CFG.heralded_model()
+JITTER_ONLY_MODEL = CFG.heralded_model(gvd=False)
+GVD_ONLY_MODEL = CFG.heralded_model(jitter=False)
 
 # production operating points, pinned after grid-convergence scans
 JITTER_ONLY = 0.9067385
@@ -41,23 +44,22 @@ def small_model(**overrides):
     overrides.setdefault("n_signal", 201)
     overrides.setdefault("n_herald", 17)
     overrides.setdefault("n_jitter", 65)
-    return default_model(**overrides)
+    return replace(COMBINED_MODEL, **overrides)
 
 
 def with_jitter_std(model, std):
     spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * defaults.TIME_PER_FREQ))
+                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
     return replace(model, spectrometer=spect)
 
 
 def test_gvd_parameter_magnitude_and_sign():
-    g = gvd_parameter(defaults.FIBER_DISPERSION_PS_NM_KM, defaults.DELAY_LENGTH_M,
-                      defaults.SIGNAL_WAVELENGTH_M)
+    g = gvd_parameter(18.0, 300.0, 1535e-9)
     assert g < 0  # anomalous dispersion at 1535 nm
     assert 3.2e-24 <= abs(g) <= 3.5e-24
     assert math.isclose(abs(g), 3.377e-24, rel_tol=1e-3)
-    assert math.isclose(gvd_parameter(18.0, 600.0, defaults.SIGNAL_WAVELENGTH_M), 2.0 * g,
-                        rel_tol=1e-12)
+    assert math.isclose(gvd_parameter(18.0, 600.0, 1535e-9), 2.0 * g, rel_tol=1e-12)
+    assert math.isclose(CFG.gamma(), g, rel_tol=1e-12)
 
 
 def test_gvd_parameter_validates():
@@ -82,7 +84,7 @@ def test_conditional_wavepacket_vacuous_event():
 
 
 def test_perfect_detection_no_dispersion_is_pure():
-    m = gvd_only_model(gamma=0.0, n_signal=201, n_herald=17, n_jitter=65)
+    m = replace(GVD_ONLY_MODEL, gamma=0.0, n_signal=201, n_herald=17, n_jitter=65)
     assert abs(purity_integral(m) - 1.0) < 1e-12
 
 
@@ -160,15 +162,15 @@ def test_brute_force_oracle_jitter_only():
 
 
 def test_jitter_only_operating_point():
-    assert abs(purity_integral(jitter_only_model()) - JITTER_ONLY) < 1e-4
+    assert abs(purity_integral(JITTER_ONLY_MODEL) - JITTER_ONLY) < 1e-4
 
 
 def test_gvd_only_operating_point():
-    assert abs(purity_integral(gvd_only_model()) - GVD_ONLY) < 1e-4
+    assert abs(purity_integral(GVD_ONLY_MODEL) - GVD_ONLY) < 1e-4
 
 
 def test_combined_operating_point():
-    assert abs(purity_integral(default_model()) - COMBINED) < 1e-4
+    assert abs(purity_integral(COMBINED_MODEL) - COMBINED) < 1e-4
 
 
 def test_combined_is_near_product_of_mechanisms():
@@ -212,9 +214,10 @@ def einsum_density_matrix(model):
     return _hermitize(m_env * m_chirp)
 
 
-@pytest.mark.parametrize("factory", [jitter_only_model, gvd_only_model, default_model])
-def test_gemm_assembly_matches_einsum_oracle(factory):
-    m = factory().scaled(0.5)
+@pytest.mark.parametrize("model", [JITTER_ONLY_MODEL, GVD_ONLY_MODEL, COMBINED_MODEL],
+                         ids=["jitter_only_model", "gvd_only_model", "default_model"])
+def test_gemm_assembly_matches_einsum_oracle(model):
+    m = model.scaled(0.5)
     rho = assemble_density_matrix(m).matrix
     oracle = einsum_density_matrix(m)
     assert np.abs(rho - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -243,30 +246,30 @@ def test_schmidt_cross_oracle():
     measurement-error mixture in the regime where the filter transmission
     is flat over the error spread.
     """
-    pump = PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=defaults.PUMP_SUM)
-    sg = FrequencyGrid(defaults.SIGNAL_CENTER, 60.0 * GHZ, 601)
-    hg = FrequencyGrid(defaults.HERALD_CENTER, 500.0 * GHZ, 1001)
+    m = JITTER_ONLY_MODEL
+    herald_center = m.spectrometer.reference_frequency
+    sg = FrequencyGrid(m.filter.center, 60.0 * GHZ, 601)
+    hg = FrequencyGrid(herald_center, 500.0 * GHZ, 1001)
     for s_ghz in (10.0, 5.0):
         s = s_ghz * GHZ
-        engine = purity_integral(with_jitter_std(jitter_only_model(), s))
-        jsa = build_anticorrelated_jsa(pump, sg, hg)
-        jsa, _ = apply_filter(jsa, GaussianWindow(defaults.HERALD_CENTER, math.sqrt(2.0) * s),
+        engine = purity_integral(with_jitter_std(m, s))
+        jsa = build_anticorrelated_jsa(m.pump, sg, hg)
+        jsa, _ = apply_filter(jsa, GaussianWindow(herald_center, math.sqrt(2.0) * s),
                               axis="herald")
-        jsa, _ = apply_filter(jsa, TopHatWindow(defaults.SIGNAL_CENTER, defaults.FILTER_WIDTH),
-                              axis="signal")
+        jsa, _ = apply_filter(jsa, m.filter, axis="signal")
         assert abs(schmidt_purity(jsa) - engine) < 1e-2
 
 
 def test_purity_monotone_in_jitter():
     values = []
     for s_ghz in (10.0, 25.0, 45.0, 70.0):
-        m = with_jitter_std(jitter_only_model(), s_ghz * GHZ)
+        m = with_jitter_std(JITTER_ONLY_MODEL, s_ghz * GHZ)
         values.append(purity_integral(m.scaled(0.5), check_refinement=False))
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_purity_monotone_in_gvd():
-    values = [purity_integral(gvd_only_model(gamma=g).scaled(0.5), check_refinement=False)
+    values = [purity_integral(replace(GVD_ONLY_MODEL, gamma=g).scaled(0.5), check_refinement=False)
               for g in (0.0, -1e-24, -3.377e-24, -6e-24)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -281,7 +284,7 @@ def test_purity_even_in_gamma_sign():
 
 def test_grid_refinement_converged_at_defaults():
     # doubling every quadrature moves the combined value by less than 1e-3
-    m = default_model()
+    m = COMBINED_MODEL
     coarse = purity_integral(m, check_refinement=False)
     fine = purity_integral(replace(m, n_signal=1025, n_herald=257, n_jitter=257),
                            check_refinement=False)
@@ -294,7 +297,7 @@ def test_scaled_points():
     assert scaled_points(513, 0.5) % 2 == 1
     assert scaled_points(129, 2.0) == 257
     assert scaled_points(5, 0.01) >= 4
-    m = default_model()
+    m = COMBINED_MODEL
     assert m.scaled(1.0) == m
     half = m.scaled(0.5)
     assert (half.n_signal, half.n_herald, half.n_jitter) == (257, 65, 65)
@@ -302,23 +305,26 @@ def test_scaled_points():
 
 
 def test_grid_scale_changes_resolution_not_answer():
-    m = jitter_only_model()
-    half = purity_integral(m.scaled(0.5), check_refinement=False)
+    half = purity_integral(JITTER_ONLY_MODEL.scaled(0.5), check_refinement=False)
     assert abs(half - JITTER_ONLY) < 5e-3
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        default_model(gamma=float("nan"))
+        replace(COMBINED_MODEL, gamma=float("nan"))
     with pytest.raises(ValueError):
-        default_model(n_signal=2)
+        replace(COMBINED_MODEL, n_signal=2)
 
 
 def test_default_model_wiring():
-    m = default_model()
+    m = COMBINED_MODEL
     assert m.gamma < 0
-    assert jitter_only_model().gamma == 0.0
-    assert gvd_only_model().spectrometer.frequency_std() == 0.0
+    assert JITTER_ONLY_MODEL.gamma == 0.0
+    assert GVD_ONLY_MODEL.spectrometer.frequency_std() == 0.0
+    assert m.spectrometer.frequency_std() == MEASURED_JITTER_FREQ_STD  # configured "measured"
+    assert m.herald_window.full_width == 170.0 * GHZ
+    assert m.herald_window.center == m.spectrometer.reference_frequency
+    assert m.pump.center == m.filter.center + m.spectrometer.reference_frequency
     assert m.signal_grid.points == m.n_signal
     assert math.isclose(m.signal_grid.span, m.filter.full_width)
 

@@ -12,10 +12,13 @@ from fmux.losses import (
     reference_loss_table,
     write_loss_table,
 )
+from fmux.scenarios import load_config
+
+CFG = load_config("loss-budget")
 
 
 def test_reference_budget_totals():
-    table = reference_loss_table()
+    table = CFG.loss_table()
     assert math.isclose(table.total_db("signal"), 8.97, abs_tol=1e-9)
     assert math.isclose(table.total_db("herald"), 9.23, abs_tol=1e-9)
     assert math.isclose(arm_efficiency(table, "signal"), 10 ** -0.897, rel_tol=1e-12)
@@ -23,7 +26,7 @@ def test_reference_budget_totals():
 
 
 def test_reference_budget_meets_measured_arms():
-    table = reference_loss_table()
+    table = CFG.loss_table()
     assert abs(arm_efficiency(table, "signal") - 0.13) < 0.005
     assert abs(arm_efficiency(table, "herald") - 0.12) < 0.005
 
@@ -51,7 +54,7 @@ def test_entry_validation():
 
 
 def test_reconcile_reference_point():
-    report = reconcile(reference_loss_table(), (0.13, 0.12), tolerance=0.02)
+    report = reconcile(CFG.loss_table(), (0.13, 0.12), CFG.get("losses.tolerance"))
     for arm in ("signal", "herald"):
         assert report[arm]["within_tolerance"]
         assert abs(report[arm]["absolute_difference"]) < 0.005
@@ -60,7 +63,7 @@ def test_reconcile_reference_point():
 
 
 def test_reconcile_flags_discrepancy():
-    report = reconcile(reference_loss_table(), (0.25, 0.12), tolerance=0.02)
+    report = reconcile(CFG.loss_table(), (0.25, 0.12), CFG.get("losses.tolerance"))
     assert not report["signal"]["within_tolerance"]
     assert report["signal"]["absolute_difference"] > 0
     assert "DISCREPANT" in format_reconciliation(report)
@@ -68,7 +71,7 @@ def test_reconcile_flags_discrepancy():
 
 def test_reconcile_rejects_unphysical_klyshko():
     with pytest.raises(ValueError):
-        reconcile(reference_loss_table(), (0.0, 0.12))
+        reconcile(CFG.loss_table(), (0.0, 0.12), CFG.get("losses.tolerance"))
 
 
 def test_detector_assumption_is_load_bearing():
@@ -78,7 +81,7 @@ def test_detector_assumption_is_load_bearing():
 
 
 def test_round_trip_csv(tmp_path):
-    table = reference_loss_table()
+    table = CFG.loss_table()
     path = tmp_path / "losses.csv"
     write_loss_table(table, path)
     back = load_loss_table(path)

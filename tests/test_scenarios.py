@@ -19,7 +19,8 @@ from fmux.scenarios import (
 def test_default_config_is_complete():
     cfg = load_config("loss-budget")
     assert set(cfg.params) == set(_SCHEMA)
-    assert cfg.seed == defaults.DEFAULT_SEED
+    assert len(_SCHEMA) == 31
+    assert cfg.seed == 7
     assert cfg.grid_scale == 1.0
     cfg.validate()
 
@@ -64,8 +65,9 @@ def test_bad_field_fails_at_validate(tmp_path):
 
 
 def test_unknown_scenario_rejected():
+    cfg = load_config("loss-budget")
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="purity-everything")
+        ScenarioConfig("purity-everything", cfg.params, cfg.seed, cfg.grid_scale)
 
 
 def manifest_of(outdir):
@@ -289,4 +291,102 @@ def test_cli_joint_spectrum_coarse_grid_has_no_traceback(tmp_path, capsys):
     code = cli.main(["joint-spectrum", "--grid-scale", "0.05",
                      "--outdir", str(tmp_path / "out")])
     assert code == 0
-    assert "filtered nan" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    correlation = next(l for l in lines if l.startswith("joint intensity correlation"))
+    purity = next(l for l in lines if l.startswith("schmidt purity"))
+    assert correlation.endswith("filtered nan")
+    assert purity.endswith("filtered nan")  # not the one-point artifact 1.00000
+
+
+@pytest.mark.parametrize("scenario", ["purity-jitter", "purity-combined", "hom-dip"])
+def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
+    code = cli.main([scenario, "--grid-scale", "0.02", "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "run.grid_scale" in capsys.readouterr().err
+
+
+def test_cli_removed_marginal_fwhm_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("[source]\nmarginal_fwhm_ghz = 20.0\n")
+    code = cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "source.marginal_fwhm_ghz" in capsys.readouterr().err
+
+
+# Small runs: every scenario takes a few tens of ms at these sizes.
+SMALL = {
+    "run.grid_scale": 0.25,
+    "run.stream_pulses": 2000,
+    "run.histogram_bins": 8,
+    "run.hom_delay_points": 11,
+    "statistics.monte_carlo_pulses": 20000,
+    "statistics.sweep_points": 3,
+}
+
+# One valid value per configuration key, different from SMALL and the defaults.
+PERTURBED = {
+    "source.pump_sigma_ghz": 45.0,
+    "source.mean_pairs_per_pulse": 0.02,
+    "source.signal_wavelength_nm": 1550.0,
+    "filter.center_offset_ghz": 5.0,
+    "filter.full_width_ghz": 40.0,
+    "spectrometer.dispersion_ps_per_ghz": 4.0,
+    "spectrometer.tdc_bin_ps": 300.0,
+    "spectrometer.jitter_model": "nominal",
+    "spectrometer.nominal_resolution_ghz": 40.0,
+    "shifter.rf_frequency_ghz": 10.0,
+    "shifter.max_shift_ghz": 60.0,
+    "shifter.phase_jitter_ps": 8.0,
+    "feedforward.herald_span_ghz": 120.0,
+    "feedforward.idler_sample_span_ghz": 500.0,
+    "feedforward.stream_spectrometer": "measured",
+    "delay.fiber_dispersion_ps_nm_km": 17.0,
+    "delay.length_m": 200.0,
+    "statistics.n_modes": 2.0,
+    "statistics.eta_signal": 0.2,
+    "statistics.eta_herald": 0.2,
+    "statistics.sweep_points": 4,
+    "statistics.mu_max": 0.02,
+    "statistics.monte_carlo_pulses": 30000,
+    "losses.snspd_db": 1.08,
+    "losses.tolerance": 0.001,
+    "run.seed": 8,
+    "run.grid_scale": 0.3,
+    "run.histogram_bins": 10,
+    "run.stream_pulses": 3000,
+    "run.hom_delay_span_ps": 40.0,
+    "run.hom_delay_points": 13,
+}
+
+
+def output_digests(overlay: dict, root) -> dict:
+    """SHA-256 of summary.txt and every data file of all scenarios under one overlay."""
+    root.mkdir(parents=True)
+    sections: dict = {}
+    for dotted, value in overlay.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    path = root / "overlay.cfg"
+    path.write_text("".join(f"[{s}]\n" + "\n".join(v) + "\n" for s, v in sections.items()))
+    digests = {}
+    for name in SCENARIOS:
+        run_scenario(load_config(name, config_path=path, outdir=root / name))
+        for entry in manifest_of(root / name)["outputs"]:
+            digests[f"{name}/{entry['name']}"] = entry["sha256"]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def small_digests(tmp_path_factory):
+    return output_digests(SMALL, tmp_path_factory.mktemp("small") / "base")
+
+
+def test_every_key_has_a_perturbation():
+    assert set(PERTURBED) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("dotted", sorted(PERTURBED))
+def test_every_key_changes_an_output(small_digests, tmp_path, dotted):
+    changed = output_digests({**SMALL, dotted: PERTURBED[dotted]}, tmp_path / "perturbed")
+    assert set(changed) == set(small_digests)
+    assert any(changed[k] != small_digests[k] for k in changed), f"{dotted} changes no output"

@@ -11,19 +11,30 @@ from fmux.serrodyne import (
     ShifterModel,
     apply_temporal_phase,
     build_lut,
-    default_shifter,
     max_shift,
     phase_jitter_purity,
     shift_magnitude,
     voltage_for_shift,
     write_lut_text,
 )
-from fmux.spectrometer import measured_jitter_spectrometer
+from fmux.scenarios import load_config
+
+CFG = load_config("lut-dump")
+SHIFTER = CFG.shifter()
+SPECT = CFG.build_spectrometer("measured")
+CENTER = CFG.signal_filter().center
+SPAN = CFG.herald_window().full_width
+SIGMA = CFG.pump().sigma
+
+
+def lut_of(model=SHIFTER):
+    return build_lut(SPECT, CENTER, model, SPAN)
 
 
 def test_default_shifter_reaches_design_limit():
-    m = default_shifter()
-    assert math.isclose(max_shift(m), defaults.SHIFT_MAX_HZ, rel_tol=1e-12)
+    assert math.isclose(max_shift(SHIFTER), CFG.get("shifter.max_shift_ghz") * 1e9,
+                        rel_tol=1e-12)
+    assert SHIFTER.sigma_jitter == CFG.get("shifter.phase_jitter_ps") * 1e-12
 
 
 @given(v0=st.floats(-1.0, 1.0), scale=st.floats(-1.0, 1.0))
@@ -36,32 +47,30 @@ def test_shift_is_linear_in_drive(v0, scale):
 
 @given(delta=st.floats(-85e9, 85e9))
 def test_voltage_for_shift_inverts(delta):
-    m = default_shifter()
+    m = SHIFTER
     assert math.isclose(shift_magnitude(voltage_for_shift(delta, m), m), delta,
                         rel_tol=1e-12, abs_tol=1e-3)
 
 
 def test_overdrive_guard():
-    m = default_shifter()
+    m = SHIFTER
     shift_magnitude(m.v0_max, m)  # boundary allowed
     with pytest.raises(OverdriveError):
         shift_magnitude(1.01 * m.v0_max, m)
 
 
 def test_lut_shift_equals_herald_offset():
-    spect = measured_jitter_spectrometer()
-    lut = build_lut(spect, defaults.SIGNAL_CENTER, default_shifter())
+    lut = lut_of()
     for k in (-10, 0, 7):
         e = lut.lookup(k)
-        offset_hz = (e.herald_frequency - spect.reference_frequency) / defaults.TWO_PI
+        offset_hz = (e.herald_frequency - SPECT.reference_frequency) / defaults.TWO_PI
         assert math.isclose(e.required_shift, offset_hz, rel_tol=1e-12, abs_tol=1e-6)
     assert lut.lookup(0).required_shift == 0.0
 
 
 def test_lut_range_flags_match_drive_limit():
-    spect = measured_jitter_spectrometer()
-    model = default_shifter()
-    lut = build_lut(spect, defaults.SIGNAL_CENTER, model)
+    model = SHIFTER
+    lut = lut_of(model)
     limit = max_shift(model)
     for e in lut.entries.values():
         assert e.in_range == (abs(e.required_shift) <= limit * (1 + 1e-12))
@@ -72,8 +81,7 @@ def test_lut_range_flags_match_drive_limit():
 
 
 def test_lut_lookup_outside_table():
-    spect = measured_jitter_spectrometer()
-    lut = build_lut(spect, defaults.SIGNAL_CENTER, default_shifter())
+    lut = lut_of()
     missing = lut.lookup(10**6)
     assert not missing.in_range
     assert math.isnan(missing.required_shift)
@@ -81,8 +89,7 @@ def test_lut_lookup_outside_table():
 
 
 def test_lut_in_range_fraction_weighting():
-    spect = measured_jitter_spectrometer()
-    lut = build_lut(spect, defaults.SIGNAL_CENTER, default_shifter())
+    lut = lut_of()
     uniform = lut.in_range_fraction()
     assert 0.0 < uniform < 1.0
     all_good = {k: 1.0 for k, e in lut.entries.items() if e.in_range}
@@ -90,8 +97,7 @@ def test_lut_in_range_fraction_weighting():
 
 
 def test_write_lut_text(tmp_path):
-    spect = measured_jitter_spectrometer()
-    lut = build_lut(spect, defaults.SIGNAL_CENTER, default_shifter())
+    lut = lut_of()
     path = tmp_path / "lut.txt"
     write_lut_text(lut, path)
     rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -104,7 +110,7 @@ def test_write_lut_text(tmp_path):
 
 @given(v0=st.floats(-0.3, 0.3), mode=st.sampled_from(["sinusoidal", "linearized"]))
 def test_temporal_phase_preserves_norm(v0, mode):
-    m = default_shifter()
+    m = SHIFTER
     t = np.linspace(-200e-12, 200e-12, 257)
     amp = np.exp(-0.5 * (t / 60e-12) ** 2) * np.exp(1j * 0.3 * np.sin(t / 50e-12))
     out = apply_temporal_phase(t, amp, v0, m, mode=mode)
@@ -112,7 +118,7 @@ def test_temporal_phase_preserves_norm(v0, mode):
 
 
 def test_temporal_phase_modes_agree_near_zero_crossing():
-    m = default_shifter()
+    m = SHIFTER
     t = np.linspace(-1e-12, 1e-12, 11)  # well inside an 8 GHz half-period
     amp = np.ones_like(t, dtype=complex)
     a = apply_temporal_phase(t, amp, 0.2, m, mode="sinusoidal")
@@ -122,29 +128,28 @@ def test_temporal_phase_modes_agree_near_zero_crossing():
 
 def test_temporal_phase_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        apply_temporal_phase(np.zeros(3), np.ones(3), 0.1, default_shifter(), mode="cubic")
+        apply_temporal_phase(np.zeros(3), np.ones(3), 0.1, SHIFTER, mode="cubic")
 
 
 def test_phase_jitter_purity_limits():
-    sigma = defaults.PUMP_SIGMA
-    assert phase_jitter_purity(0.0, sigma, 85e9) == 1.0
-    assert phase_jitter_purity(5.3e-12, sigma, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert phase_jitter_purity(0.0, SIGMA, 85e9, SHIFTER) == 1.0
+    assert phase_jitter_purity(5.3e-12, SIGMA, 0.0, SHIFTER) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_jitter_purity_reference_point():
-    p = phase_jitter_purity(defaults.PHASE_JITTER_STD, defaults.PUMP_SIGMA, 85e9)
+    p = phase_jitter_purity(SHIFTER.sigma_jitter, SIGMA, max_shift(SHIFTER), SHIFTER)
     # sub-percent depolarization: timing jitter is not the purity bottleneck
     assert 0.99 < p < 1.0
 
 
 def test_phase_jitter_purity_monotone_in_jitter():
-    sigma = defaults.PUMP_SIGMA
-    values = [phase_jitter_purity(sj, sigma, 85e9) for sj in (0.0, 5.3e-12, 12e-12, 20e-12)]
+    values = [phase_jitter_purity(sj, SIGMA, 85e9, SHIFTER)
+              for sj in (0.0, 5.3e-12, 12e-12, 20e-12)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_phase_jitter_purity_validates_inputs():
     with pytest.raises(ValueError):
-        phase_jitter_purity(-1e-12, defaults.PUMP_SIGMA, 85e9)
+        phase_jitter_purity(-1e-12, SIGMA, 85e9, SHIFTER)
     with pytest.raises(ValueError):
-        phase_jitter_purity(1e-12, 0.0, 85e9)
+        phase_jitter_purity(1e-12, 0.0, 85e9, SHIFTER)

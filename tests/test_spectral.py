@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmux import defaults
+from fmux.scenarios import load_config
 from fmux.spectral import (
     FilterOverlapError,
     FrequencyGrid,
@@ -29,11 +30,16 @@ from fmux.spectral import (
 
 GHZ = defaults.TWO_PI * 1e9
 
+CFG = load_config("joint-spectrum")
+PUMP = CFG.pump()
+FILTER = CFG.signal_filter()
+HERALD_REF = CFG.anchor()
+
 
 def reference_pair(n_signal=257, n_herald=257, span_sigmas=12.0):
-    pump = PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=defaults.PUMP_SUM)
-    sg = FrequencyGrid(defaults.SIGNAL_CENTER, span_sigmas * pump.sigma, n_signal)
-    hg = FrequencyGrid(defaults.HERALD_CENTER, span_sigmas * pump.sigma, n_herald)
+    pump = PUMP
+    sg = FrequencyGrid(FILTER.center, span_sigmas * pump.sigma, n_signal)
+    hg = FrequencyGrid(HERALD_REF, span_sigmas * pump.sigma, n_herald)
     return pump, sg, hg
 
 
@@ -81,9 +87,9 @@ def test_anticorrelated_marginals_are_densities():
 
 
 def test_truncation_guard_fires_on_narrow_grid():
-    pump = PumpEnvelope(sigma=defaults.PUMP_SIGMA, center=defaults.PUMP_SUM)
-    sg = FrequencyGrid(defaults.SIGNAL_CENTER, 2.0 * pump.sigma, 65)
-    hg = FrequencyGrid(defaults.HERALD_CENTER, 2.0 * pump.sigma, 65)
+    pump = PUMP
+    sg = FrequencyGrid(FILTER.center, 2.0 * pump.sigma, 65)
+    hg = FrequencyGrid(HERALD_REF, 2.0 * pump.sigma, 65)
     with pytest.raises(GridTooNarrowError):
         build_anticorrelated_jsa(pump, sg, hg)
     # explicit opt-out still normalizes
@@ -109,7 +115,7 @@ def test_intensity_correlation_undefined_for_one_point_marginal():
 
 def test_factorable_jsa_is_pure_and_uncorrelated():
     _, sg, hg = reference_pair()
-    jsa = build_factorable_jsa(defaults.PUMP_SIGMA, defaults.PUMP_SIGMA, sg, hg)
+    jsa = build_factorable_jsa(PUMP.sigma, PUMP.sigma, sg, hg)
     assert abs(schmidt_purity(jsa) - 1.0) < 1e-9
     assert abs(intensity_correlation(jsa)) < 1e-9
 
@@ -130,13 +136,13 @@ def test_schmidt_number_is_inverse_purity():
 
 def test_two_gaussian_purity_closed_form():
     """SVD of the discretized JSA against the analytic geometric spectrum."""
-    a = defaults.PUMP_SIGMA
+    a = PUMP.sigma
     for ratio in (1.0, 2.0, 5.0):
         b = ratio * a
-        pump = PumpEnvelope(sigma=a, center=defaults.PUMP_SUM)
+        pump = PumpEnvelope(sigma=a, center=PUMP.center)
         span = 14.0 * max(a, b)
-        sg = FrequencyGrid(defaults.SIGNAL_CENTER, span, 401)
-        hg = FrequencyGrid(defaults.HERALD_CENTER, span, 401)
+        sg = FrequencyGrid(FILTER.center, span, 401)
+        hg = FrequencyGrid(HERALD_REF, span, 401)
         jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=b)
         assert abs(schmidt_purity(jsa) - rotated_gaussian_purity(a, b)) < 1e-6
 
@@ -156,7 +162,7 @@ def test_rotated_gaussian_purity_bounds():
 def test_apply_filter_transmission_matches_marginal_mass():
     pump, sg, hg = reference_pair()
     jsa = build_anticorrelated_jsa(pump, sg, hg)
-    window = TopHatWindow(defaults.SIGNAL_CENTER, defaults.FILTER_WIDTH)
+    window = FILTER
     filtered, transmitted = apply_filter(jsa, window, axis="signal")
     w2 = window.amplitude(sg.values) ** 2
     expected = float(np.sum(sg.trapezoid_weights() * w2 * jsa.signal_marginal()))
@@ -167,7 +173,7 @@ def test_apply_filter_transmission_matches_marginal_mass():
 def test_apply_filter_rejects_disjoint_window():
     pump, sg, hg = reference_pair()
     jsa = build_anticorrelated_jsa(pump, sg, hg)
-    far = TopHatWindow(defaults.SIGNAL_CENTER + 100.0 * pump.sigma, GHZ)
+    far = TopHatWindow(FILTER.center + 100.0 * pump.sigma, GHZ)
     with pytest.raises(FilterOverlapError):
         apply_filter(jsa, far, axis="signal")
 
@@ -176,7 +182,7 @@ def test_gaussian_herald_filter_reduces_entanglement():
     pump, sg, hg = reference_pair()
     jsa = build_anticorrelated_jsa(pump, sg, hg)
     p0 = schmidt_purity(jsa)
-    narrowed, _ = apply_filter(jsa, GaussianWindow(defaults.HERALD_CENTER, 0.2 * pump.sigma),
+    narrowed, _ = apply_filter(jsa, GaussianWindow(HERALD_REF, 0.2 * pump.sigma),
                                axis="herald")
     assert schmidt_purity(narrowed) > p0
 
@@ -197,9 +203,9 @@ def test_jsa_constructor_rejects_unnormalized():
 
 
 def test_default_grid_shape():
-    g = default_grid(defaults.SIGNAL_CENTER)
+    g = default_grid(FILTER.center, PUMP.sigma)
     assert g.points == 513
-    assert math.isclose(g.span, 12.0 * defaults.PUMP_SIGMA)
+    assert math.isclose(g.span, 12.0 * PUMP.sigma)
 
 
 def test_jsa_text_round_trip(tmp_path):

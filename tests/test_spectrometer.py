@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmux import defaults
+from fmux.scenarios import ConfigError, load_config
 from fmux.spectral import FrequencyGrid
 from fmux.spectrometer import (
+    MEASURED_JITTER_FREQ_STD,
     FrequencyRangeError,
     JitterDistribution,
     SpectrometerModel,
@@ -17,27 +20,25 @@ from fmux.spectrometer import (
     frequency_to_arrival_time,
     herald_posterior,
     load_jitter_histogram,
-    measured_jitter_spectrometer,
-    nominal_spectrometer,
     sample_herald_event,
     time_to_bin,
 )
 
 GHZ = defaults.TWO_PI * 1e9
 
+CFG = load_config("lut-dump")
+MEASURED = CFG.build_spectrometer("measured")
+REF = MEASURED.reference_frequency
+
 
 def quiet_spectrometer(sigma_t=0.0):
-    return SpectrometerModel(
-        dispersion=defaults.TIME_PER_FREQ,
-        tdc_bin=defaults.TDC_BIN,
-        jitter=JitterDistribution.gaussian(sigma_t),
-        reference_frequency=defaults.HERALD_CENTER,
-    )
+    """The configured instrument with Gaussian jitter sigma_t and no span limit."""
+    return replace(MEASURED, jitter=JitterDistribution.gaussian(sigma_t), calibrated_span=None)
 
 
 def test_dispersion_map_round_trip():
     m = quiet_spectrometer()
-    omega = defaults.HERALD_CENTER + np.linspace(-50.0, 50.0, 7) * GHZ
+    omega = REF + np.linspace(-50.0, 50.0, 7) * GHZ
     t = frequency_to_arrival_time(m, omega)
     np.testing.assert_allclose(arrival_time_to_frequency(m, t), omega, rtol=1e-12)
 
@@ -59,7 +60,7 @@ def test_time_to_bin_centers_and_edges():
 @given(st.floats(-200.0, 200.0))
 def test_bin_quantization_error_bounded(detuning_ghz):
     m = quiet_spectrometer()
-    omega = defaults.HERALD_CENTER + detuning_ghz * GHZ
+    omega = REF + detuning_ghz * GHZ
     k = int(time_to_bin(m, frequency_to_arrival_time(m, omega)))
     back = float(m.bin_center_frequency(k))
     assert abs(back - omega) <= 0.5 * m.bin_frequency_step * (1 + 1e-9)
@@ -67,7 +68,7 @@ def test_bin_quantization_error_bounded(detuning_ghz):
 
 def test_zero_jitter_outcome_is_deterministic():
     m = quiet_spectrometer()
-    omega_i = defaults.HERALD_CENTER + 17.3 * GHZ
+    omega_i = REF + 17.3 * GHZ
     bins, p, freqs = conditional_outcome_distribution(m, omega_i)
     assert p.max() == 1.0
     k = bins[int(np.argmax(p))]
@@ -77,7 +78,7 @@ def test_zero_jitter_outcome_is_deterministic():
 
 def test_outcome_distribution_normalized_and_centered():
     m = quiet_spectrometer(sigma_t=300e-12)
-    omega_i = defaults.HERALD_CENTER - 42.0 * GHZ
+    omega_i = REF - 42.0 * GHZ
     bins, p, freqs = conditional_outcome_distribution(m, omega_i)
     assert abs(p.sum() - 1.0) < 1e-12
     mean = float(p @ freqs)
@@ -85,7 +86,7 @@ def test_outcome_distribution_normalized_and_centered():
 
 
 def test_outcome_distribution_width_tracks_jitter():
-    omega_i = defaults.HERALD_CENTER
+    omega_i = REF
     for sigma_t in (150e-12, 720e-12):
         m = quiet_spectrometer(sigma_t=sigma_t)
         _, p, freqs = conditional_outcome_distribution(m, omega_i)
@@ -100,14 +101,14 @@ def test_outcome_distribution_width_tracks_jitter():
 def test_undersized_bin_set_rejected():
     m = quiet_spectrometer(sigma_t=300e-12)
     with pytest.raises(ValueError):
-        conditional_outcome_distribution(m, defaults.HERALD_CENTER, bins=np.array([0, 1]))
+        conditional_outcome_distribution(m, REF, bins=np.array([0, 1]))
 
 
 def test_herald_posterior_flat_prior_tracks_likelihood():
-    m = measured_jitter_spectrometer()
-    grid = FrequencyGrid(defaults.HERALD_CENTER, 600.0 * GHZ, 601)
+    m = MEASURED
+    grid = FrequencyGrid(REF, 600.0 * GHZ, 601)
     prior = np.full(grid.points, 1.0 / grid.span)
-    omega_h = defaults.HERALD_CENTER + 30.0 * GHZ
+    omega_h = REF + 30.0 * GHZ
     post = herald_posterior(m, omega_h, grid, prior)
     w = grid.trapezoid_weights()
     assert abs(post @ w - 1.0) < 1e-9
@@ -121,15 +122,15 @@ def test_herald_posterior_flat_prior_tracks_likelihood():
 
 def test_herald_posterior_zero_evidence():
     m = quiet_spectrometer(sigma_t=50e-12)
-    grid = FrequencyGrid(defaults.HERALD_CENTER, 20.0 * GHZ, 101)
+    grid = FrequencyGrid(REF, 20.0 * GHZ, 101)
     prior = np.full(grid.points, 1.0 / grid.span)
     with pytest.raises(ZeroEvidenceError):
-        herald_posterior(m, defaults.HERALD_CENTER + 500.0 * GHZ, grid, prior)
+        herald_posterior(m, REF + 500.0 * GHZ, grid, prior)
 
 
 def test_sample_herald_event_reproducible():
-    m = measured_jitter_spectrometer()
-    omega = defaults.HERALD_CENTER + np.linspace(-20, 20, 64) * GHZ
+    m = MEASURED
+    omega = REF + np.linspace(-20, 20, 64) * GHZ
     a = sample_herald_event(m, omega, np.random.default_rng(3))
     b = sample_herald_event(m, omega, np.random.default_rng(3))
     assert [e.time_bin_index for e in a] == [e.time_bin_index for e in b]
@@ -138,9 +139,11 @@ def test_sample_herald_event_reproducible():
 
 
 def test_calibrated_span_guard():
-    m = measured_jitter_spectrometer()
+    m = MEASURED
+    assert m.calibrated_span == 600.0 * GHZ  # the sampled idler span
+    frequency_to_arrival_time(m, REF + 0.49 * m.calibrated_span)
     with pytest.raises(FrequencyRangeError):
-        frequency_to_arrival_time(m, defaults.HERALD_CENTER + 10 * defaults.HERALD_SPAN)
+        frequency_to_arrival_time(m, REF + 0.51 * m.calibrated_span)
 
 
 def test_gaussian_jitter_stats():
@@ -177,19 +180,24 @@ def test_load_jitter_histogram(tmp_path):
     assert abs(j.time_std() - 240e-12) < 5e-12
     m = quiet_spectrometer()
     m = SpectrometerModel(m.dispersion, m.tdc_bin, j, m.reference_frequency)
-    _, p, _ = conditional_outcome_distribution(m, defaults.HERALD_CENTER)
+    _, p, _ = conditional_outcome_distribution(m, REF)
     assert abs(p.sum() - 1.0) < 1e-9
 
 
 def test_factory_interpretations():
-    fwhm = nominal_spectrometer("fwhm")
-    std = nominal_spectrometer("std")
-    ratio = std.frequency_std() / fwhm.frequency_std()
-    assert abs(ratio - 2.0 * math.sqrt(2.0 * math.log(2.0))) < 1e-9
-    measured = measured_jitter_spectrometer()
-    assert abs(measured.frequency_std() - defaults.MEASURED_JITTER_FREQ_STD) < 1e-3
-    with pytest.raises(ValueError):
-        nominal_spectrometer("hwhm")
+    # nominal reads the quoted resolution as a Gaussian FWHM
+    fwhm_to_std = 2.0 * math.sqrt(2.0 * math.log(2.0))
+    nominal = CFG.build_spectrometer("nominal")
+    assert math.isclose(nominal.frequency_std() * fwhm_to_std, 10.0 * GHZ, rel_tol=1e-12)
+    coarse = replace(CFG, params={**CFG.params, "spectrometer.nominal_resolution_ghz": 40.0})
+    assert math.isclose(coarse.build_spectrometer("nominal").frequency_std(),
+                        4.0 * nominal.frequency_std(), rel_tol=1e-12)
+    assert abs(MEASURED.frequency_std() - MEASURED_JITTER_FREQ_STD) < 1e-3
+    assert CFG.build_spectrometer("none").frequency_std() == 0.0
+    assert CFG.build_spectrometer().jitter == MEASURED.jitter  # configured jitter_model
+    bad = replace(CFG, params={**CFG.params, "spectrometer.jitter_model": "hwhm"})
+    with pytest.raises(ConfigError, match="spectrometer.jitter_model"):
+        bad.validate()
 
 
 def test_herald_grid_centered_and_odd():
