@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
 
 from . import defaults
 from .serrodyne import QuadratureConvergenceError
@@ -318,6 +317,8 @@ class DiscretizedDensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of weighted(); solved on first call, then cached read-only."""
         if self._eigenvalues is None:
+            from scipy import linalg  # loaded on first use: config-only runs never need it
+
             lam = linalg.eigvalsh(self.weighted())
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)

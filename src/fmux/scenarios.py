@@ -29,7 +29,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioConfig",
     "ConfigError",
-    "EventRecord",
     "StreamResult",
     "load_config",
     "run_scenario",
@@ -172,25 +171,27 @@ class ScenarioConfig:
     def build_spectrometer(self, which: str | None = None) -> spectrometer.SpectrometerModel:
         """Time-of-flight spectrometer with jitter model which (default spectrometer.jitter_model).
 
-        measured carries spectrometer.MEASURED_JITTER_FREQ_STD, nominal reads
-        nominal_resolution_ghz as a Gaussian FWHM, none has no jitter. The
-        calibrated span is the sampled idler span.
+        measured carries the detector time width
+        spectrometer.MEASURED_JITTER_TIME_STD, so its frequency width scales as
+        1 / dispersion; nominal reads nominal_resolution_ghz as a Gaussian
+        frequency FWHM; none has no jitter. The calibrated span is the sampled
+        idler span.
         """
         which = self.get("spectrometer.jitter_model") if which is None else which
         dispersion = self._positive("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
         if which == "measured":
-            freq_std = spectrometer.MEASURED_JITTER_FREQ_STD
+            sigma_t = spectrometer.MEASURED_JITTER_TIME_STD
         elif which == "nominal":
             fwhm = defaults.TWO_PI * (self._positive("spectrometer.nominal_resolution_ghz") * 1e9)
-            freq_std = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+            sigma_t = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))) * dispersion
         elif which == "none":
-            freq_std = 0.0
+            sigma_t = 0.0
         else:
             raise ValueError(f"unknown jitter model {which!r}")
         return spectrometer.SpectrometerModel(
             dispersion=dispersion,
             tdc_bin=self._positive("spectrometer.tdc_bin_ps") / 1e12,
-            jitter=spectrometer.JitterDistribution.gaussian(freq_std * dispersion),
+            jitter=spectrometer.JitterDistribution.gaussian(sigma_t),
             reference_frequency=self.anchor(),
             calibrated_span=self._ghz("feedforward.idler_sample_span_ghz"),
         )
@@ -547,22 +548,22 @@ def _run_lut_dump(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One pulse of the feed-forward stream."""
-
-    pulse: int
-    signal_frequency: float  # rad/s, before shifting
-    idler_frequency: float  # rad/s, true value
-    herald_bin: int
-    herald_frequency: float  # rad/s, as measured
-    applied_shift_hz: float
-    passed: bool
-    clicks: str  # subset of "HS"
-
-
-@dataclass(frozen=True)
 class StreamResult:
-    events: list
+    """The feed-forward stream: one numpy column per event field, plus histograms.
+
+    Row i of every column is pulse i. Frequencies are in rad/s: the signal
+    before shifting, the true idler, and the herald frequency as measured
+    (the center of TDC bin herald_bin).
+    """
+
+    signal_frequency: np.ndarray
+    idler_frequency: np.ndarray
+    herald_bin: np.ndarray
+    herald_frequency: np.ndarray
+    applied_shift_hz: np.ndarray
+    passed: np.ndarray
+    herald_click: np.ndarray
+    signal_click: np.ndarray
     unshifted_hist: np.ndarray
     unshifted_edges: tuple  # (herald edges, signal edges), rad/s detunings
     shifted_hist: np.ndarray
@@ -571,6 +572,11 @@ class StreamResult:
     r_shifted: float
     in_range_fraction: float
     pass_fraction_in_range: float
+
+    @property
+    def pulses(self) -> int:
+        """Number of pulses: the length of every event column."""
+        return self.herald_bin.size
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -643,22 +649,16 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         h_all[passed], (shifted_signal - window.center)[passed], bins=shifted_edges
     )
 
-    events = [
-        EventRecord(
-            pulse=i,
-            signal_frequency=float(signal[i]),
-            idler_frequency=float(idler[i]),
-            herald_bin=int(bins[i]),
-            herald_frequency=float(herald_meas[i]),
-            applied_shift_hz=float(applied_hz[i]),
-            passed=bool(passed[i]),
-            clicks=("H" if herald_click[i] else "") + ("S" if signal_click[i] else ""),
-        )
-        for i in range(pulses)
-    ]
     n_routed = int(routed.sum())
     return StreamResult(
-        events=events,
+        signal_frequency=signal,
+        idler_frequency=idler,
+        herald_bin=bins,
+        herald_frequency=herald_meas,
+        applied_shift_hz=applied_hz,
+        passed=passed,
+        herald_click=herald_click,
+        signal_click=signal_click,
         unshifted_hist=unshifted_hist,
         unshifted_edges=(full_edges, full_edges),
         shifted_hist=shifted_hist,
@@ -668,6 +668,122 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         in_range_fraction=n_routed / pulses,
         pass_fraction_in_range=float(passed.sum() / n_routed) if n_routed else float("nan"),
     )
+
+
+_EVENTS_HEADER = ("pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
+                  "signal_detuning_ghz,shift_ghz,passed,clicks\n")
+_EVENT_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f,%d,%s\n"
+_CLICK_LABELS = ("", "H", "S", "HS")
+_EVENT_BLOCK = 1 << 16  # rows formatted per write; bounds the writer's memory
+_FIXED_LIMIT = 1e9  # |value| below which value * 1e6 is an exact-enough float for _micro
+
+
+def _micro(values: np.ndarray) -> np.ndarray:
+    """|round(values * 1e6)| as int64, rounded exactly as '%.6f' rounds each double.
+
+    rint of the scaled float agrees with the correctly rounded decimal unless
+    the scaled value lies within a few ulp of a half-integer; those near-ties
+    take their digits from '%.6f' itself.
+    """
+    scaled = values * 1e6
+    micro = np.abs(np.rint(scaled)).astype(np.int64)
+    tolerance = 4.0 * np.spacing(np.maximum(np.abs(scaled), 1.0))
+    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= tolerance
+    micro[near_tie] = [int(("%.6f" % abs(v)).replace(".", ""))
+                       for v in values[near_tie].tolist()]
+    return micro
+
+
+def _digit_cells() -> np.ndarray:
+    """Four-byte text cells, one uint32 each; zero bytes are padding the writer drops.
+
+    Cells 0-999 spell i with leading zeros, 1000-1999 pad the leading zeros
+    (0 still prints 0), 2000-2999 likewise but 0 is blank, and _PAD to _S follow.
+    """
+    digits = np.array([list(b"\0%03d" % i) for i in range(1000)], dtype=np.uint8)
+    padded = np.where(np.cumsum(digits > ord("0"), axis=1) > 0, digits, 0).astype(np.uint8)
+    units = padded.copy()
+    units[0, -1] = ord("0")
+    specials = np.array([[0, 0, 0, ord(c)] for c in "\0,-.\nHS"], dtype=np.uint8)
+    return np.vstack([digits, units, padded, specials]).view(np.uint32).ravel()
+
+
+_CELLS = _digit_cells()
+_PAD, _COMMA, _MINUS, _POINT, _NEWLINE, _H, _S = range(3000, 3007)
+
+
+def _number_cells(magnitude: np.ndarray, negative: np.ndarray, decimals: int = 0) -> list:
+    """_CELLS rows spelling +-magnitude / 10**decimals per value, decimals 0 or 6."""
+    whole, frac = np.divmod(magnitude, 10**decimals)
+    groups = []  # base-1000 digits of the whole part, least significant first
+    while True:
+        whole, group = np.divmod(whole, 1000)
+        groups.append(group)
+        if not whole.any():
+            break
+    cells = [np.where(negative, _MINUS, _PAD)]
+    leading = np.ones(magnitude.size, bool)  # every higher group is zero
+    for k, group in enumerate(reversed(groups)):
+        cells.append(group + np.where(leading, 1000 if k == len(groups) - 1 else 2000, 0))
+        leading &= group == 0
+    if decimals:
+        cells += [_POINT, *np.divmod(frac, 1000)]
+    return cells
+
+
+def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_click) -> bytes:
+    """The events.csv rows of one block, byte for byte as _EVENT_ROW formats them.
+
+    Each row is a run of _CELLS gathered by one np.take; a block holding a
+    value too large for _micro (or not finite) is formatted by % instead.
+    """
+    n = pulse.size
+    if not all(np.all(np.abs(c) < _FIXED_LIMIT) for c in ghz_columns):
+        values = (pulse.tolist(), herald_bin.tolist(), *(c.tolist() for c in ghz_columns),
+                  passed.tolist(),
+                  [_CLICK_LABELS[h + 2 * s] for h, s in zip(herald_click.tolist(),
+                                                           signal_click.tolist())])
+        flat = [None] * (len(values) * n)
+        for j, column in enumerate(values):
+            flat[j::len(values)] = column
+        return (_EVENT_ROW * n % tuple(flat)).encode()
+    cells = [*_number_cells(pulse, np.zeros(n, bool)), _COMMA,
+             *_number_cells(np.abs(herald_bin), herald_bin < 0), _COMMA]
+    for column in ghz_columns:
+        cells += [*_number_cells(_micro(column), np.signbit(column), 6), _COMMA]
+    cells += [1000 + passed, _COMMA, np.where(herald_click, _H, _PAD),
+              np.where(signal_click, _S, _PAD), _NEWLINE]
+    index = np.empty((len(cells), n), dtype=np.int16)
+    for row, cell in zip(index, cells):
+        row[...] = cell
+    return np.take(_CELLS, index.T).tobytes().translate(None, b"\0")
+
+
+def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: float,
+                      path) -> None:
+    """events.csv: one row per pulse, detunings in GHz to six decimals.
+
+    Rows are formatted a block at a time, as fixed-point digits assembled
+    in numpy; a block holding a value too large for that falls back to one
+    % over a flat list of Python values. Either way the bytes are those of
+    formatting every row on its own with _EVENT_ROW.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_EVENTS_HEADER.encode())
+        for start in range(0, result.pulses, _EVENT_BLOCK):
+            rows = slice(start, start + _EVENT_BLOCK)
+            herald_bin = result.herald_bin[rows]
+            fh.write(_event_rows(
+                np.arange(start, start + herald_bin.size, dtype=np.int64),
+                herald_bin,
+                ((result.idler_frequency[rows] - herald_ref) / GHZ,
+                 (result.herald_frequency[rows] - herald_ref) / GHZ,
+                 (result.signal_frequency[rows] - filter_center) / GHZ,
+                 result.applied_shift_hz[rows] / 1e9),
+                result.passed[rows],
+                result.herald_click[rows],
+                result.signal_click[rows],
+            ))
 
 
 def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
@@ -683,7 +799,7 @@ def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
 def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     result = simulate_feedforward_stream(cfg)
     lines, checks = [], {}
-    lines.append(f"{len(result.events)} pulses, seed {cfg.seed}")
+    lines.append(f"{result.pulses} pulses, seed {cfg.seed}")
     lines.append(
         f"herald in accepted window: {result.in_range_fraction:.4f}; "
         f"filter pass given routed: {result.pass_fraction_in_range:.4f} "
@@ -694,20 +810,7 @@ def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     _grade("independence_shifted", result.r_shifted, -STREAM_INDEPENDENCE_MAX,
            STREAM_INDEPENDENCE_MAX, checks, lines)
     events_path = out / "events.csv"
-    window = cfg.signal_filter()
-    ref = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer")).reference_frequency
-    with open(events_path, "w") as fh:
-        fh.write("pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
-                 "signal_detuning_ghz,shift_ghz,passed,clicks\n")
-        for e in result.events:
-            fh.write(
-                f"{e.pulse},{e.herald_bin},"
-                f"{(e.idler_frequency - ref) / GHZ:.6f},"
-                f"{(e.herald_frequency - ref) / GHZ:.6f},"
-                f"{(e.signal_frequency - window.center) / GHZ:.6f},"
-                f"{e.applied_shift_hz / 1e9:.6f},"
-                f"{int(e.passed)},{e.clicks}\n"
-            )
+    _write_events_csv(result, cfg.anchor(), cfg.signal_filter().center, events_path)
     un_path = out / "joint_hist_unshifted.txt"
     sh_path = out / "joint_hist_shifted.txt"
     _write_histogram(result.unshifted_hist, result.unshifted_edges, un_path,

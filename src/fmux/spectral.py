@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 __all__ = [
     "FrequencyGrid",
@@ -301,6 +300,8 @@ def build_factorable_jsa(
 
 def schmidt_coefficients(jsa: JointSpectralAmplitude) -> np.ndarray:
     """Schmidt weights lambda_k (squared singular values, normalized to sum 1)."""
+    from scipy import linalg  # loaded on first use: config-only runs never need it
+
     s = linalg.svdvals(jsa.weighted_matrix())
     lam = s * s
     return lam / lam.sum()

@@ -7,9 +7,10 @@ P(omega_H | omega_i), its Bayesian inverse over a supplied prior, and a
 Monte Carlo sampler that agrees with the forward conditional.
 
 The instrument itself is built from the configuration
-(ScenarioConfig.build_spectrometer). Its measured jitter model carries
-MEASURED_JITTER_FREQ_STD, which is much wider than the quoted resolution
-figure and is the width that reproduces the measured heralded-photon purity.
+(ScenarioConfig.build_spectrometer). Its measured jitter model carries the
+detector timing jitter MEASURED_JITTER_TIME_STD, whose frequency width at the
+calibration dispersion (MEASURED_JITTER_FREQ_STD) is much wider than the
+quoted resolution figure and reproduces the measured heralded-photon purity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import defaults
 from .spectral import FrequencyGrid
@@ -37,14 +37,21 @@ __all__ = [
     "sample_herald_event",
     "load_jitter_histogram",
     "MEASURED_JITTER_FREQ_STD",
+    "MEASURED_JITTER_TIME_STD",
 ]
 
-# Effective Gaussian width of the measured arrival-time jitter, expressed as a
-# frequency std (720 ps in time at 16 ps/GHz). Calibrated against the measured
-# heralded-photon purity; the quoted resolution figure is a different
-# (bin-limited) quantity. A tabulated histogram (load_jitter_histogram)
-# replaces this stand-in.
-MEASURED_JITTER_FREQ_STD = defaults.TWO_PI * 45e9  # rad/s
+# Effective Gaussian width of the measured arrival-time jitter: 45 GHz of
+# frequency std at the 16 ps/GHz calibration dispersion, i.e. 720 ps in time.
+# Calibrated against the measured heralded-photon purity; the quoted resolution
+# figure is a different (bin-limited) quantity. The jitter is a detector time
+# width, so its frequency width scales as 1 / dispersion. A tabulated histogram
+# (load_jitter_histogram) replaces this stand-in.
+MEASURED_JITTER_FREQ_STD = defaults.TWO_PI * 45e9  # rad/s, at the calibration dispersion
+MEASURED_JITTER_DISPERSION_PS_PER_GHZ = 16.0
+# the same expression as ScenarioConfig.build_spectrometer, so 16 ps/GHz is bit-equal
+MEASURED_JITTER_TIME_STD = MEASURED_JITTER_FREQ_STD * (
+    MEASURED_JITTER_DISPERSION_PS_PER_GHZ / 1e12 / (defaults.TWO_PI * 1e9)
+)  # s
 
 
 class FrequencyRangeError(ValueError):
@@ -115,6 +122,8 @@ class JitterDistribution:
         if self.sigma_t is not None:
             if self.sigma_t == 0.0:
                 return (t >= 0).astype(float)
+            from scipy import special  # loaded on first use: config-only runs never need it
+
             return 0.5 * (1.0 + special.erf(t / (self.sigma_t * math.sqrt(2.0))))
         cum = np.concatenate(
             ([0.0], np.cumsum(np.diff(self.offsets) * 0.5 * (self.density[1:] + self.density[:-1])))

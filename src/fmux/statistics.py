@@ -208,23 +208,37 @@ _COUNT_FIELDS = 6  # h, s, sh, s1h, s2h, s1s2h
 MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
 
 
-def _simulate_chunk(mus, eta_s, eta_h, multiplexed, n, seed_seq) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(seed_seq))
+def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
+    """rng.binomial(n, p), drawn only where n != 0.
+
+    binomial(0, p) returns 0 without consuming the stream, so drawing the
+    nonzero entries in C order leaves the generator exactly where the dense
+    call would, with the same values.
+    """
+    out = np.zeros_like(n)
+    nonzero = n != 0
+    out[nonzero] = rng.binomial(n[nonzero], p)
+    return out
+
+
+def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
     pairs = np.empty((len(mus), n), dtype=np.int64)
     for i, mu in enumerate(mus):
         # geometric on {1,2,...}; subtracting 1 gives the thermal distribution
         pairs[i] = rng.geometric(1.0 / (1.0 + mu), size=n) - 1
-    herald_hits = rng.binomial(pairs, eta_h)
+    # pulses with no pair in any mode never click; most pulses at small mu
+    pairs = pairs[:, pairs.any(axis=0)]
+    herald_hits = _binomial_nonzero(rng, pairs, eta_h)
     clicks = herald_hits >= 1
     if multiplexed:
         heralded = clicks.any(axis=0)
         winner = clicks.argmax(axis=0)
-        routed = np.where(heralded, pairs[winner, np.arange(n)], 0)
+        routed = np.where(heralded, pairs[winner, np.arange(pairs.shape[1])], 0)
     else:
         heralded = clicks[0]
         routed = pairs[0]
-    detected = rng.binomial(routed, eta_s)
-    s1 = rng.binomial(detected, 0.5)
+    detected = _binomial_nonzero(rng, routed, eta_s)
+    s1 = _binomial_nonzero(rng, detected, 0.5)
     s2 = detected - s1
     c_s1 = s1 >= 1
     c_s2 = s2 >= 1
@@ -266,7 +280,8 @@ def monte_carlo_counting(
         sizes.append(pulses % MC_CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     parts = [
-        _simulate_chunk(mus, model.eta_s, model.eta_h, model.multiplexing_enabled, size, child)
+        _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
+                        model.eta_h, model.multiplexing_enabled, size)
         for size, child in zip(sizes, children)
     ]
     c_h, c_s, c_sh, c_s1h, c_s2h, c_s1s2h = np.sum(parts, axis=0)

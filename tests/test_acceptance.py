@@ -238,6 +238,6 @@ def test_criterion_9_feedforward_stream():
     report(
         9, ok,
         f"stream correlation {result.r_unshifted:.4f} before shifting (<= -0.9) and "
-        f"{result.r_shifted:.4f} after (|r| < 0.2) at {len(result.events)} events "
+        f"{result.r_shifted:.4f} after (|r| < 0.2) at {result.pulses} events "
         f"({elapsed:.1f} s)",
     )

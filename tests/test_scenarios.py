@@ -1,15 +1,27 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fmux import cli, defaults, heralded
+import fmux
+from fmux import cli, defaults, scenarios, serrodyne, spectrometer
 from fmux.scenarios import (
+    _EVENT_ROW,
+    GHZ,
     SCENARIOS,
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
+    _event_rows,
+    _write_events_csv,
     load_config,
     run_scenario,
     simulate_feedforward_stream,
@@ -115,14 +127,16 @@ def test_purity_scenario_reduced_grid(tmp_path):
 
 
 def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
+    from scipy import linalg
+
     calls = []
-    solve = heralded.linalg.eigvalsh
+    solve = linalg.eigvalsh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(heralded.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(linalg, "eigvalsh", counting)
     _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
     assert len(calls) == 1
@@ -187,19 +201,42 @@ def test_stream_scenario_checks_and_reproducibility(tmp_path):
         assert first == second, name
 
 
+def analytic_in_range_fraction(cfg) -> float:
+    """P(herald bin in range) for an idler uniform over the sampled span.
+
+    The average over the span (midpoint rule) of each idler's outcome
+    distribution over TDC bins, summed over the bins the LUT routes.
+    """
+    spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
+    lut = serrodyne.build_lut(spect, cfg.signal_filter().center, cfg.shifter(),
+                              span=cfg.get("feedforward.herald_span_ghz") * GHZ)
+    span = cfg.get("feedforward.idler_sample_span_ghz") * GHZ
+    nodes = 6000
+    total = 0.0
+    for u in (np.arange(nodes) + 0.5) / nodes:
+        omega = spect.reference_frequency + (u - 0.5) * span
+        bins, probs, _ = spectrometer.conditional_outcome_distribution(spect, omega)
+        total += sum(p for k, p in zip(bins.tolist(), probs) if lut.lookup(k).in_range)
+    return total / nodes
+
+
 def test_stream_event_invariants(tmp_path):
-    cfg = stream_cfg(tmp_path)
+    cfg = stream_cfg(tmp_path, pulses=200_000)
     result = simulate_feedforward_stream(cfg)
     window = cfg.signal_filter()
     limit = cfg.params["shifter.max_shift_ghz"] * 1e9
-    for ev in result.events[:2000]:
-        if ev.passed:
-            post = ev.signal_frequency + defaults.TWO_PI * ev.applied_shift_hz
-            assert abs(post - window.center) <= window.half_width * (1 + 1e-12)
-            assert abs(ev.applied_shift_hz) <= limit * (1 + 1e-12)
-        if "S" in ev.clicks:
-            assert ev.passed  # no signal click without a delivered photon
-    assert 0.2 < result.in_range_fraction < 0.4
+    n = result.pulses
+    assert n == 200_000
+    for column in ("signal_frequency", "idler_frequency", "herald_bin", "herald_frequency",
+                   "applied_shift_hz", "passed", "herald_click", "signal_click"):
+        assert getattr(result, column).shape == (n,), column
+    passed = result.passed
+    post = result.signal_frequency[passed] + defaults.TWO_PI * result.applied_shift_hz[passed]
+    assert np.all(np.abs(post - window.center) <= window.half_width * (1 + 1e-12))
+    assert np.all(np.abs(result.applied_shift_hz[passed]) <= limit * (1 + 1e-12))
+    assert not np.any(result.signal_click & ~passed)  # no signal click without a photon
+    p = analytic_in_range_fraction(cfg)
+    assert abs(result.in_range_fraction - p) < 4.0 * np.sqrt(p * (1.0 - p) / n)
     assert result.r_unshifted <= -0.9
     assert abs(result.r_shifted) < 0.2
 
@@ -213,12 +250,146 @@ def test_stream_quantization_floor(tmp_path):
     spect = cfg.build_spectrometer("none")
     half_bin = spect.bin_frequency_step / 2.0
     center = cfg.signal_filter().center
-    passed = [ev for ev in result.events if ev.passed]
-    assert len(passed) > 1000
-    worst = max(abs(ev.signal_frequency + defaults.TWO_PI * ev.applied_shift_hz - center)
-                for ev in passed)
-    assert worst <= half_bin * (1 + 1e-9)
+    passed = result.passed
+    assert passed.sum() > 1000
+    post = result.signal_frequency[passed] + defaults.TWO_PI * result.applied_shift_hz[passed]
+    assert np.abs(post - center).max() <= half_bin * (1 + 1e-9)
     assert result.pass_fraction_in_range == 1.0
+
+
+def oracle_events_csv(result, ref: float, center: float) -> bytes:
+    """The per-event f-string writer events.csv was first written with."""
+    lines = ["pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
+             "signal_detuning_ghz,shift_ghz,passed,clicks\n"]
+    for i in range(result.pulses):
+        clicks = ("H" if result.herald_click[i] else "") + ("S" if result.signal_click[i] else "")
+        lines.append(
+            f"{i},{int(result.herald_bin[i])},"
+            f"{(float(result.idler_frequency[i]) - ref) / GHZ:.6f},"
+            f"{(float(result.herald_frequency[i]) - ref) / GHZ:.6f},"
+            f"{(float(result.signal_frequency[i]) - center) / GHZ:.6f},"
+            f"{float(result.applied_shift_hz[i]) / 1e9:.6f},"
+            f"{int(result.passed[i])},{clicks}\n"
+        )
+    return "".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def small_stream(tmp_path_factory):
+    cfg = stream_cfg(tmp_path_factory.mktemp("stream"), pulses=5000)
+    return simulate_feedforward_stream(cfg), cfg.anchor(), cfg.signal_filter().center
+
+
+@pytest.mark.parametrize("block", [1 << 16, 4096, 7])
+def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch, block):
+    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
+    result, ref, center = small_stream
+    path = tmp_path / "events.csv"
+    _write_events_csv(result, ref, center, path)
+    assert path.read_bytes() == oracle_events_csv(result, ref, center)
+
+
+# values whose six-decimal text is easy to get wrong: signed zeros, exact binary
+# ties (1/128 GHz is 7812.5 micro-GHz), values that round to -0.000000 and a
+# carry into the integer part
+EDGE_GHZ = [-0.0, 0.0, 1 / 128, -1 / 128, 4e-7, -4e-7, 5e-7, -5e-7, 999.9999995,
+            -999.9999995, 2.5e-6, 1234.5678905]
+
+
+def seeded_stream(result, rows: int, seed: int):
+    """result with every column replaced by rows of edge values and their neighbours."""
+    rng = np.random.default_rng(seed)
+    edge = np.array(EDGE_GHZ)
+    pool = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+                           rng.uniform(-400.0, 400.0, 64)])
+    pick = lambda: pool[rng.integers(0, pool.size, rows)]  # noqa: E731
+    return replace(
+        result,
+        idler_frequency=pick() * GHZ,
+        herald_frequency=pick() * GHZ,
+        signal_frequency=pick() * GHZ,
+        applied_shift_hz=pick() * 1e9,
+        herald_bin=rng.integers(-1500, 1500, rows),
+        passed=rng.random(rows) < 0.5,
+        herald_click=rng.random(rows) < 0.5,
+        signal_click=rng.random(rows) < 0.5,
+    )
+
+
+@pytest.mark.parametrize("rows, block", [(1, 4), (3, 4), (4, 4), (5, 4), (9, 4),
+                                         ((1 << 16) - 1, 1 << 16), ((1 << 16) + 1, 1 << 16)])
+def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkeypatch, rows,
+                                                  block):
+    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
+    result = seeded_stream(small_stream[0], rows, seed=rows)
+    path = tmp_path / "events.csv"
+    for ref, center in ((0.0, 0.0), small_stream[1:]):
+        _write_events_csv(result, ref, center, path)
+        assert path.read_bytes() == oracle_events_csv(result, ref, center)
+
+
+def test_events_csv_edge_values_take_both_paths(small_stream, tmp_path, monkeypatch):
+    # values a fixed-point path cannot hold send their blocks of 40 rows to %
+    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", 40)
+    result = seeded_stream(small_stream[0], 4000, seed=5)
+    shift = result.applied_shift_hz.copy()
+    shift[[45, 1000, 3999]] = [1.5e18, -2e21, np.inf]
+    result = replace(result, applied_shift_hz=shift)
+    path = tmp_path / "events.csv"
+    _write_events_csv(result, 0.0, 0.0, path)
+    text = path.read_bytes()
+    assert text == oracle_events_csv(result, 0.0, 0.0)
+    for cell in (b",-0.000000,", b",0.007812,", b",-0.007812,", b",1000.000000,", b",HS\n"):
+        assert cell in text, cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(min_value=-2e9, max_value=2e9), min_size=1, max_size=40),
+    pulse0=st.integers(0, 10**12),
+    herald_bin=st.integers(-10**7, 10**7),
+)
+@example(values=[999.9999995, -0.0, 1 / 128], pulse0=999_999, herald_bin=-1000)
+def test_event_rows_match_percent_formatting(values, pulse0, herald_bin):
+    n = len(values)
+    column = np.array(values)
+    bins = np.full(n, herald_bin)
+    flags = np.arange(n) % 2 == 0, np.arange(n) % 3 == 0, np.arange(n) % 4 == 0
+    text = _event_rows(np.arange(pulse0, pulse0 + n), bins, (column, -column, column / 3, column),
+                       *flags)
+    expected = "".join(
+        _EVENT_ROW % (pulse0 + i, herald_bin, v, -v, v / 3, v, flags[0][i],
+                      ("H" if flags[1][i] else "") + ("S" if flags[2][i] else ""))
+        for i, v in enumerate(values)
+    )
+    assert text == expected.encode()
+
+
+def test_config_path_never_imports_scipy_linalg_or_special():
+    code = ("import sys\nimport fmux.cli\nfrom fmux.scenarios import SCENARIOS, load_config\n"
+            "for name in SCENARIOS:\n    load_config(name).validate()\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))\n")
+    env = dict(os.environ)
+    src = str(Path(fmux.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_measured_jitter_is_a_time_width(tmp_path):
+    """At 4 ps/GHz the measured 720 ps jitter is 180 GHz wide, not 45 GHz."""
+    path = tmp_path / "dispersion.cfg"
+    path.write_text("[spectrometer]\ndispersion_ps_per_ghz = 4.0\n")
+    wide_spect = load_config("purity-jitter", config_path=path).build_spectrometer()
+    assert wide_spect.jitter == load_config("purity-jitter").build_spectrometer().jitter
+    assert wide_spect.frequency_std() == pytest.approx(4.0 * spectrometer.MEASURED_JITTER_FREQ_STD)
+    # the default grid does not converge for a jitter kernel this wide; doubling does
+    _, base = run("purity-jitter", tmp_path / "base", grid_scale=2.0)
+    _, wide = run("purity-jitter", tmp_path / "wide", grid_scale=2.0, config_path=path)
+    csv = lambda root: (root / "purity-jitter" / "purity.csv").read_bytes()  # noqa: E731
+    assert csv(tmp_path / "wide") != csv(tmp_path / "base")
+    assert wide["checks"]["purity"]["value"] < base["checks"]["purity"]["value"] - 0.1
 
 
 def test_every_scenario_is_runnable():
@@ -330,7 +501,7 @@ PERTURBED = {
     "source.signal_wavelength_nm": 1550.0,
     "filter.center_offset_ghz": 5.0,
     "filter.full_width_ghz": 40.0,
-    "spectrometer.dispersion_ps_per_ghz": 4.0,
+    "spectrometer.dispersion_ps_per_ghz": 8.0,
     "spectrometer.tdc_bin_ps": 300.0,
     "spectrometer.jitter_model": "nominal",
     "spectrometer.nominal_resolution_ghz": 40.0,

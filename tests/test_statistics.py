@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fmux.statistics import (
     EXPANSION_LIMIT,
+    MC_CHUNK,
     CountingResult,
     ExpansionDomainError,
     MultiplexedStatisticsModel,
@@ -19,6 +21,7 @@ from fmux.statistics import (
     klyshko_efficiencies,
     monte_carlo_counting,
     write_counting_csv,
+    _simulate_chunk,
 )
 
 REF = dict(mu=0.01, eta_s=0.14, eta_h=0.13)
@@ -151,6 +154,42 @@ def test_mc_generator_seed_is_recorded():
     assert r.seed is not None
     again = monte_carlo_counting(m, 50_000, rng=r.seed)
     assert_identical(again, r)
+
+
+def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
+    """Oracle: _simulate_chunk with every binomial drawn over the full pulse arrays."""
+    pairs = np.empty((len(mus), n), dtype=np.int64)
+    for i, mu in enumerate(mus):
+        pairs[i] = rng.geometric(1.0 / (1.0 + mu), size=n) - 1
+    herald_hits = rng.binomial(pairs, eta_h)
+    clicks = herald_hits >= 1
+    if multiplexed:
+        heralded = clicks.any(axis=0)
+        winner = clicks.argmax(axis=0)
+        routed = np.where(heralded, pairs[winner, np.arange(n)], 0)
+    else:
+        heralded = clicks[0]
+        routed = pairs[0]
+    detected = rng.binomial(routed, eta_s)
+    s1 = rng.binomial(detected, 0.5)
+    c_s1, c_s2, c_s = s1 >= 1, detected - s1 >= 1, detected >= 1
+    return np.array([heralded.sum(), c_s.sum(), (c_s & heralded).sum(),
+                     (c_s1 & heralded).sum(), (c_s2 & heralded).sum(),
+                     (c_s1 & c_s2 & heralded).sum()], dtype=np.int64)
+
+
+@pytest.mark.parametrize("size", [1, MC_CHUNK, MC_CHUNK + 3])
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
+    # mu = 0.3 makes multi-pair pulses and every click pattern common
+    for seed, m in ((1, model(mu=0.03)), (2, model(mu=0.03)), (3, model(mu=0.3, n_modes=2.5))):
+        m = replace(m, multiplexing_enabled=multiplexed)
+        args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size)
+        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        counts = _simulate_chunk(sparse_rng, *args)
+        assert np.array_equal(counts, dense_chunk(dense_rng, *args)), seed
+        # the stream is left where the dense draws leave it
+        assert sparse_rng.random() == dense_rng.random()
 
 
 def test_mc_respects_partial_mode():
