@@ -14,8 +14,8 @@ this module evaluates two ways:
   midpoint and shift-difference grids, turning the quadruple quadrature into
   O(n^2) table lookups with no approximation beyond the shared
   discretization. It is the one fast enough for sweeps.
-* assemble_density_matrix + purity_from_*: materialize rho from one real and
-  one complex GEMM product and take eigenvalues or the weighted Frobenius norm.
+* assemble_density_matrix + purity_from_eigenvalues: materialize rho from one
+  real and one complex GEMM product and sum its squared eigenvalues.
   A DiscretizedDensityMatrix is eigensolved once, during validation; every
   later eigenvalues() call returns that cached spectrum.
 
@@ -36,23 +36,15 @@ from .spectrometer import SpectrometerModel
 
 __all__ = [
     "HeraldedStateModel",
-    "ConditionalWavepacket",
     "DiscretizedDensityMatrix",
-    "VacuousEventError",
-    "conditional_wavepacket",
     "assemble_density_matrix",
     "purity_integral",
     "purity_from_eigenvalues",
-    "purity_from_trace",
     "gvd_parameter",
-    "write_density_matrix_text",
 ]
 
 VACUOUS_NORM = 1e-12  # relative squared-norm below which an event is vacuous
-
-
-class VacuousEventError(ValueError):
-    """The output filter removes essentially all of the conditional amplitude."""
+JITTER_SPAN_SIGMAS = 4.0  # error nodes span +/- this many jitter frequency stds
 
 
 def gvd_parameter(dispersion_ps_nm_km: float, length_m: float, wavelength_m: float) -> float:
@@ -78,7 +70,7 @@ class HeraldedStateModel:
     the feed-forward stage (its center defines zero shift), weighted flat.
     Grid counts default to 513 signal points across the
     filter support, 129-point quadratures for the herald and error
-    variables, the latter spanning +/- jitter_span_sigmas of the
+    variables, the latter spanning +/- JITTER_SPAN_SIGMAS of the
     spectrometer's frequency uncertainty. scaled() coarsens or refines all
     three together.
     """
@@ -91,7 +83,6 @@ class HeraldedStateModel:
     n_signal: int = 513
     n_herald: int = 129
     n_jitter: int = 129
-    jitter_span_sigmas: float = 4.0
 
     def __post_init__(self):
         if not math.isfinite(self.gamma):
@@ -115,84 +106,20 @@ class HeraldedStateModel:
         )
 
 
-@dataclass(frozen=True)
-class ConditionalWavepacket:
-    """Post-shift signal amplitude for one (herald outcome, true idler) event."""
-
-    herald_frequency: float
-    idler_frequency: float
-    grid: FrequencyGrid
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitude, dtype=complex)
-        object.__setattr__(self, "amplitude", a)
-        w = self.grid.trapezoid_weights()
-        norm = float(np.sqrt(w @ (np.abs(a) ** 2)))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"wavepacket norm {norm:.3e} != 1")
-
-
-def _wavepacket_values(model: HeraldedStateModel, error: float, shift: float) -> np.ndarray:
-    """Unnormalized amplitude on the signal grid for displacement and shift detunings."""
-    x = model.signal_grid.detunings
-    envelope = np.exp(-0.5 * ((x - error) / model.pump.sigma) ** 2)
-    phase = np.exp(1j * model.gamma * (x - shift) ** 2)
-    return envelope * phase
-
-
-def conditional_wavepacket(
-    omega_h: float, omega_i: float, model: HeraldedStateModel
-) -> ConditionalWavepacket:
-    """Shifted conditional signal wavepacket for a herald at omega_h, idler at omega_i.
-
-    The amplitude is the filtered Gaussian envelope displaced by
-    e = omega_h - omega_i with the pre-shift quadratic dispersion phase,
-    normalized on the signal grid. Raises VacuousEventError when the filter
-    transmits less than 1e-12 of the free-space norm.
-    """
-    error = omega_h - omega_i
-    shift = omega_h - model.spectrometer.reference_frequency
-    amp = _wavepacket_values(model, error, shift)
-    w = model.signal_grid.trapezoid_weights()
-    norm_sq = float(w @ (np.abs(amp) ** 2))
-    free_norm_sq = model.pump.sigma * math.sqrt(math.pi)
-    if norm_sq <= VACUOUS_NORM * free_norm_sq:
-        raise VacuousEventError(
-            f"filter transmits {norm_sq / free_norm_sq:.2e} of the conditional amplitude"
-        )
-    return ConditionalWavepacket(
-        float(omega_h), float(omega_i), model.signal_grid, amp / math.sqrt(norm_sq)
-    )
-
-
 def _error_kernel(model: HeraldedStateModel, n: int | None = None):
     """Measurement-error nodes e = omega_H - omega_i and normalized weights.
 
-    Uniform grid; the density is the spectrometer jitter pushed through the
-    dispersion map (Gaussian std or tabulated). Zero jitter collapses to a
-    single node at e = 0.
+    Uniform grid; the density is the spectrometer's Gaussian jitter pushed
+    through the dispersion map. Zero jitter collapses to a single node at
+    e = 0.
     """
     n = model.n_jitter if n is None else n
-    spect = model.spectrometer
-    jit = spect.jitter
-    if jit.sigma_t is not None:
-        s = spect.frequency_std()
-        if s == 0.0:
-            return np.array([0.0]), np.array([1.0])
-        e = np.linspace(-model.jitter_span_sigmas * s, model.jitter_span_sigmas * s, n)
-        dens = np.exp(-0.5 * (e / s) ** 2)
-    else:
-        lo = jit.offsets[0] / spect.dispersion
-        hi = jit.offsets[-1] / spect.dispersion
-        lo, hi = min(lo, hi), max(lo, hi)
-        e = np.linspace(lo, hi, n)
-        dens = np.interp(e * spect.dispersion, jit.offsets, jit.density, left=0.0, right=0.0)
-    w = dens * FrequencyGrid(0.0, e[-1] - e[0], n).trapezoid_weights()
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("error kernel has zero mass")
-    return e, w / total
+    s = model.spectrometer.frequency_std()
+    if s == 0.0:
+        return np.array([0.0]), np.array([1.0])
+    e = np.linspace(-JITTER_SPAN_SIGMAS * s, JITTER_SPAN_SIGMAS * s, n)
+    w = np.exp(-0.5 * (e / s) ** 2) * FrequencyGrid(0.0, e[-1] - e[0], n).trapezoid_weights()
+    return e, w / w.sum()
 
 
 def _herald_kernel(model: HeraldedStateModel, n: int | None = None):
@@ -354,22 +281,3 @@ def purity_from_eigenvalues(dm: DiscretizedDensityMatrix) -> float:
     lam = dm.eigenvalues()
     return float(np.dot(lam, lam))
 
-
-def purity_from_trace(dm: DiscretizedDensityMatrix) -> float:
-    """Tr(rho^2) as the weighted Frobenius norm, no diagonalization."""
-    w = dm.grid.trapezoid_weights()
-    return float(np.einsum("i,j,ij->", w, w, np.abs(dm.matrix) ** 2).real)
-
-
-def write_density_matrix_text(dm: DiscretizedDensityMatrix, path) -> None:
-    """Columnar export: header with grid metadata, then i j Re Im rows."""
-    with open(path, "w") as fh:
-        fh.write("# heralded signal density matrix\n")
-        fh.write(
-            f"# center={dm.grid.center!r} span={dm.grid.span!r} points={dm.grid.points}\n"
-        )
-        fh.write("# columns: i j re im\n")
-        for i in range(dm.grid.points):
-            for j in range(dm.grid.points):
-                v = dm.matrix[i, j]
-                fh.write(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}\n")

@@ -35,18 +35,6 @@ __all__ = [
     "simulate_feedforward_stream",
 ]
 
-SCENARIOS = (
-    "purity-jitter",
-    "purity-gvd",
-    "purity-combined",
-    "stats-sweep",
-    "joint-spectrum",
-    "hom-dip",
-    "loss-budget",
-    "lut-dump",
-    "feedforward-stream",
-)
-
 # target bands the summaries grade themselves against
 PURITY_BANDS = {
     "purity-jitter": (0.90, 0.94),
@@ -63,6 +51,12 @@ STREAM_INDEPENDENCE_MAX = 0.2
 
 GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 JITTER_MODELS = ("measured", "nominal", "none")
+# resource ceilings: the density matrix holds (513 * grid_scale)^2 complex values,
+# the lookup table one Python entry per TDC bin, and the delay-line chirp must be
+# resolvable on a signal grid of at most CHIRP_POINTS_MAX points
+GRID_SCALE_MAX = 16.0
+LUT_BINS_MAX = 100_000
+CHIRP_POINTS_MAX = 16_384
 
 
 class ConfigError(ValueError):
@@ -131,8 +125,6 @@ class ScenarioConfig:
 
     scenario: str
     params: dict
-    seed: int
-    grid_scale: float
     outdir: str = "."
 
     def __post_init__(self):
@@ -144,14 +136,28 @@ class ScenarioConfig:
     def get(self, dotted: str):
         return self.params[dotted]
 
+    @property
+    def seed(self) -> int:
+        return self.params["run.seed"]
+
+    @property
+    def grid_scale(self) -> float:
+        return self.params["run.grid_scale"]
+
     def _positive(self, dotted: str) -> float:
         v = self.get(dotted)
         if not v > 0:
             raise ConfigError(dotted, f"must be positive, got {v}")
         return v
 
+    def _in_range(self, dotted: str, value: float) -> float:
+        """value, a quantity derived from dotted; one that overflowed is a config error."""
+        if not math.isfinite(value):
+            raise ConfigError(dotted, f"{self.get(dotted)!r} is out of range")
+        return value
+
     def _ghz(self, dotted: str) -> float:
-        return self._positive(dotted) * GHZ
+        return self._in_range(dotted, self._positive(dotted) * GHZ)
 
     def anchor(self) -> float:
         """Absolute frequency of degeneracy, rad/s: the herald reference and zero shift."""
@@ -159,7 +165,8 @@ class ScenarioConfig:
         return defaults.TWO_PI * defaults.C_LIGHT / wavelength
 
     def signal_filter(self) -> spectral.TopHatWindow:
-        center = self.anchor() + self.get("filter.center_offset_ghz") * GHZ
+        center = self.anchor() + self._in_range(
+            "filter.center_offset_ghz", self.get("filter.center_offset_ghz") * GHZ)
         return spectral.TopHatWindow(center, self._ghz("filter.full_width_ghz"))
 
     def pump(self) -> spectral.PumpEnvelope:
@@ -182,21 +189,30 @@ class ScenarioConfig:
         if which == "measured":
             sigma_t = spectrometer.MEASURED_JITTER_TIME_STD
         elif which == "nominal":
-            fwhm = defaults.TWO_PI * (self._positive("spectrometer.nominal_resolution_ghz") * 1e9)
+            fwhm = self._in_range("spectrometer.nominal_resolution_ghz", defaults.TWO_PI * (
+                self._positive("spectrometer.nominal_resolution_ghz") * 1e9))
             sigma_t = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))) * dispersion
         elif which == "none":
             sigma_t = 0.0
         else:
             raise ValueError(f"unknown jitter model {which!r}")
+        tdc_bin = self._positive("spectrometer.tdc_bin_ps") / 1e12
+        self._in_range("spectrometer.tdc_bin_ps", tdc_bin / dispersion)  # bin width, rad/s
         return spectrometer.SpectrometerModel(
             dispersion=dispersion,
-            tdc_bin=self._positive("spectrometer.tdc_bin_ps") / 1e12,
+            tdc_bin=tdc_bin,
             jitter=spectrometer.JitterDistribution.gaussian(sigma_t),
             reference_frequency=self.anchor(),
             calibrated_span=self._ghz("feedforward.idler_sample_span_ghz"),
         )
 
     def gamma(self) -> float:
+        """Delay-line GVD coefficient, s^2; its chirp must be resolvable on a signal grid.
+
+        The chirp's phase advances by at most |gamma| (filter + herald window)
+        per rad/s of detuning; sampling it at two points per radian across the
+        filter takes the points counted against CHIRP_POINTS_MAX.
+        """
         d = self.get("delay.fiber_dispersion_ps_nm_km")
         length = self.get("delay.length_m")
         wavelength = self.get("source.signal_wavelength_nm") * 1e-9
@@ -204,7 +220,18 @@ class ScenarioConfig:
             raise ConfigError("delay.length_m", "must be non-negative")
         if length == 0.0:
             return 0.0
-        return heralded.gvd_parameter(d, length, wavelength)
+        try:
+            gamma = heralded.gvd_parameter(d, length, wavelength)
+        except OverflowError as err:
+            raise ConfigError("source.signal_wavelength_nm",
+                              f"{wavelength!r} m is out of range") from err
+        width = self.signal_filter().full_width
+        points = 2.0 * abs(gamma) * (width + self.herald_window().full_width) * width
+        if not points <= CHIRP_POINTS_MAX:
+            raise ConfigError("delay.length_m", (
+                f"the delay-line chirp needs {points:.3g} signal grid points (limit "
+                f"{CHIRP_POINTS_MAX}); shorten it or lower delay.fiber_dispersion_ps_nm_km"))
+        return gamma
 
     def herald_window(self) -> spectral.TopHatWindow:
         return spectral.TopHatWindow(self.anchor(), self._ghz("feedforward.herald_span_ghz"))
@@ -213,8 +240,12 @@ class ScenarioConfig:
         jitter = self.get("shifter.phase_jitter_ps") * 1e-12
         if jitter < 0:
             raise ConfigError("shifter.phase_jitter_ps", "must be non-negative")
-        nu_rf = self._positive("shifter.rf_frequency_ghz") * 1e9
-        vmax = self.get("shifter.max_shift_ghz") * 1e9 / (math.pi * nu_rf)
+        if self.get("shifter.max_shift_ghz") < 0:
+            raise ConfigError("shifter.max_shift_ghz", "must be non-negative")
+        nu_rf = self._in_range("shifter.rf_frequency_ghz",
+                               self._positive("shifter.rf_frequency_ghz") * 1e9)
+        vmax = self._in_range("shifter.max_shift_ghz",
+                              self.get("shifter.max_shift_ghz") * 1e9 / (math.pi * nu_rf))
         return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
 
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
@@ -228,16 +259,18 @@ class ScenarioConfig:
         ).scaled(self.grid_scale)
 
     def statistics_model(self, multiplexed: bool = True) -> statistics.MultiplexedStatisticsModel:
-        try:
-            return statistics.MultiplexedStatisticsModel(
-                n_modes=self.get("statistics.n_modes"),
-                mu=self.get("source.mean_pairs_per_pulse"),
-                eta_s=self.get("statistics.eta_signal"),
-                eta_h=self.get("statistics.eta_herald"),
-                multiplexing_enabled=multiplexed,
-            )
-        except ValueError as err:
-            raise ConfigError("statistics", str(err)) from err
+        if not self.get("statistics.n_modes") >= 1:
+            raise ConfigError("statistics.n_modes", "must be >= 1")
+        for dotted in ("statistics.eta_signal", "statistics.eta_herald"):
+            if not 0 < self.get(dotted) <= 1:
+                raise ConfigError(dotted, f"must be in (0, 1], got {self.get(dotted)}")
+        return statistics.MultiplexedStatisticsModel(
+            n_modes=self.get("statistics.n_modes"),
+            mu=self._positive("source.mean_pairs_per_pulse"),
+            eta_s=self.get("statistics.eta_signal"),
+            eta_h=self.get("statistics.eta_herald"),
+            multiplexing_enabled=multiplexed,
+        )
 
     def loss_table(self) -> losses.LossTable:
         db = self.get("losses.snspd_db")
@@ -247,8 +280,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Construct every model the scenarios use so bad fields fail at load."""
-        if not self.grid_scale > 0:
-            raise ConfigError("run.grid_scale", "must be positive")
+        if not 0 < self.grid_scale <= GRID_SCALE_MAX:
+            raise ConfigError("run.grid_scale", f"must be in (0, {GRID_SCALE_MAX:g}]")
+        if self.seed < 0:
+            raise ConfigError("run.seed", "must be a non-negative integer")
         for dotted in ("run.histogram_bins", "run.stream_pulses", "statistics.sweep_points",
                        "statistics.monte_carlo_pulses", "run.hom_delay_points"):
             if self.get(dotted) < 1:
@@ -260,8 +295,14 @@ class ScenarioConfig:
         self.pump()
         self.signal_filter()
         self.build_spectrometer()
-        self.build_spectrometer(self.get("feedforward.stream_spectrometer"))
-        self._positive("spectrometer.nominal_resolution_ghz")
+        stream_spect = self.build_spectrometer(self.get("feedforward.stream_spectrometer"))
+        self._ghz("spectrometer.nominal_resolution_ghz")
+        herald_span = self._ghz("feedforward.herald_span_ghz")
+        bins = 2 * serrodyne.lut_half_width(stream_spect, herald_span) + 1
+        if not bins <= LUT_BINS_MAX:
+            raise ConfigError("spectrometer.dispersion_ps_per_ghz", (
+                f"the feed-forward table needs {bins:.3g} TDC bins (limit {LUT_BINS_MAX}); "
+                "lower it or raise spectrometer.tdc_bin_ps"))
         self.shifter()
         self.herald_window()
         self.gamma()
@@ -272,7 +313,7 @@ class ScenarioConfig:
         for dotted in ("source.mean_pairs_per_pulse", "statistics.mu_max"):
             product = self.get(dotted) * n_modes
             if product >= statistics.EXPANSION_LIMIT:
-                raise ConfigError(dotted, f"mu * n_modes = {product:.3f} must be below "
+                raise ConfigError(dotted, f"mu * statistics.n_modes = {product:.3g} must be below "
                                           f"{statistics.EXPANSION_LIMIT} (counting model domain)")
         self.loss_table()
 
@@ -284,7 +325,11 @@ def load_config(
     outdir: str | None = None,
     grid_scale: float | None = None,
 ) -> ScenarioConfig:
-    """Resolve defaults, optional user overrides, and CLI-level overrides."""
+    """Resolve defaults, optional user overrides, and CLI-level overrides.
+
+    seed and grid_scale, when given, replace run.seed and run.grid_scale in
+    params, so every echo of the configuration shows the values in effect.
+    """
     parser = _default_parser()
     if config_path is not None:
         user = _read_ini(config_path)
@@ -296,22 +341,20 @@ def load_config(
             if not parser.has_section(section):
                 parser.add_section(section)
             parser[section].update(user[section])
+    overrides = {"run.seed": seed, "run.grid_scale": grid_scale}
     params = {}
     for dotted, caster in _SCHEMA.items():
         section, key = dotted.split(".")
-        raw = parser.get(section, key)
+        raw = overrides.get(dotted)
+        if raw is None:
+            raw = parser.get(section, key)
         try:
             params[dotted] = caster(raw)
         except ValueError as err:
             raise ConfigError(dotted, f"cannot parse {raw!r} as {caster.__name__}") from err
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        params=params,
-        seed=params["run.seed"] if seed is None else int(seed),
-        grid_scale=params["run.grid_scale"] if grid_scale is None else float(grid_scale),
-        outdir="." if outdir is None else str(outdir),
-    )
-    return cfg
+        if caster is float and not math.isfinite(params[dotted]):
+            raise ConfigError(dotted, f"must be finite, got {raw!r}")
+    return ScenarioConfig(scenario, params, "." if outdir is None else str(outdir))
 
 
 # ---------------------------------------------------------------- scenarios
@@ -333,6 +376,19 @@ def _write_mode_weights(dm: heralded.DiscretizedDensityMatrix, path, top: int = 
         fh.write("index,weight\n")
         for i, v in enumerate(lam):
             fh.write(f"{i},{max(float(v), 0.0)!r}\n")
+
+
+def _phase_jitter_factor(cfg: ScenarioConfig) -> float:
+    """Drive-timing-jitter purity at the largest shift; an unconverged one is a config error."""
+    try:
+        return serrodyne.phase_jitter_purity(
+            cfg.get("shifter.phase_jitter_ps") * 1e-12,
+            cfg.pump().sigma,
+            cfg.get("shifter.max_shift_ghz") * 1e9,
+            cfg.shifter(),
+        )
+    except serrodyne.QuadratureConvergenceError as err:
+        raise ConfigError("shifter.phase_jitter_ps", f"drive-jitter quadrature: {err}") from err
 
 
 def _converged_purity(model: heralded.HeraldedStateModel) -> float:
@@ -358,12 +414,7 @@ def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     lo, hi = PURITY_BANDS[flavor]
     _grade("purity", purity, lo, hi, checks, lines)
     if flavor == "purity-combined":
-        phase_factor = serrodyne.phase_jitter_purity(
-            cfg.get("shifter.phase_jitter_ps") * 1e-12,
-            cfg.pump().sigma,
-            cfg.get("shifter.max_shift_ghz") * 1e9,
-            cfg.shifter(),
-        )
+        phase_factor = _phase_jitter_factor(cfg)
         negligible = phase_factor > 0.99
         lines.append(
             f"drive-timing-jitter purity factor = {phase_factor:.6f} "
@@ -413,8 +464,10 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     lines, checks = [], {}
     enhancement = an_mux.p_sh / an_single.p_sh
     lines.append(f"analytic coincidence enhancement at mu={base_mux.mu}: {enhancement:.4f}")
+    # a short run can leave the single-mode arm without a coincidence
+    mc_enhancement = mc_mux.p_sh / mc_single.p_sh if mc_single.p_sh else float("nan")
     lines.append(
-        f"monte carlo enhancement: {mc_mux.p_sh / mc_single.p_sh:.4f} "
+        f"monte carlo enhancement: {mc_enhancement:.4f} "
         f"({pulses} pulses, seed {cfg.seed}); measured reference {defaults.MEASURED_ENHANCEMENT}"
     )
     lines.append(f"analytic g2: multiplexed {an_mux.g2_h:.5f}, single {an_single.g2_h:.5f}")
@@ -831,6 +884,7 @@ _RUNNERS = {
     "lut-dump": _run_lut_dump,
     "feedforward-stream": _run_stream,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def _sha256(path) -> str:

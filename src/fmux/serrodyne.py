@@ -31,6 +31,7 @@ __all__ = [
     "shift_magnitude",
     "voltage_for_shift",
     "max_shift",
+    "lut_half_width",
     "build_lut",
     "apply_temporal_phase",
     "phase_jitter_purity",
@@ -44,6 +45,12 @@ class OverdriveError(ValueError):
 
 class QuadratureConvergenceError(RuntimeError):
     """Quadrature refinement moved the result more than the contract allows."""
+
+
+# Gauss-Hermite orders of the drive-timing-jitter quadrature; refinement adds
+# 32 timing nodes and doubles the pulse-time nodes
+PHASE_JITTER_NODES = 64
+PHASE_TIME_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,6 @@ class LUTEntry:
     herald_frequency: float  # rad/s
     required_shift: float  # Hz
     v0: float  # volts, clipped to the drive limit
-    drive_phase: float  # radians, 0 locks the pulse to a zero crossing
     in_range: bool
 
 
@@ -96,7 +102,6 @@ class FeedForwardLUT:
     """Herald-bin indexed drive settings; lookups outside the table are out-of-range."""
 
     entries: dict
-    model: ShifterModel
     target_center: float  # rad/s
     reference_frequency: float  # rad/s
 
@@ -104,16 +109,13 @@ class FeedForwardLUT:
         entry = self.entries.get(int(bin_index))
         if entry is not None:
             return entry
-        return LUTEntry(int(bin_index), math.nan, math.nan, 0.0, 0.0, False)
+        return LUTEntry(int(bin_index), math.nan, math.nan, 0.0, False)
 
-    def in_range_fraction(self, weights: dict | None = None) -> float:
-        """Fraction of table entries in range, optionally weighted per bin."""
-        if weights is None:
-            flags = [e.in_range for e in self.entries.values()]
-            return sum(flags) / len(flags)
-        total = sum(weights.values())
-        hit = sum(w for k, w in weights.items() if self.lookup(k).in_range)
-        return hit / total
+
+def lut_half_width(spectrometer: SpectrometerModel, span: float) -> float:
+    """The span's half plus the jitter's reach, in TDC bins; build_lut tabulates its ceiling."""
+    reach = span / 2.0 + spectrometer.jitter.reach() / abs(spectrometer.dispersion)
+    return reach / spectrometer.bin_frequency_step + 0.5
 
 
 def build_lut(
@@ -130,9 +132,7 @@ def build_lut(
     stored clipped and flagged out of range; their events are discarded by
     the output filter downstream.
     """
-    reach = span / 2.0 + spectrometer.jitter.reach() / abs(spectrometer.dispersion)
-    step = spectrometer.bin_frequency_step
-    k_max = int(math.ceil(reach / step + 0.5))
+    k_max = int(math.ceil(lut_half_width(spectrometer, span)))
     limit = max_shift(model)
     entries = {}
     for k in range(-k_max, k_max + 1):
@@ -141,8 +141,8 @@ def build_lut(
         in_range = abs(shift_hz) <= limit * (1.0 + 1e-12)
         v0 = voltage_for_shift(shift_hz, model)
         v0 = float(np.clip(v0, -model.v0_max, model.v0_max))
-        entries[k] = LUTEntry(k, omega_h, shift_hz, v0, 0.0, in_range)
-    return FeedForwardLUT(entries, model, target_center, spectrometer.reference_frequency)
+        entries[k] = LUTEntry(k, omega_h, shift_hz, v0, in_range)
+    return FeedForwardLUT(entries, target_center, spectrometer.reference_frequency)
 
 
 def write_lut_text(lut: FeedForwardLUT, path) -> None:
@@ -185,13 +185,13 @@ def apply_temporal_phase(
 
 
 def _jitter_overlap_matrix(sigma: float, delta_nu: float, model: ShifterModel,
-                           n_jitter: int, n_time: int) -> np.ndarray:
+                           nx: int, nt: int) -> np.ndarray:
     # Gauss-Hermite in both the timing offset x and the pulse time t;
     # the pulse amplitude is exp(-t^2 sigma^2 / 2) for spectral width sigma.
-    xi_x, wx = np.polynomial.hermite.hermgauss(n_jitter)
-    x = math.sqrt(2.0) * model.sigma_jitter * xi_x  # offsets, s
+    xi_x, wx = np.polynomial.hermite.hermgauss(nx)
+    x = math.sqrt(2.0) * model.sigma_jitter * xi_x  # arrival delays, s
     wx = wx / math.sqrt(math.pi)
-    xi_t, wt = np.polynomial.hermite.hermgauss(n_time)
+    xi_t, wt = np.polynomial.hermite.hermgauss(nt)
     t = xi_t / sigma  # |A0|^2 = sigma/sqrt(pi) exp(-sigma^2 t^2)
     wt = wt / math.sqrt(math.pi)
     theta = delta_nu / model.nu_rf
@@ -208,9 +208,6 @@ def phase_jitter_purity(
     sigma: float,
     delta_nu: float,
     model: ShifterModel,
-    n_jitter: int = 64,
-    n_time: int = 128,
-    check_refinement: bool = True,
 ) -> float:
     """Purity of the shifted photon under Gaussian drive-timing jitter.
 
@@ -230,11 +227,10 @@ def phase_jitter_purity(
         wx, overlap = _jitter_overlap_matrix(sigma, delta_nu, model, nj, nt)
         return float(np.einsum("x,y,xy->", wx, wx, np.abs(overlap) ** 2).real)
 
-    purity = evaluate(n_jitter, n_time)
-    if check_refinement:
-        refined = evaluate(n_jitter + 32, 2 * n_time)
-        if abs(refined - purity) > 1e-4:
-            raise QuadratureConvergenceError(
-                f"phase-jitter quadrature moved by {abs(refined - purity):.2e} on refinement"
-            )
+    purity = evaluate(PHASE_JITTER_NODES, PHASE_TIME_NODES)
+    refined = evaluate(PHASE_JITTER_NODES + 32, 2 * PHASE_TIME_NODES)
+    if abs(refined - purity) > 1e-4:
+        raise QuadratureConvergenceError(
+            f"phase-jitter quadrature moved by {abs(refined - purity):.2e} on refinement"
+        )
     return min(purity, 1.0)

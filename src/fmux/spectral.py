@@ -24,14 +24,12 @@ __all__ = [
     "GridTooNarrowError",
     "FilterOverlapError",
     "build_anticorrelated_jsa",
-    "build_factorable_jsa",
     "schmidt_purity",
     "schmidt_coefficients",
     "rotated_gaussian_purity",
     "apply_filter",
     "intensity_correlation",
     "write_jsa_text",
-    "read_jsa_text",
 ]
 
 
@@ -84,10 +82,6 @@ class FrequencyGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-    def refined(self, factor: int = 2) -> "FrequencyGrid":
-        """Same span with (points-1)*factor + 1 samples (keeps end points)."""
-        return FrequencyGrid(self.center, self.span, (self.points - 1) * factor + 1)
 
 
 def scaled_points(n: int, scale: float) -> int:
@@ -228,20 +222,16 @@ def build_anticorrelated_jsa(
     signal_grid: FrequencyGrid,
     herald_grid: FrequencyGrid,
     phase_matching_sigma: float | None = None,
-    phase_matching_center: float = 0.0,
-    check_truncation: bool = True,
 ) -> JointSpectralAmplitude:
     """JSA governed by the pump envelope alone: f ~ exp(-(ws + wi - wp)^2 / 2 sigma^2).
 
     Phase matching is flat by default (broadband crystal); passing
     phase_matching_sigma applies an optional Gaussian factor in the difference
-    frequency ws - wi - phase_matching_center. The result is real,
-    non-negative, and unit norm.
+    frequency ws - wi. The result is real, non-negative, and unit norm.
 
     Raises GridTooNarrowError when the envelope has not decayed below 1e-6 of
     its on-grid peak at the extreme reachable sum (or difference) detunings,
-    which signals truncation bias. check_truncation=False skips the guard for
-    deliberate flat-envelope studies.
+    which signals truncation bias.
     """
     ws = signal_grid.values[:, None]
     wh = herald_grid.values[None, :]
@@ -249,53 +239,24 @@ def build_anticorrelated_jsa(
     if phase_matching_sigma is not None:
         if not phase_matching_sigma > 0:
             raise ValueError("phase matching sigma must be positive")
-        d = (ws - wh - phase_matching_center) / phase_matching_sigma
+        d = (ws - wh) / phase_matching_sigma
         amp = amp * np.exp(-0.5 * d * d)
-    if check_truncation:
-        peak = float(amp.max())
-        sum_offset = signal_grid.center + herald_grid.center - pump.center
-        reach = 0.5 * (signal_grid.span + herald_grid.span)
-        # the envelope is 1-D in the sum detuning; test its own domain edges
-        edge = max(
-            pump.amplitude(pump.center + sum_offset + reach),
-            pump.amplitude(pump.center + sum_offset - reach),
-        )
-        if phase_matching_sigma is not None:
-            diff_offset = signal_grid.center - herald_grid.center - phase_matching_center
-            lo = (diff_offset - reach) / phase_matching_sigma
-            hi = (diff_offset + reach) / phase_matching_sigma
-            edge = max(edge, math.exp(-0.5 * lo * lo), math.exp(-0.5 * hi * hi))
-        if edge > 1e-6 * peak:
-            raise GridTooNarrowError(
-                f"envelope at grid edge is {edge / peak:.2e} of peak (limit 1e-6)"
-            )
+    peak = float(amp.max())
+    sum_offset = signal_grid.center + herald_grid.center - pump.center
+    reach = 0.5 * (signal_grid.span + herald_grid.span)
+    # the envelope is 1-D in the sum detuning; test its own domain edges
+    edge = max(
+        pump.amplitude(pump.center + sum_offset + reach),
+        pump.amplitude(pump.center + sum_offset - reach),
+    )
+    if phase_matching_sigma is not None:
+        diff_offset = signal_grid.center - herald_grid.center
+        lo = (diff_offset - reach) / phase_matching_sigma
+        hi = (diff_offset + reach) / phase_matching_sigma
+        edge = max(edge, math.exp(-0.5 * lo * lo), math.exp(-0.5 * hi * hi))
+    if edge > 1e-6 * peak:
+        raise GridTooNarrowError(f"envelope at grid edge is {edge / peak:.2e} of peak (limit 1e-6)")
     return _normalized(signal_grid, herald_grid, amp)
-
-
-def build_factorable_jsa(
-    signal_sigma: float,
-    herald_sigma: float,
-    signal_grid: FrequencyGrid,
-    herald_grid: FrequencyGrid,
-    signal_center: float | None = None,
-    herald_center: float | None = None,
-    check_truncation: bool = True,
-) -> JointSpectralAmplitude:
-    """Separable Gaussian-product JSA; Schmidt purity 1 by construction."""
-    if not (signal_sigma > 0 and herald_sigma > 0):
-        raise ValueError("sigmas must be positive")
-    sc = signal_grid.center if signal_center is None else signal_center
-    hc = herald_grid.center if herald_center is None else herald_center
-    a = np.exp(-0.5 * ((signal_grid.values - sc) / signal_sigma) ** 2)
-    b = np.exp(-0.5 * ((herald_grid.values - hc) / herald_sigma) ** 2)
-    if check_truncation:
-        for vec, name in ((a, "signal"), (b, "herald")):
-            edge = max(vec[0], vec[-1])
-            if edge > 1e-6 * vec.max():
-                raise GridTooNarrowError(
-                    f"{name} Gaussian at grid edge is {edge / vec.max():.2e} of peak"
-                )
-    return _normalized(signal_grid, herald_grid, np.outer(a, b))
 
 
 def schmidt_coefficients(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -397,29 +358,3 @@ def write_jsa_text(jsa: JointSpectralAmplitude, path) -> None:
                 fh.write(f"{float(vs[i])!r} {float(vh[j])!r} "
                          f"{float(a.real)!r} {float(a.imag)!r}\n")
 
-
-def read_jsa_text(path) -> JointSpectralAmplitude:
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        k, v = token.split("=", 1)
-                        meta[k] = float(v)
-                continue
-            rows.append([float(t) for t in line.split()])
-    try:
-        sg = FrequencyGrid(meta["signal_center"], meta["signal_span"], int(meta["signal_points"]))
-        hg = FrequencyGrid(meta["herald_center"], meta["herald_span"], int(meta["herald_points"]))
-    except KeyError as exc:
-        raise ValueError(f"missing grid metadata in {path}") from exc
-    data = np.asarray(rows)
-    if data.shape[0] != sg.points * hg.points:
-        raise ValueError("row count does not match grid metadata")
-    amp = (data[:, 2] + 1j * data[:, 3]).reshape(sg.points, hg.points)
-    return JointSpectralAmplitude(sg, hg, amp)

@@ -42,6 +42,23 @@ def test_cli_overrides_win():
     assert cfg.seed == 99
     assert cfg.grid_scale == 0.25
     assert cfg.outdir == "elsewhere"
+    # one copy: the overrides are the params every echo of the config reads
+    assert cfg.params["run.seed"] == 99
+    assert cfg.params["run.grid_scale"] == 0.25
+
+
+def test_cli_overrides_reach_echo_and_manifest(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code = cli.main(["loss-budget", "--seed", "3", "--grid-scale", "0.5", "-v",
+                     "--outdir", str(outdir)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "# run.seed = 3\n" in out and "# run.grid_scale = 0.5\n" in out
+    manifest = manifest_of(outdir)
+    assert (manifest["seed"], manifest["grid_scale"]) == (3, 0.5)
+    assert manifest["config"]["run"] == {**manifest["config"]["run"], "seed": 3, "grid_scale": 0.5}
+    summary = (outdir / "summary.txt").read_text()
+    assert "seed: 3\ngrid_scale: 0.5\n" in summary
 
 
 def test_user_overlay(tmp_path):
@@ -79,7 +96,7 @@ def test_bad_field_fails_at_validate(tmp_path):
 def test_unknown_scenario_rejected():
     cfg = load_config("loss-budget")
     with pytest.raises(ConfigError):
-        ScenarioConfig("purity-everything", cfg.params, cfg.seed, cfg.grid_scale)
+        ScenarioConfig("purity-everything", cfg.params)
 
 
 def manifest_of(outdir):
@@ -476,6 +493,30 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     assert "run.grid_scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, dotted, value", [
+    ("loss-budget", "losses.snspd_db", "nan"),
+    ("purity-gvd", "delay.length_m", "inf"),
+    ("purity-gvd", "delay.fiber_dispersion_ps_nm_km", "inf"),
+    ("feedforward-stream", "spectrometer.dispersion_ps_per_ghz", "inf"),
+    ("feedforward-stream", "source.pump_sigma_ghz", "inf"),
+    ("lut-dump", "filter.center_offset_ghz", "nan"),
+    ("lut-dump", "shifter.max_shift_ghz", "-5"),
+    ("feedforward-stream", "shifter.max_shift_ghz", "-5"),
+    ("loss-budget", "statistics.eta_signal", "0"),
+    ("stats-sweep", "source.mean_pairs_per_pulse", "0"),
+    ("purity-combined", "shifter.phase_jitter_ps", "400"),
+    ("stats-sweep", "statistics.n_modes", "0.5"),
+    ("stats-sweep", "statistics.eta_herald", "1.5"),
+])
+def test_cli_bad_value_exits_two_naming_the_key(tmp_path, capsys, scenario, dotted, value):
+    path = tmp_path / "bad.cfg"
+    write_overlay(path, {dotted: value})
+    code = cli.main([scenario, "--config", str(path), "--grid-scale", "0.5",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"[{dotted}]" in capsys.readouterr().err
+
+
 def test_cli_removed_marginal_fwhm_key_exits_two(tmp_path, capsys):
     path = tmp_path / "old.cfg"
     path.write_text("[source]\nmarginal_fwhm_ghz = 20.0\n")
@@ -530,15 +571,20 @@ PERTURBED = {
 }
 
 
-def output_digests(overlay: dict, root) -> dict:
-    """SHA-256 of summary.txt and every data file of all scenarios under one overlay."""
-    root.mkdir(parents=True)
+def write_overlay(path, overlay: dict) -> None:
+    """An INI file setting each dotted key of overlay."""
     sections: dict = {}
     for dotted, value in overlay.items():
         section, key = dotted.split(".")
         sections.setdefault(section, []).append(f"{key} = {value}")
-    path = root / "overlay.cfg"
     path.write_text("".join(f"[{s}]\n" + "\n".join(v) + "\n" for s, v in sections.items()))
+
+
+def output_digests(overlay: dict, root) -> dict:
+    """SHA-256 of summary.txt and every data file of all scenarios under one overlay."""
+    root.mkdir(parents=True)
+    path = root / "overlay.cfg"
+    write_overlay(path, overlay)
     digests = {}
     for name in SCENARIOS:
         run_scenario(load_config(name, config_path=path, outdir=root / name))
@@ -561,3 +607,24 @@ def test_every_key_changes_an_output(small_digests, tmp_path, dotted):
     changed = output_digests({**SMALL, dotted: PERTURBED[dotted]}, tmp_path / "perturbed")
     assert set(changed) == set(small_digests)
     assert any(changed[k] != small_digests[k] for k in changed), f"{dotted} changes no output"
+
+
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300")
+# values outside that grid which once ended in a traceback
+FUZZ_EXTRA = {"shifter.max_shift_ghz": ("-5",), "shifter.phase_jitter_ps": ("400",)}
+FUZZ_BASE = {"run.stream_pulses": 2000, "statistics.monte_carlo_pulses": 10_000}
+
+
+@pytest.mark.parametrize("dotted", sorted(_SCHEMA))
+def test_overlay_fuzz_exits_cleanly(tmp_path, capsys, dotted):
+    """Each bad value of the key, in every scenario: exit 0 or 1, or exit 2 naming the key."""
+    path = tmp_path / "fuzz.cfg"
+    # --grid-scale would override the fuzzed run.grid_scale
+    grid = [] if dotted == "run.grid_scale" else ["--grid-scale", "0.25"]
+    for value in FUZZ_VALUES + FUZZ_EXTRA.get(dotted, ()):
+        write_overlay(path, {**FUZZ_BASE, dotted: value})
+        for scenario in SCENARIOS:
+            code = cli.main([scenario, "--config", str(path), "--outdir", str(tmp_path / "out"),
+                             *grid])
+            err = capsys.readouterr().err
+            assert code in (0, 1) or (code == 2 and dotted in err), (value, scenario, code, err)

@@ -88,14 +88,6 @@ def test_lut_lookup_outside_table():
     assert missing.v0 == 0.0
 
 
-def test_lut_in_range_fraction_weighting():
-    lut = lut_of()
-    uniform = lut.in_range_fraction()
-    assert 0.0 < uniform < 1.0
-    all_good = {k: 1.0 for k, e in lut.entries.items() if e.in_range}
-    assert lut.in_range_fraction(all_good) == 1.0
-
-
 def test_write_lut_text(tmp_path):
     lut = lut_of()
     path = tmp_path / "lut.txt"
