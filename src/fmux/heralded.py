@@ -14,10 +14,15 @@ this module evaluates two ways:
   midpoint and shift-difference grids, turning the quadruple quadrature into
   O(n^2) table lookups with no approximation beyond the shared
   discretization. It is the one fast enough for sweeps.
-* assemble_density_matrix + purity_from_eigenvalues: materialize rho from one
-  real and one complex GEMM product and sum its squared eigenvalues.
-  A DiscretizedDensityMatrix is eigensolved once, during validation; every
-  later eigenvalues() call returns that cached spectrum.
+* assemble_density_matrix + purity_from_eigenvalues: materialize rho and sum
+  its squared eigenvalues. The herald window is symmetric about its mean
+  shift h0 with symmetric weights, so the herald mixture of delay-line chirps
+  is the diagonal phase exp(i gamma (x - h0)^2) times a real symmetric
+  Toeplitz matrix times its conjugate. In the frame that co-moves with that
+  phase rho is real symmetric: one real GEMM and a cosine table build it,
+  and the real eigensolver diagonalizes it. A DiscretizedDensityMatrix is
+  eigensolved once, during validation; every later eigenvalues() call
+  returns that cached spectrum.
 
 The two agree to well inside the contract tolerances.
 """
@@ -169,10 +174,9 @@ def _purity_factored(model: HeraldedStateModel, n_signal, n_herald, n_jitter) ->
         mids = e.copy()
     dh_step = h[1] - h[0] if h.size > 1 else 0.0
     dh = np.arange(h.size) * dh_step  # non-negative differences; |S| is even in dh
-    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2)  # (m, x)
-    osc = np.exp(-2j * model.gamma * np.outer(dh, x))  # (dh, x)
-    s_table = env @ (wx[None, :] * osc).T  # (m, dh)
-    s_abs_sq = np.abs(s_table) ** 2
+    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
+    phase = 2.0 * model.gamma * np.outer(x, dh)  # (x, dh)
+    s_abs_sq = (env @ np.cos(phase)) ** 2 + (env @ np.sin(phase)) ** 2  # |S(m, dh)|^2
 
     # herald-weight autocorrelation c(dh) for dh >= 0
     c = np.correlate(wh, wh, mode="full")[h.size - 1 :]
@@ -213,7 +217,15 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizedDensityMatrix:
-    """Heralded signal state on the signal grid; validated on construction."""
+    """Heralded signal state on the signal grid; validated on construction.
+
+    assemble_density_matrix stores the state in the frame that co-moves with
+    the deterministic delay-line phase exp(i gamma (x - h0)^2), h0 the mean
+    herald shift, where it is real symmetric. That diagonal unitary leaves
+    the diagonal, the spectrum, every |rho_ij| and so every output
+    unchanged. A real matrix stays real (float64) and is eigensolved by the
+    real solver; a complex one is kept complex.
+    """
 
     grid: FrequencyGrid
     matrix: np.ndarray
@@ -222,7 +234,7 @@ class DiscretizedDensityMatrix:
     )
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         object.__setattr__(self, "matrix", m)
         scale = float(np.abs(m).max())
         if scale == 0.0:
@@ -256,11 +268,14 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     """Mix the conditional wavepackets over the herald window and error kernel.
 
     rho factorizes into (error mixture of envelopes) x (herald mixture of
-    chirp phases). Each factor is one GEMM over its kernel nodes, a real
-    (x, e) @ (e, x) product and a complex (x, h) @ (h, x) product, so the
-    assembly stays O(n_grid^2) per kernel node. Vacuous events (filter kills
-    the envelope) are dropped with their weight renormalized away. The
-    returned matrix is eigensolved once, by its constructor's validation.
+    chirp phases). The error factor is one real (x, e) @ (e, x) GEMM. The
+    herald nodes h sit symmetrically about their mean h0 with symmetric
+    weights, so in the frame of exp(i gamma (x - h0)^2) the herald factor is
+    the real Toeplitz matrix r(|i - j|), r_k = sum_h w_h cos(2 gamma (h - h0)
+    k dx) on the uniform signal grid. Vacuous events (filter kills the
+    envelope) are dropped with their weight renormalized away. The returned
+    matrix is real symmetric and is eigensolved once, by its constructor's
+    validation.
     """
     e, we = _error_kernel(model)
     h, wh = _herald_kernel(model)
@@ -272,8 +287,10 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
 
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / sig) ** 2)  # (e, x)
     m_env = (env.T * (we / norms_sq)) @ env
-    chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)  # (h, x)
-    m_chirp = (chirp.T * wh) @ chirp.conj()
+    h0 = model.herald_window.center - model.spectrometer.reference_frequency
+    lags = np.arange(grid.points)
+    r = np.cos(2.0 * model.gamma * grid.step * np.outer(lags, h - h0)) @ wh
+    m_chirp = r[np.abs(lags[:, None] - lags[None, :])]
     return DiscretizedDensityMatrix(grid, _hermitize(m_env * m_chirp))
 
 

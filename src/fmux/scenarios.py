@@ -51,7 +51,7 @@ STREAM_INDEPENDENCE_MAX = 0.2
 
 GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 JITTER_MODELS = ("measured", "nominal", "none")
-# resource ceilings: the density matrix holds (513 * grid_scale)^2 complex values,
+# resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
 # the lookup table one Python entry per TDC bin, and the delay-line chirp must be
 # resolvable on a signal grid of at most CHIRP_POINTS_MAX points
 GRID_SCALE_MAX = 16.0
@@ -288,6 +288,10 @@ class ScenarioConfig:
                        "statistics.monte_carlo_pulses", "run.hom_delay_points"):
             if self.get(dotted) < 1:
                 raise ConfigError(dotted, "must be a positive integer")
+        if not self.get("run.hom_delay_span_ps") > 0:
+            raise ConfigError("run.hom_delay_span_ps", "must be positive")
+        if self.get("losses.tolerance") < 0:
+            raise ConfigError("losses.tolerance", "must be non-negative")
         for dotted in ("spectrometer.jitter_model", "feedforward.stream_spectrometer"):
             if self.get(dotted) not in JITTER_MODELS:
                 raise ConfigError(dotted, f"unknown model {self.get(dotted)!r}; "

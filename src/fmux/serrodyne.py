@@ -14,6 +14,7 @@ delta_nu moves a spectrum toward positive frequencies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,22 +185,30 @@ def apply_temporal_phase(
     return np.asarray(amplitude, dtype=complex) * np.exp(1j * phase)
 
 
+@functools.lru_cache(maxsize=4)  # the base and refined orders of both variables
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights / sqrt(pi) of order n, built once, read-only."""
+    xi, w = np.polynomial.hermite.hermgauss(n)
+    w = w / math.sqrt(math.pi)
+    xi.flags.writeable = False
+    w.flags.writeable = False
+    return xi, w
+
+
 def _jitter_overlap_matrix(sigma: float, delta_nu: float, model: ShifterModel,
                            nx: int, nt: int) -> np.ndarray:
     # Gauss-Hermite in both the timing offset x and the pulse time t;
     # the pulse amplitude is exp(-t^2 sigma^2 / 2) for spectral width sigma.
-    xi_x, wx = np.polynomial.hermite.hermgauss(nx)
+    xi_x, wx = _hermite_rule(nx)
     x = math.sqrt(2.0) * model.sigma_jitter * xi_x  # arrival delays, s
-    wx = wx / math.sqrt(math.pi)
-    xi_t, wt = np.polynomial.hermite.hermgauss(nt)
+    xi_t, wt = _hermite_rule(nt)
     t = xi_t / sigma  # |A0|^2 = sigma/sqrt(pi) exp(-sigma^2 t^2)
-    wt = wt / math.sqrt(math.pi)
     theta = delta_nu / model.nu_rf
     omega_rf = 2.0 * math.pi * model.nu_rf
     # phase[t, x] of the drive sampled by a pulse arriving offset by x
     phase = theta * np.sin(omega_rf * (t[:, None] - x[None, :]))
     kernel = np.exp(1j * phase)
-    overlap = np.einsum("t,tx,ty->xy", wt, kernel, kernel.conj())
+    overlap = (kernel.T * wt) @ kernel.conj()
     return wx, overlap
 
 

@@ -253,13 +253,48 @@ def einsum_density_matrix(model):
     return _hermitize(m_env * m_chirp)
 
 
-@pytest.mark.parametrize("model", [JITTER_ONLY_MODEL, GVD_ONLY_MODEL, COMBINED_MODEL],
-                         ids=["jitter_only_model", "gvd_only_model", "default_model"])
+def co_moving(model, matrix):
+    """The lab-frame matrix seen in the frame of the delay-line phase exp(i gamma (x - h0)^2).
+
+    h0 is the mean herald shift; assemble_density_matrix stores its matrix in
+    this frame, where it is real symmetric.
+    """
+    h, _ = _herald_kernel(model)
+    x = model.signal_grid.detunings
+    phase = np.exp(1j * model.gamma * (x - h.mean()) ** 2)
+    return phase.conj()[:, None] * matrix * phase[None, :]
+
+
+# a herald window 30 GHz off the spectrometer reference: its mean shift h0 is not 0
+OFF_CENTER_MODEL = replace(
+    COMBINED_MODEL,
+    herald_window=replace(COMBINED_MODEL.herald_window,
+                          center=COMBINED_MODEL.herald_window.center + 30.0 * GHZ),
+)
+FRAME_MODELS = pytest.mark.parametrize(
+    "model", [JITTER_ONLY_MODEL, GVD_ONLY_MODEL, COMBINED_MODEL, OFF_CENTER_MODEL],
+    ids=["jitter_only_model", "gvd_only_model", "default_model", "off_center_model"])
+
+
+@FRAME_MODELS
 def test_gemm_assembly_matches_einsum_oracle(model):
     m = model.scaled(0.5)
     rho = assemble_density_matrix(m).matrix
     oracle = einsum_density_matrix(m)
-    assert np.abs(rho - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert rho.dtype == np.float64
+    assert np.abs(rho - co_moving(m, oracle)).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@FRAME_MODELS
+def test_real_spectrum_matches_complex_oracle_spectrum(model):
+    from scipy import linalg
+
+    m = model.scaled(0.5)
+    dm = assemble_density_matrix(m)
+    sw = np.sqrt(dm.grid.trapezoid_weights())
+    weighted = _hermitize(sw[:, None] * einsum_density_matrix(m) * sw[None, :])
+    assert weighted.dtype == np.complex128
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
 
 
 def test_eigenvalues_are_cached_read_only():
@@ -271,10 +306,24 @@ def test_eigenvalues_are_cached_read_only():
 
 
 def test_density_matrix_validation_rejects_bad_input():
-    g = FrequencyGrid(0.0, 1.0, 3)
+    g = FrequencyGrid(0.0, 1.0, 3)  # trapezoid weights 1/4, 1/2, 1/4
     bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         DiscretizedDensityMatrix(g, bad)
+    # the same checks hold for a real matrix, which stays real
+    for real_bad, message in [
+        (bad.real, "Hermitian"),
+        (2.0 * np.eye(3), "trace"),
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "negative eigenvalue"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            DiscretizedDensityMatrix(g, real_bad)
+
+
+def test_real_density_matrix_stays_real():
+    dm = DiscretizedDensityMatrix(FrequencyGrid(0.0, 1.0, 3), np.eye(3, dtype=np.float32))
+    assert dm.matrix.dtype == np.float64
+    assert dm.eigenvalues().dtype == np.float64
 
 
 def test_schmidt_cross_oracle():

@@ -146,17 +146,17 @@ def test_purity_scenario_reduced_grid(tmp_path):
 def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
     from scipy import linalg
 
-    calls = []
+    dtypes = []
     solve = linalg.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigvalsh", counting)
+    monkeypatch.setattr(linalg, "eigvalsh", recording)
     _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
-    assert len(calls) == 1
+    assert dtypes == [np.float64]  # one solve, by the real symmetric solver
 
 
 @pytest.mark.parametrize("jitter_ps, verdict", [("5.3", "negligible"), ("30", "not negligible")])
@@ -507,6 +507,10 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     ("purity-combined", "shifter.phase_jitter_ps", "400"),
     ("stats-sweep", "statistics.n_modes", "0.5"),
     ("stats-sweep", "statistics.eta_herald", "1.5"),
+    ("hom-dip", "run.hom_delay_span_ps", "0"),  # once every delay at 0 ps
+    ("hom-dip", "run.hom_delay_span_ps", "-1"),  # once a reversed delay axis
+    ("loss-budget", "losses.tolerance", "-1"),  # once every arm DISCREPANT
+    ("loss-budget", "losses.tolerance", "-0.01"),
 ])
 def test_cli_bad_value_exits_two_naming_the_key(tmp_path, capsys, scenario, dotted, value):
     path = tmp_path / "bad.cfg"

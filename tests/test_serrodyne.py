@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fmux import defaults
 from fmux.serrodyne import (
+    PHASE_JITTER_NODES,
+    PHASE_TIME_NODES,
     OverdriveError,
     ShifterModel,
     apply_temporal_phase,
@@ -16,6 +18,8 @@ from fmux.serrodyne import (
     shift_magnitude,
     voltage_for_shift,
     write_lut_text,
+    _hermite_rule,
+    _jitter_overlap_matrix,
 )
 from fmux.scenarios import load_config
 
@@ -138,6 +142,37 @@ def test_phase_jitter_purity_monotone_in_jitter():
     values = [phase_jitter_purity(sj, SIGMA, 85e9, SHIFTER)
               for sj in (0.0, 5.3e-12, 12e-12, 20e-12)]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def einsum_overlap_matrix(sigma, delta_nu, model, nx, nt):
+    """Oracle: the jittered-wavepacket overlaps as a 3-operand einsum over fresh rules."""
+    xi_x, wx = np.polynomial.hermite.hermgauss(nx)
+    x = math.sqrt(2.0) * model.sigma_jitter * xi_x
+    xi_t, wt = np.polynomial.hermite.hermgauss(nt)
+    t = xi_t / sigma
+    omega_rf = 2.0 * math.pi * model.nu_rf
+    kernel = np.exp(1j * (delta_nu / model.nu_rf) * np.sin(omega_rf * (t[:, None] - x[None, :])))
+    overlap = np.einsum("t,tx,ty->xy", wt / math.sqrt(math.pi), kernel, kernel.conj())
+    return wx / math.sqrt(math.pi), overlap
+
+
+@pytest.mark.parametrize("nx, nt", [(PHASE_JITTER_NODES, PHASE_TIME_NODES),
+                                    (PHASE_JITTER_NODES + 32, 2 * PHASE_TIME_NODES)])
+@pytest.mark.parametrize("sigma_jitter", [5.3e-12, 20e-12])
+def test_jitter_overlap_gemm_matches_einsum_oracle(nx, nt, sigma_jitter):
+    model = ShifterModel(SHIFTER.v_pi, SHIFTER.nu_rf, SHIFTER.v0_max, sigma_jitter)
+    wx, overlap = _jitter_overlap_matrix(SIGMA, max_shift(SHIFTER), model, nx, nt)
+    wx_ref, oracle = einsum_overlap_matrix(SIGMA, max_shift(SHIFTER), model, nx, nt)
+    assert np.abs(wx - wx_ref).max() <= 1e-12 * wx_ref.max()
+    assert np.abs(overlap - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_hermite_rules_are_shared_read_only():
+    xi, w = _hermite_rule(PHASE_TIME_NODES)
+    assert _hermite_rule(PHASE_TIME_NODES)[0] is xi
+    assert not xi.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_phase_jitter_purity_validates_inputs():
