@@ -49,18 +49,18 @@ def main():
     idler_true = spect.reference_frequency - 40.0 * GHZ
     signal_true = cfg.pump().center - idler_true  # exact energy conservation
     rng = np.random.default_rng(cfg.seed)
-    outcome = sample_herald_event(spect, idler_true, rng)
-    entry = lut.lookup(outcome.time_bin_index)
+    k, inferred = sample_herald_event(spect, idler_true, rng)
+    shift_hz, routed = lut.route(k)
     print(f"  idler detuning (true)      {(idler_true - spect.reference_frequency) / GHZ:8.2f} GHz")
-    print(f"  arrival lands in TDC bin   {outcome.time_bin_index:8d}")
+    print(f"  arrival lands in TDC bin   {int(k):8d}")
     print(f"  inferred idler detuning    "
-          f"{(outcome.inferred_frequency - spect.reference_frequency) / GHZ:8.2f} GHz"
+          f"{(float(inferred) - spect.reference_frequency) / GHZ:8.2f} GHz"
           f"   (one {spect.bin_frequency_step / GHZ:.2f} GHz bin wide)")
     print(f"  partner before correction  {(signal_true - window.center) / GHZ:8.2f} GHz "
           "off the filter center")
-    print(f"  table says: drive {entry.v0:.2f} V, shift {entry.required_shift / 1e9:+.2f} GHz"
-          f"   (in range: {entry.in_range})")
-    residual = signal_true + defaults.TWO_PI * entry.required_shift - window.center
+    print(f"  table says: drive {lut.v0[k - lut.first_bin]:.2f} V, "
+          f"shift {float(shift_hz) / 1e9:+.2f} GHz   (in range: {bool(routed)})")
+    residual = signal_true + defaults.TWO_PI * float(shift_hz) - window.center
     print(f"  partner after correction   {residual / GHZ:8.2f} GHz off center, "
           f"filter half-width {window.half_width / GHZ:.0f} GHz")
     print()

@@ -44,9 +44,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"missing file: {err}", file=sys.stderr)
-        return 2
     for line in summary["lines"]:
         print(line)
     if args.verbose:

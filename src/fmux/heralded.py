@@ -111,14 +111,14 @@ class HeraldedStateModel:
         )
 
 
-def _error_kernel(model: HeraldedStateModel, n: int | None = None):
+def _error_kernel(model: HeraldedStateModel):
     """Measurement-error nodes e = omega_H - omega_i and normalized weights.
 
     Uniform grid; the density is the spectrometer's Gaussian jitter pushed
     through the dispersion map. Zero jitter collapses to a single node at
     e = 0.
     """
-    n = model.n_jitter if n is None else n
+    n = model.n_jitter
     s = model.spectrometer.frequency_std()
     if s == 0.0:
         return np.array([0.0]), np.array([1.0])
@@ -127,9 +127,9 @@ def _error_kernel(model: HeraldedStateModel, n: int | None = None):
     return e, w / w.sum()
 
 
-def _herald_kernel(model: HeraldedStateModel, n: int | None = None):
+def _herald_kernel(model: HeraldedStateModel):
     """Shift nodes h = omega_H - reference over the accepted window, weights normalized."""
-    n = model.n_herald if n is None else n
+    n = model.n_herald
     win = model.herald_window
     h = np.linspace(-win.half_width, win.half_width, n) + (
         win.center - model.spectrometer.reference_frequency
@@ -138,10 +138,8 @@ def _herald_kernel(model: HeraldedStateModel, n: int | None = None):
     return h, w / w.sum()
 
 
-def _norms_squared(model: HeraldedStateModel, e: np.ndarray, n_signal: int | None = None):
-    grid = model.signal_grid if n_signal is None else FrequencyGrid(
-        model.filter.center, model.filter.full_width, n_signal
-    )
+def _norms_squared(model: HeraldedStateModel, e: np.ndarray):
+    grid = model.signal_grid
     x = grid.detunings
     wx = grid.trapezoid_weights()
     g2 = np.exp(-((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
@@ -156,12 +154,18 @@ def _drop_vacuous(e, we, norms_sq, free_norm_sq):
     return e, we, norms_sq
 
 
-def _purity_factored(model: HeraldedStateModel, n_signal, n_herald, n_jitter) -> float:
-    e, we = _error_kernel(model, n_jitter)
-    h, wh = _herald_kernel(model, n_herald)
-    norms_sq, grid = _norms_squared(model, e, n_signal)
+def _kernels(model: HeraldedStateModel):
+    """(e, we / norms_sq, h, wh, grid): both kernels and the signal grid, vacuous nodes dropped."""
+    e, we = _error_kernel(model)
+    h, wh = _herald_kernel(model)
+    norms_sq, grid = _norms_squared(model, e)
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
+    return e, we / norms_sq, h, wh, grid
+
+
+def _purity_factored(model: HeraldedStateModel) -> float:
+    e, q, h, wh, grid = _kernels(model)
     ne = e.size
     x = grid.detunings
     wx = grid.trapezoid_weights()
@@ -184,7 +188,6 @@ def _purity_factored(model: HeraldedStateModel, n_signal, n_herald, n_jitter) ->
     scale[0] = 1.0
     t_mid = s_abs_sq @ (c * scale)  # T(m) = sum_dh c |S|^2 over signed dh
 
-    q = we / norms_sq
     gauss = np.exp(-((e[:, None] - e[None, :]) ** 2) / (2.0 * sig * sig))
     kernel = np.outer(q, q) * gauss
     mid_index = np.add.outer(np.arange(ne), np.arange(ne))
@@ -200,10 +203,9 @@ def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) ->
     repeats the evaluation with doubled grids and raises
     QuadratureConvergenceError if the value moves by more than 1e-3.
     """
-    ns, nh, ne = model.n_signal, model.n_herald, model.n_jitter
-    value = _purity_factored(model, ns, nh, ne)
+    value = _purity_factored(model)
     if check_refinement:
-        refined = _purity_factored(model, 2 * ns - 1, 2 * nh - 1, 2 * ne - 1)
+        refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
         if abs(refined - value) > 1e-3:
             raise QuadratureConvergenceError(
                 f"purity moved by {abs(refined - value):.2e} on grid doubling"
@@ -277,16 +279,12 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     matrix is real symmetric and is eigensolved once, by its constructor's
     validation.
     """
-    e, we = _error_kernel(model)
-    h, wh = _herald_kernel(model)
-    norms_sq, grid = _norms_squared(model, e)
-    free = model.pump.sigma * math.sqrt(math.pi)
-    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
+    e, q, h, wh, grid = _kernels(model)
     x = grid.detunings
     sig = model.pump.sigma
 
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / sig) ** 2)  # (e, x)
-    m_env = (env.T * (we / norms_sq)) @ env
+    m_env = (env.T * q) @ env
     h0 = model.herald_window.center - model.spectrometer.reference_frequency
     lags = np.arange(grid.points)
     r = np.cos(2.0 * model.gamma * grid.step * np.outer(lags, h - h0)) @ wh

@@ -52,8 +52,8 @@ STREAM_INDEPENDENCE_MAX = 0.2
 GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 JITTER_MODELS = ("measured", "nominal", "none")
 # resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
-# the lookup table one Python entry per TDC bin, and the delay-line chirp must be
-# resolvable on a signal grid of at most CHIRP_POINTS_MAX points
+# the lookup table one array row per TDC bin (lut.txt one text line each), and the
+# delay-line chirp must be resolvable on a signal grid of at most CHIRP_POINTS_MAX points
 GRID_SCALE_MAX = 16.0
 LUT_BINS_MAX = 100_000
 CHIRP_POINTS_MAX = 16_384
@@ -67,45 +67,58 @@ class ConfigError(ValueError):
         self.field = fld
 
 
+# each key's type and the values it accepts, as (test, wording)
+_ANY = (lambda v: True, "")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+_JITTER_MODEL = (lambda v: v in JITTER_MODELS, f"must be one of {', '.join(JITTER_MODELS)}")
+_GRID_SCALE = (lambda v: 0 < v <= GRID_SCALE_MAX, f"must be in (0, {GRID_SCALE_MAX:g}]")
+
 _SCHEMA = {
-    "source.pump_sigma_ghz": float,
-    "source.mean_pairs_per_pulse": float,
-    "source.signal_wavelength_nm": float,
-    "filter.center_offset_ghz": float,
-    "filter.full_width_ghz": float,
-    "spectrometer.dispersion_ps_per_ghz": float,
-    "spectrometer.tdc_bin_ps": float,
-    "spectrometer.jitter_model": str,
-    "spectrometer.nominal_resolution_ghz": float,
-    "shifter.rf_frequency_ghz": float,
-    "shifter.max_shift_ghz": float,
-    "shifter.phase_jitter_ps": float,
-    "feedforward.herald_span_ghz": float,
-    "feedforward.idler_sample_span_ghz": float,
-    "feedforward.stream_spectrometer": str,
-    "delay.fiber_dispersion_ps_nm_km": float,
-    "delay.length_m": float,
-    "statistics.n_modes": float,
-    "statistics.eta_signal": float,
-    "statistics.eta_herald": float,
-    "statistics.sweep_points": int,
-    "statistics.mu_max": float,
-    "statistics.monte_carlo_pulses": int,
-    "losses.snspd_db": float,
-    "losses.tolerance": float,
-    "run.seed": int,
-    "run.grid_scale": float,
-    "run.histogram_bins": int,
-    "run.stream_pulses": int,
-    "run.hom_delay_span_ps": float,
-    "run.hom_delay_points": int,
+    "source.pump_sigma_ghz": (float, _POSITIVE),
+    "source.mean_pairs_per_pulse": (float, _POSITIVE),
+    "source.signal_wavelength_nm": (float, _POSITIVE),
+    "filter.center_offset_ghz": (float, _ANY),
+    "filter.full_width_ghz": (float, _POSITIVE),
+    "spectrometer.dispersion_ps_per_ghz": (float, _POSITIVE),
+    "spectrometer.tdc_bin_ps": (float, _POSITIVE),
+    "spectrometer.jitter_model": (str, _JITTER_MODEL),
+    "spectrometer.nominal_resolution_ghz": (float, _POSITIVE),
+    "shifter.rf_frequency_ghz": (float, _POSITIVE),
+    "shifter.max_shift_ghz": (float, _NON_NEGATIVE),
+    "shifter.phase_jitter_ps": (float, _NON_NEGATIVE),
+    "feedforward.herald_span_ghz": (float, _POSITIVE),
+    "feedforward.idler_sample_span_ghz": (float, _POSITIVE),
+    "feedforward.stream_spectrometer": (str, _JITTER_MODEL),
+    "delay.fiber_dispersion_ps_nm_km": (float, _ANY),
+    "delay.length_m": (float, _NON_NEGATIVE),
+    "statistics.n_modes": (float, _AT_LEAST_ONE),
+    "statistics.eta_signal": (float, _FRACTION),
+    "statistics.eta_herald": (float, _FRACTION),
+    "statistics.sweep_points": (int, _AT_LEAST_ONE),
+    "statistics.mu_max": (float, _POSITIVE),
+    "statistics.monte_carlo_pulses": (int, _AT_LEAST_ONE),
+    "losses.snspd_db": (float, _NON_NEGATIVE),
+    "losses.tolerance": (float, _NON_NEGATIVE),
+    "run.seed": (int, _NON_NEGATIVE),
+    "run.grid_scale": (float, _GRID_SCALE),
+    "run.histogram_bins": (int, _AT_LEAST_ONE),
+    "run.stream_pulses": (int, _AT_LEAST_ONE),
+    "run.hom_delay_span_ps": (float, _POSITIVE),
+    "run.hom_delay_points": (int, _AT_LEAST_ONE),
 }
 
 
 def _read_ini(path) -> configparser.ConfigParser:
+    """The INI file at path; one that cannot be read or parsed is a ConfigError naming it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as err:  # the message names the file and line
+        raise ConfigError(str(path), " ".join(str(err).split())) from err
     return parser
 
 
@@ -120,7 +133,8 @@ class ScenarioConfig:
     """A scenario name plus the full resolved parameter set.
 
     The builders below are the one way to turn the configuration into
-    models; each validates its slice of the config.
+    models. validate() checks every key against its _SCHEMA domain, then
+    runs every builder; a builder checks only what it derives from keys.
     """
 
     scenario: str
@@ -144,12 +158,6 @@ class ScenarioConfig:
     def grid_scale(self) -> float:
         return self.params["run.grid_scale"]
 
-    def _positive(self, dotted: str) -> float:
-        v = self.get(dotted)
-        if not v > 0:
-            raise ConfigError(dotted, f"must be positive, got {v}")
-        return v
-
     def _in_range(self, dotted: str, value: float) -> float:
         """value, a quantity derived from dotted; one that overflowed is a config error."""
         if not math.isfinite(value):
@@ -157,16 +165,15 @@ class ScenarioConfig:
         return value
 
     def _ghz(self, dotted: str) -> float:
-        return self._in_range(dotted, self._positive(dotted) * GHZ)
+        return self._in_range(dotted, self.get(dotted) * GHZ)
 
     def anchor(self) -> float:
         """Absolute frequency of degeneracy, rad/s: the herald reference and zero shift."""
-        wavelength = self._positive("source.signal_wavelength_nm") / 1e9
+        wavelength = self.get("source.signal_wavelength_nm") / 1e9
         return defaults.TWO_PI * defaults.C_LIGHT / wavelength
 
     def signal_filter(self) -> spectral.TopHatWindow:
-        center = self.anchor() + self._in_range(
-            "filter.center_offset_ghz", self.get("filter.center_offset_ghz") * GHZ)
+        center = self.anchor() + self._ghz("filter.center_offset_ghz")
         return spectral.TopHatWindow(center, self._ghz("filter.full_width_ghz"))
 
     def pump(self) -> spectral.PumpEnvelope:
@@ -185,18 +192,18 @@ class ScenarioConfig:
         idler span.
         """
         which = self.get("spectrometer.jitter_model") if which is None else which
-        dispersion = self._positive("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
+        dispersion = self.get("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
         if which == "measured":
             sigma_t = spectrometer.MEASURED_JITTER_TIME_STD
         elif which == "nominal":
             fwhm = self._in_range("spectrometer.nominal_resolution_ghz", defaults.TWO_PI * (
-                self._positive("spectrometer.nominal_resolution_ghz") * 1e9))
+                self.get("spectrometer.nominal_resolution_ghz") * 1e9))
             sigma_t = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))) * dispersion
         elif which == "none":
             sigma_t = 0.0
         else:
             raise ValueError(f"unknown jitter model {which!r}")
-        tdc_bin = self._positive("spectrometer.tdc_bin_ps") / 1e12
+        tdc_bin = self.get("spectrometer.tdc_bin_ps") / 1e12
         self._in_range("spectrometer.tdc_bin_ps", tdc_bin / dispersion)  # bin width, rad/s
         return spectrometer.SpectrometerModel(
             dispersion=dispersion,
@@ -216,8 +223,6 @@ class ScenarioConfig:
         d = self.get("delay.fiber_dispersion_ps_nm_km")
         length = self.get("delay.length_m")
         wavelength = self.get("source.signal_wavelength_nm") * 1e-9
-        if not length >= 0:
-            raise ConfigError("delay.length_m", "must be non-negative")
         if length == 0.0:
             return 0.0
         try:
@@ -238,12 +243,8 @@ class ScenarioConfig:
 
     def shifter(self) -> serrodyne.ShifterModel:
         jitter = self.get("shifter.phase_jitter_ps") * 1e-12
-        if jitter < 0:
-            raise ConfigError("shifter.phase_jitter_ps", "must be non-negative")
-        if self.get("shifter.max_shift_ghz") < 0:
-            raise ConfigError("shifter.max_shift_ghz", "must be non-negative")
         nu_rf = self._in_range("shifter.rf_frequency_ghz",
-                               self._positive("shifter.rf_frequency_ghz") * 1e9)
+                               self.get("shifter.rf_frequency_ghz") * 1e9)
         vmax = self._in_range("shifter.max_shift_ghz",
                               self.get("shifter.max_shift_ghz") * 1e9 / (math.pi * nu_rf))
         return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
@@ -259,43 +260,26 @@ class ScenarioConfig:
         ).scaled(self.grid_scale)
 
     def statistics_model(self, multiplexed: bool = True) -> statistics.MultiplexedStatisticsModel:
-        if not self.get("statistics.n_modes") >= 1:
-            raise ConfigError("statistics.n_modes", "must be >= 1")
-        for dotted in ("statistics.eta_signal", "statistics.eta_herald"):
-            if not 0 < self.get(dotted) <= 1:
-                raise ConfigError(dotted, f"must be in (0, 1], got {self.get(dotted)}")
         return statistics.MultiplexedStatisticsModel(
             n_modes=self.get("statistics.n_modes"),
-            mu=self._positive("source.mean_pairs_per_pulse"),
+            mu=self.get("source.mean_pairs_per_pulse"),
             eta_s=self.get("statistics.eta_signal"),
             eta_h=self.get("statistics.eta_herald"),
             multiplexing_enabled=multiplexed,
         )
 
     def loss_table(self) -> losses.LossTable:
-        db = self.get("losses.snspd_db")
-        if db < 0:
-            raise ConfigError("losses.snspd_db", "must be >= 0 dB")
-        return losses.reference_loss_table(db)
+        return losses.reference_loss_table(self.get("losses.snspd_db"))
 
     def validate(self) -> None:
-        """Construct every model the scenarios use so bad fields fail at load."""
-        if not 0 < self.grid_scale <= GRID_SCALE_MAX:
-            raise ConfigError("run.grid_scale", f"must be in (0, {GRID_SCALE_MAX:g}]")
-        if self.seed < 0:
-            raise ConfigError("run.seed", "must be a non-negative integer")
-        for dotted in ("run.histogram_bins", "run.stream_pulses", "statistics.sweep_points",
-                       "statistics.monte_carlo_pulses", "run.hom_delay_points"):
-            if self.get(dotted) < 1:
-                raise ConfigError(dotted, "must be a positive integer")
-        if not self.get("run.hom_delay_span_ps") > 0:
-            raise ConfigError("run.hom_delay_span_ps", "must be positive")
-        if self.get("losses.tolerance") < 0:
-            raise ConfigError("losses.tolerance", "must be non-negative")
-        for dotted in ("spectrometer.jitter_model", "feedforward.stream_spectrometer"):
-            if self.get(dotted) not in JITTER_MODELS:
-                raise ConfigError(dotted, f"unknown model {self.get(dotted)!r}; "
-                                          f"pick one of {', '.join(JITTER_MODELS)}")
+        """Check every key against its _SCHEMA domain, then build every model the scenarios use.
+
+        The models check what spans keys: overflow of derived quantities, the
+        lookup-table and chirp-grid ceilings, and the counting model's domain.
+        """
+        for dotted, (_, (accepts, wording)) in _SCHEMA.items():
+            if not accepts(self.get(dotted)):
+                raise ConfigError(dotted, f"{wording}, got {self.get(dotted)!r}")
         self.pump()
         self.signal_filter()
         self.build_spectrometer()
@@ -311,8 +295,6 @@ class ScenarioConfig:
         self.herald_window()
         self.gamma()
         self.statistics_model()
-        if not self.get("statistics.mu_max") > 0:
-            raise ConfigError("statistics.mu_max", "must be positive")
         n_modes = self.get("statistics.n_modes")
         for dotted in ("source.mean_pairs_per_pulse", "statistics.mu_max"):
             product = self.get(dotted) * n_modes
@@ -347,7 +329,7 @@ def load_config(
             parser[section].update(user[section])
     overrides = {"run.seed": seed, "run.grid_scale": grid_scale}
     params = {}
-    for dotted, caster in _SCHEMA.items():
+    for dotted, (caster, _) in _SCHEMA.items():
         section, key = dotted.split(".")
         raw = overrides.get(dotted)
         if raw is None:
@@ -593,11 +575,11 @@ def _run_lut_dump(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     )
     lut_path = out / "lut.txt"
     serrodyne.write_lut_text(lut, lut_path)
-    shifts = [e.required_shift for e in lut.entries.values() if e.in_range]
+    shifts = lut.required_shift[lut.in_range]
     lines, checks = [], {}
-    lines.append(f"{len(lut.entries)} bins tabulated, {len(shifts)} in range")
+    lines.append(f"{lut.in_range.size} bins tabulated, {shifts.size} in range")
     lines.append(f"bin step = {spect.bin_frequency_step / GHZ:.4f} GHz")
-    max_used = max(abs(s) for s in shifts) / 1e9
+    max_used = float(np.abs(shifts).max()) / 1e9
     limit = serrodyne.max_shift(shifter) / 1e9
     lines.append(f"largest in-range shift {max_used:.3f} GHz of {limit:.3f} GHz available")
     _grade("max_shift_within_drive", max_used, 0.0, limit, checks, lines)
@@ -637,7 +619,8 @@ class StreamResult:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < 2:
+    """Pearson correlation; NaN when either column is constant, as in intensity_correlation."""
+    if x.size < 2 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return float("nan")
     return float(np.corrcoef(x, y)[0, 1])
 
@@ -671,18 +654,8 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     sum_detuning = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=pulses)
     signal = pump.center + sum_detuning - idler
 
-    arrival = spectrometer.frequency_to_arrival_time(spect, idler)
-    arrival = arrival + spect.jitter.sample(rng, size=pulses)
-    bins = np.asarray(spectrometer.time_to_bin(spect, arrival))
-    herald_meas = spect.bin_center_frequency(bins)
-
-    k_lo, k_hi = int(bins.min()), int(bins.max())
-    table = [lut.lookup(k) for k in range(k_lo, k_hi + 1)]
-    shift_hz = np.array([e.required_shift if e.in_range else 0.0 for e in table])
-    in_range = np.array([e.in_range for e in table])
-    idx = bins - k_lo
-    applied_hz = shift_hz[idx]
-    routed = in_range[idx]
+    bins, herald_meas = spectrometer.sample_herald_event(spect, idler, rng)
+    applied_hz, routed = lut.route(bins)
 
     shifted_signal = signal + defaults.TWO_PI * applied_hz
     in_filter = np.abs(shifted_signal - window.center) <= window.half_width

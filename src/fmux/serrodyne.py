@@ -3,10 +3,12 @@
 The modulator driven at nu_rf with amplitude v0 imprints the temporal phase
 theta * sin(2 pi nu_rf (t - t_lock)) with theta = pi v0 / v_pi. Around a
 zero crossing the phase is linear in time and translates the spectrum by
-delta_nu = pi (v0 / v_pi) nu_rf. The lookup table maps each herald time bin
-to the drive voltage that lands the conditional signal center on the output
-filter; bins needing more than the largest available shift are marked
-out-of-range rather than rejected.
+delta_nu = pi (v0 / v_pi) nu_rf. The lookup table holds one row per herald
+time bin, as columns: the drive voltage and shift that land the conditional
+signal center on the output filter, and whether the drive reaches it. Bins
+needing more than the largest available shift are marked out of range rather
+than rejected; FeedForwardLUT.route turns an array of measured bins into the
+shifts applied, all at once.
 
 Spectra here follow the exp(-i 2 pi nu t) analysis convention, so a positive
 delta_nu moves a spectrum toward positive frequencies.
@@ -25,7 +27,6 @@ from .spectrometer import SpectrometerModel
 
 __all__ = [
     "ShifterModel",
-    "LUTEntry",
     "FeedForwardLUT",
     "OverdriveError",
     "QuadratureConvergenceError",
@@ -90,27 +91,36 @@ def max_shift(model: ShifterModel) -> float:
 
 
 @dataclass(frozen=True)
-class LUTEntry:
-    bin_index: int
-    herald_frequency: float  # rad/s
-    required_shift: float  # Hz
-    v0: float  # volts, clipped to the drive limit
-    in_range: bool
-
-
-@dataclass(frozen=True)
 class FeedForwardLUT:
-    """Herald-bin indexed drive settings; lookups outside the table are out-of-range."""
+    """Drive settings for herald bins first_bin, first_bin + 1, ..., one array row per bin.
 
-    entries: dict
+    herald_frequency is in rad/s, required_shift in Hz, v0 in volts clipped
+    to the drive limit; in_range flags the rows the drive can correct.
+    """
+
+    first_bin: int
+    herald_frequency: np.ndarray
+    required_shift: np.ndarray
+    v0: np.ndarray
+    in_range: np.ndarray
     target_center: float  # rad/s
     reference_frequency: float  # rad/s
 
-    def lookup(self, bin_index: int) -> LUTEntry:
-        entry = self.entries.get(int(bin_index))
-        if entry is not None:
-            return entry
-        return LUTEntry(int(bin_index), math.nan, math.nan, 0.0, False)
+    @property
+    def bins(self) -> np.ndarray:
+        """Herald bin of each row."""
+        return self.first_bin + np.arange(self.in_range.size)
+
+    def route(self, bins) -> tuple[np.ndarray, np.ndarray]:
+        """(shift_hz, routed) for each measured herald bin.
+
+        A bin outside the table or beyond the drive range is not routed and
+        gets a shift of 0.
+        """
+        # a padded row on each side stands for every bin below or above the table
+        row = np.clip(np.asarray(bins) - (self.first_bin - 1), 0, self.in_range.size + 1)
+        shift = np.pad(np.where(self.in_range, self.required_shift, 0.0), 1)
+        return shift[row], np.pad(self.in_range, 1)[row]
 
 
 def lut_half_width(spectrometer: SpectrometerModel, span: float) -> float:
@@ -129,21 +139,17 @@ def build_lut(
 
     The conditional signal center for a herald measured at omega_H sits at
     target_center - (omega_H - reference), so the corrective shift is
-    +(omega_H - reference). Entries whose shift exceeds the drive limit are
-    stored clipped and flagged out of range; their events are discarded by
-    the output filter downstream.
+    +(omega_H - reference). Rows whose shift exceeds the drive limit are
+    stored clipped and flagged out of range; route leaves their events
+    unshifted, and the output filter discards them downstream.
     """
     k_max = int(math.ceil(lut_half_width(spectrometer, span)))
-    limit = max_shift(model)
-    entries = {}
-    for k in range(-k_max, k_max + 1):
-        omega_h = float(spectrometer.bin_center_frequency(k))
-        shift_hz = (omega_h - spectrometer.reference_frequency) / defaults.TWO_PI
-        in_range = abs(shift_hz) <= limit * (1.0 + 1e-12)
-        v0 = voltage_for_shift(shift_hz, model)
-        v0 = float(np.clip(v0, -model.v0_max, model.v0_max))
-        entries[k] = LUTEntry(k, omega_h, shift_hz, v0, in_range)
-    return FeedForwardLUT(entries, target_center, spectrometer.reference_frequency)
+    omega_h = spectrometer.bin_center_frequency(np.arange(-k_max, k_max + 1))
+    shift_hz = (omega_h - spectrometer.reference_frequency) / defaults.TWO_PI
+    in_range = np.abs(shift_hz) <= max_shift(model) * (1.0 + 1e-12)
+    v0 = np.clip(voltage_for_shift(shift_hz, model), -model.v0_max, model.v0_max)
+    return FeedForwardLUT(-k_max, omega_h, shift_hz, v0, in_range, target_center,
+                          spectrometer.reference_frequency)
 
 
 def write_lut_text(lut: FeedForwardLUT, path) -> None:
@@ -152,10 +158,10 @@ def write_lut_text(lut: FeedForwardLUT, path) -> None:
         fh.write("# feed-forward lookup table\n")
         fh.write(f"# target_center={lut.target_center!r} reference={lut.reference_frequency!r}\n")
         fh.write("# columns: bin herald_freq_ghz v0_volts in_range\n")
-        for k in sorted(lut.entries):
-            e = lut.entries[k]
-            ghz = (e.herald_frequency - lut.reference_frequency) / (defaults.TWO_PI * 1e9)
-            fh.write(f"{e.bin_index} {ghz:+.6f} {e.v0!r} {int(e.in_range)}\n")
+        ghz = (lut.herald_frequency - lut.reference_frequency) / (defaults.TWO_PI * 1e9)
+        for k, g, v0, flag in zip(lut.bins.tolist(), ghz.tolist(), lut.v0.tolist(),
+                                  lut.in_range.tolist()):
+            fh.write(f"{k} {g:+.6f} {v0!r} {int(flag)}\n")
 
 
 def apply_temporal_phase(

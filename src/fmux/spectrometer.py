@@ -3,7 +3,9 @@
 Frequency maps to arrival time through the grating dispersion (an affine,
 strictly monotone map), the time tag is quantized by the TDC bin, and analog
 detector jitter smears the tag. The module exposes the forward conditional
-P(omega_H | omega_i) and a Monte Carlo sampler that agrees with it.
+P(omega_H | omega_i) and a Monte Carlo sampler that agrees with it: one call
+of sample_herald_event tags a whole array of idlers, and the feed-forward
+stream runs on it.
 
 The instrument itself is built from the configuration
 (ScenarioConfig.build_spectrometer). Its measured jitter model carries the
@@ -24,7 +26,6 @@ from . import defaults
 __all__ = [
     "JitterDistribution",
     "SpectrometerModel",
-    "HeraldOutcome",
     "FrequencyRangeError",
     "frequency_to_arrival_time",
     "time_to_bin",
@@ -125,14 +126,6 @@ class SpectrometerModel:
         )
 
 
-@dataclass(frozen=True)
-class HeraldOutcome:
-    """One digitized herald detection: TDC bin and the frequency it implies."""
-
-    time_bin_index: int
-    inferred_frequency: float
-
-
 def _check_range(model: SpectrometerModel, omega) -> None:
     if model.calibrated_span is None:
         return
@@ -183,17 +176,15 @@ def conditional_outcome_distribution(
 
 def sample_herald_event(
     model: SpectrometerModel, omega_i, rng: np.random.Generator
-) -> HeraldOutcome | list[HeraldOutcome]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw jitter, map to time, digitize, and infer the herald frequency.
 
-    omega_i may be a scalar (returns one HeraldOutcome) or an array (returns
-    a list). Deterministic for a fixed generator state.
+    Returns (bins, herald_frequency): the TDC bin of each idler omega_i
+    (scalar or array) and the bin center it implies, shaped like omega_i.
+    Draws one jitter sample per idler; deterministic for a fixed generator
+    state.
     """
     om = np.asarray(omega_i, dtype=float)
     t = frequency_to_arrival_time(model, om) + model.jitter.sample(rng, size=om.shape)
-    k = time_to_bin(model, t)
-    freq = model.bin_center_frequency(k)
-    if om.ndim == 0:
-        return HeraldOutcome(int(k), float(freq))
-    return [HeraldOutcome(int(ki), float(fi)) for ki, fi in zip(np.ravel(k), np.ravel(freq))]
-
+    bins = time_to_bin(model, t)
+    return bins, model.bin_center_frequency(bins)

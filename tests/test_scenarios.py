@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,7 +234,7 @@ def analytic_in_range_fraction(cfg) -> float:
     for u in (np.arange(nodes) + 0.5) / nodes:
         omega = spect.reference_frequency + (u - 0.5) * span
         bins, probs, _ = spectrometer.conditional_outcome_distribution(spect, omega)
-        total += sum(p for k, p in zip(bins.tolist(), probs) if lut.lookup(k).in_range)
+        total += probs[lut.route(bins)[1]].sum()
     return total / nodes
 
 
@@ -527,6 +528,102 @@ def test_cli_removed_marginal_fwhm_key_exits_two(tmp_path, capsys):
     code = cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "source.marginal_fwhm_ghz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("no_section.cfg", "eta_signal = 0.2\n"),
+    ("duplicate_section.cfg", "[statistics]\neta_signal = 0.2\n[statistics]\neta_herald = 0.2\n"),
+    ("duplicate_option.cfg", "[statistics]\neta_signal = 0.2\neta_signal = 0.3\n"),
+    ("no_value.cfg", "[statistics]\neta_signal\n"),
+    ("directory.cfg", None),
+])
+def test_cli_malformed_overlay_exits_two_naming_file_and_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    code = cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert str(path) in err
+    if text is not None:
+        assert "line" in err
+
+
+# (key, value validate() accepts, value just outside the key's domain), written out
+# by hand so the schema's domains are checked against an independent statement
+DOMAIN_BOUNDARIES = [
+    ("source.pump_sigma_ghz", 1e-6, 0.0),
+    ("source.mean_pairs_per_pulse", 1e-9, 0.0),
+    ("source.signal_wavelength_nm", 1.0, 0.0),
+    ("filter.full_width_ghz", 1e-6, 0.0),
+    ("spectrometer.dispersion_ps_per_ghz", 1e-6, -1e-9),
+    ("spectrometer.tdc_bin_ps", 1.0, 0.0),
+    ("spectrometer.jitter_model", "none", "gaussian"),
+    ("spectrometer.nominal_resolution_ghz", 1e-6, 0.0),
+    ("shifter.rf_frequency_ghz", 1e-6, 0.0),
+    ("shifter.max_shift_ghz", 0.0, -1e-9),
+    ("shifter.phase_jitter_ps", 0.0, -1e-9),
+    ("feedforward.herald_span_ghz", 1e-6, 0.0),
+    ("feedforward.idler_sample_span_ghz", 1e-6, 0.0),
+    ("feedforward.stream_spectrometer", "measured", "Measured"),
+    ("delay.length_m", 0.0, -1e-9),
+    ("statistics.n_modes", 1.0, 0.999),
+    ("statistics.eta_signal", 1.0, 1.0000001),
+    ("statistics.eta_signal", 1e-9, 0.0),
+    ("statistics.eta_herald", 1.0, 1.0000001),
+    ("statistics.eta_herald", 1e-9, 0.0),
+    ("statistics.sweep_points", 1, 0),
+    ("statistics.mu_max", 1e-9, 0.0),
+    ("statistics.monte_carlo_pulses", 1, 0),
+    ("losses.snspd_db", 0.0, -1e-9),
+    ("losses.tolerance", 0.0, -1e-9),
+    ("run.seed", 0, -1),
+    ("run.grid_scale", 16.0, 16.001),
+    ("run.grid_scale", 1e-3, 0.0),
+    ("run.histogram_bins", 1, 0),
+    ("run.stream_pulses", 1, 0),
+    ("run.hom_delay_span_ps", 1e-9, 0.0),
+    ("run.hom_delay_points", 1, 0),
+]
+UNBOUNDED_KEYS = {"filter.center_offset_ghz", "delay.fiber_dispersion_ps_nm_km"}
+
+
+def test_every_bounded_key_has_a_boundary_row():
+    assert {row[0] for row in DOMAIN_BOUNDARIES} == set(_SCHEMA) - UNBOUNDED_KEYS
+
+
+@pytest.mark.parametrize("dotted, inside, outside", DOMAIN_BOUNDARIES)
+def test_validate_domain_boundary(dotted, inside, outside):
+    cfg = load_config("loss-budget")
+    cfg.params[dotted] = inside
+    cfg.validate()
+    cfg.params[dotted] = outside
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert err.value.field == dotted
+
+
+def test_pearson_of_a_constant_column_is_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(scenarios._pearson(np.ones(5), np.arange(5.0)))
+        assert np.isnan(scenarios._pearson(np.arange(5.0), np.full(5, 2.0)))
+        assert np.isnan(scenarios._pearson(np.ones(1), np.ones(1)))
+        assert np.isnan(scenarios._pearson(np.ones(0), np.ones(0)))
+        assert scenarios._pearson(np.arange(5.0), -np.arange(5.0)) == pytest.approx(-1.0)
+
+
+def test_stream_without_drive_range_has_nan_shifted_correlation(tmp_path):
+    # only bin 0 needs no shift, so every passed event has the same herald bin
+    cfg = stream_cfg(tmp_path, pulses=2000, **{"shifter.max_shift_ghz": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate_feedforward_stream(cfg)
+    assert result.passed.any()
+    assert np.isnan(result.r_shifted)
 
 
 # Small runs: every scenario takes a few tens of ms at these sizes.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from fmux.scenarios import load_config
 
 CFG = load_config("lut-dump")
 SHIFTER = CFG.shifter()
+# a drive that reaches every tabulated bin: no row is out of range
+WIDE_SHIFTER = replace(SHIFTER, v0_max=100.0 * SHIFTER.v0_max)
 SPECT = CFG.build_spectrometer("measured")
 CENTER = CFG.signal_filter().center
 SPAN = CFG.herald_window().full_width
@@ -63,33 +66,84 @@ def test_overdrive_guard():
         shift_magnitude(1.01 * m.v0_max, m)
 
 
+def row_of(lut, k):
+    """Index of herald bin k in the table's columns."""
+    return k - lut.first_bin
+
+
 def test_lut_shift_equals_herald_offset():
     lut = lut_of()
     for k in (-10, 0, 7):
-        e = lut.lookup(k)
-        offset_hz = (e.herald_frequency - SPECT.reference_frequency) / defaults.TWO_PI
-        assert math.isclose(e.required_shift, offset_hz, rel_tol=1e-12, abs_tol=1e-6)
-    assert lut.lookup(0).required_shift == 0.0
+        i = row_of(lut, k)
+        assert lut.bins[i] == k
+        offset_hz = (lut.herald_frequency[i] - SPECT.reference_frequency) / defaults.TWO_PI
+        assert math.isclose(lut.required_shift[i], offset_hz, rel_tol=1e-12, abs_tol=1e-6)
+    assert lut.required_shift[row_of(lut, 0)] == 0.0
+    # every row: the shift is the herald's offset from the reference
+    np.testing.assert_allclose(
+        lut.required_shift,
+        (lut.herald_frequency - SPECT.reference_frequency) / defaults.TWO_PI,
+        rtol=1e-12, atol=1e-6,
+    )
 
 
 def test_lut_range_flags_match_drive_limit():
     model = SHIFTER
     lut = lut_of(model)
     limit = max_shift(model)
-    for e in lut.entries.values():
-        assert e.in_range == (abs(e.required_shift) <= limit * (1 + 1e-12))
-        assert abs(e.v0) <= model.v0_max * (1 + 1e-12)
+    for shift, v0, in_range in zip(lut.required_shift, lut.v0, lut.in_range):
+        assert in_range == (abs(shift) <= limit * (1 + 1e-12))
+        assert abs(v0) <= model.v0_max * (1 + 1e-12)
     # the accepted window is wider than the drive span, so both states occur
-    flags = {e.in_range for e in lut.entries.values()}
-    assert flags == {True, False}
+    assert set(lut.in_range.tolist()) == {True, False}
+
+
+@pytest.mark.parametrize("model", [SHIFTER, WIDE_SHIFTER], ids=["default", "wide"])
+def test_lut_columns_match_per_bin_oracle(model):
+    """Oracle: every row computed on its own, one bin at a time, in Python floats."""
+    lut = lut_of(model)
+    limit = max_shift(model)
+    for i, k in enumerate(lut.bins.tolist()):
+        omega_h = float(SPECT.bin_center_frequency(k))
+        shift_hz = (omega_h - SPECT.reference_frequency) / defaults.TWO_PI
+        v0 = min(max(voltage_for_shift(shift_hz, model), -model.v0_max), model.v0_max)
+        assert lut.herald_frequency[i] == omega_h
+        assert lut.required_shift[i] == shift_hz
+        assert lut.v0[i] == v0
+        assert lut.in_range[i] == (abs(shift_hz) <= limit * (1.0 + 1e-12))
 
 
 def test_lut_lookup_outside_table():
-    lut = lut_of()
-    missing = lut.lookup(10**6)
-    assert not missing.in_range
-    assert math.isnan(missing.required_shift)
-    assert missing.v0 == 0.0
+    for model in (SHIFTER, WIDE_SHIFTER):
+        lut = lut_of(model)
+        shift, routed = lut.route(np.array([10**6, -(10**6)]))
+        assert not routed.any()
+        assert shift.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("model", [SHIFTER, WIDE_SHIFTER], ids=["default", "wide"])
+def test_lut_route_agrees_with_rows(model):
+    lut = lut_of(model)
+    assert lut.in_range.all() == (model is WIDE_SHIFTER)
+    first, last = int(lut.bins[0]), int(lut.bins[-1])
+    below = np.arange(first - 5, first)
+    above = np.arange(last + 1, last + 6)
+    inside = lut.bins
+    shift, routed = lut.route(np.concatenate([below, inside, above]))
+    n = below.size
+    # bins below and above the table: not routed, no shift
+    assert not routed[:n].any() and not routed[-n:].any()
+    assert not shift[:n].any() and not shift[-n:].any()
+    # inside: the tabulated row's flag, and its shift where the drive reaches it
+    assert routed[n:-n].tolist() == lut.in_range.tolist()
+    expected = [s if flag else 0.0 for s, flag in zip(lut.required_shift, lut.in_range)]
+    assert shift[n:-n].tolist() == expected
+    # one scalar bin at a time
+    for k in (first - 1, first, 0, 3, last, last + 1):
+        one_shift, one_routed = lut.route(k)
+        flag = first <= k <= last and lut.in_range[row_of(lut, k)]
+        assert bool(one_routed) == flag
+        assert float(one_shift) == (lut.required_shift[row_of(lut, k)] if flag else 0.0)
 
 
 def test_write_lut_text(tmp_path):
@@ -97,11 +151,13 @@ def test_write_lut_text(tmp_path):
     path = tmp_path / "lut.txt"
     write_lut_text(lut, path)
     rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == len(lut.entries)
-    ks = sorted(int(r[0]) for r in rows)
-    assert ks == sorted(lut.entries)
-    for r in rows:
-        assert r[3] in ("0", "1")
+    assert len(rows) == lut.bins.size
+    assert [int(r[0]) for r in rows] == lut.bins.tolist()
+    for r, ghz, v0, flag in zip(rows, lut.herald_frequency, lut.v0, lut.in_range):
+        offset = (ghz - lut.reference_frequency) / (defaults.TWO_PI * 1e9)
+        assert r[1] == f"{offset:+.6f}"
+        assert float(r[2]) == v0
+        assert r[3] == str(int(flag))
 
 
 @given(v0=st.floats(-0.3, 0.3), mode=st.sampled_from(["sinusoidal", "linearized"]))

@@ -106,11 +106,15 @@ def test_undersized_bin_set_rejected():
 def test_sample_herald_event_reproducible():
     m = MEASURED
     omega = REF + np.linspace(-20, 20, 64) * GHZ
-    a = sample_herald_event(m, omega, np.random.default_rng(3))
-    b = sample_herald_event(m, omega, np.random.default_rng(3))
-    assert [e.time_bin_index for e in a] == [e.time_bin_index for e in b]
-    one = sample_herald_event(m, float(omega[0]), np.random.default_rng(3))
-    assert one.inferred_frequency == float(m.bin_center_frequency(one.time_bin_index))
+    bins_a, freq_a = sample_herald_event(m, omega, np.random.default_rng(3))
+    bins_b, freq_b = sample_herald_event(m, omega, np.random.default_rng(3))
+    assert bins_a.shape == freq_a.shape == omega.shape
+    assert bins_a.tolist() == bins_b.tolist()
+    assert freq_a.tolist() == freq_b.tolist()
+    assert freq_a.tolist() == m.bin_center_frequency(bins_a).tolist()
+    one_bin, one_freq = sample_herald_event(m, float(omega[0]), np.random.default_rng(3))
+    assert int(one_bin) == bins_a[0]  # the first idler takes the first jitter draw
+    assert float(one_freq) == float(m.bin_center_frequency(int(one_bin)))
 
 
 def test_calibrated_span_guard():
