@@ -24,6 +24,18 @@ this module evaluates two ways:
   eigensolved once, during validation; every later eigenvalues() call
   returns that cached spectrum.
 
+Both engines also use the state's parity. The signal grid is symmetric about
+the filter center (x -> -x), the error nodes e and their Gaussian weights are
+symmetric about 0, and the herald nodes and weights are symmetric about h0,
+which enters only through shift differences or |h - h0|. So rho is even
+under x -> -x: rho(-x, -y) = rho(x, y). _kernels builds these nodes and
+weights exactly symmetric (bit for bit), and keeps or drops each +/-e pair
+together, so the parity holds by construction. purity_integral tabulates its
+window integrals only at midpoints m >= 0, on the signal grid folded into
+its even and odd halves; assemble_density_matrix computes the x >= 0 rows
+and mirrors the rest; eigenvalues() diagonalizes the even and odd blocks
+separately.
+
 The two agree to well inside the contract tolerances.
 """
 
@@ -111,18 +123,27 @@ class HeraldedStateModel:
         )
 
 
+def _odd(v: np.ndarray) -> np.ndarray:
+    """A grid symmetric about 0 made exactly so: v[::-1] == -v bit for bit.
+
+    np.linspace places its mirrored nodes up to an ulp apart; this moves
+    each node by at most that much.
+    """
+    return 0.5 * (v - v[::-1])
+
+
 def _error_kernel(model: HeraldedStateModel):
     """Measurement-error nodes e = omega_H - omega_i and normalized weights.
 
-    Uniform grid; the density is the spectrometer's Gaussian jitter pushed
-    through the dispersion map. Zero jitter collapses to a single node at
-    e = 0.
+    Uniform grid, exactly symmetric about 0, as are the weights; the density
+    is the spectrometer's Gaussian jitter pushed through the dispersion map.
+    Zero jitter collapses to a single node at e = 0.
     """
     n = model.n_jitter
     s = model.spectrometer.frequency_std()
     if s == 0.0:
         return np.array([0.0]), np.array([1.0])
-    e = np.linspace(-JITTER_SPAN_SIGMAS * s, JITTER_SPAN_SIGMAS * s, n)
+    e = _odd(np.linspace(-JITTER_SPAN_SIGMAS * s, JITTER_SPAN_SIGMAS * s, n))
     w = np.exp(-0.5 * (e / s) ** 2) * FrequencyGrid(0.0, e[-1] - e[0], n).trapezoid_weights()
     return e, w / w.sum()
 
@@ -154,39 +175,63 @@ def _drop_vacuous(e, we, norms_sq, free_norm_sq):
     return e, we, norms_sq
 
 
+def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the last axis of a, sampled on a grid symmetric about 0, onto x >= 0.
+
+    Returns (a(x) + a(-x) on x >= 0, a(x) - a(-x) on x > 0); a node at
+    x = 0, present for an odd count, is its own mirror and enters the even
+    part once.
+    """
+    n = a.shape[-1]
+    lo, r = n // 2, n % 2  # lo nodes have x < 0
+    mirror = a[..., lo - 1 :: -1]  # x < 0 reflected onto x[lo + r:] > 0
+    even = a[..., lo:].copy()
+    even[..., r:] += mirror
+    return even, a[..., lo + r :] - mirror
+
+
 def _kernels(model: HeraldedStateModel):
-    """(e, we / norms_sq, h, wh, grid): both kernels and the signal grid, vacuous nodes dropped."""
+    """(e, we / norms_sq, h, wh, grid, x): both kernels, the signal grid and its nodes.
+
+    Vacuous error nodes are dropped. e and x are exactly odd and the
+    weights exactly even under reversal. The norms are averaged with their
+    mirror image, so they are exactly even too: each +/-e pair is kept or
+    dropped together, and the kept e stay a symmetric contiguous stretch of
+    the uniform grid.
+    """
     e, we = _error_kernel(model)
     h, wh = _herald_kernel(model)
     norms_sq, grid = _norms_squared(model, e)
+    norms_sq = 0.5 * (norms_sq + norms_sq[::-1])
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
-    return e, we / norms_sq, h, wh, grid
+    return e, we / norms_sq, h, wh, grid, _odd(grid.detunings)
 
 
 def _purity_factored(model: HeraldedStateModel) -> float:
-    e, q, h, wh, grid = _kernels(model)
-    ne = e.size
-    x = grid.detunings
+    e, q, h, wh, grid, x = _kernels(model)
+    ne, n = e.size, x.size  # x[n // 2] == 0 when n is odd
     wx = grid.trapezoid_weights()
     sig = model.pump.sigma
 
-    # window integrals S(m, dh) = sum_x wx exp(-(x-m)^2/sig^2) exp(-2i gamma dh x)
-    if ne > 1:
-        mids = np.linspace(e[0], e[-1], 2 * ne - 1)
-    else:
-        mids = e.copy()
+    # window integrals S(m, dh) = sum_x wx exp(-(x-m)^2/sig^2) exp(-2i gamma dh x) at the
+    # midpoints m = (e_i + e_j) / 2, i + j indexing linspace(e[0], e[-1], 2 ne - 1). x and
+    # wx are symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. Folding x
+    # onto x >= 0, cos pairs with the even part of the envelope and sin with its odd part.
+    mids = np.linspace(0.0, e[-1], ne)  # m >= 0: indices ne - 1 ... 2 ne - 2
+    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
+    even, odd = _fold(env)
     dh_step = h[1] - h[0] if h.size > 1 else 0.0
     dh = np.arange(h.size) * dh_step  # non-negative differences; |S| is even in dh
-    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
-    phase = 2.0 * model.gamma * np.outer(x, dh)  # (x, dh)
-    s_abs_sq = (env @ np.cos(phase)) ** 2 + (env @ np.sin(phase)) ** 2  # |S(m, dh)|^2
+    phase = 2.0 * model.gamma * np.outer(x[n // 2 :], dh)  # (x >= 0, dh)
+    s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase[n % 2 :])) ** 2  # |S(m, dh)|^2
 
     # herald-weight autocorrelation c(dh) for dh >= 0
     c = np.correlate(wh, wh, mode="full")[h.size - 1 :]
     scale = np.ones_like(c) * 2.0
     scale[0] = 1.0
-    t_mid = s_abs_sq @ (c * scale)  # T(m) = sum_dh c |S|^2 over signed dh
+    t_half = s_abs_sq @ (c * scale)  # T(m) = sum_dh c |S|^2 over signed dh, for m >= 0
+    t_mid = np.concatenate([t_half[:0:-1], t_half])  # T(-m) = T(m)
 
     gauss = np.exp(-((e[:, None] - e[None, :]) ** 2) / (2.0 * sig * sig))
     kernel = np.outer(q, q) * gauss
@@ -199,7 +244,10 @@ def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) ->
 
     The discretized overlap sum is reorganized through window-integral
     tables and runs in well under a second at default grids; use
-    model.scaled() for quick scans on coarser grids. The refinement check
+    model.scaled() for quick scans on coarser grids. The symmetric signal
+    grid and error kernel make |S(m)| even in the midpoint m, so the tables
+    hold m >= 0 only and are built on the signal grid folded onto x >= 0:
+    about a quarter of the GEMM and half the trig table. The refinement check
     repeats the evaluation with doubled grids and raises
     QuadratureConvergenceError if the value moves by more than 1e-3.
     """
@@ -215,6 +263,24 @@ def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) ->
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a Hermitian a with a[::-1, ::-1] == a.
+
+    In the basis (d_x +/- d_-x) / sqrt(2) of node pairs mirrored about the
+    center (plus the center node itself for odd n, in the even block) a is
+    block diagonal: even = a(x, y) + a(x, -y) over x, y >= 0, of size
+    ceil(n/2), and odd = a(x, y) - a(x, -y) over x, y > 0, of size
+    floor(n/2). The spectrum of a is the union of theirs.
+    """
+    n = a.shape[0]
+    lo, r = n // 2, n % 2
+    even, odd = _fold(a[lo:])  # rows x >= 0
+    if r:  # the center couples to each pair as sqrt(2) a(x, 0)
+        even[0, 1:] = math.sqrt(2.0) * a[lo, lo + 1 :]
+        even[1:, 0] = math.sqrt(2.0) * a[lo + 1 :, lo]
+    return even, odd[r:]
 
 
 @dataclass(frozen=True)
@@ -256,11 +322,23 @@ class DiscretizedDensityMatrix:
         return _hermitize(sw[:, None] * self.matrix * sw[None, :])
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of weighted(); solved on first call, then cached read-only."""
+        """Ascending spectrum of weighted(); solved on first call, then cached read-only.
+
+        The trapezoid weights are symmetric, so weighted() is exactly even
+        under x -> -x whenever the matrix is, as assemble_density_matrix
+        builds it. Such a matrix is solved as its even and odd parity blocks
+        (about a quarter of the flops of one full solve) and the two spectra
+        merged; any other matrix gets the full solve. The choice rests on
+        that exact property of the input, not on a tolerance.
+        """
         if self._eigenvalues is None:
             from scipy import linalg  # loaded on first use: config-only runs never need it
 
-            lam = linalg.eigvalsh(self.weighted())
+            a = self.weighted()
+            if np.array_equal(a, a[::-1, ::-1]):
+                lam = np.sort(np.concatenate([linalg.eigvalsh(b) for b in _parity_blocks(a)]))
+            else:
+                lam = linalg.eigvalsh(a)
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
         return self._eigenvalues
@@ -275,21 +353,33 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     weights, so in the frame of exp(i gamma (x - h0)^2) the herald factor is
     the real Toeplitz matrix r(|i - j|), r_k = sum_h w_h cos(2 gamma (h - h0)
     k dx) on the uniform signal grid. Vacuous events (filter kills the
-    envelope) are dropped with their weight renormalized away. The returned
-    matrix is real symmetric and is eigensolved once, by its constructor's
-    validation.
+    envelope) are dropped with their weight renormalized away.
+
+    The envelope of node -e at -x equals that of e at x, the error weights
+    are symmetric and the Toeplitz factor is even under (i, j) -> (n-1-i,
+    n-1-j), so rho(-x, -y) = rho(x, y). Only the rows x >= 0 are computed
+    (half the GEMM); the rows x < 0 are their mirror images, which makes the
+    returned matrix exactly centrosymmetric as well as real symmetric. Its
+    constructor's validation eigensolves it once, block by block.
     """
-    e, q, h, wh, grid = _kernels(model)
-    x = grid.detunings
+    e, q, h, wh, grid, x = _kernels(model)
+    n = x.size
+    lo, r = n // 2, n % 2  # rows lo: have x >= 0
     sig = model.pump.sigma
 
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / sig) ** 2)  # (e, x)
-    m_env = (env.T * q) @ env
     h0 = model.herald_window.center - model.spectrometer.reference_frequency
-    lags = np.arange(grid.points)
-    r = np.cos(2.0 * model.gamma * grid.step * np.outer(lags, h - h0)) @ wh
-    m_chirp = r[np.abs(lags[:, None] - lags[None, :])]
-    return DiscretizedDensityMatrix(grid, _hermitize(m_env * m_chirp))
+    lags = np.arange(n)
+    rc = np.cos(2.0 * model.gamma * grid.step * np.outer(lags, h - h0)) @ wh
+    v = np.concatenate([rc[:0:-1], rc])  # v[n - 1 + k] = rc[|k|]
+    toeplitz = np.lib.stride_tricks.sliding_window_view(v, n)[::-1]  # a view: row i is rc[|i - j|]
+    half = ((env[:, lo:].T * q) @ env) * toeplitz[lo:]
+    if r:  # the center row is its own mirror image
+        half[0] = 0.5 * (half[0] + half[0, ::-1])
+    rho = np.empty((n, n))
+    rho[lo:] = half
+    rho[:lo] = half[r:][::-1, ::-1]
+    return DiscretizedDensityMatrix(grid, _hermitize(rho))
 
 
 def purity_from_eigenvalues(dm: DiscretizedDensityMatrix) -> float:

@@ -50,6 +50,10 @@ STREAM_ANTICORRELATION_MAX = -0.9
 STREAM_INDEPENDENCE_MAX = 0.2
 
 GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
+# mode weights at or below this fraction of the largest are eigensolver round-off
+# (about 1e-16 of it) and are written as 0.0, so mode_weights.csv does not depend
+# on the solver's rounding
+MODE_WEIGHT_FLOOR = 1e-12
 JITTER_MODELS = ("measured", "nominal", "none")
 # resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
 # the lookup table one array row per TDC bin (lut.txt one text line each), and the
@@ -358,10 +362,11 @@ def _grade(label: str, value: float, lo: float, hi: float, checks: dict, lines: 
 
 def _write_mode_weights(dm: heralded.DiscretizedDensityMatrix, path, top: int = 32) -> None:
     lam = np.sort(dm.eigenvalues())[::-1][:top]
+    floor = MODE_WEIGHT_FLOOR * float(lam[0])
     with open(path, "w") as fh:
         fh.write("index,weight\n")
         for i, v in enumerate(lam):
-            fh.write(f"{i},{max(float(v), 0.0)!r}\n")
+            fh.write(f"{i},{float(v) if v > floor else 0.0!r}\n")
 
 
 def _phase_jitter_factor(cfg: ScenarioConfig) -> float:

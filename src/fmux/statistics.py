@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 EXPANSION_LIMIT = 0.1  # max mu * n_modes accepted by the analytic path
+_DIP_EDGE = 28.0  # |bandwidth * t| beyond which exp(-(bandwidth * t)^2) is 0.0 in float64
 
 
 class ExpansionDomainError(ValueError):
@@ -339,12 +340,16 @@ def hom_dip_curve(purity, g2_h, bandwidth, delays) -> np.ndarray:
 
     bandwidth is the RMS width of the photon's intensity spectrum in rad/s;
     for Gaussian envelopes the overlap decays as exp(-(bandwidth*t)^2), so
-    R(t) = 1 - V exp(-(bandwidth*t)^2) with R -> 1 far from overlap.
+    R(t) = 1 - V exp(-(bandwidth*t)^2) with R -> 1 far from overlap. Delays
+    are clipped at _DIP_EDGE / bandwidth, where the exponential has already
+    underflowed to 0.0, so no delay overflows the square and R is exactly
+    1.0 beyond.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     v = hom_visibility(purity, g2_h)
-    t = np.asarray(delays, dtype=float)
+    edge = _DIP_EDGE / bandwidth
+    t = np.clip(np.asarray(delays, dtype=float), -edge, edge)
     return 1.0 - v * np.exp(-((bandwidth * t) ** 2))
 
 

@@ -14,7 +14,9 @@ from fmux.heralded import (
     _error_kernel,
     _herald_kernel,
     _hermitize,
+    _kernels,
     _norms_squared,
+    _purity_factored,
     assemble_density_matrix,
     gvd_parameter,
     purity_from_eigenvalues,
@@ -149,9 +151,66 @@ def direct_purity(model):
     return float(v @ np.abs(overlaps) ** 2 @ v)
 
 
-def test_factored_matches_direct():
-    m = small_model()
-    assert abs(purity_integral(m, check_refinement=False) - direct_purity(m)) < 1e-12
+def with_dispersion_scale(model, factor):
+    spect = model.spectrometer
+    return replace(model, spectrometer=replace(spect, dispersion=factor * spect.dispersion))
+
+
+def small(model, **overrides):
+    return replace(model, **{"n_signal": 201, "n_herald": 17, "n_jitter": 65, **overrides})
+
+
+# a quarter of the delay-line dispersion makes the jitter 4x wider in frequency:
+# the filter wipes out the outer error nodes and the vacuous cut drops them
+VACUOUS_CUT_MODEL = with_dispersion_scale(small(COMBINED_MODEL), 0.25)
+PARITY_MODELS = pytest.mark.parametrize(
+    "model",
+    [small(COMBINED_MODEL, n_signal=200), small(GVD_ONLY_MODEL), small(JITTER_ONLY_MODEL),
+     small(COMBINED_MODEL), VACUOUS_CUT_MODEL],
+    ids=["even_n_signal", "gvd_only_single_node", "jitter_only_gamma_zero", "combined",
+         "vacuous_cut"])
+
+
+@PARITY_MODELS
+def test_factored_matches_direct(model):
+    assert abs(_purity_factored(model) - direct_purity(model)) < 1e-12
+
+
+@PARITY_MODELS
+def test_kernels_are_exactly_symmetric(model):
+    e, q, h, wh, grid, x = _kernels(model)
+    assert np.array_equal(e, -e[::-1]) and np.array_equal(q, q[::-1])
+    assert np.array_equal(x, -x[::-1]) and x.size == model.n_signal
+    assert np.array_equal(wh, wh[::-1])
+
+
+def test_vacuous_cut_drops_nodes_in_pairs():
+    e, _, _, _, _, _ = _kernels(VACUOUS_CUT_MODEL)
+    full, _ = _error_kernel(VACUOUS_CUT_MODEL)
+    assert 1 < e.size < full.size and (full.size - e.size) % 2 == 0
+    assert np.array_equal(e, full[(full.size - e.size) // 2 : (full.size + e.size) // 2])
+
+
+@pytest.mark.parametrize("n_signal", [201, 200], ids=["odd", "even"])
+def test_parity_blocked_spectrum_matches_full_solve(n_signal, monkeypatch):
+    from scipy import linalg
+
+    blocks = []
+    solve = linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        blocks.append(a)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigvalsh", recording)
+    dm = assemble_density_matrix(small_model(n_signal=n_signal))
+    assert np.array_equal(dm.matrix, dm.matrix[::-1, ::-1])  # exactly centrosymmetric
+    assert np.array_equal(dm.matrix, dm.matrix.T)
+    # the even block, then the odd, each exactly symmetric
+    assert [len(b) for b in blocks] == [(n_signal + 1) // 2, n_signal // 2]
+    assert all(np.array_equal(b, b.T) for b in blocks)
+    full = solve(dm.weighted())
+    assert np.abs(dm.eigenvalues() - full).max() <= 1e-12
 
 
 def brute_force_purity(model):
@@ -295,6 +354,29 @@ def test_real_spectrum_matches_complex_oracle_spectrum(model):
     weighted = _hermitize(sw[:, None] * einsum_density_matrix(m) * sw[None, :])
     assert weighted.dtype == np.complex128
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8], ids=["odd", "even"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, dtype, monkeypatch):
+    from scipy import linalg
+
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(3, n)).astype(dtype)
+    if dtype is np.complex128:
+        v = v + 1j * rng.normal(size=(3, n))
+    b = v.T @ v.conj()
+    grid = FrequencyGrid(0.0, 1.0, n)
+    rho = b + b[::-1, ::-1]  # Hermitian and exactly even under x -> -x
+    rho = rho / (grid.trapezoid_weights() @ np.real(np.diag(rho)))
+    blocks = []
+    solve = linalg.eigvalsh
+    monkeypatch.setattr(linalg, "eigvalsh",
+                        lambda a, *args, **kw: blocks.append(a) or solve(a, *args, **kw))
+    dm = DiscretizedDensityMatrix(grid, rho)
+    assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
+    assert all(np.array_equal(b, b.conj().T) for b in blocks)  # each block exactly Hermitian
+    assert np.abs(dm.eigenvalues() - solve(dm.weighted())).max() <= 1e-12
 
 
 def test_eigenvalues_are_cached_read_only():

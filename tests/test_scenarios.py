@@ -17,6 +17,7 @@ from fmux import cli, defaults, scenarios, serrodyne, spectrometer
 from fmux.scenarios import (
     _EVENT_ROW,
     GHZ,
+    MODE_WEIGHT_FLOOR,
     SCENARIOS,
     _SCHEMA,
     ConfigError,
@@ -142,22 +143,30 @@ def test_purity_scenario_reduced_grid(tmp_path):
     lam = [float(l.split(",")[1]) for l in weights[1:]]
     assert lam == sorted(lam, reverse=True)
     assert sum(lam) <= 1.0 + 1e-9
+    # weights at the eigensolver's round-off level are written as exactly 0.0
+    floor = MODE_WEIGHT_FLOOR * lam[0]
+    tail = [v for v in lam if v <= floor]
+    assert tail and all(v == 0.0 for v in tail)
+    assert all(v > floor for v in lam[: len(lam) - len(tail)])
+    assert all(l.endswith(",0.0") for l in weights[len(weights) - len(tail):])
 
 
 def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
     from scipy import linalg
 
-    dtypes = []
+    solves = []
     solve = linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
+        solves.append((np.asarray(a).dtype, np.shape(a)))
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigvalsh", recording)
     _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
-    assert dtypes == [np.float64]  # one solve, by the real symmetric solver
+    # one matrix on 257 signal points, solved once as its even and odd parity
+    # blocks by the real symmetric solver
+    assert solves == [(np.float64, (129, 129)), (np.float64, (128, 128))]
 
 
 @pytest.mark.parametrize("jitter_ps, verdict", [("5.3", "negligible"), ("30", "not negligible")])

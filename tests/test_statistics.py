@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,19 @@ def test_hom_dip_curve_shape():
     assert abs(r[60] - (1.0 - 0.7224)) < 1e-12  # dip floor at zero delay
     assert r[0] > 0.99 and r[-1] > 0.99
     assert np.all(np.diff(r[:61]) <= 1e-15)  # monotone into the dip
+
+
+def test_hom_dip_curve_far_delays_do_not_overflow():
+    bandwidth = 2.0 * math.pi * 14.6e9
+    near = np.linspace(-60e-12, 60e-12, 121)
+    delays = np.concatenate([near, [-1e288, -1e-9, 1e-9, 1e288, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = hom_dip_curve(0.84, 0.14, bandwidth, delays)
+    v = hom_visibility(0.84, 0.14)
+    # bit for bit the unclipped formula where the dip resolves, exactly 1.0 far from it
+    assert np.array_equal(r[:121], 1.0 - v * np.exp(-((bandwidth * near) ** 2)))
+    assert r[121:].tolist() == [1.0] * 5
 
 
 def test_counting_csv_round_trip(tmp_path):
