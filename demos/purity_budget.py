@@ -2,8 +2,8 @@
 
 Evaluates the conditional-state purity with each imperfection switched on
 alone and together, then sweeps the two dominant knobs. Sweeps run on halved
-quadrature grids (the refinement tests bound the error well below the digits
-printed here).
+quadrature grids (each value's grid-doubling check bounds the error well below
+the digits printed here).
 """
 
 from dataclasses import replace
@@ -49,7 +49,7 @@ def main():
     print(f"  {'jitter std (GHz)':>17}  {'purity':>7}")
     for s_ghz in (5.0, 10.0, 25.0, 45.0, 70.0):
         model = with_jitter_std(jitter_only, s_ghz * GHZ).scaled(0.5)
-        p = heralded.purity_integral(model, check_refinement=False)
+        p = heralded.purity_integral(model)
         print(f"  {s_ghz:>17.0f}  {p:7.4f}")
     print()
 
@@ -58,13 +58,13 @@ def main():
     for scale, note in ((0.0, "no delay line"), (0.3, "90 m"), (1.0, "300 m"),
                         (1.8, "540 m")):
         model = replace(gvd_only, gamma=scale * gamma).scaled(0.5)
-        p = heralded.purity_integral(model, check_refinement=False)
+        p = heralded.purity_integral(model)
         print(f"  {scale * gamma:>17.3e}  {p:7.4f}  {note:>18}")
     print()
 
     shifter = cfg.shifter()
     p_drive = serrodyne.phase_jitter_purity(
-        shifter.sigma_jitter, combined.pump.sigma, cfg.get("shifter.max_shift_ghz") * 1e9, shifter
+        combined.pump.sigma, cfg.get("shifter.max_shift_ghz") * 1e9, shifter
     )
     print("third channel, for completeness: shifter drive timing jitter")
     print(f"  {shifter.sigma_jitter * 1e12:.1f} ps of drive jitter at the "

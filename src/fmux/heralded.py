@@ -19,10 +19,10 @@ this module evaluates two ways:
   shift h0 with symmetric weights, so the herald mixture of delay-line chirps
   is the diagonal phase exp(i gamma (x - h0)^2) times a real symmetric
   Toeplitz matrix times its conjugate. In the frame that co-moves with that
-  phase rho is real symmetric: one real GEMM and a cosine table build it,
-  and the real eigensolver diagonalizes it. A DiscretizedDensityMatrix is
-  eigensolved once, during validation; every later eigenvalues() call
-  returns that cached spectrum.
+  phase rho is real symmetric: one real GEMM and a cosine table build it.
+  A DiscretizedDensityMatrix holds only that form, exactly symmetric and
+  even, and is eigensolved once, during validation; every later
+  eigenvalues() call returns that cached spectrum.
 
 Both engines also use the state's parity. The signal grid is symmetric about
 the filter center (x -> -x), the error nodes e and their Gaussian weights are
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import defaults
 from .serrodyne import QuadratureConvergenceError
-from .spectral import FrequencyGrid, PumpEnvelope, TopHatWindow, scaled_points
+from .spectral import FilterOverlapError, FrequencyGrid, PumpEnvelope, TopHatWindow, scaled_points
 from .spectrometer import SpectrometerModel
 
 __all__ = [
@@ -169,6 +169,8 @@ def _norms_squared(model: HeraldedStateModel, e: np.ndarray):
 
 def _drop_vacuous(e, we, norms_sq, free_norm_sq):
     keep = norms_sq > VACUOUS_NORM * free_norm_sq
+    if not keep.any():
+        raise FilterOverlapError("the filter passes under 1e-12 of every conditional wavepacket")
     if not np.all(keep):
         e, we, norms_sq = e[keep], we[keep], norms_sq[keep]
         we = we / we.sum()
@@ -221,8 +223,7 @@ def _purity_factored(model: HeraldedStateModel) -> float:
     mids = np.linspace(0.0, e[-1], ne)  # m >= 0: indices ne - 1 ... 2 ne - 2
     env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
     even, odd = _fold(env)
-    dh_step = h[1] - h[0] if h.size > 1 else 0.0
-    dh = np.arange(h.size) * dh_step  # non-negative differences; |S| is even in dh
+    dh = np.arange(h.size) * (h[1] - h[0])  # non-negative differences; |S| is even in dh
     phase = 2.0 * model.gamma * np.outer(x[n // 2 :], dh)  # (x >= 0, dh)
     s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase[n % 2 :])) ** 2  # |S(m, dh)|^2
 
@@ -239,7 +240,7 @@ def _purity_factored(model: HeraldedStateModel) -> float:
     return float(np.sum(kernel * t_mid[mid_index]))
 
 
-def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) -> float:
+def purity_integral(model: HeraldedStateModel) -> float:
     """Heralded-photon purity Tr(rho^2) by quadrature of squared overlaps.
 
     The discretized overlap sum is reorganized through window-integral
@@ -247,17 +248,16 @@ def purity_integral(model: HeraldedStateModel, check_refinement: bool = True) ->
     model.scaled() for quick scans on coarser grids. The symmetric signal
     grid and error kernel make |S(m)| even in the midpoint m, so the tables
     hold m >= 0 only and are built on the signal grid folded onto x >= 0:
-    about a quarter of the GEMM and half the trig table. The refinement check
-    repeats the evaluation with doubled grids and raises
-    QuadratureConvergenceError if the value moves by more than 1e-3.
+    about a quarter of the GEMM and half the trig table. Every call repeats
+    the evaluation with doubled grids and raises QuadratureConvergenceError
+    if the value moves by more than 1e-3; the base-grid value is returned.
     """
     value = _purity_factored(model)
-    if check_refinement:
-        refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
-        if abs(refined - value) > 1e-3:
-            raise QuadratureConvergenceError(
-                f"purity moved by {abs(refined - value):.2e} on grid doubling"
-            )
+    refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
+    if abs(refined - value) > 1e-3:
+        raise QuadratureConvergenceError(
+            f"purity moved by {abs(refined - value):.2e} on grid doubling"
+        )
     return min(float(value), 1.0)
 
 
@@ -266,13 +266,13 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a Hermitian a with a[::-1, ::-1] == a.
+    """Even and odd blocks of a real symmetric a with a[::-1, ::-1] == a.
 
     In the basis (d_x +/- d_-x) / sqrt(2) of node pairs mirrored about the
     center (plus the center node itself for odd n, in the even block) a is
     block diagonal: even = a(x, y) + a(x, -y) over x, y >= 0, of size
     ceil(n/2), and odd = a(x, y) - a(x, -y) over x, y > 0, of size
-    floor(n/2). The spectrum of a is the union of theirs.
+    floor(n/2), both exactly symmetric. The spectrum of a is their union.
     """
     n = a.shape[0]
     lo, r = n // 2, n % 2
@@ -291,8 +291,8 @@ class DiscretizedDensityMatrix:
     the deterministic delay-line phase exp(i gamma (x - h0)^2), h0 the mean
     herald shift, where it is real symmetric. That diagonal unitary leaves
     the diagonal, the spectrum, every |rho_ij| and so every output
-    unchanged. A real matrix stays real (float64) and is eigensolved by the
-    real solver; a complex one is kept complex.
+    unchanged. The matrix has one form, real (float64), exactly symmetric and
+    exactly even (m[::-1, ::-1] == m); a ValueError names what an input lacks.
     """
 
     grid: FrequencyGrid
@@ -302,43 +302,41 @@ class DiscretizedDensityMatrix:
     )
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("density matrix is not real")
+        m = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "matrix", m)
-        scale = float(np.abs(m).max())
-        if scale == 0.0:
+        if not m.any():
             raise ValueError("density matrix is zero")
-        if float(np.abs(m - m.conj().T).max()) > 1e-9 * scale:
-            raise ValueError("density matrix is not Hermitian")
-        w = self.grid.trapezoid_weights()
-        trace = float(np.real(w @ np.diag(m)))
+        if not np.array_equal(m, m.T):
+            raise ValueError("density matrix is not exactly symmetric")
+        if not np.array_equal(m, m[::-1, ::-1]):
+            raise ValueError("density matrix is not exactly even under x -> -x")
+        trace = float(self.grid.trapezoid_weights() @ np.diag(m))
         if abs(trace - 1.0) > 1e-6:
             raise ValueError(f"trace {trace:.8f} != 1")
         if float(self.eigenvalues().min()) < -1e-8:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
     def weighted(self) -> np.ndarray:
-        """sqrt(w) rho sqrt(w): the matrix whose spectrum is the state's."""
+        """sqrt(w) rho sqrt(w): the matrix whose spectrum is the state's.
+
+        The weights are symmetric, so it is exactly symmetric and even, as rho is.
+        """
         sw = np.sqrt(self.grid.trapezoid_weights())
-        return _hermitize(sw[:, None] * self.matrix * sw[None, :])
+        return self.matrix * np.outer(sw, sw)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of weighted(); solved on first call, then cached read-only.
 
-        The trapezoid weights are symmetric, so weighted() is exactly even
-        under x -> -x whenever the matrix is, as assemble_density_matrix
-        builds it. Such a matrix is solved as its even and odd parity blocks
-        (about a quarter of the flops of one full solve) and the two spectra
-        merged; any other matrix gets the full solve. The choice rests on
-        that exact property of the input, not on a tolerance.
+        Its even and odd parity blocks are solved (about a quarter of the
+        flops of one full solve) and the two spectra merged.
         """
         if self._eigenvalues is None:
             from scipy import linalg  # loaded on first use: config-only runs never need it
 
-            a = self.weighted()
-            if np.array_equal(a, a[::-1, ::-1]):
-                lam = np.sort(np.concatenate([linalg.eigvalsh(b) for b in _parity_blocks(a)]))
-            else:
-                lam = linalg.eigvalsh(a)
+            blocks = _parity_blocks(self.weighted())
+            lam = np.sort(np.concatenate([linalg.eigvalsh(b) for b in blocks]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
         return self._eigenvalues
@@ -359,8 +357,8 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     are symmetric and the Toeplitz factor is even under (i, j) -> (n-1-i,
     n-1-j), so rho(-x, -y) = rho(x, y). Only the rows x >= 0 are computed
     (half the GEMM); the rows x < 0 are their mirror images, which makes the
-    returned matrix exactly centrosymmetric as well as real symmetric. Its
-    constructor's validation eigensolves it once, block by block.
+    returned matrix exactly even as well as exactly symmetric, the form its
+    constructor requires; validation eigensolves it once, block by block.
     """
     e, q, h, wh, grid, x = _kernels(model)
     n = x.size

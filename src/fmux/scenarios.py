@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import defaults, heralded, losses, serrodyne, spectral, spectrometer, statistics
 
@@ -174,7 +173,8 @@ class ScenarioConfig:
     def anchor(self) -> float:
         """Absolute frequency of degeneracy, rad/s: the herald reference and zero shift."""
         wavelength = self.get("source.signal_wavelength_nm") / 1e9
-        return defaults.TWO_PI * defaults.C_LIGHT / wavelength
+        return self._in_range("source.signal_wavelength_nm",
+                              defaults.TWO_PI * defaults.C_LIGHT / wavelength)
 
     def signal_filter(self) -> spectral.TopHatWindow:
         center = self.anchor() + self._ghz("filter.center_offset_ghz")
@@ -197,6 +197,7 @@ class ScenarioConfig:
         """
         which = self.get("spectrometer.jitter_model") if which is None else which
         dispersion = self.get("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
+        self._in_range("spectrometer.dispersion_ps_per_ghz", 1.0 / dispersion)  # time -> frequency
         if which == "measured":
             sigma_t = spectrometer.MEASURED_JITTER_TIME_STD
         elif which == "nominal":
@@ -254,14 +255,23 @@ class ScenarioConfig:
         return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
 
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
-        """Heralded state with the configured jitter model and delay-line GVD, each switchable off."""
-        return heralded.HeraldedStateModel(
+        """Heralded state with the configured jitter model and delay-line GVD, each switchable off.
+
+        The pump envelope must span at least one step of the signal grid.
+        """
+        model = heralded.HeraldedStateModel(
             pump=self.pump(),
             filter=self.signal_filter(),
             gamma=self.gamma() if gvd else 0.0,
             spectrometer=self.build_spectrometer(None if jitter else "none"),
             herald_window=self.herald_window(),
         ).scaled(self.grid_scale)
+        step = model.signal_grid.step
+        if not model.pump.sigma >= step:
+            raise ConfigError("source.pump_sigma_ghz", (
+                f"the pump envelope is narrower than the signal grid step ({step / GHZ:.3g} GHz); "
+                "widen it or raise run.grid_scale"))
+        return model
 
     def statistics_model(self, multiplexed: bool = True) -> statistics.MultiplexedStatisticsModel:
         return statistics.MultiplexedStatisticsModel(
@@ -373,21 +383,20 @@ def _phase_jitter_factor(cfg: ScenarioConfig) -> float:
     """Drive-timing-jitter purity at the largest shift; an unconverged one is a config error."""
     try:
         return serrodyne.phase_jitter_purity(
-            cfg.get("shifter.phase_jitter_ps") * 1e-12,
-            cfg.pump().sigma,
-            cfg.get("shifter.max_shift_ghz") * 1e9,
-            cfg.shifter(),
+            cfg.pump().sigma, cfg.get("shifter.max_shift_ghz") * 1e9, cfg.shifter()
         )
     except serrodyne.QuadratureConvergenceError as err:
         raise ConfigError("shifter.phase_jitter_ps", f"drive-jitter quadrature: {err}") from err
 
 
 def _converged_purity(model: heralded.HeraldedStateModel) -> float:
-    """purity_integral, with a grid too coarse to converge reported as a config error."""
+    """purity_integral, with a grid too coarse to converge or an opaque filter a config error."""
     try:
         return heralded.purity_integral(model)
     except serrodyne.QuadratureConvergenceError as err:
         raise ConfigError("run.grid_scale", f"quadrature grid too coarse: {err}") from err
+    except spectral.FilterOverlapError as err:
+        raise ConfigError("filter.full_width_ghz", f"{err}; widen it") from err
 
 
 def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
@@ -422,6 +431,11 @@ def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     return lines, checks, [csv_path, weights_path]
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, or nan when den is 0 (a coincidence rate that is or underflows to 0)."""
+    return num / den if den else float("nan")
+
+
 def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     points = cfg.get("statistics.sweep_points")
     mu_max = cfg.get("statistics.mu_max")
@@ -439,7 +453,7 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
             column_single.append(rs.p_sh)
             fh.write(
                 f"{float(mu)!r},{rm.p_sh!r},{rm.g2_h!r},{rs.p_sh!r},{rs.g2_h!r},"
-                f"{rm.p_sh / rs.p_sh!r}\n"
+                f"{_ratio(rm.p_sh, rs.p_sh)!r}\n"
             )
     pulses = cfg.get("statistics.monte_carlo_pulses")
     mc_mux = statistics.monte_carlo_counting(base_mux, pulses, rng=cfg.seed)
@@ -453,10 +467,10 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
          (base_mux, an_mux), (base_single, an_single)],
     )
     lines, checks = [], {}
-    enhancement = an_mux.p_sh / an_single.p_sh
+    enhancement = _ratio(an_mux.p_sh, an_single.p_sh)
     lines.append(f"analytic coincidence enhancement at mu={base_mux.mu}: {enhancement:.4f}")
     # a short run can leave the single-mode arm without a coincidence
-    mc_enhancement = mc_mux.p_sh / mc_single.p_sh if mc_single.p_sh else float("nan")
+    mc_enhancement = _ratio(mc_mux.p_sh, mc_single.p_sh)
     lines.append(
         f"monte carlo enhancement: {mc_enhancement:.4f} "
         f"({pulses} pulses, seed {cfg.seed}); measured reference {defaults.MEASURED_ENHANCEMENT}"
@@ -479,7 +493,14 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     herald_grid = spectral.FrequencyGrid(
         pump.center - window.center, 12.0 * pump.sigma, points
     )
-    jsa = spectral.build_anticorrelated_jsa(pump, signal_grid, herald_grid)
+    try:
+        jsa = spectral.build_anticorrelated_jsa(pump, signal_grid, herald_grid)
+    except spectral.GridTooNarrowError as err:
+        # the grids span +/-6 pump widths about the pump's own sum frequency, so the envelope
+        # fails to decay at their edges only when its width is below float resolution there
+        raise ConfigError("source.pump_sigma_ghz", (
+            "below the float resolution of the absolute pump frequency set by "
+            f"source.signal_wavelength_nm: {err}")) from err
     filtered, transmitted = spectral.apply_filter(jsa, window, axis="signal")
     r_full = spectral.intensity_correlation(jsa)
     r_filtered = spectral.intensity_correlation(filtered)
@@ -901,6 +922,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         for line in lines:
             fh.write(line + "\n")
     outputs = [summary_path] + list(outputs)
+
+    import scipy  # loaded here for its version: config-only runs never need it
 
     manifest = {
         "scenario": cfg.scenario,

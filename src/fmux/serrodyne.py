@@ -218,25 +218,17 @@ def _jitter_overlap_matrix(sigma: float, delta_nu: float, model: ShifterModel,
     return wx, overlap
 
 
-def phase_jitter_purity(
-    sigma_jitter: float,
-    sigma: float,
-    delta_nu: float,
-    model: ShifterModel,
-) -> float:
-    """Purity of the shifted photon under Gaussian drive-timing jitter.
+def phase_jitter_purity(sigma: float, delta_nu: float, model: ShifterModel) -> float:
+    """Purity of the shifted photon under the model's Gaussian drive-timing jitter.
 
     The pulse (spectral amplitude std sigma, rad/s) samples the sinusoidal
-    drive at a random offset x ~ N(0, sigma_jitter^2); purity is the double
-    Gauss-Hermite quadrature of the squared overlap of the jittered
+    drive at a random offset x ~ N(0, model.sigma_jitter^2); purity is the
+    double Gauss-Hermite quadrature of the squared overlap of the jittered
     wavepackets. Raises QuadratureConvergenceError if refinement moves the
     result by more than 1e-4.
     """
-    if sigma_jitter < 0:
-        raise ValueError("sigma_jitter must be non-negative")
     if not sigma > 0:
         raise ValueError("photon bandwidth must be positive")
-    model = ShifterModel(model.v_pi, model.nu_rf, model.v0_max, sigma_jitter)
 
     def evaluate(nj, nt):
         wx, overlap = _jitter_overlap_matrix(sigma, delta_nu, model, nj, nt)

@@ -171,19 +171,17 @@ def test_criterion_8_property_bundle():
     closed_form = spectral.rotated_gaussian_purity(sigma, 2.0 * sigma)
     flags["schmidt_vs_integral"] = abs(spectral.schmidt_purity(correlated) - closed_form) <= 1e-2
 
-    # the refinement guard stays on here, so this call also checks convergence
+    # purity_integral always runs its refinement guard, so these calls also check convergence
     p45 = heralded.purity_integral(jitter_only.scaled(0.5))
     p10 = heralded.purity_integral(
-        with_jitter_std(jitter_only, defaults.TWO_PI * 10e9).scaled(0.5),
-        check_refinement=False,
+        with_jitter_std(jitter_only, defaults.TWO_PI * 10e9).scaled(0.5)
     )
     flags["monotone_in_jitter"] = p10 > p45
     flags["grid_refinement"] = abs(p45 - 0.90674) <= 1e-3
 
-    mild = heralded.purity_integral(replace(gvd_only, gamma=-1e-24).scaled(0.5),
-                                    check_refinement=False)
-    strong = heralded.purity_integral(gvd_only.scaled(0.5), check_refinement=False)
-    drive = [serrodyne.phase_jitter_purity(sj, sigma, 85e9, shifter)
+    mild = heralded.purity_integral(replace(gvd_only, gamma=-1e-24).scaled(0.5))
+    strong = heralded.purity_integral(gvd_only.scaled(0.5))
+    drive = [serrodyne.phase_jitter_purity(sigma, 85e9, replace(shifter, sigma_jitter=sj))
              for sj in (0.0, 5.3e-12, 20e-12)]
     flags["monotone_in_dispersion_and_drive_jitter"] = (
         mild > strong and drive[0] == 1.0 and drive[0] > drive[1] > drive[2]

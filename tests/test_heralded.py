@@ -24,7 +24,7 @@ from fmux.heralded import (
 )
 from fmux.scenarios import load_config
 from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
-from fmux.spectral import FrequencyGrid, schmidt_purity, scaled_points
+from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, scaled_points
 from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
 
 GHZ = defaults.TWO_PI * 1e9
@@ -184,6 +184,14 @@ def test_kernels_are_exactly_symmetric(model):
     assert np.array_equal(wh, wh[::-1])
 
 
+def test_filter_that_passes_nothing_is_an_error():
+    # 1e-13 of the pump width passes about 6e-14 of even the undisplaced wavepacket
+    m = small_model(filter=replace(COMBINED_MODEL.filter,
+                                   full_width=1e-13 * COMBINED_MODEL.pump.sigma))
+    with pytest.raises(FilterOverlapError, match="every conditional wavepacket"):
+        _kernels(m)
+
+
 def test_vacuous_cut_drops_nodes_in_pairs():
     e, _, _, _, _, _ = _kernels(VACUOUS_CUT_MODEL)
     full, _ = _error_kernel(VACUOUS_CUT_MODEL)
@@ -191,8 +199,18 @@ def test_vacuous_cut_drops_nodes_in_pairs():
     assert np.array_equal(e, full[(full.size - e.size) // 2 : (full.size + e.size) // 2])
 
 
-@pytest.mark.parametrize("n_signal", [201, 200], ids=["odd", "even"])
-def test_parity_blocked_spectrum_matches_full_solve(n_signal, monkeypatch):
+# a herald window 30 GHz off the spectrometer reference: its mean shift h0 is not 0
+OFF_CENTER_MODEL = replace(
+    COMBINED_MODEL,
+    herald_window=replace(COMBINED_MODEL.herald_window,
+                          center=COMBINED_MODEL.herald_window.center + 30.0 * GHZ),
+)
+
+
+@pytest.mark.parametrize(
+    "model", [small_model(n_signal=201), small_model(n_signal=200), small(OFF_CENTER_MODEL)],
+    ids=["odd", "even", "off_center"])
+def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     from scipy import linalg
 
     blocks = []
@@ -203,7 +221,8 @@ def test_parity_blocked_spectrum_matches_full_solve(n_signal, monkeypatch):
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigvalsh", recording)
-    dm = assemble_density_matrix(small_model(n_signal=n_signal))
+    n_signal = model.n_signal
+    dm = assemble_density_matrix(model)
     assert np.array_equal(dm.matrix, dm.matrix[::-1, ::-1])  # exactly centrosymmetric
     assert np.array_equal(dm.matrix, dm.matrix.T)
     # the even block, then the odd, each exactly symmetric
@@ -251,12 +270,12 @@ def brute_force_purity(model):
 
 def test_brute_force_oracle_combined():
     m = small_model()
-    assert abs(brute_force_purity(m) - purity_integral(m, check_refinement=False)) < 1e-12
+    assert abs(brute_force_purity(m) - _purity_factored(m)) < 1e-12
 
 
 def test_brute_force_oracle_jitter_only():
     m = small_model(gamma=0.0)
-    assert abs(brute_force_purity(m) - purity_integral(m, check_refinement=False)) < 1e-12
+    assert abs(brute_force_purity(m) - _purity_factored(m)) < 1e-12
 
 
 def test_jitter_only_operating_point():
@@ -282,7 +301,7 @@ def test_density_matrix_paths_agree_with_quadrature():
     dm = assemble_density_matrix(m)
     p_eig = purity_from_eigenvalues(dm)
     p_tr = purity_from_trace(dm)
-    p_quad = purity_integral(m, check_refinement=False)
+    p_quad = _purity_factored(m)
     assert abs(p_eig - p_tr) < 1e-10
     assert abs(p_tr - p_quad) < 1e-10
 
@@ -324,12 +343,6 @@ def co_moving(model, matrix):
     return phase.conj()[:, None] * matrix * phase[None, :]
 
 
-# a herald window 30 GHz off the spectrometer reference: its mean shift h0 is not 0
-OFF_CENTER_MODEL = replace(
-    COMBINED_MODEL,
-    herald_window=replace(COMBINED_MODEL.herald_window,
-                          center=COMBINED_MODEL.herald_window.center + 30.0 * GHZ),
-)
 FRAME_MODELS = pytest.mark.parametrize(
     "model", [JITTER_ONLY_MODEL, GVD_ONLY_MODEL, COMBINED_MODEL, OFF_CENTER_MODEL],
     ids=["jitter_only_model", "gvd_only_model", "default_model", "off_center_model"])
@@ -356,26 +369,23 @@ def test_real_spectrum_matches_complex_oracle_spectrum(model):
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [7, 8], ids=["odd", "even"])
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
-def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, dtype, monkeypatch):
+@pytest.mark.parametrize("n", [7, 8], ids=["real-odd", "real-even"])
+def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, monkeypatch):
     from scipy import linalg
 
     rng = np.random.default_rng(5)
-    v = rng.normal(size=(3, n)).astype(dtype)
-    if dtype is np.complex128:
-        v = v + 1j * rng.normal(size=(3, n))
-    b = v.T @ v.conj()
+    v = rng.normal(size=(3, n))
+    b = v.T @ v
     grid = FrequencyGrid(0.0, 1.0, n)
-    rho = b + b[::-1, ::-1]  # Hermitian and exactly even under x -> -x
-    rho = rho / (grid.trapezoid_weights() @ np.real(np.diag(rho)))
+    rho = b + b[::-1, ::-1]  # symmetric and exactly even under x -> -x
+    rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
     blocks = []
     solve = linalg.eigvalsh
     monkeypatch.setattr(linalg, "eigvalsh",
                         lambda a, *args, **kw: blocks.append(a) or solve(a, *args, **kw))
     dm = DiscretizedDensityMatrix(grid, rho)
     assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
-    assert all(np.array_equal(b, b.conj().T) for b in blocks)  # each block exactly Hermitian
+    assert all(np.array_equal(b, b.T) for b in blocks)  # each block exactly symmetric
     assert np.abs(dm.eigenvalues() - solve(dm.weighted())).max() <= 1e-12
 
 
@@ -389,17 +399,28 @@ def test_eigenvalues_are_cached_read_only():
 
 def test_density_matrix_validation_rejects_bad_input():
     g = FrequencyGrid(0.0, 1.0, 3)  # trapezoid weights 1/4, 1/2, 1/4
-    bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        DiscretizedDensityMatrix(g, bad)
-    # the same checks hold for a real matrix, which stays real
-    for real_bad, message in [
-        (bad.real, "Hermitian"),
+    # apart from the zero matrix, each input fails only the check named
+    for bad, message in [
+        (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 1.0]]), "not exactly symmetric"),
+        (np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not exactly even"),
         (2.0 * np.eye(3), "trace"),
-        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "negative eigenvalue"),
+        (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), "negative eigenvalue"),
+        (np.eye(3, dtype=complex), "not real"),
+        (np.zeros((3, 3)), "zero"),
     ]:
         with pytest.raises(ValueError, match=message):
-            DiscretizedDensityMatrix(g, real_bad)
+            DiscretizedDensityMatrix(g, bad)
+
+
+def test_density_matrix_symmetric_only_to_round_off_is_rejected():
+    rho = assemble_density_matrix(small_model()).matrix.copy()
+    n = rho.shape[0]
+    for i, j in [(0, 1), (n - 1, n - 2)]:  # a mirrored pair, so rho stays exactly even
+        rho[i, j] = np.nextafter(rho[i, j], np.inf)  # one ulp up
+    assert np.array_equal(rho, rho[::-1, ::-1]) and not np.array_equal(rho, rho.T)
+    assert np.abs(rho - rho.T).max() <= 1e-15 * np.abs(rho).max()
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        DiscretizedDensityMatrix(small_model().signal_grid, rho)
 
 
 def test_real_density_matrix_stays_real():
@@ -434,12 +455,12 @@ def test_purity_monotone_in_jitter():
     values = []
     for s_ghz in (10.0, 25.0, 45.0, 70.0):
         m = with_jitter_std(JITTER_ONLY_MODEL, s_ghz * GHZ)
-        values.append(purity_integral(m.scaled(0.5), check_refinement=False))
+        values.append(_purity_factored(m.scaled(0.5)))
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_purity_monotone_in_gvd():
-    values = [purity_integral(replace(GVD_ONLY_MODEL, gamma=g).scaled(0.5), check_refinement=False)
+    values = [_purity_factored(replace(GVD_ONLY_MODEL, gamma=g).scaled(0.5))
               for g in (0.0, -1e-24, -3.377e-24, -6e-24)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -447,17 +468,16 @@ def test_purity_monotone_in_gvd():
 def test_purity_even_in_gamma_sign():
     m_neg = small_model()
     m_pos = replace(m_neg, gamma=-m_neg.gamma)
-    a = purity_integral(m_neg, check_refinement=False)
-    b = purity_integral(m_pos, check_refinement=False)
+    a = _purity_factored(m_neg)
+    b = _purity_factored(m_pos)
     assert abs(a - b) < 1e-12
 
 
 def test_grid_refinement_converged_at_defaults():
     # doubling every quadrature moves the combined value by less than 1e-3
     m = COMBINED_MODEL
-    coarse = purity_integral(m, check_refinement=False)
-    fine = purity_integral(replace(m, n_signal=1025, n_herald=257, n_jitter=257),
-                           check_refinement=False)
+    coarse = _purity_factored(m)
+    fine = _purity_factored(replace(m, n_signal=1025, n_herald=257, n_jitter=257))
     assert abs(fine - coarse) < 1e-3
     purity_integral(m)  # the built-in refinement guard agrees
 
@@ -475,7 +495,7 @@ def test_scaled_points():
 
 
 def test_grid_scale_changes_resolution_not_answer():
-    half = purity_integral(JITTER_ONLY_MODEL.scaled(0.5), check_refinement=False)
+    half = _purity_factored(JITTER_ONLY_MODEL.scaled(0.5))
     assert abs(half - JITTER_ONLY) < 5e-3
 
 

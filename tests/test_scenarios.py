@@ -395,7 +395,8 @@ def test_event_rows_match_percent_formatting(values, pulse0, herald_bin):
 def test_config_path_never_imports_scipy_linalg_or_special():
     code = ("import sys\nimport fmux.cli\nfrom fmux.scenarios import SCENARIOS, load_config\n"
             "for name in SCENARIOS:\n    load_config(name).validate()\n"
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))\n")
+            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'scipy.special') "
+            "if m in sys.modules))\n")
     env = dict(os.environ)
     src = str(Path(fmux.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -719,7 +720,7 @@ def test_every_key_changes_an_output(small_digests, tmp_path, dotted):
     assert any(changed[k] != small_digests[k] for k in changed), f"{dotted} changes no output"
 
 
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300")
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300")
 # values outside that grid which once ended in a traceback
 FUZZ_EXTRA = {"shifter.max_shift_ghz": ("-5",), "shifter.phase_jitter_ps": ("400",)}
 FUZZ_BASE = {"run.stream_pulses": 2000, "statistics.monte_carlo_pulses": 10_000}

@@ -184,18 +184,19 @@ def test_temporal_phase_rejects_unknown_mode():
 
 
 def test_phase_jitter_purity_limits():
-    assert phase_jitter_purity(0.0, SIGMA, 85e9, SHIFTER) == 1.0
-    assert phase_jitter_purity(5.3e-12, SIGMA, 0.0, SHIFTER) == pytest.approx(1.0, abs=1e-12)
+    jittered = replace(SHIFTER, sigma_jitter=5.3e-12)
+    assert phase_jitter_purity(SIGMA, 85e9, replace(SHIFTER, sigma_jitter=0.0)) == 1.0
+    assert phase_jitter_purity(SIGMA, 0.0, jittered) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_jitter_purity_reference_point():
-    p = phase_jitter_purity(SHIFTER.sigma_jitter, SIGMA, max_shift(SHIFTER), SHIFTER)
+    p = phase_jitter_purity(SIGMA, max_shift(SHIFTER), SHIFTER)
     # sub-percent depolarization: timing jitter is not the purity bottleneck
     assert 0.99 < p < 1.0
 
 
 def test_phase_jitter_purity_monotone_in_jitter():
-    values = [phase_jitter_purity(sj, SIGMA, 85e9, SHIFTER)
+    values = [phase_jitter_purity(SIGMA, 85e9, replace(SHIFTER, sigma_jitter=sj))
               for sj in (0.0, 5.3e-12, 12e-12, 20e-12)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -232,7 +233,7 @@ def test_hermite_rules_are_shared_read_only():
 
 
 def test_phase_jitter_purity_validates_inputs():
+    with pytest.raises(ValueError):  # the model refuses a negative jitter
+        phase_jitter_purity(SIGMA, 85e9, replace(SHIFTER, sigma_jitter=-1e-12))
     with pytest.raises(ValueError):
-        phase_jitter_purity(-1e-12, SIGMA, 85e9, SHIFTER)
-    with pytest.raises(ValueError):
-        phase_jitter_purity(1e-12, 0.0, 85e9, SHIFTER)
+        phase_jitter_purity(0.0, 85e9, SHIFTER)
