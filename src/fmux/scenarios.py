@@ -512,7 +512,7 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     lines.append(f"filter transmission = {transmitted:.5f}")
     lines.append(
         f"schmidt purity: unfiltered {purity_full:.5f} "
-        f"(mode count {spectral.schmidt_number(jsa):.1f}), filtered {purity_filtered:.5f}"
+        f"(mode count {1.0 / purity_full:.1f}), filtered {purity_filtered:.5f}"
     )
     _grade("anticorrelation", r_full, -1.0, STREAM_ANTICORRELATION_MAX, checks, lines)
     jsa_path = out / "joint_spectrum.txt"
@@ -787,11 +787,15 @@ def _number_cells(magnitude: np.ndarray, negative: np.ndarray, decimals: int = 0
     return cells
 
 
-def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_click) -> bytes:
+def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_click,
+                buffers: list) -> bytes:
     """The events.csv rows of one block, byte for byte as _EVENT_ROW formats them.
 
     Each row is a run of _CELLS gathered by one np.take; a block holding a
     value too large for _micro (or not finite) is formatted by % instead.
+    buffers is the caller's list of the flat cell-index and gathered-cell
+    arrays, kept for a whole file: each block fills their leading part, and
+    they are allocated on the first block and again only for a wider one.
     """
     n = pulse.size
     if not all(np.all(np.abs(c) < _FIXED_LIMIT) for c in ghz_columns):
@@ -809,10 +813,16 @@ def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_cli
         cells += [*_number_cells(_micro(column), np.signbit(column), 6), _COMMA]
     cells += [1000 + passed, _COMMA, np.where(herald_click, _H, _PAD),
               np.where(signal_click, _S, _PAD), _NEWLINE]
-    index = np.empty((len(cells), n), dtype=np.int16)
+    size = len(cells) * n
+    if not buffers or buffers[0].size < size:
+        buffers[:] = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.uint32)
+    index = buffers[0][:size].reshape(len(cells), n)
     for row, cell in zip(index, cells):
         row[...] = cell
-    return np.take(_CELLS, index.T).tobytes().translate(None, b"\0")
+    gathered = buffers[1][:size].reshape(n, len(cells))
+    # every index is in range; "clip" lets take write into out without a buffered copy
+    np.take(_CELLS, index.T, out=gathered, mode="clip")
+    return gathered.tobytes().translate(None, b"\0")
 
 
 def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: float,
@@ -822,8 +832,11 @@ def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: fl
     Rows are formatted a block at a time, as fixed-point digits assembled
     in numpy; a block holding a value too large for that falls back to one
     % over a flat list of Python values. Either way the bytes are those of
-    formatting every row on its own with _EVENT_ROW.
+    formatting every row on its own with _EVENT_ROW. The cell buffers live
+    for the whole file, so the writer's page faults do not depend on the
+    heap that earlier code leaves behind.
     """
+    buffers = []
     with open(path, "wb") as fh:
         fh.write(_EVENTS_HEADER.encode())
         for start in range(0, result.pulses, _EVENT_BLOCK):
@@ -839,6 +852,7 @@ def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: fl
                 result.passed[rows],
                 result.herald_click[rows],
                 result.signal_click[rows],
+                buffers,
             ))
 
 

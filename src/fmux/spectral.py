@@ -350,11 +350,10 @@ def write_jsa_text(jsa: JointSpectralAmplitude, path) -> None:
                 f"{tag}_points={grid.points}\n"
             )
         fh.write("# columns: omega_s omega_i re im\n")
-        vs = jsa.signal_grid.values
-        vh = jsa.herald_grid.values
-        for i in range(jsa.signal_grid.points):
-            for j in range(jsa.herald_grid.points):
-                a = jsa.amplitude[i, j]
-                fh.write(f"{float(vs[i])!r} {float(vh[j])!r} "
-                         f"{float(a.real)!r} {float(a.imag)!r}\n")
+        # a signal row at a time, so at most one row of Python floats is alive
+        herald = [repr(v) for v in jsa.herald_grid.values.tolist()]
+        for ws, row in zip(jsa.signal_grid.values.tolist(), jsa.amplitude):
+            head = repr(ws)
+            fh.write("".join(f"{head} {wi} {re!r} {im!r}\n"
+                             for wi, re, im in zip(herald, row.real.tolist(), row.imag.tolist())))
 

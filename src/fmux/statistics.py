@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,7 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
 
 _COUNT_FIELDS = 6  # h, s, sh, s1h, s2h, s1s2h
 MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
+_PIECE = 1 << 13  # pulses per geometric draw; bounds each chunk's temporaries
 
 
 def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
@@ -222,13 +224,38 @@ def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.n
     return out
 
 
+def _occupied_pairs(rng, mus, n) -> np.ndarray:
+    """Pair numbers per mode of the pulses, out of n, that hold a pair in some mode.
+
+    Pulses with no pair in any mode never click, which is most of them at
+    small mu. Each mode's geometric variates are drawn in _PIECE-pulse pieces
+    in order, so the stream advances exactly as one size-n draw per mode
+    would, and only the positions holding a pair are kept: no temporary of
+    n pulses per mode is ever held.
+    """
+    occupied = np.zeros(n, dtype=bool)
+    positions, counts = [], []
+    for mu in mus:
+        p = 1.0 / (1.0 + mu)
+        pos, cnt = [], []
+        for start in range(0, n, _PIECE):
+            # geometric on {1,2,...}; subtracting 1 gives the thermal distribution
+            draws = rng.geometric(p, size=min(_PIECE, n - start))
+            hit = np.flatnonzero(draws > 1)
+            pos.append(hit + start)
+            cnt.append(draws[hit])
+        positions.append(np.concatenate(pos))
+        counts.append(np.concatenate(cnt) - 1)
+        occupied[positions[-1]] = True
+    columns = np.flatnonzero(occupied)
+    pairs = np.zeros((len(mus), columns.size), dtype=np.int64)
+    for row, pos, cnt in zip(pairs, positions, counts):
+        row[np.searchsorted(columns, pos)] = cnt
+    return pairs
+
+
 def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
-    pairs = np.empty((len(mus), n), dtype=np.int64)
-    for i, mu in enumerate(mus):
-        # geometric on {1,2,...}; subtracting 1 gives the thermal distribution
-        pairs[i] = rng.geometric(1.0 / (1.0 + mu), size=n) - 1
-    # pulses with no pair in any mode never click; most pulses at small mu
-    pairs = pairs[:, pairs.any(axis=0)]
+    pairs = _occupied_pairs(rng, mus, n)
     herald_hits = _binomial_nonzero(rng, pairs, eta_h)
     clicks = herald_hits >= 1
     if multiplexed:
@@ -257,36 +284,16 @@ def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
     )
 
 
-def monte_carlo_counting(
-    model: MultiplexedStatisticsModel,
-    pulses: int,
-    rng: int | np.random.Generator,
-) -> CountingResult:
-    """Sample the thermal threshold model pulse by pulse.
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Pulses are partitioned into chunks of MC_CHUNK, each driven by its own
-    counter-based stream spawned from the recorded seed, so results are
-    identical for a given seed and the seed alone reproduces the run.
-    rng may be a seed or a Generator (a seed is then drawn from it).
-    """
-    if pulses < 1:
-        raise ValueError("pulses must be positive")
-    if isinstance(rng, np.random.Generator):
-        seed = int(rng.integers(2**63))
-    else:
-        seed = int(rng)
-    mus = model.mode_rates()
-    sizes = [MC_CHUNK] * (pulses // MC_CHUNK)
-    if pulses % MC_CHUNK:
-        sizes.append(pulses % MC_CHUNK)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts = [
-        _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
-                        model.eta_h, model.multiplexing_enabled, size)
-        for size, child in zip(sizes, children)
-    ]
-    c_h, c_s, c_sh, c_s1h, c_s2h, c_s1s2h = np.sum(parts, axis=0)
 
+def _counting_result(counts, pulses: int, seed: int) -> CountingResult:
+    """Frequencies and delta-method standard errors from the six summed counts."""
+    c_h, c_s, c_sh, c_s1h, c_s2h, c_s1s2h = counts
     n = float(pulses)
     p = lambda c: float(c) / n
     g2 = float(_g2(p(c_s1s2h), p(c_h), p(c_s1h), p(c_s2h)))
@@ -308,6 +315,46 @@ def monte_carlo_counting(
         se_p_sh=math.sqrt(p(c_sh) * (1.0 - p(c_sh)) / n),
         se_g2_h=se_g2,
     )
+
+
+def monte_carlo_counting(
+    model: MultiplexedStatisticsModel,
+    pulses: int,
+    rng: int | np.random.Generator,
+) -> CountingResult:
+    """Sample the thermal threshold model pulse by pulse.
+
+    Pulses are partitioned into chunks of MC_CHUNK, each driven by its own
+    counter-based stream spawned from the recorded seed, so results are
+    identical for a given seed and the seed alone reproduces the run.
+    rng may be a seed or a Generator (a seed is then drawn from it).
+
+    The chunks run on a thread pool with one thread per CPU this process may
+    use (numpy releases the GIL while it draws). Each chunk owns its stream
+    and yields integer counts, which are summed exactly, so the result does
+    not depend on the core count or on the order the chunks finish in.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # Monte Carlo runs alone pay its import
+
+    if pulses < 1:
+        raise ValueError("pulses must be positive")
+    if isinstance(rng, np.random.Generator):
+        seed = int(rng.integers(2**63))
+    else:
+        seed = int(rng)
+    mus = model.mode_rates()
+    sizes = [MC_CHUNK] * (pulses // MC_CHUNK)
+    if pulses % MC_CHUNK:
+        sizes.append(pulses % MC_CHUNK)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    def chunk(size, child):
+        return _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
+                               model.eta_h, model.multiplexing_enabled, size)
+
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(sizes))) as pool:
+        parts = list(pool.map(chunk, sizes, children))
+    return _counting_result(np.sum(parts, axis=0), pulses, seed)
 
 
 def klyshko_efficiencies(counts: CountingResult) -> tuple[float, float]:

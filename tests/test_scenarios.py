@@ -383,7 +383,7 @@ def test_event_rows_match_percent_formatting(values, pulse0, herald_bin):
     bins = np.full(n, herald_bin)
     flags = np.arange(n) % 2 == 0, np.arange(n) % 3 == 0, np.arange(n) % 4 == 0
     text = _event_rows(np.arange(pulse0, pulse0 + n), bins, (column, -column, column / 3, column),
-                       *flags)
+                       *flags, [])
     expected = "".join(
         _EVENT_ROW % (pulse0 + i, herald_bin, v, -v, v / 3, v, flags[0][i],
                       ("H" if flags[1][i] else "") + ("S" if flags[2][i] else ""))
@@ -392,11 +392,42 @@ def test_event_rows_match_percent_formatting(values, pulse0, herald_bin):
     assert text == expected.encode()
 
 
+def percent_rows(pulse, bins, columns, passed, herald_click, signal_click) -> bytes:
+    """Oracle: each row through _EVENT_ROW on its own."""
+    return "".join(
+        _EVENT_ROW % (pulse[i], bins[i], *(c[i] for c in columns), passed[i],
+                      ("H" if herald_click[i] else "") + ("S" if signal_click[i] else ""))
+        for i in range(pulse.size)).encode()
+
+
+def test_event_rows_at_int64_extremes_and_buffer_reuse():
+    # int64 extremes in both integer columns and a value that rounds up to 1e9 in every
+    # fixed-point column: the widest row the fixed-point path can write
+    n = 3
+    pulse = np.arange(2**63 - 1 - n, 2**63 - 1, dtype=np.int64)
+    bins = np.array([-(2**63 - 1), 2**63 - 1, 0], dtype=np.int64)
+    columns = (np.array([999999999.9999995, -999999999.9999995, 0.0]),) * 4
+    flags = np.array([True, False, True]), np.array([True, True, False]), np.ones(n, bool)
+    widest = percent_rows(pulse, bins, columns, *flags)
+    assert b",1000000000.000000," in widest and b",-1000000000.000000," in widest
+    # a narrow block first, then the widest: the buffers grow once, then are reused
+    buffers = []
+    narrow = (np.arange(n), np.zeros(n, np.int64), (np.zeros(n),) * 4, *flags)
+    assert _event_rows(*narrow, buffers) == percent_rows(*narrow)
+    first = buffers[0].size
+    assert _event_rows(pulse, bins, columns, *flags, buffers) == widest
+    grown = buffers[0]
+    assert grown.size > first and buffers[1].size == grown.size
+    shorter = (pulse[:2], bins[:2], tuple(c[:2] for c in columns), *(f[:2] for f in flags))
+    assert _event_rows(*shorter, buffers) == percent_rows(*shorter)
+    assert buffers[0] is grown
+
+
 def test_config_path_never_imports_scipy_linalg_or_special():
     code = ("import sys\nimport fmux.cli\nfrom fmux.scenarios import SCENARIOS, load_config\n"
             "for name in SCENARIOS:\n    load_config(name).validate()\n"
-            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'scipy.special') "
-            "if m in sys.modules))\n")
+            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'scipy.special', "
+            "'concurrent.futures') if m in sys.modules))\n")
     env = dict(os.environ)
     src = str(Path(fmux.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

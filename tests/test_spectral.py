@@ -228,3 +228,36 @@ def test_jsa_text_round_trip(tmp_path):
     np.testing.assert_array_equal(data[:, 0], np.repeat(sg.values, 33))
     np.testing.assert_array_equal(data[:, 1], np.tile(hg.values, 65))
     np.testing.assert_array_equal(data[:, 2] + 1j * data[:, 3], jsa.amplitude.ravel())
+
+
+def oracle_jsa_text(jsa: JointSpectralAmplitude) -> bytes:
+    """Oracle: the JSA export written one element at a time, each through float()."""
+    lines = ["# joint spectral amplitude\n"]
+    for tag, grid in (("signal", jsa.signal_grid), ("herald", jsa.herald_grid)):
+        lines.append(f"# {tag}_center={grid.center!r} {tag}_span={grid.span!r} "
+                     f"{tag}_points={grid.points}\n")
+    lines.append("# columns: omega_s omega_i re im\n")
+    vs, vh = jsa.signal_grid.values, jsa.herald_grid.values
+    for i in range(jsa.signal_grid.points):
+        for j in range(jsa.herald_grid.points):
+            a = jsa.amplitude[i, j]
+            lines.append(f"{float(vs[i])!r} {float(vh[j])!r} "
+                         f"{float(a.real)!r} {float(a.imag)!r}\n")
+    return "".join(lines).encode()
+
+
+def test_jsa_text_matches_per_element_oracle(tmp_path):
+    # the joint-spectrum scenario's grids at the default config; the filtered JSA has exact zeros
+    sg = FrequencyGrid(FILTER.center, 12.0 * PUMP.sigma, 257)
+    hg = FrequencyGrid(PUMP.center - FILTER.center, 12.0 * PUMP.sigma, 257)
+    jsa = build_anticorrelated_jsa(PUMP, sg, hg)
+    filtered, _ = apply_filter(jsa, FILTER, axis="signal")
+    assert np.any(filtered.amplitude == 0.0) and np.any(filtered.amplitude != 0.0)
+    # the JSAs are real; a chirped copy has imaginary parts of both signs
+    chirped = JointSpectralAmplitude(
+        sg, hg, filtered.amplitude * np.exp(1j * np.linspace(-3.0, 3.0, 257))[None, :])
+    assert np.any(chirped.amplitude.imag < 0.0) and np.any(chirped.amplitude.imag > 0.0)
+    for name, state in (("full", jsa), ("filtered", filtered), ("chirped", chirped)):
+        path = tmp_path / f"{name}.txt"
+        write_jsa_text(state, path)
+        assert path.read_bytes() == oracle_jsa_text(state), name

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmux import statistics
 from fmux.statistics import (
     EXPANSION_LIMIT,
     MC_CHUNK,
@@ -22,6 +23,8 @@ from fmux.statistics import (
     klyshko_efficiencies,
     monte_carlo_counting,
     write_counting_csv,
+    _PIECE,
+    _counting_result,
     _simulate_chunk,
 )
 
@@ -179,7 +182,9 @@ def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
                      (c_s1 & c_s2 & heralded).sum()], dtype=np.int64)
 
 
-@pytest.mark.parametrize("size", [1, MC_CHUNK, MC_CHUNK + 3])
+# one pulse, less than a piece, a piece either side of a boundary, whole chunks and beyond
+@pytest.mark.parametrize("size", [1, 1000, _PIECE - 1, _PIECE + 1, 3 * _PIECE + 5, MC_CHUNK,
+                                  MC_CHUNK + 3])
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
     # mu = 0.3 makes multi-pair pulses and every click pattern common
@@ -191,6 +196,24 @@ def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
         assert np.array_equal(counts, dense_chunk(dense_rng, *args)), seed
         # the stream is left where the dense draws leave it
         assert sparse_rng.random() == dense_rng.random()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("pulses", [1, MC_CHUNK, 3 * MC_CHUNK + 5])
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_mc_threads_match_serial_oracle(monkeypatch, cpus, pulses, multiplexed):
+    # mu = 0.3 so that even one pulse can click and every count is nonzero at 3 chunks
+    m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
+    seed = 17
+    children = np.random.SeedSequence(seed).spawn(-(-pulses // MC_CHUNK))
+    parts = []
+    for k, child in enumerate(children):
+        size = min(MC_CHUNK, pulses - k * MC_CHUNK)
+        parts.append(_simulate_chunk(np.random.Generator(np.random.Philox(child)),
+                                     m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size))
+    expected = _counting_result(np.sum(parts, axis=0), pulses, seed)
+    monkeypatch.setattr(statistics, "_available_cpus", lambda: cpus)
+    assert_identical(monte_carlo_counting(m, pulses, rng=seed), expected)
 
 
 def test_mc_respects_partial_mode():
