@@ -16,6 +16,7 @@ import importlib.resources
 import json
 import math
 import platform
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -257,7 +258,11 @@ class ScenarioConfig:
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
         """Heralded state with the configured jitter model and delay-line GVD, each switchable off.
 
-        The pump envelope must span at least one step of the signal grid.
+        The pump envelope must span at least one step of the signal grid, and
+        the error nodes, out to JITTER_SPAN_SIGMAS jitter stds, must stay few
+        enough pump widths from the filter that the engine can square
+        (x - e) / pump sigma: below half the root of the largest float, room
+        for the rounding of x - e. No square is taken here.
         """
         model = heralded.HeraldedStateModel(
             pump=self.pump(),
@@ -271,6 +276,15 @@ class ScenarioConfig:
             raise ConfigError("source.pump_sigma_ghz", (
                 f"the pump envelope is narrower than the signal grid step ({step / GHZ:.3g} GHz); "
                 "widen it or raise run.grid_scale"))
+        width = model.spectrometer.frequency_std()
+        reach = (heralded.JITTER_SPAN_SIGMAS * width + model.filter.half_width) / model.pump.sigma
+        if not reach < 0.5 * math.sqrt(sys.float_info.max):
+            nominal = self.get("spectrometer.jitter_model") == "nominal"
+            raise ConfigError(
+                "spectrometer.nominal_resolution_ghz" if nominal
+                else "spectrometer.dispersion_ps_per_ghz",
+                f"the spectrometer jitter is {width / GHZ:.3g} GHz wide: the purity error nodes "
+                f"reach {reach:.3g} pump widths, too many to square")
         return model
 
     def statistics_model(self, multiplexed: bool = True) -> statistics.MultiplexedStatisticsModel:

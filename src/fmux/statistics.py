@@ -10,6 +10,15 @@ inclusion-exclusion over such terms. analytic_counting evaluates those exact
 expressions; monte_carlo_counting samples the same model and is the oracle
 the analytic path is tested against.
 
+The Monte Carlo draws each mode's pair numbers from raw Philox words: one
+64-bit word per pulse and mode, the word rng.geometric(1 / (1 + mu)) would
+read. A pulse holds a pair exactly when its word exceeds an integer
+threshold, and only those pulses, a fraction mu / (1 + mu), get a pair
+number, from numpy's own geometric search (used for mu <= 2). Every pulse
+still takes exactly one word per mode, in the same order, so the stream
+ends where a geometric draw leaves it and every later binomial draw, and so
+every count, is what the geometric sampler gives for the same seed.
+
 Routing model: with multiplexing enabled the lowest-index clicking herald
 wins and only the winner's signal mode is shifted into the output filter
 (everything else, including unheralded pulses, is rejected). With
@@ -224,28 +233,55 @@ def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.n
     return out
 
 
+def _search_thresholds(p: float) -> np.ndarray:
+    """Word thresholds T_k of numpy's geometric search at p >= 1/3, ascending.
+
+    The search reads one word w as U = (w >> 11) 2^-53 and returns 1 plus
+    the number of partial sums s_k = p + p q + ... + p q^k, q = 1 - p, that
+    U exceeds, each summed in numpy's order. U > s exactly when
+    w > T = (floor(s 2^53) << 11) | 0x7FF, clamped to 2^64 - 1 (s = 1.0 gives
+    2^64 + 0x7FF; no word exceeds it). The sums stop where adding the next
+    term leaves them unchanged, as every later term does.
+    """
+    q = 1.0 - p
+    total = prod = p
+    sums = [total]
+    while True:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return np.array([min((math.floor(s * 2**53) << 11) | 0x7FF, 2**64 - 1) for s in sums],
+                    dtype=np.uint64)
+
+
 def _occupied_pairs(rng, mus, n) -> np.ndarray:
     """Pair numbers per mode of the pulses, out of n, that hold a pair in some mode.
 
     Pulses with no pair in any mode never click, which is most of them at
-    small mu. Each mode's geometric variates are drawn in _PIECE-pulse pieces
-    in order, so the stream advances exactly as one size-n draw per mode
-    would, and only the positions holding a pair are kept: no temporary of
-    n pulses per mode is ever held.
+    small mu. Each mode reads one raw 64-bit word per pulse, in _PIECE-pulse
+    pieces and in order: the word rng.geometric(1 / (1 + mu)) would turn
+    into a double and search for every pulse. A pulse holds a pair exactly
+    when its word exceeds the first search threshold, one integer compare;
+    only those hits are searched, and the pair number is how many
+    thresholds the word exceeds (_search_thresholds). This is numpy's search
+    sampler, which it uses for p >= 1/3, i.e. mu <= 2. The stream therefore
+    advances and yields exactly as one size-n geometric draw per mode would,
+    and no temporary of n pulses per mode is ever held.
     """
     occupied = np.zeros(n, dtype=bool)
     positions, counts = [], []
     for mu in mus:
-        p = 1.0 / (1.0 + mu)
+        thresholds = _search_thresholds(1.0 / (1.0 + mu))
         pos, cnt = [], []
         for start in range(0, n, _PIECE):
-            # geometric on {1,2,...}; subtracting 1 gives the thermal distribution
-            draws = rng.geometric(p, size=min(_PIECE, n - start))
-            hit = np.flatnonzero(draws > 1)
+            words = rng.bit_generator.random_raw(min(_PIECE, n - start))
+            hit = np.flatnonzero(words > thresholds[0])
             pos.append(hit + start)
-            cnt.append(draws[hit])
+            cnt.append(np.searchsorted(thresholds, words[hit]))
         positions.append(np.concatenate(pos))
-        counts.append(np.concatenate(cnt) - 1)
+        counts.append(np.concatenate(cnt))
         occupied[positions[-1]] = True
     columns = np.flatnonzero(occupied)
     pairs = np.zeros((len(mus), columns.size), dtype=np.int64)
@@ -330,14 +366,21 @@ def monte_carlo_counting(
     rng may be a seed or a Generator (a seed is then drawn from it).
 
     The chunks run on a thread pool with one thread per CPU this process may
-    use (numpy releases the GIL while it draws). Each chunk owns its stream
-    and yields integer counts, which are summed exactly, so the result does
-    not depend on the core count or on the order the chunks finish in.
+    use (numpy releases the GIL in random_raw and in its binomial draws).
+    Each chunk owns its stream and yields integer counts, which are summed
+    exactly, so the result does not depend on the core count or on the order
+    the chunks finish in.
+
+    Pair numbers come from numpy's geometric search read off raw words
+    (_occupied_pairs), which numpy uses only for p = 1 / (1 + mu) >= 1/3, so
+    mu > 2 raises ValueError.
     """
     from concurrent.futures import ThreadPoolExecutor  # Monte Carlo runs alone pay its import
 
     if pulses < 1:
         raise ValueError("pulses must be positive")
+    if model.mu > 2.0:
+        raise ValueError(f"mu = {model.mu!r} is above 2, outside the Monte Carlo sampler's domain")
     if isinstance(rng, np.random.Generator):
         seed = int(rng.integers(2**63))
     else:

@@ -553,6 +553,11 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     ("hom-dip", "run.hom_delay_span_ps", "-1"),  # once a reversed delay axis
     ("loss-budget", "losses.tolerance", "-1"),  # once every arm DISCREPANT
     ("loss-budget", "losses.tolerance", "-0.01"),
+    # a measured jitter 1e200 GHz wide or more, whose error nodes over the pump width
+    # once overflowed a square in the purity engine
+    *((scenario, "spectrometer.dispersion_ps_per_ghz", value)
+      for scenario in ("purity-jitter", "purity-combined", "hom-dip")
+      for value in ("1e-280", "1e-200")),
 ])
 def test_cli_bad_value_exits_two_naming_the_key(tmp_path, capsys, scenario, dotted, value):
     path = tmp_path / "bad.cfg"
@@ -561,6 +566,19 @@ def test_cli_bad_value_exits_two_naming_the_key(tmp_path, capsys, scenario, dott
                      "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert f"[{dotted}]" in capsys.readouterr().err
+
+
+def test_cli_nominal_jitter_beyond_squarable_reach_names_its_resolution(tmp_path, capsys):
+    # the stream's own spectrometer without jitter keeps the lookup table small, so
+    # the purity engine's bound is what rejects the 1e159 GHz wide nominal jitter
+    path = tmp_path / "wide.cfg"
+    write_overlay(path, {"spectrometer.jitter_model": "nominal",
+                         "spectrometer.nominal_resolution_ghz": "1e160",
+                         "feedforward.stream_spectrometer": "none"})
+    code = cli.main(["purity-jitter", "--config", str(path), "--grid-scale", "0.25",
+                     "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "[spectrometer.nominal_resolution_ghz]" in capsys.readouterr().err
 
 
 def test_cli_removed_marginal_fwhm_key_exits_two(tmp_path, capsys):

@@ -25,6 +25,7 @@ from fmux.statistics import (
     write_counting_csv,
     _PIECE,
     _counting_result,
+    _occupied_pairs,
     _simulate_chunk,
 )
 
@@ -196,6 +197,27 @@ def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
         assert np.array_equal(counts, dense_chunk(dense_rng, *args)), seed
         # the stream is left where the dense draws leave it
         assert sparse_rng.random() == dense_rng.random()
+
+
+# p == 1.0 exactly at 1e-300 and 1.1e-16 (the first threshold clamps to 2^64 - 1),
+# p = 1 - 2^-52 at 3e-16, the stats-sweep regime, many pairs, and p == 1/3 at 2.0,
+# the last mu numpy samples by search
+@pytest.mark.parametrize("mu", [1e-300, 1.1e-16, 3e-16, 1e-9, 0.01, 0.3, 2.0])
+@pytest.mark.parametrize("size", [1, _PIECE - 1, _PIECE, _PIECE + 1, 4 * _PIECE + 3])
+def test_word_sampler_matches_geometric(mu, size):
+    for seed in (5, 6):
+        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        pairs = _occupied_pairs(sparse_rng, [mu], size)
+        dense = dense_rng.geometric(1.0 / (1.0 + mu), size) - 1
+        assert np.array_equal(pairs[0], dense[dense > 0]), seed
+        assert sparse_rng.random() == dense_rng.random()
+
+
+@pytest.mark.parametrize("mu", [np.nextafter(2.0, 3.0), 3.0])
+def test_mc_rejects_mu_above_search_domain(mu):
+    monte_carlo_counting(model(mu=2.0), 100, rng=1)  # the domain's edge
+    with pytest.raises(ValueError, match="mu"):
+        monte_carlo_counting(model(mu=mu), 100, rng=1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
