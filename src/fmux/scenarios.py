@@ -744,7 +744,10 @@ _EVENTS_HEADER = ("pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
                   "signal_detuning_ghz,shift_ghz,passed,clicks\n")
 _EVENT_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f,%d,%s\n"
 _CLICK_LABELS = ("", "H", "S", "HS")
-_EVENT_BLOCK = 1 << 16  # rows formatted per write; bounds the writer's memory
+# rows formatted per write. The writer holds about 740 bytes per block row at the
+# default 36 cells a row (11.5 MiB a block), whatever the file length; the largest
+# share is the intp copy, 8 bytes a cell, that np.take makes of the int16 cell index
+_EVENT_BLOCK = 1 << 14
 _FIXED_LIMIT = 1e9  # |value| below which value * 1e6 is an exact-enough float for _micro
 
 

@@ -17,7 +17,12 @@ threshold, and only those pulses, a fraction mu / (1 + mu), get a pair
 number, from numpy's own geometric search (used for mu <= 2). Every pulse
 still takes exactly one word per mode, in the same order, so the stream
 ends where a geometric draw leaves it and every later binomial draw, and so
-every count, is what the geometric sampler gives for the same seed.
+every count, is what the geometric sampler gives for the same seed. Each
+chunk reads a mode's words in one call, so each thread holds one
+MC_CHUNK-word array (1 MiB) at a time, one mode after another, and a chunk
+makes a dozen or so numpy calls, not hundreds: every call drops and takes
+back the GIL, and few long calls let the pool's threads run side by side
+instead of handing the GIL back and forth.
 
 Routing model: with multiplexing enabled the lowest-index clicking herald
 wins and only the winner's signal mode is shifted into the output filter
@@ -217,7 +222,6 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
 
 _COUNT_FIELDS = 6  # h, s, sh, s1h, s2h, s1s2h
 MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
-_PIECE = 1 << 13  # pulses per geometric draw; bounds each chunk's temporaries
 
 
 def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
@@ -260,29 +264,29 @@ def _occupied_pairs(rng, mus, n) -> np.ndarray:
     """Pair numbers per mode of the pulses, out of n, that hold a pair in some mode.
 
     Pulses with no pair in any mode never click, which is most of them at
-    small mu. Each mode reads one raw 64-bit word per pulse, in _PIECE-pulse
-    pieces and in order: the word rng.geometric(1 / (1 + mu)) would turn
-    into a double and search for every pulse. A pulse holds a pair exactly
-    when its word exceeds the first search threshold, one integer compare;
-    only those hits are searched, and the pair number is how many
-    thresholds the word exceeds (_search_thresholds). This is numpy's search
-    sampler, which it uses for p >= 1/3, i.e. mu <= 2. The stream therefore
-    advances and yields exactly as one size-n geometric draw per mode would,
-    and no temporary of n pulses per mode is ever held.
+    small mu. Each mode reads its n raw 64-bit words in one call, one word
+    per pulse and in order: the words rng.geometric(1 / (1 + mu)) would turn
+    into doubles and search. A pulse holds a pair exactly when its word
+    exceeds the first search threshold, one integer compare; only those hits
+    are searched, and the pair number is how many thresholds the word
+    exceeds (_search_thresholds). This is numpy's search sampler, which it
+    uses for p >= 1/3, i.e. mu <= 2. The stream therefore advances and
+    yields exactly as one size-n geometric draw per mode would. A chunk
+    makes a handful of numpy calls per mode. Its largest temporary is one
+    n-word array (n <= MC_CHUNK, so 1 MiB), freed before the next mode reads:
+    two such arrays alive at once would push the heap past malloc's trim
+    threshold, and every read would then fault in fresh pages.
     """
     occupied = np.zeros(n, dtype=bool)
     positions, counts = [], []
     for mu in mus:
         thresholds = _search_thresholds(1.0 / (1.0 + mu))
-        pos, cnt = [], []
-        for start in range(0, n, _PIECE):
-            words = rng.bit_generator.random_raw(min(_PIECE, n - start))
-            hit = np.flatnonzero(words > thresholds[0])
-            pos.append(hit + start)
-            cnt.append(np.searchsorted(thresholds, words[hit]))
-        positions.append(np.concatenate(pos))
-        counts.append(np.concatenate(cnt))
-        occupied[positions[-1]] = True
+        words = rng.bit_generator.random_raw(n)
+        hit = np.flatnonzero(words > thresholds[0])
+        positions.append(hit)
+        counts.append(np.searchsorted(thresholds, words[hit]))
+        occupied[hit] = True
+        del words
     columns = np.flatnonzero(occupied)
     pairs = np.zeros((len(mus), columns.size), dtype=np.int64)
     for row, pos, cnt in zip(pairs, positions, counts):
@@ -367,6 +371,9 @@ def monte_carlo_counting(
 
     The chunks run on a thread pool with one thread per CPU this process may
     use (numpy releases the GIL in random_raw and in its binomial draws).
+    A chunk reads each mode's words in one random_raw call into one
+    MC_CHUNK-word array, so it makes few, long calls and the threads seldom
+    wait on the GIL.
     Each chunk owns its stream and yields integer counts, which are summed
     exactly, so the result does not depend on the core count or on the order
     the chunks finish in.

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -344,6 +345,7 @@ def seeded_stream(result, rows: int, seed: int):
 
 
 @pytest.mark.parametrize("rows, block", [(1, 4), (3, 4), (4, 4), (5, 4), (9, 4),
+                                         ((1 << 14) - 1, 1 << 14), ((1 << 14) + 1, 1 << 14),
                                          ((1 << 16) - 1, 1 << 16), ((1 << 16) + 1, 1 << 16)])
 def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkeypatch, rows,
                                                   block):
@@ -353,6 +355,22 @@ def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkey
     for ref, center in ((0.0, 0.0), small_stream[1:]):
         _write_events_csv(result, ref, center, path)
         assert path.read_bytes() == oracle_events_csv(result, ref, center)
+
+
+def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
+    # one block, and four blocks and five rows, reach the same peak; a block of
+    # 65,536 rows would pass the first assertion and fail the second (53 MiB here)
+    peaks = []
+    for rows in (scenarios._EVENT_BLOCK, 4 * scenarios._EVENT_BLOCK + 5):
+        result = seeded_stream(small_stream[0], rows, seed=3)
+        tracemalloc.start()
+        try:
+            _write_events_csv(result, *small_stream[1:], tmp_path / "events.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
+    assert max(peaks) < 16 * 2**20, peaks
 
 
 def test_events_csv_edge_values_take_both_paths(small_stream, tmp_path, monkeypatch):

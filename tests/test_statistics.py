@@ -23,7 +23,6 @@ from fmux.statistics import (
     klyshko_efficiencies,
     monte_carlo_counting,
     write_counting_csv,
-    _PIECE,
     _counting_result,
     _occupied_pairs,
     _simulate_chunk,
@@ -183,8 +182,9 @@ def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
                      (c_s1 & c_s2 & heralded).sum()], dtype=np.int64)
 
 
-# one pulse, less than a piece, a piece either side of a boundary, whole chunks and beyond
-@pytest.mark.parametrize("size", [1, 1000, _PIECE - 1, _PIECE + 1, 3 * _PIECE + 5, MC_CHUNK,
+# one pulse, a few, sizes where a piecewise read of 8192 words would split a mode's
+# words (on and either side of one piece, and odd sizes past it), whole chunks and beyond
+@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK,
                                   MC_CHUNK + 3])
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
@@ -203,7 +203,9 @@ def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
 # p = 1 - 2^-52 at 3e-16, the stats-sweep regime, many pairs, and p == 1/3 at 2.0,
 # the last mu numpy samples by search
 @pytest.mark.parametrize("mu", [1e-300, 1.1e-16, 3e-16, 1e-9, 0.01, 0.3, 2.0])
-@pytest.mark.parametrize("size", [1, _PIECE - 1, _PIECE, _PIECE + 1, 4 * _PIECE + 3])
+# sizes as above, and a whole chunk, which is one read per mode
+@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK - 1,
+                                  MC_CHUNK])
 def test_word_sampler_matches_geometric(mu, size):
     for seed in (5, 6):
         sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
