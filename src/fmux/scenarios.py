@@ -56,10 +56,12 @@ GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 MODE_WEIGHT_FLOOR = 1e-12
 JITTER_MODELS = ("measured", "nominal", "none")
 # resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
-# the lookup table one array row per TDC bin (lut.txt one text line each), and the
+# the lookup table one array row per TDC bin (lut.txt one text line each), each stream
+# histogram histogram_bins^2 float64 counts (134 MB at the ceiling), and the
 # delay-line chirp must be resolvable on a signal grid of at most CHIRP_POINTS_MAX points
 GRID_SCALE_MAX = 16.0
 LUT_BINS_MAX = 100_000
+HISTOGRAM_BINS_MAX = 4096
 CHIRP_POINTS_MAX = 16_384
 
 
@@ -79,6 +81,8 @@ _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 _JITTER_MODEL = (lambda v: v in JITTER_MODELS, f"must be one of {', '.join(JITTER_MODELS)}")
 _GRID_SCALE = (lambda v: 0 < v <= GRID_SCALE_MAX, f"must be in (0, {GRID_SCALE_MAX:g}]")
+_HISTOGRAM_BINS = (lambda v: 1 <= v <= HISTOGRAM_BINS_MAX,
+                   f"must be in [1, {HISTOGRAM_BINS_MAX}]")
 
 _SCHEMA = {
     "source.pump_sigma_ghz": (float, _POSITIVE),
@@ -108,7 +112,7 @@ _SCHEMA = {
     "losses.tolerance": (float, _NON_NEGATIVE),
     "run.seed": (int, _NON_NEGATIVE),
     "run.grid_scale": (float, _GRID_SCALE),
-    "run.histogram_bins": (int, _AT_LEAST_ONE),
+    "run.histogram_bins": (int, _HISTOGRAM_BINS),
     "run.stream_pulses": (int, _AT_LEAST_ONE),
     "run.hom_delay_span_ps": (float, _POSITIVE),
     "run.hom_delay_points": (int, _AT_LEAST_ONE),
@@ -665,6 +669,37 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Index of the bin of evenly spaced edges holding each value, all within the edges.
+
+    The bin comes from arithmetic on the value (halves, so no difference
+    overflows), then one step against the edges themselves: a value on an
+    edge goes to the bin above it, and one on the last edge to the last bin.
+    """
+    n = edges.size - 1
+    low, high = edges[0] / 2, edges[-1] / 2
+    guess = np.floor((values / 2 - low) / (high - low) * n)
+    index = np.clip(guess, 0, n - 1).astype(np.intp)
+    index -= values < edges.take(index)
+    upper = np.append(edges[1:-1], np.inf)  # a value on the last edge stays in the last bin
+    index += values >= upper.take(index)
+    return index
+
+
+def _joint_histogram(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
+                     y_edges: np.ndarray) -> np.ndarray:
+    """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] for np.linspace edges, by one bincount.
+
+    Pairs with either value outside its edges (or NaN) are dropped, as
+    histogram2d drops them.
+    """
+    inside = ((x >= x_edges[0]) & (x <= x_edges[-1])
+              & (y >= y_edges[0]) & (y <= y_edges[-1]))
+    nx, ny = x_edges.size - 1, y_edges.size - 1
+    flat = _bin_index(x[inside], x_edges) * ny + _bin_index(y[inside], y_edges)
+    return np.bincount(flat, minlength=nx * ny).reshape(nx, ny).astype(float)
+
+
 def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) -> StreamResult:
     """Sample pairs, measure heralds, apply LUT shifts, filter, and histogram.
 
@@ -709,15 +744,15 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     s_all = signal - window.center
     edge = max(half_span, np.abs(h_all).max(), np.abs(s_all).max()) * 1.0001
     full_edges = np.linspace(-edge, edge, bins_n + 1)
-    unshifted_hist, _, _ = np.histogram2d(h_all, s_all, bins=(full_edges, full_edges))
+    unshifted_hist = _joint_histogram(h_all, s_all, full_edges, full_edges)
     herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
     shifted_edges = (
         np.linspace(-herald_half, herald_half, bins_n + 1),
         np.linspace(-window.half_width, window.half_width, bins_n + 1),
     )
-    shifted_hist, _, _ = np.histogram2d(
-        h_all[passed], (shifted_signal - window.center)[passed], bins=shifted_edges
-    )
+    h_passed = h_all[passed]
+    s_passed = (shifted_signal - window.center)[passed]
+    shifted_hist = _joint_histogram(h_passed, s_passed, *shifted_edges)
 
     n_routed = int(routed.sum())
     return StreamResult(
@@ -734,7 +769,7 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         shifted_hist=shifted_hist,
         shifted_edges=shifted_edges,
         r_unshifted=_pearson(h_all, s_all),
-        r_shifted=_pearson(h_all[passed], (shifted_signal - window.center)[passed]),
+        r_shifted=_pearson(h_passed, s_passed),
         in_range_fraction=n_routed / pulses,
         pass_fraction_in_range=float(passed.sum() / n_routed) if n_routed else float("nan"),
     )
@@ -744,9 +779,9 @@ _EVENTS_HEADER = ("pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
                   "signal_detuning_ghz,shift_ghz,passed,clicks\n")
 _EVENT_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f,%d,%s\n"
 _CLICK_LABELS = ("", "H", "S", "HS")
-# rows formatted per write. The writer holds about 740 bytes per block row at the
-# default 36 cells a row (11.5 MiB a block), whatever the file length; the largest
-# share is the intp copy, 8 bytes a cell, that np.take makes of the int16 cell index
+# rows formatted per write. The writer holds about 330 bytes per block row at the
+# default 19 cells a row (5.2 MiB a block, tracemalloc), whatever the file length; the
+# largest share is the intp copy, 8 bytes a cell, that np.take makes of the int16 cell index
 _EVENT_BLOCK = 1 << 14
 _FIXED_LIMIT = 1e9  # |value| below which value * 1e6 is an exact-enough float for _micro
 
@@ -767,40 +802,55 @@ def _micro(values: np.ndarray) -> np.ndarray:
     return micro
 
 
-def _digit_cells() -> np.ndarray:
+# first index of each family of _CELLS; a family's cell i spells its format with i
+_BLANK, _LEAD, _GROUP, _FRAC, _GROUP_COMMA, _TAIL, _COMMA, _NEWLINE = (
+    0, 1, 2001, 3001, 4001, 5001, 5009, 5010)
+
+
+def _text_cells() -> np.ndarray:
     """Four-byte text cells, one uint32 each; zero bytes are padding the writer drops.
 
-    Cells 0-999 spell i with leading zeros, 1000-1999 pad the leading zeros
-    (0 still prints 0), 2000-2999 likewise but 0 is blank, and _PAD to _S follow.
+    A cell carries the separators next to its digits. In index order: the
+    blank cell; a signed leading group, '%d' % i at _LEAD + i and '-%d' % i
+    at _LEAD + 1000 + i; the full group '%03d'; the fraction's groups
+    '.%03d' and '%03d,'; the tail '%d,%s' % (passed, clicks) at
+    _TAIL + 4 * passed + herald_click + 2 * signal_click; the comma; the
+    newline. 5,011 cells, about 20 KB.
     """
-    digits = np.array([list(b"\0%03d" % i) for i in range(1000)], dtype=np.uint8)
-    padded = np.where(np.cumsum(digits > ord("0"), axis=1) > 0, digits, 0).astype(np.uint8)
-    units = padded.copy()
-    units[0, -1] = ord("0")
-    specials = np.array([[0, 0, 0, ord(c)] for c in "\0,-.\nHS"], dtype=np.uint8)
-    return np.vstack([digits, units, padded, specials]).view(np.uint32).ravel()
+    spellings = [b""]
+    spellings += [b"%d" % i for i in range(1000)] + [b"-%d" % i for i in range(1000)]
+    for form in (b"%03d", b".%03d", b"%03d,"):
+        spellings += [form % i for i in range(1000)]
+    spellings += [b"%d,%s" % (passed, clicks.encode()) for passed in (0, 1)
+                  for clicks in _CLICK_LABELS]
+    spellings += [b",", b"\n"]
+    return np.frombuffer(b"".join(s.ljust(4, b"\0") for s in spellings), dtype=np.uint32)
 
 
-_CELLS = _digit_cells()
-_PAD, _COMMA, _MINUS, _POINT, _NEWLINE, _H, _S = range(3000, 3007)
+_CELLS = _text_cells()
 
 
-def _number_cells(magnitude: np.ndarray, negative: np.ndarray, decimals: int = 0) -> list:
-    """_CELLS rows spelling +-magnitude / 10**decimals per value, decimals 0 or 6."""
-    whole, frac = np.divmod(magnitude, 10**decimals)
-    groups = []  # base-1000 digits of the whole part, least significant first
+def _whole_cells(magnitude: np.ndarray, negative) -> list:
+    """_CELLS indices spelling the integers +-magnitude, one cell per base-1000 group.
+
+    The block's widest value sets the number of groups. The groups above a
+    value's first significant one are blank; that group (the last one, for
+    0) carries the sign and no leading zeros; the groups after it are full.
+    """
+    groups = []  # least significant first; // and - are faster than np.divmod
     while True:
-        whole, group = np.divmod(whole, 1000)
-        groups.append(group)
-        if not whole.any():
+        higher = magnitude // 1000
+        groups.append(magnitude - 1000 * higher)
+        if not higher.any():
             break
-    cells = [np.where(negative, _MINUS, _PAD)]
-    leading = np.ones(magnitude.size, bool)  # every higher group is zero
-    for k, group in enumerate(reversed(groups)):
-        cells.append(group + np.where(leading, 1000 if k == len(groups) - 1 else 2000, 0))
-        leading &= group == 0
-    if decimals:
-        cells += [_POINT, *np.divmod(frac, 1000)]
+        magnitude = higher
+    lead = _LEAD + 1000 * negative
+    cells = []
+    higher_zero = True  # every higher group is zero
+    for group in groups[:0:-1]:
+        cells.append(np.where(higher_zero, np.where(group == 0, _BLANK, lead), _GROUP) + group)
+        higher_zero = higher_zero & (group == 0)
+    cells.append(np.where(higher_zero, lead, _GROUP) + groups[0])
     return cells
 
 
@@ -808,7 +858,9 @@ def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_cli
                 buffers: list) -> bytes:
     """The events.csv rows of one block, byte for byte as _EVENT_ROW formats them.
 
-    Each row is a run of _CELLS gathered by one np.take; a block holding a
+    Each row is a run of _CELLS gathered by one np.take: 19 cells at the
+    default stream (two for the pulse, one for the herald bin and three for
+    each detuning, the commas, the tail and the newline). A block holding a
     value too large for _micro (or not finite) is formatted by % instead.
     buffers is the caller's list of the flat cell-index and gathered-cell
     arrays, kept for a whole file: each block fills their leading part, and
@@ -824,12 +876,15 @@ def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_cli
         for j, column in enumerate(values):
             flat[j::len(values)] = column
         return (_EVENT_ROW * n % tuple(flat)).encode()
-    cells = [*_number_cells(pulse, np.zeros(n, bool)), _COMMA,
-             *_number_cells(np.abs(herald_bin), herald_bin < 0), _COMMA]
+    cells = [*_whole_cells(pulse, False), _COMMA,
+             *_whole_cells(np.abs(herald_bin), herald_bin < 0), _COMMA]
     for column in ghz_columns:
-        cells += [*_number_cells(_micro(column), np.signbit(column), 6), _COMMA]
-    cells += [1000 + passed, _COMMA, np.where(herald_click, _H, _PAD),
-              np.where(signal_click, _S, _PAD), _NEWLINE]
+        micro = _micro(column)
+        milli = micro // 1000
+        whole = milli // 1000
+        cells += [*_whole_cells(whole, np.signbit(column)), _FRAC + milli - 1000 * whole,
+                  _GROUP_COMMA + micro - 1000 * milli]
+    cells += [_TAIL + 4 * passed + herald_click + 2 * signal_click, _NEWLINE]
     size = len(cells) * n
     if not buffers or buffers[0].size < size:
         buffers[:] = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.uint32)
@@ -837,6 +892,7 @@ def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_cli
     for row, cell in zip(index, cells):
         row[...] = cell
     gathered = buffers[1][:size].reshape(n, len(cells))
+    del cells  # the int64 columns, freed before np.take makes its intp copy of the index
     # every index is in range; "clip" lets take write into out without a buffered copy
     np.take(_CELLS, index.T, out=gathered, mode="clip")
     return gathered.tobytes().translate(None, b"\0")
@@ -846,8 +902,9 @@ def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: fl
                       path) -> None:
     """events.csv: one row per pulse, detunings in GHz to six decimals.
 
-    Rows are formatted a block at a time, as fixed-point digits assembled
-    in numpy; a block holding a value too large for that falls back to one
+    Rows are formatted a block at a time, as fixed-point digit groups
+    gathered in numpy from _CELLS, each cell a group with its sign, point
+    or comma; a block holding a value too large for that falls back to one
     % over a flat list of Python values. Either way the bytes are those of
     formatting every row on its own with _EVENT_ROW. The cell buffers live
     for the whole file, so the writer's page faults do not depend on the

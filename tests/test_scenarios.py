@@ -18,12 +18,14 @@ from fmux import cli, defaults, scenarios, serrodyne, spectrometer
 from fmux.scenarios import (
     _EVENT_ROW,
     GHZ,
+    HISTOGRAM_BINS_MAX,
     MODE_WEIGHT_FLOOR,
     SCENARIOS,
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
     _event_rows,
+    _joint_histogram,
     _write_events_csv,
     load_config,
     run_scenario,
@@ -358,8 +360,10 @@ def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkey
 
 
 def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
-    # one block, and four blocks and five rows, reach the same peak; a block of
-    # 65,536 rows would pass the first assertion and fail the second (53 MiB here)
+    # one block, and four blocks and five rows, reach the same peak (6.3 MiB here at
+    # 19 cells a row); a block of 65,536 rows would pass the first assertion and fail
+    # the second, and so would 36 unfused cells a row (9.6 MiB even with the columns
+    # freed before the gather)
     peaks = []
     for rows in (scenarios._EVENT_BLOCK, 4 * scenarios._EVENT_BLOCK + 5):
         result = seeded_stream(small_stream[0], rows, seed=3)
@@ -370,7 +374,7 @@ def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
-    assert max(peaks) < 16 * 2**20, peaks
+    assert max(peaks) < 8 * 2**20, peaks
 
 
 def test_events_csv_edge_values_take_both_paths(small_stream, tmp_path, monkeypatch):
@@ -439,6 +443,92 @@ def test_event_rows_at_int64_extremes_and_buffer_reuse():
     shorter = (pulse[:2], bins[:2], tuple(c[:2] for c in columns), *(f[:2] for f in flags))
     assert _event_rows(*shorter, buffers) == percent_rows(*shorter)
     assert buffers[0] is grown
+
+
+def spelled(index: int) -> bytes:
+    """The text of _CELLS[index], its zero padding dropped as the writer drops it."""
+    return scenarios._CELLS[index:index + 1].tobytes().replace(b"\0", b"")
+
+
+def test_text_cells_spell_their_formats():
+    digits = range(1000)
+    families = [(scenarios._LEAD, b"%d"), (scenarios._LEAD + 1000, b"-%d"),
+                (scenarios._GROUP, b"%03d"), (scenarios._FRAC, b".%03d"),
+                (scenarios._GROUP_COMMA, b"%03d,")]
+    for first, form in families:
+        assert [spelled(first + i) for i in digits] == [form % i for i in digits], form
+    # passed, herald click, signal click
+    tails = {(p, h, s): spelled(scenarios._TAIL + 4 * p + h + 2 * s)
+             for p in (0, 1) for h in (0, 1) for s in (0, 1)}
+    assert tails == {(0, 0, 0): b"0,", (0, 1, 0): b"0,H", (0, 0, 1): b"0,S", (0, 1, 1): b"0,HS",
+                     (1, 0, 0): b"1,", (1, 1, 0): b"1,H", (1, 0, 1): b"1,S", (1, 1, 1): b"1,HS"}
+    assert [spelled(scenarios._BLANK), spelled(scenarios._COMMA),
+            spelled(scenarios._NEWLINE)] == [b"", b",", b"\n"]
+    assert scenarios._CELLS.size == scenarios._NEWLINE + 1
+
+
+def test_default_stream_rows_are_nineteen_cells(small_stream):
+    # two cells for the pulse, one for the herald bin, three for each detuning, two
+    # commas, the tail and the newline
+    result, ref, center = small_stream
+    buffers = []
+    rows = slice(1000, 2000)
+    _event_rows(np.arange(1000, 2000), result.herald_bin[rows],
+                ((result.idler_frequency[rows] - ref) / GHZ,
+                 (result.herald_frequency[rows] - ref) / GHZ,
+                 (result.signal_frequency[rows] - center) / GHZ,
+                 result.applied_shift_hz[rows] / 1e9),
+                result.passed[rows], result.herald_click[rows], result.signal_click[rows],
+                buffers)
+    assert buffers[0].size == 19 * 1000
+
+
+def edge_probes(edges: np.ndarray) -> np.ndarray:
+    """Every edge and one ulp either side of it, bin centers, and values outside the edges."""
+    centers = (edges[:-1] + edges[1:]) / 2
+    span = edges[-1] - edges[0]
+    outside = [edges[0] - span, edges[-1] + span, -np.inf, np.inf, np.nan]
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           centers, outside])
+
+
+@pytest.mark.parametrize("bins", [1, 64])
+@pytest.mark.parametrize("x_half, y_half", [(3.7e12, 1.1e11), (1.0, 1.0), (6.3e11, 2.9e-3)])
+def test_joint_histogram_matches_histogram2d_on_edges(bins, x_half, y_half):
+    x_edges = np.linspace(-x_half, x_half, bins + 1)
+    y_edges = np.linspace(-y_half, y_half, bins + 1)
+    # every pair of probes: both coordinates on, beside and outside the edges
+    x, y = (a.ravel() for a in np.meshgrid(edge_probes(x_edges), edge_probes(y_edges)))
+    counts = _joint_histogram(x, y, x_edges, y_edges)
+    oracle = np.histogram2d(x, y, bins=(x_edges, y_edges))[0]
+    assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
+    assert counts.sum() < x.size  # the probes outside the edges are dropped
+
+
+def test_joint_histogram_of_an_empty_selection_is_zero():
+    edges = np.linspace(-2.0, 2.0, 65)
+    none = np.zeros(5, bool)
+    values = np.linspace(-1.0, 1.0, 5)
+    counts = _joint_histogram(values[none], values[none], edges, edges)
+    assert np.array_equal(counts, np.histogram2d(values[none], values[none], bins=(edges, edges))[0])
+    assert counts.shape == (64, 64) and not counts.any()
+
+
+@pytest.mark.parametrize("bins", [1, 64])
+def test_stream_histograms_match_histogram2d(tmp_path, bins):
+    cfg = stream_cfg(tmp_path, pulses=20_000, **{"run.histogram_bins": bins})
+    result = simulate_feedforward_stream(cfg)
+    center = cfg.signal_filter().center
+    herald = result.herald_frequency - cfg.anchor()
+    signal = result.signal_frequency - center
+    shifted = result.signal_frequency + defaults.TWO_PI * result.applied_shift_hz - center
+    unshifted = np.histogram2d(herald, signal, bins=result.unshifted_edges)[0]
+    passed = result.passed
+    assert passed.any() and not passed.all()
+    shifted_oracle = np.histogram2d(herald[passed], shifted[passed], bins=result.shifted_edges)[0]
+    assert np.array_equal(result.unshifted_hist, unshifted)
+    assert np.array_equal(result.shifted_hist, shifted_oracle)
+    assert result.unshifted_hist.sum() == result.pulses
 
 
 def test_config_path_never_imports_scipy_linalg_or_special():
@@ -571,6 +661,9 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     ("hom-dip", "run.hom_delay_span_ps", "-1"),  # once a reversed delay axis
     ("loss-budget", "losses.tolerance", "-1"),  # once every arm DISCREPANT
     ("loss-budget", "losses.tolerance", "-0.01"),
+    # each stream histogram holds histogram_bins^2 counts: past the ceiling, exit 2 at
+    # validate, before anything is allocated
+    ("feedforward-stream", "run.histogram_bins", str(HISTOGRAM_BINS_MAX + 1)),
     # a measured jitter 1e200 GHz wide or more, whose error nodes over the pump width
     # once overflowed a square in the purity engine
     *((scenario, "spectrometer.dispersion_ps_per_ghz", value)
@@ -661,6 +754,7 @@ DOMAIN_BOUNDARIES = [
     ("run.grid_scale", 16.0, 16.001),
     ("run.grid_scale", 1e-3, 0.0),
     ("run.histogram_bins", 1, 0),
+    ("run.histogram_bins", HISTOGRAM_BINS_MAX, HISTOGRAM_BINS_MAX + 1),  # nothing allocated
     ("run.stream_pulses", 1, 0),
     ("run.hom_delay_span_ps", 1e-9, 0.0),
     ("run.hom_delay_points", 1, 0),
