@@ -9,20 +9,22 @@ adds a quadratic spectral phase accumulated before the shift, i.e. in
 error distribution gives the heralded density matrix, whose purity Tr(rho^2)
 this module evaluates two ways:
 
-* purity_integral: the Gaussian envelope lets every pairwise overlap be
-  written as a displacement factor times a window integral tabulated on
-  midpoint and shift-difference grids, turning the quadruple quadrature into
-  O(n^2) table lookups with no approximation beyond the shared
-  discretization. It is the one fast enough for sweeps.
+* purity_integral: the discrete sum of squared overlaps, rearranged
+  exactly. The Gaussian envelopes factor into a function of x - y and one
+  of (x + y) / 2, tabulated once against the error-pair midpoints: O(n ne)
+  exponentials. The herald mixture of chirps over 2L + 1 trapezoid nodes
+  has the closed form sin(L phi) / (2L tan(phi / 2)): O(n) trig. The pairs
+  are then summed along the diagonals of the signal grid in O(n). It is the
+  one fast enough for sweeps.
 * assemble_density_matrix + purity_from_eigenvalues: materialize rho and sum
   its squared eigenvalues. The herald window is symmetric about its mean
   shift h0 with symmetric weights, so the herald mixture of delay-line chirps
   is the diagonal phase exp(i gamma (x - h0)^2) times a real symmetric
   Toeplitz matrix times its conjugate. In the frame that co-moves with that
-  phase rho is real symmetric: one real GEMM and a cosine table build it.
-  A DiscretizedDensityMatrix holds only that form, exactly symmetric and
-  even, and is eigensolved once, during validation; every later
-  eigenvalues() call returns that cached spectrum.
+  phase rho is real symmetric: one real GEMM and the same closed-form herald
+  factor build it. A DiscretizedDensityMatrix holds only that form, exactly
+  symmetric and even, and is eigensolved once, during validation; every
+  later eigenvalues() call returns that cached spectrum.
 
 Both engines also use the state's parity. The signal grid is symmetric about
 the filter center (x -> -x), the error nodes e and their Gaussian weights are
@@ -31,10 +33,9 @@ which enters only through shift differences or |h - h0|. So rho is even
 under x -> -x: rho(-x, -y) = rho(x, y). _kernels builds these nodes and
 weights exactly symmetric (bit for bit), and keeps or drops each +/-e pair
 together, so the parity holds by construction. purity_integral tabulates its
-window integrals only at midpoints m >= 0, on the signal grid folded into
-its even and odd halves; assemble_density_matrix computes the x >= 0 rows
-and mirrors the rest; eigenvalues() diagonalizes the even and odd blocks
-separately.
+Gaussian only at signal midpoints m >= 0; assemble_density_matrix computes
+the x >= 0 rows and mirrors the rest; eigenvalues() diagonalizes the even
+and odd blocks separately.
 
 The two agree to well inside the contract tolerances.
 """
@@ -148,23 +149,48 @@ def _error_kernel(model: HeraldedStateModel):
     return e, w / w.sum()
 
 
-def _herald_kernel(model: HeraldedStateModel):
-    """Shift nodes h = omega_H - reference over the accepted window, weights normalized."""
-    n = model.n_herald
-    win = model.herald_window
-    h = np.linspace(-win.half_width, win.half_width, n) + (
-        win.center - model.spectrometer.reference_frequency
-    )
-    w = FrequencyGrid(0.0, win.full_width, n).trapezoid_weights()
-    return h, w / w.sum()
+def _herald_mixture(phi: np.ndarray, n_herald: int) -> np.ndarray:
+    """r(phi) = sum_k w_k cos(k phi): the trapezoid herald mixture, in closed form.
+
+    The herald nodes sit at k = -L, ..., L spacings from their mean, 2L + 1 =
+    n_herald of them (L is a half-integer for an even count), with normalized
+    trapezoid weights: 1 / (2L) each, half that at either end. The sum is
+    exactly sin(L phi) / (2L tan(phi / 2)), and 1 at phi = 0. It is evaluated
+    at t = phi / 2 - k pi, k the nearest integer, where sin(2L phi / 2) =
+    (-1)^(2L k) sin(2L t): near the peaks at phi = 2 pi k the ratio is then of
+    two small numbers that keep their precision, not of two rounding errors.
+    Reducing by the float pi moves t by about k ulps of pi, no more than the
+    rounding phi itself carries.
+    """
+    two_l = n_herald - 1
+    half = 0.5 * phi
+    k = np.rint(half / np.pi)
+    t = half - k * np.pi
+    sign = 1.0 - 2.0 * ((k * two_l) % 2.0)
+    r = np.divide(np.sin(two_l * t), two_l * np.tan(t), out=np.ones_like(t), where=t != 0.0)
+    return sign * r
+
+
+def _herald_factor(model: HeraldedStateModel, lags: np.ndarray) -> np.ndarray:
+    """r(u) = sum_h w_h cos(2 gamma (h - h0) u) at the signal separations u = lags * dx.
+
+    The mixture over the herald window of the delay-line chirps, seen in the
+    frame of exp(i gamma (x - h0)^2): |r(x - y)|^2 is the herald factor of
+    |rho(x, y)|^2, and r(|i - j|) that of rho itself.
+    """
+    dh = model.herald_window.full_width / (model.n_herald - 1)
+    phi_step = 2.0 * model.gamma * dh * model.signal_grid.step
+    return _herald_mixture(phi_step * lags, model.n_herald)
 
 
 def _norms_squared(model: HeraldedStateModel, e: np.ndarray):
     grid = model.signal_grid
-    x = grid.detunings
-    wx = grid.trapezoid_weights()
-    g2 = np.exp(-((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
-    return g2 @ wx, grid
+    g2 = np.subtract(grid.detunings[None, :], e[:, None])  # (e, x), one buffer
+    g2 /= model.pump.sigma
+    np.square(g2, out=g2)
+    np.negative(g2, out=g2)
+    np.exp(g2, out=g2)
+    return g2 @ grid.trapezoid_weights(), grid
 
 
 def _drop_vacuous(e, we, norms_sq, free_norm_sq):
@@ -193,7 +219,7 @@ def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernels(model: HeraldedStateModel):
-    """(e, we / norms_sq, h, wh, grid, x): both kernels, the signal grid and its nodes.
+    """(e, we / norms_sq, grid, x): the error kernel, the signal grid and its nodes.
 
     Vacuous error nodes are dropped. e and x are exactly odd and the
     weights exactly even under reversal. The norms are averaged with their
@@ -202,55 +228,72 @@ def _kernels(model: HeraldedStateModel):
     the uniform grid.
     """
     e, we = _error_kernel(model)
-    h, wh = _herald_kernel(model)
     norms_sq, grid = _norms_squared(model, e)
     norms_sq = 0.5 * (norms_sq + norms_sq[::-1])
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
-    return e, we / norms_sq, h, wh, grid, _odd(grid.detunings)
+    return e, we / norms_sq, grid, _odd(grid.detunings)
 
 
 def _purity_factored(model: HeraldedStateModel) -> float:
-    e, q, h, wh, grid, x = _kernels(model)
-    ne, n = e.size, x.size  # x[n // 2] == 0 when n is odd
-    wx = grid.trapezoid_weights()
+    """sum_ab w_a w_b rho(x_a, x_b)^2 on the signal grid, by the Gaussian product identity.
+
+    rho(x, y)^2 = r(x - y)^2 sum_ij q_i q_j g(x - e_i) g(y - e_i) g(x - e_j) g(y - e_j),
+    g(v) = exp(-v^2 / 2 sig^2), and the four Gaussians are exp(-(x - y)^2 / 2 sig^2)
+    exp(-(e_i - e_j)^2 / 2 sig^2) exp(-2 (m - mu_ij)^2 / sig^2), m = (x + y) / 2 and
+    mu_ij = (e_i + e_j) / 2. So the sum is sum_ab w_a w_b F(x_a - x_b) G((x_a + x_b) / 2)
+    with F(u) = r(u)^2 exp(-u^2 / 2 sig^2) and G(m) = sum_k W_k exp(-2 (m - mu_k)^2 / sig^2),
+    W_k the pair weights with i + j = k. Every Gaussian argument is divided by sig
+    before it is squared.
+    """
+    e, q, grid, x = _kernels(model)
+    ne, n = e.size, x.size
     sig = model.pump.sigma
 
-    # window integrals S(m, dh) = sum_x wx exp(-(x-m)^2/sig^2) exp(-2i gamma dh x) at the
-    # midpoints m = (e_i + e_j) / 2, i + j indexing linspace(e[0], e[-1], 2 ne - 1). x and
-    # wx are symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. Folding x
-    # onto x >= 0, cos pairs with the even part of the envelope and sin with its odd part.
-    mids = np.linspace(0.0, e[-1], ne)  # m >= 0: indices ne - 1 ... 2 ne - 2
-    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
-    even, odd = _fold(env)
-    dh = np.arange(h.size) * (h[1] - h[0])  # non-negative differences; |S| is even in dh
-    phase = 2.0 * model.gamma * np.outer(x[n // 2 :], dh)  # (x >= 0, dh)
-    s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase[n % 2 :])) ** 2  # |S(m, dh)|^2
+    # pair weights W_k, k = i + j indexing the error-pair midpoints linspace(e[0], e[-1], 2 ne - 1)
+    es = e / sig
+    pairs = np.outer(q, q) * np.exp(-0.5 * (es[:, None] - es[None, :]) ** 2)
+    w_mid = np.bincount(np.add.outer(np.arange(ne), np.arange(ne)).ravel(), pairs.ravel())
+    mids = np.linspace(0.0, es[-1], ne)
+    mids = np.concatenate([-mids[:0:-1], mids])
 
-    # herald-weight autocorrelation c(dh) for dh >= 0
-    c = np.correlate(wh, wh, mode="full")[h.size - 1 :]
-    scale = np.ones_like(c) * 2.0
-    scale[0] = 1.0
-    t_half = s_abs_sq @ (c * scale)  # T(m) = sum_dh c |S|^2 over signed dh, for m >= 0
-    t_mid = np.concatenate([t_half[:0:-1], t_half])  # T(-m) = T(m)
+    # G is even, so only m >= 0 is needed: m_j = j dx / 2, j = a + b - (n - 1) = 0 ... n - 1
+    m = np.linspace(0.0, x[-1] / sig, n)
+    table = np.subtract(m[:, None], mids[None, :])  # (m, mid), one buffer
+    np.square(table, out=table)
+    table *= -2.0
+    g = np.exp(table, out=table) @ w_mid
+    lags = np.arange(n)  # d = |a - b|
+    f = _herald_factor(model, lags) ** 2 * np.exp(-0.5 * (lags * (grid.step / sig)) ** 2)
 
-    gauss = np.exp(-((e[:, None] - e[None, :]) ** 2) / (2.0 * sig * sig))
-    kernel = np.outer(q, q) * gauss
-    mid_index = np.add.outer(np.arange(ne), np.arange(ne))
-    return float(np.sum(kernel * t_mid[mid_index]))
+    # The diagonal a - b = d meets the midpoints j = -J, -J + 2, ..., J, J = n - 1 - d. G being
+    # even, it sums to G_0 [J even] + 2 sum_{0 < j <= J, j = J mod 2} G_j: a cumulative sum
+    # over each parity of j. Each end j = +/-J of a diagonal is a node on the grid edge, of
+    # trapezoid weight 1/2, so G_J comes off once; the two corners of the main diagonal
+    # (J = n - 1) weigh 1/4, and so does the one node of the diagonal J = 0.
+    acc = g.copy()
+    acc[0] = 0.0
+    acc[0::2] = np.cumsum(acc[0::2])
+    acc[1::2] = np.cumsum(acc[1::2])
+    diag = 2.0 * acc - g  # J > 0: both ends at weight 1/2
+    diag[0::2] += g[0]
+    diag[0] += 0.25 * g[0]  # J = 0: nothing so far
+    diag[-1] -= 0.5 * g[-1]
+    total = 2.0 * (f @ diag[::-1]) - f[0] * diag[-1]  # d and -d, the main diagonal once
+    return float(grid.step * grid.step * total)
 
 
 def purity_integral(model: HeraldedStateModel) -> float:
     """Heralded-photon purity Tr(rho^2) by quadrature of squared overlaps.
 
-    The discretized overlap sum is reorganized through window-integral
-    tables and runs in well under a second at default grids; use
-    model.scaled() for quick scans on coarser grids. The symmetric signal
-    grid and error kernel make |S(m)| even in the midpoint m, so the tables
-    hold m >= 0 only and are built on the signal grid folded onto x >= 0:
-    about a quarter of the GEMM and half the trig table. Every call repeats
-    the evaluation with doubled grids and raises QuadratureConvergenceError
-    if the value moves by more than 1e-3; the base-grid value is returned.
+    The discrete sum over signal-node pairs is rearranged exactly (see
+    _purity_factored): one Gaussian table over the signal midpoints m >= 0
+    and the error-pair midpoints, O(n ne) exponentials, and the herald
+    factor in closed form, O(n) trig; the pairs are then summed along the
+    diagonals of the signal grid in O(n). Use model.scaled() for quick scans
+    on coarser grids. Every call repeats the evaluation with doubled grids
+    and raises QuadratureConvergenceError if the value moves by more than
+    1e-3; the base-grid value is returned.
     """
     value = _purity_factored(model)
     refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
@@ -265,21 +308,21 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a real symmetric a with a[::-1, ::-1] == a.
+def _parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a real symmetric a with a[::-1, ::-1] == a, from its rows x >= 0.
 
-    In the basis (d_x +/- d_-x) / sqrt(2) of node pairs mirrored about the
-    center (plus the center node itself for odd n, in the even block) a is
-    block diagonal: even = a(x, y) + a(x, -y) over x, y >= 0, of size
-    ceil(n/2), and odd = a(x, y) - a(x, -y) over x, y > 0, of size
+    rows is a[n // 2:]. In the basis (d_x +/- d_-x) / sqrt(2) of node pairs
+    mirrored about the center (plus the center node itself for odd n, in the
+    even block) a is block diagonal: even = a(x, y) + a(x, -y) over x, y >= 0,
+    of size ceil(n/2), and odd = a(x, y) - a(x, -y) over x, y > 0, of size
     floor(n/2), both exactly symmetric. The spectrum of a is their union.
     """
-    n = a.shape[0]
+    n = rows.shape[1]
     lo, r = n // 2, n % 2
-    even, odd = _fold(a[lo:])  # rows x >= 0
+    even, odd = _fold(rows)
     if r:  # the center couples to each pair as sqrt(2) a(x, 0)
-        even[0, 1:] = math.sqrt(2.0) * a[lo, lo + 1 :]
-        even[1:, 0] = math.sqrt(2.0) * a[lo + 1 :, lo]
+        even[0, 1:] = math.sqrt(2.0) * rows[0, lo + 1 :]
+        even[1:, 0] = math.sqrt(2.0) * rows[1:, lo]
     return even, odd[r:]
 
 
@@ -330,12 +373,15 @@ class DiscretizedDensityMatrix:
         """Ascending spectrum of weighted(); solved on first call, then cached read-only.
 
         Its even and odd parity blocks are solved (about a quarter of the
-        flops of one full solve) and the two spectra merged.
+        flops of one full solve) and the two spectra merged. The blocks read
+        only the rows x >= 0, so only those are weighted.
         """
         if self._eigenvalues is None:
             from scipy import linalg  # loaded on first use: config-only runs never need it
 
-            blocks = _parity_blocks(self.weighted())
+            lo = self.matrix.shape[0] // 2
+            sw = np.sqrt(self.grid.trapezoid_weights())
+            blocks = _parity_blocks(self.matrix[lo:] * np.outer(sw[lo:], sw))
             lam = np.sort(np.concatenate([linalg.eigvalsh(b) for b in blocks]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
@@ -350,8 +396,9 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     herald nodes h sit symmetrically about their mean h0 with symmetric
     weights, so in the frame of exp(i gamma (x - h0)^2) the herald factor is
     the real Toeplitz matrix r(|i - j|), r_k = sum_h w_h cos(2 gamma (h - h0)
-    k dx) on the uniform signal grid. Vacuous events (filter kills the
-    envelope) are dropped with their weight renormalized away.
+    k dx) on the uniform signal grid, taken in closed form (_herald_factor).
+    Vacuous events (filter kills the envelope) are dropped with their weight
+    renormalized away.
 
     The envelope of node -e at -x equals that of e at x, the error weights
     are symmetric and the Toeplitz factor is even under (i, j) -> (n-1-i,
@@ -360,15 +407,13 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     returned matrix exactly even as well as exactly symmetric, the form its
     constructor requires; validation eigensolves it once, block by block.
     """
-    e, q, h, wh, grid, x = _kernels(model)
+    e, q, grid, x = _kernels(model)
     n = x.size
     lo, r = n // 2, n % 2  # rows lo: have x >= 0
     sig = model.pump.sigma
 
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / sig) ** 2)  # (e, x)
-    h0 = model.herald_window.center - model.spectrometer.reference_frequency
-    lags = np.arange(n)
-    rc = np.cos(2.0 * model.gamma * grid.step * np.outer(lags, h - h0)) @ wh
+    rc = _herald_factor(model, np.arange(n))
     v = np.concatenate([rc[:0:-1], rc])  # v[n - 1 + k] = rc[|k|]
     toeplitz = np.lib.stride_tricks.sliding_window_view(v, n)[::-1]  # a view: row i is rc[|i - j|]
     half = ((env[:, lo:].T * q) @ env) * toeplitz[lo:]

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,17 +13,20 @@ from fmux.heralded import (
     HeraldedStateModel,
     _drop_vacuous,
     _error_kernel,
-    _herald_kernel,
+    _fold,
+    _herald_factor,
+    _herald_mixture,
     _hermitize,
     _kernels,
     _norms_squared,
+    _parity_blocks,
     _purity_factored,
     assemble_density_matrix,
     gvd_parameter,
     purity_from_eigenvalues,
     purity_integral,
 )
-from fmux.scenarios import load_config
+from fmux.scenarios import ConfigError, _converged_purity, load_config
 from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
 from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, scaled_points
 from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
@@ -51,6 +55,58 @@ def with_jitter_std(model, std):
     spect = replace(model.spectrometer,
                     jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
     return replace(model, spectrometer=spect)
+
+
+def herald_kernel(model):
+    """Oracle: shift nodes h = omega_H - reference over the accepted window, weights normalized."""
+    n = model.n_herald
+    win = model.herald_window
+    h = np.linspace(-win.half_width, win.half_width, n) + (
+        win.center - model.spectrometer.reference_frequency
+    )
+    w = FrequencyGrid(0.0, win.full_width, n).trapezoid_weights()
+    return h, w / w.sum()
+
+
+def herald_cos_sum(phi, n_herald):
+    """Oracle: the trapezoid mean of cos(k phi) over k = -L ... L, 2L + 1 = n_herald, as a sum."""
+    k = np.arange(n_herald) - 0.5 * (n_herald - 1)
+    w = FrequencyGrid(0.0, 1.0, n_herald).trapezoid_weights()
+    return np.cos(np.multiply.outer(phi, k)) @ (w / w.sum())
+
+
+def window_table_purity(model):
+    """Oracle: the same discrete sum through window-integral tables and one GEMM.
+
+    Window integrals S(m, dh) = sum_x wx exp(-(x-m)^2/sig^2) exp(-2i gamma dh x) at the
+    midpoints m = (e_i + e_j) / 2, i + j indexing linspace(e[0], e[-1], 2 ne - 1), against
+    the herald-shift differences dh, weighted by the herald autocorrelation. x and wx are
+    symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. Folding x onto
+    x >= 0, cos pairs with the even part of the envelope and sin with its odd part.
+    """
+    e, q, grid, x = _kernels(model)
+    h, wh = herald_kernel(model)
+    ne, n = e.size, x.size  # x[n // 2] == 0 when n is odd
+    wx = grid.trapezoid_weights()
+    sig = model.pump.sigma
+
+    mids = np.linspace(0.0, e[-1], ne)  # m >= 0: indices ne - 1 ... 2 ne - 2
+    env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
+    even, odd = _fold(env)
+    dh = np.arange(h.size) * (h[1] - h[0])  # non-negative differences; |S| is even in dh
+    phase = 2.0 * model.gamma * np.outer(x[n // 2 :], dh)  # (x >= 0, dh)
+    s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase[n % 2 :])) ** 2  # |S(m, dh)|^2
+
+    c = np.correlate(wh, wh, mode="full")[h.size - 1 :]  # herald autocorrelation, dh >= 0
+    scale = np.ones_like(c) * 2.0
+    scale[0] = 1.0
+    t_half = s_abs_sq @ (c * scale)  # T(m) = sum_dh c |S|^2 over signed dh, for m >= 0
+    t_mid = np.concatenate([t_half[:0:-1], t_half])  # T(-m) = T(m)
+
+    gauss = np.exp(-((e[:, None] - e[None, :]) ** 2) / (2.0 * sig * sig))
+    kernel = np.outer(q, q) * gauss
+    mid_index = np.add.outer(np.arange(ne), np.arange(ne))
+    return float(np.sum(kernel * t_mid[mid_index]))
 
 
 def test_gvd_parameter_magnitude_and_sign():
@@ -138,7 +194,7 @@ def direct_purity(model):
     mixture-weighted sum of squared overlaps between all rows.
     """
     e, we = _error_kernel(model)
-    h, wh = _herald_kernel(model)
+    h, wh = herald_kernel(model)
     norms_sq, grid = _norms_squared(model, e)
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
@@ -160,15 +216,38 @@ def small(model, **overrides):
     return replace(model, **{"n_signal": 201, "n_herald": 17, "n_jitter": 65, **overrides})
 
 
+# a herald window 30 GHz off the spectrometer reference: its mean shift h0 is not 0
+OFF_CENTER_MODEL = replace(
+    COMBINED_MODEL,
+    herald_window=replace(COMBINED_MODEL.herald_window,
+                          center=COMBINED_MODEL.herald_window.center + 30.0 * GHZ),
+)
+
+
 # a quarter of the delay-line dispersion makes the jitter 4x wider in frequency:
 # the filter wipes out the outer error nodes and the vacuous cut drops them
 VACUOUS_CUT_MODEL = with_dispersion_scale(small(COMBINED_MODEL), 0.25)
-PARITY_MODELS = pytest.mark.parametrize(
+PARITY_CASES = [small(COMBINED_MODEL, n_signal=200), small(GVD_ONLY_MODEL),
+                small(JITTER_ONLY_MODEL), small(COMBINED_MODEL), VACUOUS_CUT_MODEL]
+PARITY_IDS = ["even_n_signal", "gvd_only_single_node", "jitter_only_gamma_zero", "combined",
+              "vacuous_cut"]
+PARITY_MODELS = pytest.mark.parametrize("model", PARITY_CASES, ids=PARITY_IDS)
+
+# 200 km of delay fiber instead of 300 m: across the filter the herald phase step
+# phi = 2 gamma dh (x - y) passes 2 pi once, and with 32 herald nodes (about 4x the
+# spacing) several times
+DELAY_200KM_MODEL = replace(COMBINED_MODEL, gamma=COMBINED_MODEL.gamma * 200e3 / 300.0)
+ORACLE_MODELS = pytest.mark.parametrize(
     "model",
-    [small(COMBINED_MODEL, n_signal=200), small(GVD_ONLY_MODEL), small(JITTER_ONLY_MODEL),
-     small(COMBINED_MODEL), VACUOUS_CUT_MODEL],
-    ids=["even_n_signal", "gvd_only_single_node", "jitter_only_gamma_zero", "combined",
-         "vacuous_cut"])
+    [*PARITY_CASES, small(COMBINED_MODEL, n_herald=16), small(COMBINED_MODEL, n_jitter=64),
+     *(m.scaled(scale) for m in (JITTER_ONLY_MODEL, GVD_ONLY_MODEL, COMBINED_MODEL)
+       for scale in (0.5, 1.0, 2.0)),
+     with_dispersion_scale(COMBINED_MODEL, 0.25).scaled(2.0),
+     DELAY_200KM_MODEL, replace(DELAY_200KM_MODEL, n_herald=32)],
+    ids=[*PARITY_IDS, "even_n_herald", "even_n_jitter",
+         *(f"{name}_x{scale}" for name in ("jitter_only", "gvd_only", "combined")
+           for scale in (0.5, 1, 2)),
+         "dispersion_4_ps_per_ghz_x2", "delay_200km", "delay_200km_32_heralds"])
 
 
 @PARITY_MODELS
@@ -176,12 +255,117 @@ def test_factored_matches_direct(model):
     assert abs(_purity_factored(model) - direct_purity(model)) < 1e-12
 
 
+@ORACLE_MODELS
+def test_engine_matches_window_table_oracle(model):
+    oracle = window_table_purity(model)
+    assert abs(_purity_factored(model) - oracle) <= 1e-13 * oracle
+
+
+def herald_phase_span(model):
+    """The largest |phi| the herald factor sees: its phase step times the filter width."""
+    dh = model.herald_window.full_width / (model.n_herald - 1)
+    return abs(2.0 * model.gamma * dh * model.filter.full_width)
+
+
+def test_delay_200km_models_pass_multiples_of_two_pi():
+    assert 2.0 * math.pi < herald_phase_span(DELAY_200KM_MODEL) < 4.0 * math.pi
+    assert herald_phase_span(replace(DELAY_200KM_MODEL, n_herald=32)) > 6.0 * math.pi
+
+
+HERALD_COUNTS = pytest.mark.parametrize("n_herald", [3, 4, 17, 32, 129, 130])
+
+
+@HERALD_COUNTS
+def test_herald_mixture_matches_cos_sum(n_herald):
+    phi = np.concatenate([np.linspace(-8.0 * math.pi, 8.0 * math.pi, 4001),
+                          [1e3, -12345.678, 1e5, -3.3e5, 1e6]])
+    err = np.abs(_herald_mixture(phi, n_herald) - herald_cos_sum(phi, n_herald))
+    # the cos sum rounds each k phi and each of its n_herald additions, so its own error
+    # is about n_herald + L |phi| ulps
+    half_count = 0.5 * (n_herald - 1)
+    assert np.all(err <= 4.0 * np.spacing(1.0) * (n_herald + half_count * np.abs(phi)))
+
+
+@HERALD_COUNTS
+def test_herald_mixture_is_exactly_one_at_vanishing_phase(n_herald):
+    phi = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-310, 5e-324])
+    assert np.all(_herald_mixture(phi, n_herald) == 1.0)
+    assert np.abs(herald_cos_sum(phi, n_herald) - 1.0).max() <= n_herald * np.spacing(1.0)
+
+
+@HERALD_COUNTS
+def test_herald_mixture_peaks_at_multiples_of_two_pi(n_herald):
+    # at phi = 2 pi k every cos(k' phi) is 1 on integer nodes k' (odd count) and (-1)^k on
+    # the half-integer nodes of an even count; an ulp off the peak moves r by far less
+    # than an ulp. The bare ratio sin(L phi) / (2L tan(phi / 2)) is two rounding errors there
+    for k in (1, 2, 3, 7, 50, 1000):
+        peak = 2.0 * k * math.pi
+        phi = np.array([peak, np.nextafter(peak, 0.0), np.nextafter(peak, np.inf), -peak])
+        expected = (-1.0) ** ((n_herald - 1) * k)
+        assert np.abs(_herald_mixture(phi, n_herald) - expected).max() <= np.spacing(1.0)
+
+
+@HERALD_COUNTS
+def test_herald_factor_without_dispersion_is_exactly_one(n_herald):
+    m = replace(small(JITTER_ONLY_MODEL), n_herald=n_herald)
+    assert m.gamma == 0.0
+    assert np.all(_herald_factor(m, np.arange(m.n_signal)) == 1.0)
+
+
+@pytest.mark.parametrize("model", [small(COMBINED_MODEL), small(COMBINED_MODEL, n_herald=16),
+                                   small(OFF_CENTER_MODEL), DELAY_200KM_MODEL],
+                         ids=["combined", "even_n_herald", "off_center", "delay_200km"])
+def test_herald_factor_matches_cosine_table_on_the_herald_nodes(model):
+    h, wh = herald_kernel(model)
+    h0 = model.herald_window.center - model.spectrometer.reference_frequency
+    lags = np.arange(model.n_signal)
+    table = np.cos(2.0 * model.gamma * model.signal_grid.step * np.outer(lags, h - h0)) @ wh
+    assert np.abs(_herald_factor(model, lags) - table).max() <= 1e-13
+
+
+@PARITY_MODELS
+def test_norms_squared_in_one_buffer_is_bit_identical(model):
+    e, _ = _error_kernel(model)
+    grid = model.signal_grid
+    g2 = np.exp(-((grid.detunings[None, :] - e[:, None]) / model.pump.sigma) ** 2)
+    assert np.array_equal(_norms_squared(model, e)[0], g2 @ grid.trapezoid_weights())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jitter_just_inside_the_squarable_reach_never_overflows(tmp_path):
+    # heralded_model bounds (JITTER_SPAN_SIGMAS s + filter half-width) / pump sigma below
+    # half the root of the largest float; the reach scales as one over the dispersion
+    bound = 0.5 * math.sqrt(sys.float_info.max)
+    default = load_config("purity-jitter", grid_scale=0.5).heralded_model()
+    sig = default.pump.sigma
+    span = JITTER_SPAN_SIGMAS * default.spectrometer.frequency_std() / sig
+    inside = 16.0 * span / (0.999 * bound - default.filter.half_width / sig)
+    for dispersion, admitted in [(inside, True), (0.5 * inside, False)]:
+        path = tmp_path / "wide.cfg"
+        path.write_text(f"[spectrometer]\ndispersion_ps_per_ghz = {dispersion!r}\n")
+        cfg = load_config("purity-jitter", config_path=path, grid_scale=0.5)
+        if not admitted:
+            with pytest.raises(ConfigError) as err:
+                cfg.heralded_model()
+            assert err.value.field == "spectrometer.dispersion_ps_per_ghz"
+            continue
+        model = cfg.heralded_model()
+        reach = (JITTER_SPAN_SIGMAS * model.spectrometer.frequency_std()
+                 + model.filter.half_width) / model.pump.sigma
+        assert 0.99 * bound < reach < bound
+        try:
+            value = _converged_purity(model)
+        except ConfigError as err:
+            assert err.field in cfg.params
+        else:
+            assert 0.0 < value <= 1.0
+
+
 @PARITY_MODELS
 def test_kernels_are_exactly_symmetric(model):
-    e, q, h, wh, grid, x = _kernels(model)
+    e, q, grid, x = _kernels(model)
     assert np.array_equal(e, -e[::-1]) and np.array_equal(q, q[::-1])
     assert np.array_equal(x, -x[::-1]) and x.size == model.n_signal
-    assert np.array_equal(wh, wh[::-1])
 
 
 def test_filter_that_passes_nothing_is_an_error():
@@ -193,23 +377,18 @@ def test_filter_that_passes_nothing_is_an_error():
 
 
 def test_vacuous_cut_drops_nodes_in_pairs():
-    e, _, _, _, _, _ = _kernels(VACUOUS_CUT_MODEL)
+    e, *_ = _kernels(VACUOUS_CUT_MODEL)
     full, _ = _error_kernel(VACUOUS_CUT_MODEL)
     assert 1 < e.size < full.size and (full.size - e.size) % 2 == 0
     assert np.array_equal(e, full[(full.size - e.size) // 2 : (full.size + e.size) // 2])
 
 
-# a herald window 30 GHz off the spectrometer reference: its mean shift h0 is not 0
-OFF_CENTER_MODEL = replace(
-    COMBINED_MODEL,
-    herald_window=replace(COMBINED_MODEL.herald_window,
-                          center=COMBINED_MODEL.herald_window.center + 30.0 * GHZ),
-)
-
-
-@pytest.mark.parametrize(
+BLOCK_MODELS = pytest.mark.parametrize(
     "model", [small_model(n_signal=201), small_model(n_signal=200), small(OFF_CENTER_MODEL)],
     ids=["odd", "even", "off_center"])
+
+
+@BLOCK_MODELS
 def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     from scipy import linalg
 
@@ -230,6 +409,17 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     assert all(np.array_equal(b, b.T) for b in blocks)
     full = solve(dm.weighted())
     assert np.abs(dm.eigenvalues() - full).max() <= 1e-12
+
+
+@BLOCK_MODELS
+def test_eigenvalues_weight_only_the_rows_they_read(model):
+    from scipy import linalg
+
+    dm = assemble_density_matrix(model)
+    full = dm.weighted()
+    blocks = _parity_blocks(full[full.shape[0] // 2 :])
+    expected = np.sort(np.concatenate([linalg.eigvalsh(b) for b in blocks]))
+    assert np.array_equal(dm.eigenvalues(), expected)
 
 
 def brute_force_purity(model):
@@ -319,7 +509,7 @@ def test_density_matrix_is_a_state():
 def einsum_density_matrix(model):
     """Oracle: the mixture products as 3-operand einsums over the kernel nodes."""
     e, we = _error_kernel(model)
-    h, wh = _herald_kernel(model)
+    h, wh = herald_kernel(model)
     norms_sq, grid = _norms_squared(model, e)
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
@@ -337,7 +527,7 @@ def co_moving(model, matrix):
     h0 is the mean herald shift; assemble_density_matrix stores its matrix in
     this frame, where it is real symmetric.
     """
-    h, _ = _herald_kernel(model)
+    h, _ = herald_kernel(model)
     x = model.signal_grid.detunings
     phase = np.exp(1j * model.gamma * (x - h.mean()) ** 2)
     return phase.conj()[:, None] * matrix * phase[None, :]
