@@ -540,13 +540,11 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     marg_path = out / "marginals.csv"
     with open(marg_path, "w") as fh:
         fh.write("signal_detuning_ghz,signal_intensity,herald_detuning_ghz,herald_intensity\n")
-        ms = jsa.signal_marginal()
-        mh = jsa.herald_marginal()
-        for i in range(points):
-            fh.write(
-                f"{signal_grid.detunings[i] / GHZ!r},{ms[i]!r},"
-                f"{herald_grid.detunings[i] / GHZ!r},{mh[i]!r}\n"
-            )
+        # tolist() gives Python floats, whose repr is the shortest round-trip number
+        columns = (signal_grid.detunings / GHZ, jsa.signal_marginal(),
+                   herald_grid.detunings / GHZ, jsa.herald_marginal())
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
     return lines, checks, [jsa_path, filtered_path, marg_path]
 
 

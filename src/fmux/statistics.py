@@ -10,19 +10,18 @@ inclusion-exclusion over such terms. analytic_counting evaluates those exact
 expressions; monte_carlo_counting samples the same model and is the oracle
 the analytic path is tested against.
 
-The Monte Carlo draws each mode's pair numbers from raw Philox words: one
-64-bit word per pulse and mode, the word rng.geometric(1 / (1 + mu)) would
-read. A pulse holds a pair exactly when its word exceeds an integer
-threshold, and only those pulses, a fraction mu / (1 + mu), get a pair
-number, from numpy's own geometric search (used for mu <= 2). Every pulse
-still takes exactly one word per mode, in the same order, so the stream
-ends where a geometric draw leaves it and every later binomial draw, and so
-every count, is what the geometric sampler gives for the same seed. Each
-chunk reads a mode's words in one call, so each thread holds one
-MC_CHUNK-word array (1 MiB) at a time, one mode after another, and a chunk
-makes a dozen or so numpy calls, not hundreds: every call drops and takes
-back the GIL, and few long calls let the pool's threads run side by side
-instead of handing the GIL back and forth.
+The Monte Carlo samples only the (mode, pulse) cells that hold a pair, about
+a fraction mu / (1 + mu) of them. Per mode and chunk it draws the occupied
+count k ~ Binomial(n, mu / (1 + mu)), k distinct pulse positions, and their
+pair numbers from numpy's geometric law on {1, 2, ...}: the thermal law is
+memoryless, so given N >= 1 the pair number is geometric with p = 1 / (1 +
+mu). Each occupied cell's herald clicks with probability 1 - (1 - eta_h)^N,
+one uniform per cell, and each routed pulse's signal outcome (none, S1 only,
+S2 only, both) is one uniform against the exact four-way law of its N
+photons. Every count therefore has the law of the pulse-by-pulse geometric
+sampler, but not its random stream: a seed gives other counts than it would
+there. The sampler uses only numpy's public distributions, so any mu >= 0
+samples, and it runs in the calling thread.
 
 Routing model: with multiplexing enabled the lowest-index clicking herald
 wins and only the winner's signal mode is shifted into the output filter
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +142,14 @@ class CountingResult:
             raise ValueError("triple probability exceeds a pair probability")
 
 
-def _silence(mu: float, q: float) -> float:
+def _silence(a: float) -> float:
     """P(no click on a detector subset) for one thermal mode.
 
-    q is the per-photon probability of evading every detector in the subset;
-    the thermal generating function gives 1/(1 + mu(1-q)) exactly.
+    a is mu times the per-photon probability of reaching some detector in the
+    subset; the thermal generating function gives 1/(1 + a) exactly. Two such
+    terms differ as s(a) - s(b) = (b - a) s(a) s(b).
     """
-    return 1.0 / (1.0 + mu * (1.0 - q))
+    return 1.0 / (1.0 + a)
 
 
 def _open_mode(mu: float, eta_h: float, eta_s: float):
@@ -158,28 +157,34 @@ def _open_mode(mu: float, eta_h: float, eta_s: float):
 
     Each signal photon reaches S1 or S2 with probability eta_s/2 each, so
     the subset miss factors multiply as (1 - eta_h)^[H] (1 - eta_s/2 [S1]
-    - eta_s/2 [S2]); inclusion-exclusion over subsets does the rest.
+    - eta_s/2 [S2]); inclusion-exclusion over subsets does the rest. Each
+    difference of silences is written as a product, 1 - s(a) = a s(a) and
+    s(a) - s(b) = (b - a) s(a) s(b). The triple term also takes out its exact
+    zero 1 - 2 q_1 + q_12 with s(a) s(b) - 1 = -(a + b + ab) s(a) s(b), so no
+    O(1) terms cancel and every probability keeps its digits as mu -> 0.
     """
-    miss_h = 1.0 - eta_h
-    miss_one = 1.0 - 0.5 * eta_s
-    miss_both = 1.0 - eta_s
-    s_h = _silence(mu, miss_h)
-    s_1 = _silence(mu, miss_one)
-    s_12 = _silence(mu, miss_both)
-    s_h1 = _silence(mu, miss_h * miss_one)
-    s_h12 = _silence(mu, miss_h * miss_both)
-    p_h = 1.0 - s_h
-    p_s = 1.0 - s_12
-    p_hs = 1.0 - s_h - s_12 + s_h12
-    p_hs1 = 1.0 - s_h - s_1 + s_h1
-    p_hs1s2 = 1.0 - s_h - 2.0 * s_1 + 2.0 * s_h1 + s_12 - s_h12
+    e_1 = 0.5 * eta_s
+    q_1, q_12, q_h = 1.0 - e_1, 1.0 - eta_s, 1.0 - eta_h
+    a_h, a_1, a_12 = mu * eta_h, mu * e_1, mu * eta_s
+    a_h1 = mu * (eta_h + q_h * e_1)
+    a_h12 = mu * (eta_h + q_h * eta_s)
+    s_h, s_1, s_12, s_h1, s_h12 = map(_silence, (a_h, a_1, a_12, a_h1, a_h12))
+    p_h = a_h * s_h
+    p_s = a_12 * s_12
+    # P(H) - P(H, no click on the subset): s_1 - s_h1 = (a_h1 - a_1) s_1 s_h1 = a_h q_1 s_1 s_h1
+    p_hs = p_h - a_h * q_12 * s_12 * s_h12
+    p_hs1 = p_h - a_h * q_1 * s_1 * s_h1
+    d_1 = (a_1 + a_h1 + a_1 * a_h1) * s_1 * s_h1  # 1 - s_1 s_h1
+    d_12 = (a_12 + a_h12 + a_12 * a_h12) * s_12 * s_h12  # 1 - s_12 s_h12
+    p_hs1s2 = a_h * (2.0 * q_1 * d_1 - p_h - q_12 * d_12)
     return p_h, p_s, p_hs, p_hs1, p_hs1s2
 
 
 def _g2(p_s1s2h, p_h, p_s1h, p_s2h) -> float:
     if p_s1h <= 0.0 or p_s2h <= 0.0:
         return float("nan")
-    return p_s1s2h * p_h / (p_s1h * p_s2h)
+    # two ratios, so that rates near the float minimum do not underflow their product
+    return (p_s1s2h / p_s1h) * (p_h / p_s2h)
 
 
 def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
@@ -207,7 +212,7 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
             p_hs += upstream_silent * m_hs
             p_hs1 += upstream_silent * m_hs1
             p_hs1s2 += upstream_silent * m_hs1s2
-            upstream_silent *= _silence(mu_m, 1.0 - model.eta_h)
+            upstream_silent *= _silence(mu_m * model.eta_h)
         p_s = p_hs  # unheralded pulses leave nothing in the filter band
     return CountingResult(
         p_h=p_h,
@@ -220,97 +225,42 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
     )
 
 
-_COUNT_FIELDS = 6  # h, s, sh, s1h, s2h, s1s2h
 MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
 
 
-def _binomial_nonzero(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
-    """rng.binomial(n, p), drawn only where n != 0.
+def _occupied_cells(rng, mu, n) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and pair numbers of the pulses, out of n, whose mode holds a pair.
 
-    binomial(0, p) returns 0 without consuming the stream, so drawing the
-    nonzero entries in C order leaves the generator exactly where the dense
-    call would, with the same values.
+    A thermal mode holds a pair with probability mu / (1 + mu); given that, its
+    pair number is geometric on {1, 2, ...} with p = 1 / (1 + mu), because
+    the thermal law is memoryless. Positions come in no particular order.
     """
-    out = np.zeros_like(n)
-    nonzero = n != 0
-    out[nonzero] = rng.binomial(n[nonzero], p)
-    return out
-
-
-def _search_thresholds(p: float) -> np.ndarray:
-    """Word thresholds T_k of numpy's geometric search at p >= 1/3, ascending.
-
-    The search reads one word w as U = (w >> 11) 2^-53 and returns 1 plus
-    the number of partial sums s_k = p + p q + ... + p q^k, q = 1 - p, that
-    U exceeds, each summed in numpy's order. U > s exactly when
-    w > T = (floor(s 2^53) << 11) | 0x7FF, clamped to 2^64 - 1 (s = 1.0 gives
-    2^64 + 0x7FF; no word exceeds it). The sums stop where adding the next
-    term leaves them unchanged, as every later term does.
-    """
-    q = 1.0 - p
-    total = prod = p
-    sums = [total]
-    while True:
-        prod *= q
-        if total + prod == total:
-            break
-        total += prod
-        sums.append(total)
-    return np.array([min((math.floor(s * 2**53) << 11) | 0x7FF, 2**64 - 1) for s in sums],
-                    dtype=np.uint64)
-
-
-def _occupied_pairs(rng, mus, n) -> np.ndarray:
-    """Pair numbers per mode of the pulses, out of n, that hold a pair in some mode.
-
-    Pulses with no pair in any mode never click, which is most of them at
-    small mu. Each mode reads its n raw 64-bit words in one call, one word
-    per pulse and in order: the words rng.geometric(1 / (1 + mu)) would turn
-    into doubles and search. A pulse holds a pair exactly when its word
-    exceeds the first search threshold, one integer compare; only those hits
-    are searched, and the pair number is how many thresholds the word
-    exceeds (_search_thresholds). This is numpy's search sampler, which it
-    uses for p >= 1/3, i.e. mu <= 2. The stream therefore advances and
-    yields exactly as one size-n geometric draw per mode would. A chunk
-    makes a handful of numpy calls per mode. Its largest temporary is one
-    n-word array (n <= MC_CHUNK, so 1 MiB), freed before the next mode reads:
-    two such arrays alive at once would push the heap past malloc's trim
-    threshold, and every read would then fault in fresh pages.
-    """
-    occupied = np.zeros(n, dtype=bool)
-    positions, counts = [], []
-    for mu in mus:
-        thresholds = _search_thresholds(1.0 / (1.0 + mu))
-        words = rng.bit_generator.random_raw(n)
-        hit = np.flatnonzero(words > thresholds[0])
-        positions.append(hit)
-        counts.append(np.searchsorted(thresholds, words[hit]))
-        occupied[hit] = True
-        del words
-    columns = np.flatnonzero(occupied)
-    pairs = np.zeros((len(mus), columns.size), dtype=np.int64)
-    for row, pos, cnt in zip(pairs, positions, counts):
-        row[np.searchsorted(columns, pos)] = cnt
-    return pairs
+    k = rng.binomial(n, mu / (1.0 + mu))
+    return rng.choice(n, k, replace=False, shuffle=False), rng.geometric(1.0 / (1.0 + mu), k)
 
 
 def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
-    pairs = _occupied_pairs(rng, mus, n)
-    herald_hits = _binomial_nonzero(rng, pairs, eta_h)
-    clicks = herald_hits >= 1
+    """The six counts of n pulses, drawn over the (mode, pulse) cells that hold a pair."""
+    pulses, pairs = zip(*(_occupied_cells(rng, mu, n) for mu in mus))
+    pairs = np.concatenate(pairs)
+    clicked = rng.random(pairs.size) < 1.0 - (1.0 - eta_h) ** pairs
     if multiplexed:
-        heralded = clicks.any(axis=0)
-        winner = clicks.argmax(axis=0)
-        routed = np.where(heralded, pairs[winner, np.arange(pairs.shape[1])], 0)
+        # cells run mode by mode, so a pulse's first clicking cell is its lowest
+        # clicking mode, the one that wins
+        _, first = np.unique(np.concatenate(pulses)[clicked], return_index=True)
+        routed = pairs[clicked][first]
+        heralded = np.ones(routed.size, dtype=bool)
     else:
-        heralded = clicks[0]
-        routed = pairs[0]
-    detected = _binomial_nonzero(rng, routed, eta_s)
-    s1 = _binomial_nonzero(rng, detected, 0.5)
-    s2 = detected - s1
-    c_s1 = s1 >= 1
-    c_s2 = s2 >= 1
-    c_s = detected >= 1
+        routed, heralded = pairs, clicked
+    # m photons, each lost or sent to S1 or S2: P(none) = (1 - eta_s)^m, P(S1 only) =
+    # P(S2 only) = (1 - eta_s/2)^m - P(none), and P(both) the rest
+    u = rng.random(routed.size)
+    none = (1.0 - eta_s) ** routed
+    no_s1 = (1.0 - 0.5 * eta_s) ** routed
+    c_s12 = u >= 2.0 * no_s1 - none
+    c_s = u >= none
+    c_s1 = (c_s & (u < no_s1)) | c_s12
+    c_s2 = u >= no_s1
     return np.array(
         [
             heralded.sum(),
@@ -318,17 +268,10 @@ def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
             (c_s & heralded).sum(),
             (c_s1 & heralded).sum(),
             (c_s2 & heralded).sum(),
-            (c_s1 & c_s2 & heralded).sum(),
+            (c_s12 & heralded).sum(),
         ],
         dtype=np.int64,
     )
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _counting_result(counts, pulses: int, seed: int) -> CountingResult:
@@ -362,32 +305,23 @@ def monte_carlo_counting(
     pulses: int,
     rng: int | np.random.Generator,
 ) -> CountingResult:
-    """Sample the thermal threshold model pulse by pulse.
+    """Sample the thermal threshold model over the cells that hold a pair.
 
     Pulses are partitioned into chunks of MC_CHUNK, each driven by its own
     counter-based stream spawned from the recorded seed, so results are
     identical for a given seed and the seed alone reproduces the run.
     rng may be a seed or a Generator (a seed is then drawn from it).
 
-    The chunks run on a thread pool with one thread per CPU this process may
-    use (numpy releases the GIL in random_raw and in its binomial draws).
-    A chunk reads each mode's words in one random_raw call into one
-    MC_CHUNK-word array, so it makes few, long calls and the threads seldom
-    wait on the GIL.
-    Each chunk owns its stream and yields integer counts, which are summed
-    exactly, so the result does not depend on the core count or on the order
-    the chunks finish in.
-
-    Pair numbers come from numpy's geometric search read off raw words
-    (_occupied_pairs), which numpy uses only for p = 1 / (1 + mu) >= 1/3, so
-    mu > 2 raises ValueError.
+    A chunk draws, per mode, how many pulses hold a pair, which ones, and how
+    many pairs each holds, then one uniform per occupied cell for its herald
+    and one per routed pulse for its signal (_simulate_chunk). The counts have
+    the law of a pulse-by-pulse geometric sampler, but a seed does not give
+    the counts that sampler would. Any mu >= 0 samples. The chunks run one
+    after another in the calling thread and their integer counts are summed
+    exactly, so the result does not depend on the machine's core count.
     """
-    from concurrent.futures import ThreadPoolExecutor  # Monte Carlo runs alone pay its import
-
     if pulses < 1:
         raise ValueError("pulses must be positive")
-    if model.mu > 2.0:
-        raise ValueError(f"mu = {model.mu!r} is above 2, outside the Monte Carlo sampler's domain")
     if isinstance(rng, np.random.Generator):
         seed = int(rng.integers(2**63))
     else:
@@ -397,14 +331,12 @@ def monte_carlo_counting(
     if pulses % MC_CHUNK:
         sizes.append(pulses % MC_CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def chunk(size, child):
-        return _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
-                               model.eta_h, model.multiplexing_enabled, size)
-
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(sizes))) as pool:
-        parts = list(pool.map(chunk, sizes, children))
-    return _counting_result(np.sum(parts, axis=0), pulses, seed)
+    counts = sum(
+        _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
+                        model.eta_h, model.multiplexing_enabled, size)
+        for size, child in zip(sizes, children)
+    )
+    return _counting_result(counts, pulses, seed)
 
 
 def klyshko_efficiencies(counts: CountingResult) -> tuple[float, float]:

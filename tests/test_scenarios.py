@@ -190,6 +190,14 @@ def test_joint_spectrum_scenario(tmp_path):
     assert len(marg) > 100
 
 
+def test_joint_spectrum_marginals_are_plain_numbers(tmp_path):
+    run("joint-spectrum", tmp_path)
+    rows = (tmp_path / "joint-spectrum" / "marginals.csv").read_text().splitlines()[1:]
+    assert len(rows) == 257
+    for row in rows:  # no np.float64(...) wrappers
+        assert len([float(cell) for cell in row.split(",")]) == 4
+
+
 def test_hom_dip_scenario(tmp_path):
     _, summary = run("hom-dip", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]

@@ -1,6 +1,7 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from fmux.statistics import (
     monte_carlo_counting,
     write_counting_csv,
     _counting_result,
-    _occupied_pairs,
+    _occupied_cells,
+    _open_mode,
     _simulate_chunk,
 )
 
@@ -66,6 +68,16 @@ def test_analytic_small_mu_g2_law():
                                      eta_s=0.3, eta_h=eta_h)).g2_h
         law = 2.0 * mu * (2.0 - eta_h)
         assert abs(g2 - law) / law < 1e-3
+
+
+# whole and fractional ladders; a partial mode weighs the law by sum(mu_m^2) / sum(mu_m),
+# which is mu on a whole ladder and on the single arm
+@pytest.mark.parametrize("n_modes, multiplexed", [(3.0, True), (N_REF, True), (N_REF, False)])
+def test_analytic_g2_keeps_its_digits_at_tiny_mu(n_modes, multiplexed):
+    m = model(n_modes=n_modes, multiplexed=multiplexed, mu=1e-9)
+    mus = m.mode_rates()
+    law = 2.0 * (2.0 - m.eta_h) * sum(x * x for x in mus) / sum(mus)
+    assert abs(analytic_counting(m).g2_h / law - 1.0) < 1e-6
 
 
 def test_analytic_g2_is_4mu_for_lossy_herald():
@@ -161,7 +173,7 @@ def test_mc_generator_seed_is_recorded():
 
 
 def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
-    """Oracle: _simulate_chunk with every binomial drawn over the full pulse arrays."""
+    """Oracle: the pulse-by-pulse model, one geometric pair number per pulse and mode."""
     pairs = np.empty((len(mus), n), dtype=np.int64)
     for i, mu in enumerate(mus):
         pairs[i] = rng.geometric(1.0 / (1.0 + mu), size=n) - 1
@@ -182,51 +194,121 @@ def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
                      (c_s1 & c_s2 & heralded).sum()], dtype=np.int64)
 
 
-# one pulse, a few, sizes where a piecewise read of 8192 words would split a mode's
-# words (on and either side of one piece, and odd sizes past it), whole chunks and beyond
+def analytic_probabilities(monkeypatch, m) -> np.ndarray:
+    """The six exact probabilities, also outside the small-squeezing domain."""
+    monkeypatch.setattr(statistics, "EXPANSION_LIMIT", math.inf)
+    a = analytic_counting(m)
+    return np.array([a.p_h, a.p_s, a.p_sh, a.p_s1h, a.p_s2h, a.p_s1s2h])
+
+
+# mu = 0.3 makes multi-pair pulses, pulses with pairs in two modes and every click
+# pattern common. The sizes run from one pulse (k is 0 or 1 per mode) through odd and
+# power-of-two sizes to whole chunks and beyond; they take different paths through
+# numpy's choice (a whole chunk at mu = 0.3 partly shuffles an arange of its pulses).
+# Small sizes sum at most 1024 chunks, so one pulse is graded at n = 1024.
 @pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK,
                                   MC_CHUNK + 3])
 @pytest.mark.parametrize("multiplexed", [True, False])
-def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
-    # mu = 0.3 makes multi-pair pulses and every click pattern common
-    for seed, m in ((1, model(mu=0.03)), (2, model(mu=0.03)), (3, model(mu=0.3, n_modes=2.5))):
-        m = replace(m, multiplexing_enabled=multiplexed)
-        args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size)
-        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        counts = _simulate_chunk(sparse_rng, *args)
-        assert np.array_equal(counts, dense_chunk(dense_rng, *args)), seed
-        # the stream is left where the dense draws leave it
-        assert sparse_rng.random() == dense_rng.random()
+def test_sparse_chunk_matches_dense_oracle(monkeypatch, size, multiplexed):
+    m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
+    args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size)
+    chunks = min(-(-(1 << 19) // size), 1 << 10)
+    sparse, dense = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
+    for seed in range(chunks):
+        sparse += _simulate_chunk(np.random.Generator(np.random.Philox(seed)), *args)
+        dense += dense_chunk(np.random.Generator(np.random.Philox(seed + chunks)), *args)
+    n = chunks * size
+    p = analytic_probabilities(monkeypatch, m)
+    se = np.sqrt(p * (1.0 - p) / n)
+    assert np.all(np.abs(sparse / n - p) < 4.0 * se), (sparse / n - p) / se
+    assert np.all(np.abs(dense / n - p) < 4.0 * se), (dense / n - p) / se
+    # the difference of two independent estimates has sqrt(2) times their SE
+    assert np.all(np.abs(sparse - dense) / n < 4.0 * math.sqrt(2.0) * se)
+    if not multiplexed:
+        assert sparse[1] > sparse[2]  # the single arm's signal does not wait for a herald
 
 
-# p == 1.0 exactly at 1e-300 and 1.1e-16 (the first threshold clamps to 2^64 - 1),
-# p = 1 - 2^-52 at 3e-16, the stats-sweep regime, many pairs, and p == 1/3 at 2.0,
-# the last mu numpy samples by search
+# p == 1.0 exactly at 1e-300 and 1.1e-16, p = 1 - 2^-52 at 3e-16, the stats-sweep
+# regime, and many pairs per occupied cell at 0.3 and 2.0
 @pytest.mark.parametrize("mu", [1e-300, 1.1e-16, 3e-16, 1e-9, 0.01, 0.3, 2.0])
-# sizes as above, and a whole chunk, which is one read per mode
+# sizes as above, and a whole chunk and one short of it
 @pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK - 1,
                                   MC_CHUNK])
 def test_word_sampler_matches_geometric(mu, size):
-    for seed in (5, 6):
-        sparse_rng, dense_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        pairs = _occupied_pairs(sparse_rng, [mu], size)
-        dense = dense_rng.geometric(1.0 / (1.0 + mu), size) - 1
-        assert np.array_equal(pairs[0], dense[dense > 0]), seed
-        assert sparse_rng.random() == dense_rng.random()
+    # _occupied_cells against numpy's pulse-by-pulse geometric draw, in law: about
+    # 2^18 pulses each (at most 512 draws, so 512 pulses at size 1)
+    draws = min(-(-(1 << 18) // size), 1 << 9)
+    n = draws * size
+    hist, dense_hist = np.zeros(64, dtype=np.int64), np.zeros(64, dtype=np.int64)
+    total, dense_total = 0, 0
+    for seed in range(draws):
+        positions, pairs = _occupied_cells(np.random.Generator(np.random.Philox(seed)), mu,
+                                           size)
+        assert positions.size == pairs.size
+        assert np.unique(positions).size == positions.size  # distinct pulses
+        assert positions.min(initial=0) >= 0 and positions.max(initial=0) < size
+        assert pairs.min(initial=1) >= 1
+        hist += np.bincount(np.minimum(pairs, 63), minlength=64)
+        total += int(pairs.sum())
+        dense = np.random.Generator(np.random.Philox(seed + draws)).geometric(
+            1.0 / (1.0 + mu), size) - 1
+        dense_hist += np.bincount(np.minimum(dense, 63), minlength=64)
+        dense_total += int(dense.sum())
+    hist[0] = n - hist.sum()
+    # P(N = j) = mu^j / (1 + mu)^(j + 1), the last bin taking the tail
+    j = np.arange(64)
+    law = mu**j / (1.0 + mu) ** (j + 1)
+    law[-1] = (mu / (1.0 + mu)) ** 63
+    for h in (hist, dense_hist):
+        assert np.all(np.abs(h - n * law) < 4.0 * np.sqrt(n * law) + 1.0), h
+    # the mean pair number per pulse is mu, with variance mu (1 + mu)
+    for t in (total, dense_total):
+        assert abs(t / n - mu) < 4.0 * math.sqrt(mu * (1.0 + mu) / n), t
 
 
-@pytest.mark.parametrize("mu", [np.nextafter(2.0, 3.0), 3.0])
-def test_mc_rejects_mu_above_search_domain(mu):
-    monte_carlo_counting(model(mu=2.0), 100, rng=1)  # the domain's edge
-    with pytest.raises(ValueError, match="mu"):
-        monte_carlo_counting(model(mu=mu), 100, rng=1)
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_mc_samples_large_mu(multiplexed):
+    # no ceiling on mu; the single arm's exact law is _open_mode's, outside the
+    # expansion domain too
+    m = model(mu=3.0, n_modes=1.0, multiplexed=multiplexed)
+    r = monte_carlo_counting(m, 200_000, rng=21)
+    p_h, p_s, p_sh, p_s1h, p_s1s2h = _open_mode(3.0, m.eta_h, m.eta_s)
+    n = r.pulses
+    for got, exact in ((r.p_h, p_h), (r.p_sh, p_sh), (r.p_s1h, p_s1h), (r.p_s2h, p_s1h),
+                       (r.p_s1s2h, p_s1s2h), (r.p_s, p_s if not multiplexed else p_sh)):
+        assert abs(got - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / n), (got, exact)
+
+
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_mc_mu_zero_gives_silence(multiplexed):
+    r = monte_carlo_counting(model(mu=0.0, multiplexed=multiplexed), MC_CHUNK + 3, rng=4)
+    assert (r.p_h, r.p_s, r.p_sh, r.p_s1h, r.p_s2h, r.p_s1s2h) == (0.0,) * 6
+    assert math.isnan(r.g2_h) and math.isnan(r.se_g2_h)
+
+
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_chunk_memory_stays_with_the_occupied_cells(multiplexed):
+    # at the stats-sweep's mu = 0.01 about 1 % of cells hold a pair; a whole chunk's
+    # temporaries scale with those, far below one MC_CHUNK-word (1 MiB) array
+    m = model(multiplexed=multiplexed)
+    args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, MC_CHUNK)
+    rng = np.random.Generator(np.random.Philox(3))
+    _simulate_chunk(rng, *args)  # first-call allocations
+    tracemalloc.start()
+    try:
+        _simulate_chunk(rng, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20) // 4, peak
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("pulses", [1, MC_CHUNK, 3 * MC_CHUNK + 5])
 @pytest.mark.parametrize("multiplexed", [True, False])
-def test_mc_threads_match_serial_oracle(monkeypatch, cpus, pulses, multiplexed):
-    # mu = 0.3 so that even one pulse can click and every count is nonzero at 3 chunks
+def test_mc_threads_match_serial_oracle(cpus, pulses, multiplexed):
+    # a seed fixes each chunk's stream and size, and a run shares no state with
+    # another, so each of `cpus` concurrent callers gets the serial chunk sum
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
     seed = 17
     children = np.random.SeedSequence(seed).spawn(-(-pulses // MC_CHUNK))
@@ -236,8 +318,10 @@ def test_mc_threads_match_serial_oracle(monkeypatch, cpus, pulses, multiplexed):
         parts.append(_simulate_chunk(np.random.Generator(np.random.Philox(child)),
                                      m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size))
     expected = _counting_result(np.sum(parts, axis=0), pulses, seed)
-    monkeypatch.setattr(statistics, "_available_cpus", lambda: cpus)
-    assert_identical(monte_carlo_counting(m, pulses, rng=seed), expected)
+    with ThreadPoolExecutor(cpus) as pool:
+        runs = list(pool.map(lambda _: monte_carlo_counting(m, pulses, rng=seed), range(cpus)))
+    for r in runs:
+        assert_identical(r, expected)
 
 
 def test_mc_respects_partial_mode():
