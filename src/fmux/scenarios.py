@@ -773,159 +773,47 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     )
 
 
-_EVENTS_HEADER = ("pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
-                  "signal_detuning_ghz,shift_ghz,passed,clicks\n")
-_EVENT_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f,%d,%s\n"
-_CLICK_LABELS = ("", "H", "S", "HS")
-# rows formatted per write. The writer holds about 330 bytes per block row at the
-# default 19 cells a row (5.2 MiB a block, tracemalloc), whatever the file length; the
-# largest share is the intp copy, 8 bytes a cell, that np.take makes of the int16 cell index
-_EVENT_BLOCK = 1 << 14
-_FIXED_LIMIT = 1e9  # |value| below which value * 1e6 is an exact-enough float for _micro
+# events.npy: one row per pulse, the row index its pulse number; the detunings and the
+# shift are in GHz at full precision, and herald_bin keeps the column's own int64
+EVENTS_DTYPE = np.dtype([
+    ("herald_bin", np.int64),
+    ("idler_detuning_ghz", np.float64),
+    ("herald_detuning_ghz", np.float64),
+    ("signal_detuning_ghz", np.float64),
+    ("shift_ghz", np.float64),
+    ("passed", np.bool_),
+    ("herald_click", np.bool_),
+    ("signal_click", np.bool_),
+])
 
 
-def _micro(values: np.ndarray) -> np.ndarray:
-    """|round(values * 1e6)| as int64, rounded exactly as '%.6f' rounds each double.
+# rows per write: the writer holds one block of 2.8 MB, not a copy of every column
+_EVENT_BLOCK = 1 << 16
 
-    rint of the scaled float agrees with the correctly rounded decimal unless
-    the scaled value lies within a few ulp of a half-integer; those near-ties
-    take their digits from '%.6f' itself.
+
+def _write_events(result: StreamResult, herald_ref: float, filter_center: float, path) -> None:
+    """events.npy: the event columns as EVENTS_DTYPE rows, the bytes np.save writes of them.
+
+    The .npy header goes first, then the rows, filled and written
+    _EVENT_BLOCK at a time.
     """
-    scaled = values * 1e6
-    micro = np.abs(np.rint(scaled)).astype(np.int64)
-    tolerance = 4.0 * np.spacing(np.maximum(np.abs(scaled), 1.0))
-    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) <= tolerance
-    micro[near_tie] = [int(("%.6f" % abs(v)).replace(".", ""))
-                       for v in values[near_tie].tolist()]
-    return micro
-
-
-# first index of each family of _CELLS; a family's cell i spells its format with i
-_BLANK, _LEAD, _GROUP, _FRAC, _GROUP_COMMA, _TAIL, _COMMA, _NEWLINE = (
-    0, 1, 2001, 3001, 4001, 5001, 5009, 5010)
-
-
-def _text_cells() -> np.ndarray:
-    """Four-byte text cells, one uint32 each; zero bytes are padding the writer drops.
-
-    A cell carries the separators next to its digits. In index order: the
-    blank cell; a signed leading group, '%d' % i at _LEAD + i and '-%d' % i
-    at _LEAD + 1000 + i; the full group '%03d'; the fraction's groups
-    '.%03d' and '%03d,'; the tail '%d,%s' % (passed, clicks) at
-    _TAIL + 4 * passed + herald_click + 2 * signal_click; the comma; the
-    newline. 5,011 cells, about 20 KB.
-    """
-    spellings = [b""]
-    spellings += [b"%d" % i for i in range(1000)] + [b"-%d" % i for i in range(1000)]
-    for form in (b"%03d", b".%03d", b"%03d,"):
-        spellings += [form % i for i in range(1000)]
-    spellings += [b"%d,%s" % (passed, clicks.encode()) for passed in (0, 1)
-                  for clicks in _CLICK_LABELS]
-    spellings += [b",", b"\n"]
-    return np.frombuffer(b"".join(s.ljust(4, b"\0") for s in spellings), dtype=np.uint32)
-
-
-_CELLS = _text_cells()
-
-
-def _whole_cells(magnitude: np.ndarray, negative) -> list:
-    """_CELLS indices spelling the integers +-magnitude, one cell per base-1000 group.
-
-    The block's widest value sets the number of groups. The groups above a
-    value's first significant one are blank; that group (the last one, for
-    0) carries the sign and no leading zeros; the groups after it are full.
-    """
-    groups = []  # least significant first; // and - are faster than np.divmod
-    while True:
-        higher = magnitude // 1000
-        groups.append(magnitude - 1000 * higher)
-        if not higher.any():
-            break
-        magnitude = higher
-    lead = _LEAD + 1000 * negative
-    cells = []
-    higher_zero = True  # every higher group is zero
-    for group in groups[:0:-1]:
-        cells.append(np.where(higher_zero, np.where(group == 0, _BLANK, lead), _GROUP) + group)
-        higher_zero = higher_zero & (group == 0)
-    cells.append(np.where(higher_zero, lead, _GROUP) + groups[0])
-    return cells
-
-
-def _event_rows(pulse, herald_bin, ghz_columns, passed, herald_click, signal_click,
-                buffers: list) -> bytes:
-    """The events.csv rows of one block, byte for byte as _EVENT_ROW formats them.
-
-    Each row is a run of _CELLS gathered by one np.take: 19 cells at the
-    default stream (two for the pulse, one for the herald bin and three for
-    each detuning, the commas, the tail and the newline). A block holding a
-    value too large for _micro (or not finite) is formatted by % instead.
-    buffers is the caller's list of the flat cell-index and gathered-cell
-    arrays, kept for a whole file: each block fills their leading part, and
-    they are allocated on the first block and again only for a wider one.
-    """
-    n = pulse.size
-    if not all(np.all(np.abs(c) < _FIXED_LIMIT) for c in ghz_columns):
-        values = (pulse.tolist(), herald_bin.tolist(), *(c.tolist() for c in ghz_columns),
-                  passed.tolist(),
-                  [_CLICK_LABELS[h + 2 * s] for h, s in zip(herald_click.tolist(),
-                                                           signal_click.tolist())])
-        flat = [None] * (len(values) * n)
-        for j, column in enumerate(values):
-            flat[j::len(values)] = column
-        return (_EVENT_ROW * n % tuple(flat)).encode()
-    cells = [*_whole_cells(pulse, False), _COMMA,
-             *_whole_cells(np.abs(herald_bin), herald_bin < 0), _COMMA]
-    for column in ghz_columns:
-        micro = _micro(column)
-        milli = micro // 1000
-        whole = milli // 1000
-        cells += [*_whole_cells(whole, np.signbit(column)), _FRAC + milli - 1000 * whole,
-                  _GROUP_COMMA + micro - 1000 * milli]
-    cells += [_TAIL + 4 * passed + herald_click + 2 * signal_click, _NEWLINE]
-    size = len(cells) * n
-    if not buffers or buffers[0].size < size:
-        buffers[:] = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.uint32)
-    index = buffers[0][:size].reshape(len(cells), n)
-    for row, cell in zip(index, cells):
-        row[...] = cell
-    gathered = buffers[1][:size].reshape(n, len(cells))
-    del cells  # the int64 columns, freed before np.take makes its intp copy of the index
-    # every index is in range; "clip" lets take write into out without a buffered copy
-    np.take(_CELLS, index.T, out=gathered, mode="clip")
-    return gathered.tobytes().translate(None, b"\0")
-
-
-def _write_events_csv(result: StreamResult, herald_ref: float, filter_center: float,
-                      path) -> None:
-    """events.csv: one row per pulse, detunings in GHz to six decimals.
-
-    Rows are formatted a block at a time, as fixed-point digit groups
-    gathered in numpy from _CELLS, each cell a group with its sign, point
-    or comma; a block holding a value too large for that falls back to one
-    % over a flat list of Python values. Either way the bytes are those of
-    formatting every row on its own with _EVENT_ROW. The cell buffers live
-    for the whole file, so the writer's page faults do not depend on the
-    heap that earlier code leaves behind.
-    """
-    buffers = []
+    n = result.pulses
+    header = {"descr": np.lib.format.dtype_to_descr(EVENTS_DTYPE), "fortran_order": False,
+              "shape": (n,)}
+    block = np.empty(min(n, _EVENT_BLOCK), dtype=EVENTS_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(_EVENTS_HEADER.encode())
-        for start in range(0, result.pulses, _EVENT_BLOCK):
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, n, _EVENT_BLOCK):
             rows = slice(start, start + _EVENT_BLOCK)
-            herald_bin = result.herald_bin[rows]
-            fh.write(_event_rows(
-                np.arange(start, start + herald_bin.size, dtype=np.int64),
-                herald_bin,
-                ((result.idler_frequency[rows] - herald_ref) / GHZ,
-                 (result.herald_frequency[rows] - herald_ref) / GHZ,
-                 (result.signal_frequency[rows] - filter_center) / GHZ,
-                 result.applied_shift_hz[rows] / 1e9),
-                result.passed[rows],
-                result.herald_click[rows],
-                result.signal_click[rows],
-                buffers,
-            ))
+            events = block[:min(_EVENT_BLOCK, n - start)]
+            events["herald_bin"] = result.herald_bin[rows]
+            events["idler_detuning_ghz"] = (result.idler_frequency[rows] - herald_ref) / GHZ
+            events["herald_detuning_ghz"] = (result.herald_frequency[rows] - herald_ref) / GHZ
+            events["signal_detuning_ghz"] = (result.signal_frequency[rows] - filter_center) / GHZ
+            events["shift_ghz"] = result.applied_shift_hz[rows] / 1e9
+            for flag in ("passed", "herald_click", "signal_click"):
+                events[flag] = getattr(result, flag)[rows]
+            events.tofile(fh)
 
 
 def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
@@ -940,19 +828,21 @@ def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
 
 def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     result = simulate_feedforward_stream(cfg)
+    clipping_db = next(e.loss_db for e in cfg.loss_table().entries
+                       if e.component == "bandwidth clipping")
     lines, checks = [], {}
     lines.append(f"{result.pulses} pulses, seed {cfg.seed}")
     lines.append(
         f"herald in accepted window: {result.in_range_fraction:.4f}; "
         f"filter pass given routed: {result.pass_fraction_in_range:.4f} "
-        f"(bandwidth-clipping budget entry predicts {10 ** (-3.0 / 10):.3f})"
+        f"(bandwidth-clipping budget entry predicts {10 ** (-clipping_db / 10):.3f})"
     )
     _grade("anticorrelation_unshifted", result.r_unshifted, -1.0,
            STREAM_ANTICORRELATION_MAX, checks, lines)
     _grade("independence_shifted", result.r_shifted, -STREAM_INDEPENDENCE_MAX,
            STREAM_INDEPENDENCE_MAX, checks, lines)
-    events_path = out / "events.csv"
-    _write_events_csv(result, cfg.anchor(), cfg.signal_filter().center, events_path)
+    events_path = out / "events.npy"
+    _write_events(result, cfg.anchor(), cfg.signal_filter().center, events_path)
     un_path = out / "joint_hist_unshifted.txt"
     sh_path = out / "joint_hist_shifted.txt"
     _write_histogram(result.unshifted_hist, result.unshifted_edges, un_path,

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,13 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import fmux
-from fmux import cli, defaults, scenarios, serrodyne, spectrometer
+from fmux import cli, defaults, losses, scenarios, serrodyne, spectrometer
 from fmux.scenarios import (
-    _EVENT_ROW,
     GHZ,
     HISTOGRAM_BINS_MAX,
     MODE_WEIGHT_FLOOR,
@@ -24,9 +22,8 @@ from fmux.scenarios import (
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
-    _event_rows,
     _joint_histogram,
-    _write_events_csv,
+    _write_events,
     load_config,
     run_scenario,
     simulate_feedforward_stream,
@@ -232,11 +229,22 @@ def test_stream_scenario_checks_and_reproducibility(tmp_path):
     summary = run_scenario(cfg)
     assert summary["all_passed"]
     again = run_scenario(stream_cfg(tmp_path / "b"))
-    for name in ("summary.txt", "events.csv", "joint_hist_unshifted.txt",
+    for name in ("summary.txt", "events.npy", "joint_hist_unshifted.txt",
                  "joint_hist_shifted.txt"):
         first = (tmp_path / "a" / "feedforward-stream" / name).read_bytes()
         second = (tmp_path / "b" / "feedforward-stream" / name).read_bytes()
         assert first == second, name
+
+
+def test_stream_clipping_prediction_follows_the_loss_ledger(tmp_path, monkeypatch):
+    line = run_scenario(stream_cfg(tmp_path / "a", pulses=2000))["lines"][1]
+    assert line.endswith("(bandwidth-clipping budget entry predicts 0.501)")
+    ledger = load_config("loss-budget").loss_table()
+    entries = [replace(e, loss_db=6.0) if e.component == "bandwidth clipping" else e
+               for e in ledger.entries]
+    monkeypatch.setattr(ScenarioConfig, "loss_table", lambda self: losses.LossTable(entries))
+    line = run_scenario(stream_cfg(tmp_path / "b", pulses=2000))["lines"][1]
+    assert line.endswith("(bandwidth-clipping budget entry predicts 0.251)")
 
 
 def analytic_in_range_fraction(cfg) -> float:
@@ -295,63 +303,94 @@ def test_stream_quantization_floor(tmp_path):
     assert result.pass_fraction_in_range == 1.0
 
 
-def oracle_events_csv(result, ref: float, center: float) -> bytes:
-    """The per-event f-string writer events.csv was first written with."""
-    lines = ["pulse,herald_bin,idler_detuning_ghz,herald_detuning_ghz,"
-             "signal_detuning_ghz,shift_ghz,passed,clicks\n"]
-    for i in range(result.pulses):
-        clicks = ("H" if result.herald_click[i] else "") + ("S" if result.signal_click[i] else "")
-        lines.append(
-            f"{i},{int(result.herald_bin[i])},"
-            f"{(float(result.idler_frequency[i]) - ref) / GHZ:.6f},"
-            f"{(float(result.herald_frequency[i]) - ref) / GHZ:.6f},"
-            f"{(float(result.signal_frequency[i]) - center) / GHZ:.6f},"
-            f"{float(result.applied_shift_hz[i]) / 1e9:.6f},"
-            f"{int(result.passed[i])},{clicks}\n"
-        )
-    return "".join(lines).encode()
-
-
 @pytest.fixture(scope="module")
 def small_stream(tmp_path_factory):
     cfg = stream_cfg(tmp_path_factory.mktemp("stream"), pulses=5000)
     return simulate_feedforward_stream(cfg), cfg.anchor(), cfg.signal_filter().center
 
 
-@pytest.mark.parametrize("block", [1 << 16, 4096, 7])
-def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch, block):
-    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
-    result, ref, center = small_stream
-    path = tmp_path / "events.csv"
-    _write_events_csv(result, ref, center, path)
-    assert path.read_bytes() == oracle_events_csv(result, ref, center)
-
-
-# values whose six-decimal text is easy to get wrong: signed zeros, exact binary
-# ties (1/128 GHz is 7812.5 micro-GHz), values that round to -0.000000 and a
-# carry into the integer part
-EDGE_GHZ = [-0.0, 0.0, 1 / 128, -1 / 128, 4e-7, -4e-7, 5e-7, -5e-7, 999.9999995,
-            -999.9999995, 2.5e-6, 1234.5678905]
+# column values (rad/s, or Hz for the shift): exact binary fractions, decimal near-ties,
+# signed zeros, the smallest subnormal, +-1e300 and the non-finite values
+EDGE_VALUES = [-0.0, 0.0, 1 / 128, -1 / 128, 5e-7, -5e-7, 999.9999995, -999.9999995, 5e-324,
+               1e300, -1e300, np.inf, -np.inf, np.nan]
+EDGE_BINS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]
 
 
 def seeded_stream(result, rows: int, seed: int):
-    """result with every column replaced by rows of edge values and their neighbours."""
+    """result with every event column replaced by rows of edge values and their neighbours.
+
+    Each column cycles through its own shuffle of its pool, so a stream of
+    at least the pool's size holds every edge value in every column.
+    """
     rng = np.random.default_rng(seed)
-    edge = np.array(EDGE_GHZ)
+    edge = np.array(EDGE_VALUES)
     pool = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
-                           rng.uniform(-400.0, 400.0, 64)])
-    pick = lambda: pool[rng.integers(0, pool.size, rows)]  # noqa: E731
+                           rng.uniform(-400.0, 400.0, 64) * GHZ])
+    bins = np.concatenate([EDGE_BINS, rng.integers(-1500, 1500, 64)])
+    pick = lambda values: np.resize(rng.permutation(values), rows)  # noqa: E731
     return replace(
         result,
-        idler_frequency=pick() * GHZ,
-        herald_frequency=pick() * GHZ,
-        signal_frequency=pick() * GHZ,
-        applied_shift_hz=pick() * 1e9,
-        herald_bin=rng.integers(-1500, 1500, rows),
+        idler_frequency=pick(pool),
+        herald_frequency=pick(pool),
+        signal_frequency=pick(pool),
+        applied_shift_hz=pick(pool),
+        herald_bin=pick(bins),
         passed=rng.random(rows) < 0.5,
         herald_click=rng.random(rows) < 0.5,
         signal_click=rng.random(rows) < 0.5,
     )
+
+
+EVENT_FIELDS = [("herald_bin", np.int64), ("idler_detuning_ghz", np.float64),
+                ("herald_detuning_ghz", np.float64), ("signal_detuning_ghz", np.float64),
+                ("shift_ghz", np.float64), ("passed", np.bool_), ("herald_click", np.bool_),
+                ("signal_click", np.bool_)]
+
+
+def oracle_events(result, ref: float, center: float) -> bytes:
+    """events.npy as np.save writes an array built one pulse at a time from Python values."""
+    rows = [(int(result.herald_bin[i]),
+             (float(result.idler_frequency[i]) - ref) / GHZ,
+             (float(result.herald_frequency[i]) - ref) / GHZ,
+             (float(result.signal_frequency[i]) - center) / GHZ,
+             float(result.applied_shift_hz[i]) / 1e9,
+             bool(result.passed[i]), bool(result.herald_click[i]), bool(result.signal_click[i]))
+            for i in range(result.pulses)]
+    whole = io.BytesIO()
+    np.save(whole, np.array(rows, dtype=EVENT_FIELDS), allow_pickle=False)
+    return whole.getvalue()
+
+
+def assert_events_round_trip(path, result, ref: float, center: float) -> np.ndarray:
+    """events.npy loads without pickle as EVENT_FIELDS rows, one a pulse, each bit for bit."""
+    events = np.load(path, allow_pickle=False)
+    assert [(name, events.dtype[name]) for name in events.dtype.names] == EVENT_FIELDS
+    assert events.shape == (result.pulses,)
+    expected = {
+        "herald_bin": result.herald_bin,
+        "idler_detuning_ghz": (result.idler_frequency - ref) / GHZ,
+        "herald_detuning_ghz": (result.herald_frequency - ref) / GHZ,
+        "signal_detuning_ghz": (result.signal_frequency - center) / GHZ,
+        "shift_ghz": result.applied_shift_hz / 1e9,
+        "passed": result.passed,
+        "herald_click": result.herald_click,
+        "signal_click": result.signal_click,
+    }
+    for name, column in expected.items():  # bit for bit: NaN and -0.0 included
+        assert events[name].tobytes() == column.tobytes(), name
+    # the blocks add up to the file np.save writes of the whole array
+    assert path.read_bytes() == oracle_events(result, ref, center)
+    return events
+
+
+# The events file was a CSV before it became events.npy; these tests keep their names.
+@pytest.mark.parametrize("block", [1 << 16, 4096, 7])
+def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch, block):
+    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
+    result, ref, center = small_stream
+    path = tmp_path / "events.npy"
+    _write_events(result, ref, center, path)
+    assert_events_round_trip(path, result, ref, center)
 
 
 @pytest.mark.parametrize("rows, block", [(1, 4), (3, 4), (4, 4), (5, 4), (9, 4),
@@ -361,134 +400,32 @@ def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkey
                                                   block):
     monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
     result = seeded_stream(small_stream[0], rows, seed=rows)
-    path = tmp_path / "events.csv"
+    path = tmp_path / "events.npy"
     for ref, center in ((0.0, 0.0), small_stream[1:]):
-        _write_events_csv(result, ref, center, path)
-        assert path.read_bytes() == oracle_events_csv(result, ref, center)
+        _write_events(result, ref, center, path)
+        events = assert_events_round_trip(path, result, ref, center)
+    if rows >= 3 * len(EDGE_VALUES) + 64:  # every pool value is in every column
+        shift = events["shift_ghz"]
+        assert np.isnan(shift).any() and np.isinf(shift).any()
+        assert (shift == 1e300 / 1e9).any() and (shift == -1e300 / 1e9).any()
+        assert np.signbit(shift[shift == 0.0]).any()
+        assert set(EDGE_BINS) <= set(events["herald_bin"].tolist())
 
 
 def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
-    # one block, and four blocks and five rows, reach the same peak (6.3 MiB here at
-    # 19 cells a row); a block of 65,536 rows would pass the first assertion and fail
-    # the second, and so would 36 unfused cells a row (9.6 MiB even with the columns
-    # freed before the gather)
+    # one block, and four blocks and five rows, reach the same peak: the block of rows
+    # and one column's temporary, not a copy of every column
     peaks = []
     for rows in (scenarios._EVENT_BLOCK, 4 * scenarios._EVENT_BLOCK + 5):
         result = seeded_stream(small_stream[0], rows, seed=3)
         tracemalloc.start()
         try:
-            _write_events_csv(result, *small_stream[1:], tmp_path / "events.csv")
+            _write_events(result, *small_stream[1:], tmp_path / "events.npy")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
-    assert max(peaks) < 8 * 2**20, peaks
-
-
-def test_events_csv_edge_values_take_both_paths(small_stream, tmp_path, monkeypatch):
-    # values a fixed-point path cannot hold send their blocks of 40 rows to %
-    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", 40)
-    result = seeded_stream(small_stream[0], 4000, seed=5)
-    shift = result.applied_shift_hz.copy()
-    shift[[45, 1000, 3999]] = [1.5e18, -2e21, np.inf]
-    result = replace(result, applied_shift_hz=shift)
-    path = tmp_path / "events.csv"
-    _write_events_csv(result, 0.0, 0.0, path)
-    text = path.read_bytes()
-    assert text == oracle_events_csv(result, 0.0, 0.0)
-    for cell in (b",-0.000000,", b",0.007812,", b",-0.007812,", b",1000.000000,", b",HS\n"):
-        assert cell in text, cell
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.lists(st.floats(min_value=-2e9, max_value=2e9), min_size=1, max_size=40),
-    pulse0=st.integers(0, 10**12),
-    herald_bin=st.integers(-10**7, 10**7),
-)
-@example(values=[999.9999995, -0.0, 1 / 128], pulse0=999_999, herald_bin=-1000)
-def test_event_rows_match_percent_formatting(values, pulse0, herald_bin):
-    n = len(values)
-    column = np.array(values)
-    bins = np.full(n, herald_bin)
-    flags = np.arange(n) % 2 == 0, np.arange(n) % 3 == 0, np.arange(n) % 4 == 0
-    text = _event_rows(np.arange(pulse0, pulse0 + n), bins, (column, -column, column / 3, column),
-                       *flags, [])
-    expected = "".join(
-        _EVENT_ROW % (pulse0 + i, herald_bin, v, -v, v / 3, v, flags[0][i],
-                      ("H" if flags[1][i] else "") + ("S" if flags[2][i] else ""))
-        for i, v in enumerate(values)
-    )
-    assert text == expected.encode()
-
-
-def percent_rows(pulse, bins, columns, passed, herald_click, signal_click) -> bytes:
-    """Oracle: each row through _EVENT_ROW on its own."""
-    return "".join(
-        _EVENT_ROW % (pulse[i], bins[i], *(c[i] for c in columns), passed[i],
-                      ("H" if herald_click[i] else "") + ("S" if signal_click[i] else ""))
-        for i in range(pulse.size)).encode()
-
-
-def test_event_rows_at_int64_extremes_and_buffer_reuse():
-    # int64 extremes in both integer columns and a value that rounds up to 1e9 in every
-    # fixed-point column: the widest row the fixed-point path can write
-    n = 3
-    pulse = np.arange(2**63 - 1 - n, 2**63 - 1, dtype=np.int64)
-    bins = np.array([-(2**63 - 1), 2**63 - 1, 0], dtype=np.int64)
-    columns = (np.array([999999999.9999995, -999999999.9999995, 0.0]),) * 4
-    flags = np.array([True, False, True]), np.array([True, True, False]), np.ones(n, bool)
-    widest = percent_rows(pulse, bins, columns, *flags)
-    assert b",1000000000.000000," in widest and b",-1000000000.000000," in widest
-    # a narrow block first, then the widest: the buffers grow once, then are reused
-    buffers = []
-    narrow = (np.arange(n), np.zeros(n, np.int64), (np.zeros(n),) * 4, *flags)
-    assert _event_rows(*narrow, buffers) == percent_rows(*narrow)
-    first = buffers[0].size
-    assert _event_rows(pulse, bins, columns, *flags, buffers) == widest
-    grown = buffers[0]
-    assert grown.size > first and buffers[1].size == grown.size
-    shorter = (pulse[:2], bins[:2], tuple(c[:2] for c in columns), *(f[:2] for f in flags))
-    assert _event_rows(*shorter, buffers) == percent_rows(*shorter)
-    assert buffers[0] is grown
-
-
-def spelled(index: int) -> bytes:
-    """The text of _CELLS[index], its zero padding dropped as the writer drops it."""
-    return scenarios._CELLS[index:index + 1].tobytes().replace(b"\0", b"")
-
-
-def test_text_cells_spell_their_formats():
-    digits = range(1000)
-    families = [(scenarios._LEAD, b"%d"), (scenarios._LEAD + 1000, b"-%d"),
-                (scenarios._GROUP, b"%03d"), (scenarios._FRAC, b".%03d"),
-                (scenarios._GROUP_COMMA, b"%03d,")]
-    for first, form in families:
-        assert [spelled(first + i) for i in digits] == [form % i for i in digits], form
-    # passed, herald click, signal click
-    tails = {(p, h, s): spelled(scenarios._TAIL + 4 * p + h + 2 * s)
-             for p in (0, 1) for h in (0, 1) for s in (0, 1)}
-    assert tails == {(0, 0, 0): b"0,", (0, 1, 0): b"0,H", (0, 0, 1): b"0,S", (0, 1, 1): b"0,HS",
-                     (1, 0, 0): b"1,", (1, 1, 0): b"1,H", (1, 0, 1): b"1,S", (1, 1, 1): b"1,HS"}
-    assert [spelled(scenarios._BLANK), spelled(scenarios._COMMA),
-            spelled(scenarios._NEWLINE)] == [b"", b",", b"\n"]
-    assert scenarios._CELLS.size == scenarios._NEWLINE + 1
-
-
-def test_default_stream_rows_are_nineteen_cells(small_stream):
-    # two cells for the pulse, one for the herald bin, three for each detuning, two
-    # commas, the tail and the newline
-    result, ref, center = small_stream
-    buffers = []
-    rows = slice(1000, 2000)
-    _event_rows(np.arange(1000, 2000), result.herald_bin[rows],
-                ((result.idler_frequency[rows] - ref) / GHZ,
-                 (result.herald_frequency[rows] - ref) / GHZ,
-                 (result.signal_frequency[rows] - center) / GHZ,
-                 result.applied_shift_hz[rows] / 1e9),
-                result.passed[rows], result.herald_click[rows], result.signal_click[rows],
-                buffers)
-    assert buffers[0].size == 19 * 1000
+    assert max(peaks) < 2 * scenarios._EVENT_BLOCK * scenarios.EVENTS_DTYPE.itemsize, peaks
 
 
 def edge_probes(edges: np.ndarray) -> np.ndarray:
