@@ -377,12 +377,10 @@ class DiscretizedDensityMatrix:
         only the rows x >= 0, so only those are weighted.
         """
         if self._eigenvalues is None:
-            from scipy import linalg  # loaded on first use: config-only runs never need it
-
             lo = self.matrix.shape[0] // 2
             sw = np.sqrt(self.grid.trapezoid_weights())
             blocks = _parity_blocks(self.matrix[lo:] * np.outer(sw[lo:], sw))
-            lam = np.sort(np.concatenate([linalg.eigvalsh(b) for b in blocks]))
+            lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
         return self._eigenvalues

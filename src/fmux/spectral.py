@@ -261,9 +261,7 @@ def build_anticorrelated_jsa(
 
 def schmidt_coefficients(jsa: JointSpectralAmplitude) -> np.ndarray:
     """Schmidt weights lambda_k (squared singular values, normalized to sum 1)."""
-    from scipy import linalg  # loaded on first use: config-only runs never need it
-
-    s = linalg.svdvals(jsa.weighted_matrix())
+    s = np.linalg.svdvals(jsa.weighted_matrix())
     lam = s * s
     return lam / lam.sum()
 

@@ -2,10 +2,8 @@
 
 Frequency maps to arrival time through the grating dispersion (an affine,
 strictly monotone map), the time tag is quantized by the TDC bin, and analog
-detector jitter smears the tag. The module exposes the forward conditional
-P(omega_H | omega_i) and a Monte Carlo sampler that agrees with it: one call
-of sample_herald_event tags a whole array of idlers, and the feed-forward
-stream runs on it.
+detector jitter smears the tag. One call of sample_herald_event tags a whole
+array of idlers, and the feed-forward stream runs on it.
 
 The instrument itself is built from the configuration
 (ScenarioConfig.build_spectrometer). Its measured jitter model carries the
@@ -16,7 +14,6 @@ quoted resolution figure and reproduces the measured heralded-photon purity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +26,6 @@ __all__ = [
     "FrequencyRangeError",
     "frequency_to_arrival_time",
     "time_to_bin",
-    "conditional_outcome_distribution",
     "sample_herald_event",
     "MEASURED_JITTER_FREQ_STD",
     "MEASURED_JITTER_TIME_STD",
@@ -68,18 +64,6 @@ class JitterDistribution:
 
     def time_std(self) -> float:
         return self.sigma_t
-
-    def cdf(self, t) -> np.ndarray:
-        """P(offset <= t)."""
-        t = np.asarray(t, dtype=float)
-        if self.sigma_t == 0.0:
-            return (t >= 0).astype(float)
-        from scipy import special  # loaded on first use: config-only runs never need it
-
-        return 0.5 * (1.0 + special.erf(t / (self.sigma_t * math.sqrt(2.0))))
-
-    def interval_probability(self, lo, hi) -> np.ndarray:
-        return self.cdf(hi) - self.cdf(lo)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return rng.normal(0.0, self.sigma_t, size=size)
@@ -145,33 +129,6 @@ def time_to_bin(model: SpectrometerModel, t) -> np.ndarray:
     dt = np.asarray(t, dtype=float) / model.tdc_bin
     k = np.sign(dt) * np.ceil(np.abs(dt) - 0.5)
     return k.astype(int)
-
-
-def conditional_outcome_distribution(
-    model: SpectrometerModel, omega_i: float, bins: np.ndarray | None = None
-):
-    """Discrete outcome distribution P(omega_H | omega_i) over TDC bins.
-
-    Returns (bin_indices, probabilities, bin_frequencies). With bins=None the
-    support is enumerated automatically out to where the jitter density is
-    negligible; probabilities then sum to 1 within 1e-6 (and are renormalized
-    to machine precision).
-    """
-    t_center = float(frequency_to_arrival_time(model, omega_i))
-    if bins is None:
-        reach = model.jitter.reach() + model.tdc_bin
-        k_lo = time_to_bin(model, t_center - reach)
-        k_hi = time_to_bin(model, t_center + reach)
-        bins = np.arange(int(k_lo), int(k_hi) + 1)
-    else:
-        bins = np.asarray(bins, dtype=int)
-    lo = (bins - 0.5) * model.tdc_bin - t_center
-    hi = (bins + 0.5) * model.tdc_bin - t_center
-    p = model.jitter.interval_probability(lo, hi)
-    total = p.sum()
-    if total < 1.0 - 1e-6:
-        raise ValueError("bin set does not cover the outcome distribution")
-    return bins, p / total, model.bin_center_frequency(bins)
 
 
 def sample_herald_event(

@@ -393,13 +393,13 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     from scipy import linalg
 
     blocks = []
-    solve = linalg.eigvalsh
+    solve = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         blocks.append(a)
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     n_signal = model.n_signal
     dm = assemble_density_matrix(model)
     assert np.array_equal(dm.matrix, dm.matrix[::-1, ::-1])  # exactly centrosymmetric
@@ -407,18 +407,18 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     # the even block, then the odd, each exactly symmetric
     assert [len(b) for b in blocks] == [(n_signal + 1) // 2, n_signal // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)
-    full = solve(dm.weighted())
+    full = linalg.eigvalsh(dm.weighted())
     assert np.abs(dm.eigenvalues() - full).max() <= 1e-12
 
 
 @BLOCK_MODELS
 def test_eigenvalues_weight_only_the_rows_they_read(model):
-    from scipy import linalg
-
+    # the same solver on blocks cut from the fully weighted matrix: bit-equal
+    # only if weighting just the rows x >= 0 gives the same blocks
     dm = assemble_density_matrix(model)
     full = dm.weighted()
     blocks = _parity_blocks(full[full.shape[0] // 2 :])
-    expected = np.sort(np.concatenate([linalg.eigvalsh(b) for b in blocks]))
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     assert np.array_equal(dm.eigenvalues(), expected)
 
 
@@ -570,13 +570,13 @@ def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, monkeypatch
     rho = b + b[::-1, ::-1]  # symmetric and exactly even under x -> -x
     rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
     blocks = []
-    solve = linalg.eigvalsh
-    monkeypatch.setattr(linalg, "eigvalsh",
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a, *args, **kw: blocks.append(a) or solve(a, *args, **kw))
     dm = DiscretizedDensityMatrix(grid, rho)
     assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)  # each block exactly symmetric
-    assert np.abs(dm.eigenvalues() - solve(dm.weighted())).max() <= 1e-12
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(dm.weighted())).max() <= 1e-12
 
 
 def test_eigenvalues_are_cached_read_only():

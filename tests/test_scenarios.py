@@ -28,6 +28,7 @@ from fmux.scenarios import (
     run_scenario,
     simulate_feedforward_stream,
 )
+from oracles import conditional_outcome_distribution
 
 
 def test_default_config_is_complete():
@@ -117,6 +118,7 @@ def test_loss_budget_scenario(tmp_path):
     m = manifest_of(tmp_path / "loss-budget")
     assert m["scenario"] == "loss-budget"
     assert m["versions"]["numpy"] == np.__version__
+    assert set(m["versions"]) == {"package", "python", "numpy"}
     listed = {o["name"] for o in m["outputs"]}
     assert {"summary.txt", "loss_table.csv", "reconciliation.json"} <= listed
     # manifest digests describe the files on disk
@@ -152,16 +154,14 @@ def test_purity_scenario_reduced_grid(tmp_path):
 
 
 def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
-    from scipy import linalg
-
     solves = []
-    solve = linalg.eigvalsh
+    solve = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         solves.append((np.asarray(a).dtype, np.shape(a)))
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
     # one matrix on 257 signal points, solved once as its even and odd parity
@@ -261,7 +261,7 @@ def analytic_in_range_fraction(cfg) -> float:
     total = 0.0
     for u in (np.arange(nodes) + 0.5) / nodes:
         omega = spect.reference_frequency + (u - 0.5) * span
-        bins, probs, _ = spectrometer.conditional_outcome_distribution(spect, omega)
+        bins, probs, _ = conditional_outcome_distribution(spect, omega)
         total += probs[lut.route(bins)[1]].sum()
     return total / nodes
 
@@ -476,17 +476,25 @@ def test_stream_histograms_match_histogram2d(tmp_path, bins):
     assert result.unshifted_hist.sum() == result.pulses
 
 
-def test_config_path_never_imports_scipy_linalg_or_special():
-    code = ("import sys\nimport fmux.cli\nfrom fmux.scenarios import SCENARIOS, load_config\n"
-            "for name in SCENARIOS:\n    load_config(name).validate()\n"
-            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'scipy.special', "
-            "'concurrent.futures') if m in sys.modules))\n")
+def test_every_scenario_runs_on_numpy_alone(tmp_path):
+    """One interpreter runs all nine scenarios without loading scipy or a thread pool."""
+    overlay = tmp_path / "small.cfg"
+    write_overlay(overlay, {"run.stream_pulses": 5000, "statistics.monte_carlo_pulses": 20_000})
+    out = tmp_path / "out"
+    code = ("import sys\nfrom fmux import cli\nfrom fmux.scenarios import SCENARIOS\n"
+            "for name in SCENARIOS:\n"
+            "    cli.main([name, '--grid-scale', '0.25', '--config', sys.argv[1],\n"
+            "              '--outdir', f'{sys.argv[2]}/{name}'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy' or m == 'concurrent.futures'))\n")
     env = dict(os.environ)
     src = str(Path(fmux.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, str(overlay), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert len(SCENARIOS) == 9
+    assert all((out / name / "manifest.json").is_file() for name in SCENARIOS)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_measured_jitter_is_a_time_width(tmp_path):

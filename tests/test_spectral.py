@@ -135,6 +135,15 @@ def test_schmidt_coefficients_normalized_and_sorted_weighting():
     assert np.all(lam >= -1e-15)
 
 
+def test_schmidt_coefficients_match_scipy_svd():
+    from scipy import linalg
+
+    pump, sg, hg = reference_pair()
+    jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)
+    s = linalg.svdvals(jsa.weighted_matrix())
+    assert np.abs(schmidt_coefficients(jsa) - s * s / (s @ s)).max() <= 1e-12
+
+
 def test_schmidt_number_is_inverse_purity():
     pump, sg, hg = reference_pair()
     jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)

