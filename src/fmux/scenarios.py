@@ -533,8 +533,8 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
         f"(mode count {1.0 / purity_full:.1f}), filtered {purity_filtered:.5f}"
     )
     _grade("anticorrelation", r_full, -1.0, STREAM_ANTICORRELATION_MAX, checks, lines)
-    jsa_path = out / "joint_spectrum.txt"
-    filtered_path = out / "joint_spectrum_filtered.txt"
+    jsa_path = out / "joint_spectrum.npy"
+    filtered_path = out / "joint_spectrum_filtered.npy"
     spectral.write_jsa_text(jsa, jsa_path)
     spectral.write_jsa_text(filtered, filtered_path)
     marg_path = out / "marginals.csv"

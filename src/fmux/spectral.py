@@ -1,10 +1,11 @@
 """Frequency grids, joint spectral amplitudes, and Schmidt-mode purity.
 
 The joint spectral amplitude (JSA) f(omega_s, omega_i) of a photon pair is
-held on a uniform 2-D grid. Purity is evaluated by singular-value
-decomposition with trapezoid quadrature weights folded into the amplitude
-matrix, so Schmidt coefficients converge with grid refinement. These routines
-are the independent oracle for the heralded-state purity engine.
+held on a uniform 2-D grid, with trapezoid quadrature weights folded into
+the amplitude matrix M, so Schmidt quantities converge with grid refinement.
+The purity is ||M M^H||_F^2 / ||M||_F^4, one Gram product; the Schmidt
+spectrum itself is the singular-value decomposition of M. These routines are
+the independent oracle for the heralded-state purity engine.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "rotated_gaussian_purity",
     "apply_filter",
     "intensity_correlation",
+    "JSA_DTYPE",
     "write_jsa_text",
 ]
 
@@ -267,9 +269,15 @@ def schmidt_coefficients(jsa: JointSpectralAmplitude) -> np.ndarray:
 
 
 def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
-    """Spectral purity Tr(rho^2) = sum_k lambda_k^2 of the reduced state."""
-    lam = schmidt_coefficients(jsa)
-    return float(np.dot(lam, lam))
+    """Spectral purity Tr(rho^2) = sum_k lambda_k^2 of the reduced state.
+
+    The reduced state is the Gram matrix G = M M^H of the weighted amplitude,
+    up to its trace, so sum_k lambda_k^2 = ||G||_F^2 / Tr(G)^2 without the
+    singular values themselves.
+    """
+    m = jsa.weighted_matrix()
+    gram = m @ m.conj().T
+    return float(np.vdot(gram, gram).real / np.trace(gram).real ** 2)
 
 
 def schmidt_number(jsa: JointSpectralAmplitude) -> float:
@@ -338,20 +346,27 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
     return cov / math.sqrt(vs * vh)
 
 
-def write_jsa_text(jsa: JointSpectralAmplitude, path) -> None:
-    """Self-describing columnar export: header metadata, then ws wi Re Im rows."""
-    with open(path, "w") as fh:
-        fh.write("# joint spectral amplitude\n")
-        for tag, grid in (("signal", jsa.signal_grid), ("herald", jsa.herald_grid)):
-            fh.write(
-                f"# {tag}_center={grid.center!r} {tag}_span={grid.span!r} "
-                f"{tag}_points={grid.points}\n"
-            )
-        fh.write("# columns: omega_s omega_i re im\n")
-        # a signal row at a time, so at most one row of Python floats is alive
-        herald = [repr(v) for v in jsa.herald_grid.values.tolist()]
-        for ws, row in zip(jsa.signal_grid.values.tolist(), jsa.amplitude):
-            head = repr(ws)
-            fh.write("".join(f"{head} {wi} {re!r} {im!r}\n"
-                             for wi, re, im in zip(herald, row.real.tolist(), row.imag.tolist())))
+# joint_spectrum*.npy: one element per grid point, indexed (signal, herald); the two
+# angular frequencies (rad/s) and the amplitude's parts, all at full precision
+JSA_DTYPE = np.dtype([
+    ("omega_s", np.float64),
+    ("omega_i", np.float64),
+    ("re", np.float64),
+    ("im", np.float64),
+])
 
+
+# the name is older than the .npy format; the benchmark's per-layer metrics are keyed on it
+def write_jsa_text(jsa: JointSpectralAmplitude, path) -> None:
+    """The JSA as the bytes np.save writes of a (signal, herald) array of JSA_DTYPE rows.
+
+    The file is written to exactly path (np.save on a bare path would add
+    ".npy"). Read it back with np.load(path, allow_pickle=False).
+    """
+    rows = np.empty(jsa.amplitude.shape, dtype=JSA_DTYPE)
+    rows["omega_s"] = jsa.signal_grid.values[:, None]
+    rows["omega_i"] = jsa.herald_grid.values[None, :]
+    rows["re"] = jsa.amplitude.real
+    rows["im"] = jsa.amplitude.imag
+    with open(path, "wb") as fh:
+        np.save(fh, rows, allow_pickle=False)

@@ -195,6 +195,29 @@ def test_joint_spectrum_marginals_are_plain_numbers(tmp_path):
         assert len([float(cell) for cell in row.split(",")]) == 4
 
 
+def test_joint_spectrum_runs_no_svd_and_reruns_byte_identical(tmp_path, monkeypatch):
+    solves = []
+    svdvals = np.linalg.svdvals
+
+    def recording(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svdvals", recording)
+    outputs = []
+    for rerun in ("first", "second"):
+        _, summary = run("joint-spectrum", tmp_path / rerun)
+        assert summary["all_passed"]
+        out = tmp_path / rerun / "joint-spectrum"
+        outputs.append({name: (out / name).read_bytes() for name in (
+            "joint_spectrum.npy", "joint_spectrum_filtered.npy", "marginals.csv")})
+    # both Schmidt purities come from Gram products
+    assert solves == []
+    assert outputs[0] == outputs[1]
+    jsa = np.load(tmp_path / "first" / "joint-spectrum" / "joint_spectrum.npy", allow_pickle=False)
+    assert jsa.shape == (257, 257) and jsa.dtype.names == ("omega_s", "omega_i", "re", "im")
+
+
 def test_hom_dip_scenario(tmp_path):
     _, summary = run("hom-dip", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -224,49 +225,65 @@ def test_default_grid_shape():
     assert math.isclose(g.span, 12.0 * PUMP.sigma)
 
 
-def test_jsa_text_round_trip(tmp_path):
-    pump, sg, hg = reference_pair(65, 33)
-    jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)
-    path = tmp_path / "jsa.txt"
-    write_jsa_text(jsa, path)
-    header = [line for line in path.read_text().splitlines() if line.startswith("#")]
-    assert header[1] == f"# signal_center={sg.center!r} signal_span={sg.span!r} signal_points=65"
-    assert header[2] == f"# herald_center={hg.center!r} herald_span={hg.span!r} herald_points=33"
-    data = np.loadtxt(path)  # rows ws wi Re Im, herald index fastest
-    assert data.shape == (65 * 33, 4)
-    np.testing.assert_array_equal(data[:, 0], np.repeat(sg.values, 33))
-    np.testing.assert_array_equal(data[:, 1], np.tile(hg.values, 65))
-    np.testing.assert_array_equal(data[:, 2] + 1j * data[:, 3], jsa.amplitude.ravel())
+JSA_FIELDS = [("omega_s", np.float64), ("omega_i", np.float64), ("re", np.float64),
+              ("im", np.float64)]
 
 
-def oracle_jsa_text(jsa: JointSpectralAmplitude) -> bytes:
-    """Oracle: the JSA export written one element at a time, each through float()."""
-    lines = ["# joint spectral amplitude\n"]
-    for tag, grid in (("signal", jsa.signal_grid), ("herald", jsa.herald_grid)):
-        lines.append(f"# {tag}_center={grid.center!r} {tag}_span={grid.span!r} "
-                     f"{tag}_points={grid.points}\n")
-    lines.append("# columns: omega_s omega_i re im\n")
-    vs, vh = jsa.signal_grid.values, jsa.herald_grid.values
-    for i in range(jsa.signal_grid.points):
-        for j in range(jsa.herald_grid.points):
-            a = jsa.amplitude[i, j]
-            lines.append(f"{float(vs[i])!r} {float(vh[j])!r} "
-                         f"{float(a.real)!r} {float(a.imag)!r}\n")
-    return "".join(lines).encode()
+def scenario_states() -> dict:
+    """The joint-spectrum scenario's JSAs at the default config, plus a chirped copy.
 
-
-def test_jsa_text_matches_per_element_oracle(tmp_path):
-    # the joint-spectrum scenario's grids at the default config; the filtered JSA has exact zeros
+    The filtered JSA has exact zeros; the JSAs are real, and the chirped copy has
+    imaginary parts of both signs.
+    """
     sg = FrequencyGrid(FILTER.center, 12.0 * PUMP.sigma, 257)
     hg = FrequencyGrid(PUMP.center - FILTER.center, 12.0 * PUMP.sigma, 257)
     jsa = build_anticorrelated_jsa(PUMP, sg, hg)
     filtered, _ = apply_filter(jsa, FILTER, axis="signal")
     assert np.any(filtered.amplitude == 0.0) and np.any(filtered.amplitude != 0.0)
-    # the JSAs are real; a chirped copy has imaginary parts of both signs
     chirped = JointSpectralAmplitude(
         sg, hg, filtered.amplitude * np.exp(1j * np.linspace(-3.0, 3.0, 257))[None, :])
     assert np.any(chirped.amplitude.imag < 0.0) and np.any(chirped.amplitude.imag > 0.0)
-    for name, state in (("full", jsa), ("filtered", filtered), ("chirped", chirped)):
-        path = tmp_path / f"{name}.txt"
+    return {"full": jsa, "filtered": filtered, "chirped": chirped}
+
+
+def test_schmidt_purity_matches_singular_values():
+    pump, sg, hg = reference_pair()
+    states = scenario_states()
+    states["phase_matched"] = build_anticorrelated_jsa(
+        pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)
+    for name, state in states.items():
+        lam = schmidt_coefficients(state)
+        assert math.isclose(schmidt_purity(state), float((lam**2).sum()), rel_tol=1e-12), name
+
+
+def test_jsa_npy_round_trip(tmp_path):
+    pump, sg, hg = reference_pair(65, 33)
+    jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)
+    path = tmp_path / "jsa"  # no suffix, so an appended ".npy" would show
+    write_jsa_text(jsa, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["jsa"]
+    rows = np.load(path, allow_pickle=False)
+    assert [(name, rows.dtype[name]) for name in rows.dtype.names] == JSA_FIELDS
+    assert rows.shape == (65, 33)  # signal index first
+    np.testing.assert_array_equal(rows["omega_s"], np.broadcast_to(sg.values[:, None], (65, 33)))
+    np.testing.assert_array_equal(rows["omega_i"], np.broadcast_to(hg.values[None, :], (65, 33)))
+    np.testing.assert_array_equal(rows["re"] + 1j * rows["im"], jsa.amplitude)
+
+
+def oracle_jsa_npy(jsa: JointSpectralAmplitude) -> bytes:
+    """Oracle: the JSA export as np.save writes an array built one element at a time."""
+    vs, vh = jsa.signal_grid.values, jsa.herald_grid.values
+    rows = [[(float(vs[i]), float(vh[j]), float(jsa.amplitude[i, j].real),
+              float(jsa.amplitude[i, j].imag))
+             for j in range(jsa.herald_grid.points)]
+            for i in range(jsa.signal_grid.points)]
+    whole = io.BytesIO()
+    np.save(whole, np.array(rows, dtype=JSA_FIELDS), allow_pickle=False)
+    return whole.getvalue()
+
+
+def test_jsa_npy_matches_per_element_oracle(tmp_path):
+    for name, state in scenario_states().items():
+        path = tmp_path / name
         write_jsa_text(state, path)
-        assert path.read_bytes() == oracle_jsa_text(state), name
+        assert path.read_bytes() == oracle_jsa_npy(state), name
