@@ -1,8 +1,9 @@
 """What frequency multiplexing buys in rate, and what it does not cost in g2.
 
 Compares the multiplexed source against the single-mode equivalent with the
-thermal counting model, spot-checks it by Monte Carlo, and shows how the
-enhancement saturates as more modes are accepted.
+thermal counting model, spot-checks it by Monte Carlo against one mode
+pumped to the same herald rate, and shows how the enhancement saturates as
+more modes are accepted.
 """
 
 from dataclasses import replace
@@ -41,13 +42,20 @@ def main():
     print("each as weakly pumped as before, not from pumping harder.")
     print()
 
-    pulses = 16_000_000
+    pulses = 10**10
+    equal_rate = replace(single, mu=mux.mu * n)  # one mode pumped to the same herald rate
     mc_mux = statistics.monte_carlo_counting(mux, pulses, rng=7)
     mc_single = statistics.monte_carlo_counting(single, pulses, rng=8)
-    print(f"Monte Carlo spot check, {pulses} pulses per arm (seeds 7 and 8)")
+    mc_equal = statistics.monte_carlo_counting(equal_rate, pulses, rng=9)
+    print(f"Monte Carlo spot check, {pulses:.0e} pulses per arm (seeds 7, 8 and 9)")
     print(f"  enhancement  {mc_mux.p_sh / mc_single.p_sh:.3f}")
-    print(f"  g2 mux       {mc_mux.g2_h:.4f} +/- {mc_mux.se_g2_h:.4f}")
-    print(f"  g2 single    {mc_single.g2_h:.4f} +/- {mc_single.se_g2_h:.4f}")
+    print(f"  {'arm':<28}  {'p_h':>9}  {'g2':>17}  {'g2 analytic':>11}")
+    for label, m, r in (("multiplexed", mux, mc_mux), ("single mode", single, mc_single),
+                        (f"single mode at mu={equal_rate.mu:.4f}", equal_rate, mc_equal)):
+        print(f"  {label:<28}  {r.p_h:>9.2e}  {r.g2_h:>7.4f} +/- {r.se_g2_h:.4f}  "
+              f"{statistics.analytic_counting(m).g2_h:>11.4f}")
+    print(f"at equal herald rate one mode's g2 is {mc_equal.g2_h / mc_mux.g2_h:.2f} times "
+          "the multiplexed g2")
     print()
 
     print("the gain tracks the accepted mode count nearly one-for-one at this")

@@ -63,6 +63,8 @@ GRID_SCALE_MAX = 16.0
 LUT_BINS_MAX = 100_000
 HISTOGRAM_BINS_MAX = 4096
 CHIRP_POINTS_MAX = 16_384
+# the Monte Carlo draws binomials over the pulse count, and numpy's take an int64 n
+MC_PULSES_MAX = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -83,6 +85,7 @@ _JITTER_MODEL = (lambda v: v in JITTER_MODELS, f"must be one of {', '.join(JITTE
 _GRID_SCALE = (lambda v: 0 < v <= GRID_SCALE_MAX, f"must be in (0, {GRID_SCALE_MAX:g}]")
 _HISTOGRAM_BINS = (lambda v: 1 <= v <= HISTOGRAM_BINS_MAX,
                    f"must be in [1, {HISTOGRAM_BINS_MAX}]")
+_MC_PULSES = (lambda v: 1 <= v <= MC_PULSES_MAX, f"must be in [1, {MC_PULSES_MAX}]")
 
 _SCHEMA = {
     "source.pump_sigma_ghz": (float, _POSITIVE),
@@ -107,7 +110,7 @@ _SCHEMA = {
     "statistics.eta_herald": (float, _FRACTION),
     "statistics.sweep_points": (int, _AT_LEAST_ONE),
     "statistics.mu_max": (float, _POSITIVE),
-    "statistics.monte_carlo_pulses": (int, _AT_LEAST_ONE),
+    "statistics.monte_carlo_pulses": (int, _MC_PULSES),
     "losses.snspd_db": (float, _NON_NEGATIVE),
     "losses.tolerance": (float, _NON_NEGATIVE),
     "run.seed": (int, _NON_NEGATIVE),

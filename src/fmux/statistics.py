@@ -10,18 +10,10 @@ inclusion-exclusion over such terms. analytic_counting evaluates those exact
 expressions; monte_carlo_counting samples the same model and is the oracle
 the analytic path is tested against.
 
-The Monte Carlo samples only the (mode, pulse) cells that hold a pair, about
-a fraction mu / (1 + mu) of them. Per mode and chunk it draws the occupied
-count k ~ Binomial(n, mu / (1 + mu)), k distinct pulse positions, and their
-pair numbers from numpy's geometric law on {1, 2, ...}: the thermal law is
-memoryless, so given N >= 1 the pair number is geometric with p = 1 / (1 +
-mu). Each occupied cell's herald clicks with probability 1 - (1 - eta_h)^N,
-one uniform per cell, and each routed pulse's signal outcome (none, S1 only,
-S2 only, both) is one uniform against the exact four-way law of its N
-photons. Every count therefore has the law of the pulse-by-pulse geometric
-sampler, but not its random stream: a seed gives other counts than it would
-there. The sampler uses only numpy's public distributions, so any mu >= 0
-samples, and it runs in the calling thread.
+The Monte Carlo draws counts, not cells: the pulses are iid, so each of its
+six counts is built from binomials over integer counts (monte_carlo_counting).
+Every count has the law of the pulse-by-pulse geometric sampler, but not its
+random stream: a seed gives other counts than it would there.
 
 Routing model: with multiplexing enabled the lowest-index clicking herald
 wins and only the winner's signal mode is shifted into the output filter
@@ -225,53 +217,39 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
     )
 
 
-MC_CHUNK = 1 << 17  # pulses per spawned seed stream; part of what a seed reproduces
+def _pair_numbers(rng, mu, n) -> list[int]:
+    """How many of n thermal cells hold 1, 2, ... pairs: entry j - 1 counts pair number j.
 
-
-def _occupied_cells(rng, mu, n) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and pair numbers of the pulses, out of n, whose mode holds a pair.
-
-    A thermal mode holds a pair with probability mu / (1 + mu); given that, its
-    pair number is geometric on {1, 2, ...} with p = 1 / (1 + mu), because
-    the thermal law is memoryless. Positions come in no particular order.
+    A cell holds a pair with probability mu / (1 + mu); given N >= j it holds
+    exactly j with probability 1 / (1 + mu), because the thermal law is
+    memoryless. So the occupied count is one binomial and each pair number's
+    count another, over the cells not yet placed, until none are left.
     """
-    k = rng.binomial(n, mu / (1.0 + mu))
-    return rng.choice(n, k, replace=False, shuffle=False), rng.geometric(1.0 / (1.0 + mu), k)
+    rest = rng.binomial(n, mu / (1.0 + mu))
+    counts = []
+    while rest:
+        c = rng.binomial(rest, 1.0 / (1.0 + mu))
+        counts.append(c)
+        rest -= c
+    return counts
 
 
-def _simulate_chunk(rng, mus, eta_s, eta_h, multiplexed, n) -> np.ndarray:
-    """The six counts of n pulses, drawn over the (mode, pulse) cells that hold a pair."""
-    pulses, pairs = zip(*(_occupied_cells(rng, mu, n) for mu in mus))
-    pairs = np.concatenate(pairs)
-    clicked = rng.random(pairs.size) < 1.0 - (1.0 - eta_h) ** pairs
-    if multiplexed:
-        # cells run mode by mode, so a pulse's first clicking cell is its lowest
-        # clicking mode, the one that wins
-        _, first = np.unique(np.concatenate(pulses)[clicked], return_index=True)
-        routed = pairs[clicked][first]
-        heralded = np.ones(routed.size, dtype=bool)
-    else:
-        routed, heralded = pairs, clicked
-    # m photons, each lost or sent to S1 or S2: P(none) = (1 - eta_s)^m, P(S1 only) =
-    # P(S2 only) = (1 - eta_s/2)^m - P(none), and P(both) the rest
-    u = rng.random(routed.size)
-    none = (1.0 - eta_s) ** routed
-    no_s1 = (1.0 - 0.5 * eta_s) ** routed
-    c_s12 = u >= 2.0 * no_s1 - none
-    c_s = u >= none
-    c_s1 = (c_s & (u < no_s1)) | c_s12
-    c_s2 = u >= no_s1
-    return np.array(
-        [
-            heralded.sum(),
-            c_s.sum(),
-            (c_s & heralded).sum(),
-            (c_s1 & heralded).sum(),
-            (c_s2 & heralded).sum(),
-            (c_s12 & heralded).sum(),
-        ],
-        dtype=np.int64,
-    )
+def _signal_laws(eta_s):
+    """P(some signal click) and P(both detectors | some click) for m = 1, 2, ... photons.
+
+    Each photon is lost or reaches S1 or S2 with probability eta_s/2 each.
+    Conditioning on the first photon, P(one detector only) and P(both) step
+    from m - 1 to m through sums of non-negative terms, so P(both) is exactly
+    0 at m = 1 and never negative. The closed form 1 - 2 (1 - eta_s/2)^m +
+    (1 - eta_s)^m cancels to +-1e-16 there, and to noise at small eta_s.
+    """
+    keep, miss_s1 = 1.0 - eta_s, 1.0 - 0.5 * eta_s
+    none, no_s1, one, both = 1.0, 1.0, 0.0, 0.0
+    while True:
+        # the first photon lost, or at S1 (S2 alike) with S2 silent or not among the rest
+        one, both = keep * one + eta_s * no_s1, keep * both + eta_s * (1.0 - no_s1)
+        none, no_s1 = keep * none, miss_s1 * no_s1
+        yield 1.0 - none, (both / (one + both) if both else 0.0)
 
 
 def _counting_result(counts, pulses: int, seed: int) -> CountingResult:
@@ -305,20 +283,24 @@ def monte_carlo_counting(
     pulses: int,
     rng: int | np.random.Generator,
 ) -> CountingResult:
-    """Sample the thermal threshold model over the cells that hold a pair.
+    """Sample the thermal threshold model's six counts as binomials over integer counts.
 
-    Pulses are partitioned into chunks of MC_CHUNK, each driven by its own
-    counter-based stream spawned from the recorded seed, so results are
-    identical for a given seed and the seed alone reproduces the run.
-    rng may be a seed or a Generator (a seed is then drawn from it).
+    The pulses are iid, so only how many of them show each click pattern
+    matters. Mode by mode in ladder order, _pair_numbers splits the pulses not
+    yet heralded by pair number j; of the c_j with j pairs, a binomial number
+    herald (1 - (1 - eta_h)^j each), and binomials over those split their
+    signal outcomes by _signal_laws. With multiplexing the heralded pulses
+    leave the pool, so the lowest clicking mode wins; the single arm adds the
+    signal clicks of its unheralded pulses. No array holds a cell or a pulse:
+    the cost grows with the number of pair numbers drawn, about ln(pulses) /
+    ln(1 + 1/mu) per mode, and memory does not grow with pulses. Any mu >= 0
+    samples.
 
-    A chunk draws, per mode, how many pulses hold a pair, which ones, and how
-    many pairs each holds, then one uniform per occupied cell for its herald
-    and one per routed pulse for its signal (_simulate_chunk). The counts have
-    the law of a pulse-by-pulse geometric sampler, but a seed does not give
-    the counts that sampler would. Any mu >= 0 samples. The chunks run one
-    after another in the calling thread and their integer counts are summed
-    exactly, so the result does not depend on the machine's core count.
+    One counter-based generator seeded with the recorded seed drives the
+    call, so the seed alone reproduces the run. rng may be a seed or a
+    Generator (a seed is then drawn from it). The counts have the law of a
+    pulse-by-pulse geometric sampler, but a seed does not give the counts
+    that sampler would.
     """
     if pulses < 1:
         raise ValueError("pulses must be positive")
@@ -326,16 +308,27 @@ def monte_carlo_counting(
         seed = int(rng.integers(2**63))
     else:
         seed = int(rng)
-    mus = model.mode_rates()
-    sizes = [MC_CHUNK] * (pulses // MC_CHUNK)
-    if pulses % MC_CHUNK:
-        sizes.append(pulses % MC_CHUNK)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    counts = sum(
-        _simulate_chunk(np.random.Generator(np.random.Philox(child)), mus, model.eta_s,
-                        model.eta_h, model.multiplexing_enabled, size)
-        for size, child in zip(sizes, children)
-    )
+    rng = np.random.Generator(np.random.Philox(seed))
+    c_h = c_sh = c_s1h = c_s2h = c_s1s2h = unheralded_s = 0
+    free = pulses
+    for mu in model.mode_rates():
+        for j, (c, (p_click, p_both)) in enumerate(
+            zip(_pair_numbers(rng, mu, free), _signal_laws(model.eta_s)), start=1
+        ):
+            h = rng.binomial(c, 1.0 - (1.0 - model.eta_h) ** j)
+            s = rng.binomial(h, p_click)
+            both = rng.binomial(s, p_both)
+            s1 = rng.binomial(s - both, 0.5)  # the one detector that clicked, S1 or S2 alike
+            c_h += h
+            c_sh += s
+            c_s1h += s1 + both
+            c_s2h += s - s1
+            c_s1s2h += both
+            if model.multiplexing_enabled:
+                free -= h
+            else:
+                unheralded_s += rng.binomial(c - h, p_click)
+    counts = (c_h, c_sh + unheralded_s, c_sh, c_s1h, c_s2h, c_s1s2h)
     return _counting_result(counts, pulses, seed)
 
 

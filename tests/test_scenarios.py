@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from fmux import cli, defaults, losses, scenarios, serrodyne, spectrometer
 from fmux.scenarios import (
     GHZ,
     HISTOGRAM_BINS_MAX,
+    MC_PULSES_MAX,
     MODE_WEIGHT_FLOOR,
     SCENARIOS,
     _SCHEMA,
@@ -565,6 +567,16 @@ def test_cli_failing_check_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_stats_sweep_samples_a_trillion_pulses(tmp_path):
+    # the Monte Carlo's cost does not grow with the pulse count
+    path = tmp_path / "trillion.cfg"
+    write_overlay(path, {"statistics.monte_carlo_pulses": 10**12})
+    assert cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "counting_mc.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pulses"] for row in rows] == ["1000000000000"] * 2 + [""] * 2
+
+
 def test_cli_config_errors_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[statistics]\nmodes = 3\n")
@@ -640,6 +652,8 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     # each stream histogram holds histogram_bins^2 counts: past the ceiling, exit 2 at
     # validate, before anything is allocated
     ("feedforward-stream", "run.histogram_bins", str(HISTOGRAM_BINS_MAX + 1)),
+    # one past the largest pulse count numpy's int64 binomial takes
+    ("stats-sweep", "statistics.monte_carlo_pulses", str(MC_PULSES_MAX + 1)),
     # a measured jitter 1e200 GHz wide or more, whose error nodes over the pump width
     # once overflowed a square in the purity engine
     *((scenario, "spectrometer.dispersion_ps_per_ghz", value)
@@ -724,6 +738,7 @@ DOMAIN_BOUNDARIES = [
     ("statistics.sweep_points", 1, 0),
     ("statistics.mu_max", 1e-9, 0.0),
     ("statistics.monte_carlo_pulses", 1, 0),
+    ("statistics.monte_carlo_pulses", MC_PULSES_MAX, MC_PULSES_MAX + 1),
     ("losses.snspd_db", 0.0, -1e-9),
     ("losses.tolerance", 0.0, -1e-9),
     ("run.seed", 0, -1),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from fmux import statistics
 from fmux.statistics import (
     EXPANSION_LIMIT,
-    MC_CHUNK,
     CountingResult,
     ExpansionDomainError,
     MultiplexedStatisticsModel,
@@ -24,10 +24,9 @@ from fmux.statistics import (
     klyshko_efficiencies,
     monte_carlo_counting,
     write_counting_csv,
-    _counting_result,
-    _occupied_cells,
     _open_mode,
-    _simulate_chunk,
+    _pair_numbers,
+    _signal_laws,
 )
 
 REF = dict(mu=0.01, eta_s=0.14, eta_h=0.13)
@@ -134,13 +133,38 @@ def test_heralded_delivery_ceiling():
         assert r.p_sh / r.p_h <= REF["eta_s"] * (1.0 + 3.0 * REF["mu"])
 
 
+def probabilities(r) -> np.ndarray:
+    return np.array([r.p_h, r.p_s, r.p_sh, r.p_s1h, r.p_s2h, r.p_s1s2h])
+
+
 def test_mc_matches_analytic():
+    # 1e10 pulses give about 1 % on g2 at mu = 0.01, so every probability and g2 is graded
     cells = [(0.002, 1.0), (0.002, N_REF), (0.01, 1.0), (0.01, N_REF), (0.03, N_REF)]
-    for mu, n in cells:
-        m = model(n_modes=n, mu=mu)
+    for (mu, n), multiplexed in itertools.product(cells, (True, False)):
+        m = model(n_modes=n, mu=mu, multiplexed=multiplexed)
         a = analytic_counting(m)
-        r = monte_carlo_counting(m, 400_000, rng=5)
-        assert abs(r.p_sh - a.p_sh) < 3.0 * r.se_p_sh, (mu, n)
+        r = monte_carlo_counting(m, 10**10, rng=5)
+        p = probabilities(a)
+        se = np.sqrt(p * (1.0 - p) / r.pulses)
+        z = (probabilities(r) - p) / se
+        assert np.all(np.abs(z) < 4.0), (mu, n, multiplexed, z)
+        assert abs(r.g2_h - a.g2_h) < 4.0 * r.se_g2_h, (mu, n, multiplexed, r.g2_h, a.g2_h)
+
+
+def test_mc_single_mode_at_equal_herald_rate_has_higher_g2():
+    # the headline: pumping one mode at mu * n_modes matches the multiplexed herald rate
+    # but not its g2 (2.85 times higher, analytically); graded here by Monte Carlo alone
+    mux = model()
+    single = model(multiplexed=False, n_modes=1.0, mu=REF["mu"] * N_REF)
+    r_mux = monte_carlo_counting(mux, 10**10, rng=31)
+    r_single = monte_carlo_counting(single, 10**10, rng=32)
+    assert abs(r_single.p_h / r_mux.p_h - 1.0) < 0.01
+    assert r_single.g2_h - r_mux.g2_h > 4.0 * math.hypot(r_single.se_g2_h, r_mux.se_g2_h)
+    ratio = r_single.g2_h / r_mux.g2_h
+    se_ratio = ratio * math.hypot(r_single.se_g2_h / r_single.g2_h, r_mux.se_g2_h / r_mux.g2_h)
+    exact = analytic_counting(single).g2_h / analytic_counting(mux).g2_h
+    assert abs(exact - 2.85) < 0.01
+    assert abs(ratio - exact) < 4.0 * se_ratio, (ratio, se_ratio)
 
 
 def assert_identical(a, b):
@@ -197,59 +221,54 @@ def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
 def analytic_probabilities(monkeypatch, m) -> np.ndarray:
     """The six exact probabilities, also outside the small-squeezing domain."""
     monkeypatch.setattr(statistics, "EXPANSION_LIMIT", math.inf)
-    a = analytic_counting(m)
-    return np.array([a.p_h, a.p_s, a.p_sh, a.p_s1h, a.p_s2h, a.p_s1s2h])
+    return probabilities(analytic_counting(m))
+
+
+def counts(r) -> np.ndarray:
+    return np.rint(probabilities(r) * r.pulses).astype(np.int64)
 
 
 # mu = 0.3 makes multi-pair pulses, pulses with pairs in two modes and every click
-# pattern common. The sizes run from one pulse (k is 0 or 1 per mode) through odd and
-# power-of-two sizes to whole chunks and beyond; they take different paths through
-# numpy's choice (a whole chunk at mu = 0.3 partly shuffles an arange of its pulses).
-# Small sizes sum at most 1024 chunks, so one pulse is graded at n = 1024.
-@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK,
-                                  MC_CHUNK + 3])
+# pattern common. The sizes run from one pulse, where each count is 0 or 1, to about
+# 1.3e5; small sizes sum at most 1024 runs, so one pulse is graded at n = 1024.
+@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, 131072, 131075])
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_sparse_chunk_matches_dense_oracle(monkeypatch, size, multiplexed):
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
     args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size)
-    chunks = min(-(-(1 << 19) // size), 1 << 10)
-    sparse, dense = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
-    for seed in range(chunks):
-        sparse += _simulate_chunk(np.random.Generator(np.random.Philox(seed)), *args)
-        dense += dense_chunk(np.random.Generator(np.random.Philox(seed + chunks)), *args)
-    n = chunks * size
+    runs = min(-(-(1 << 19) // size), 1 << 10)
+    sampled, dense = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
+    for seed in range(runs):
+        sampled += counts(monte_carlo_counting(m, size, rng=seed))
+        dense += dense_chunk(np.random.Generator(np.random.Philox(seed + runs)), *args)
+    n = runs * size
     p = analytic_probabilities(monkeypatch, m)
     se = np.sqrt(p * (1.0 - p) / n)
-    assert np.all(np.abs(sparse / n - p) < 4.0 * se), (sparse / n - p) / se
+    assert np.all(np.abs(sampled / n - p) < 4.0 * se), (sampled / n - p) / se
     assert np.all(np.abs(dense / n - p) < 4.0 * se), (dense / n - p) / se
     # the difference of two independent estimates has sqrt(2) times their SE
-    assert np.all(np.abs(sparse - dense) / n < 4.0 * math.sqrt(2.0) * se)
+    assert np.all(np.abs(sampled - dense) / n < 4.0 * math.sqrt(2.0) * se)
     if not multiplexed:
-        assert sparse[1] > sparse[2]  # the single arm's signal does not wait for a herald
+        assert sampled[1] > sampled[2]  # the single arm's signal does not wait for a herald
 
 
 # p == 1.0 exactly at 1e-300 and 1.1e-16, p = 1 - 2^-52 at 3e-16, the stats-sweep
 # regime, and many pairs per occupied cell at 0.3 and 2.0
 @pytest.mark.parametrize("mu", [1e-300, 1.1e-16, 3e-16, 1e-9, 0.01, 0.3, 2.0])
-# sizes as above, and a whole chunk and one short of it
-@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, MC_CHUNK - 1,
-                                  MC_CHUNK])
+@pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, 131071, 131072])
 def test_word_sampler_matches_geometric(mu, size):
-    # _occupied_cells against numpy's pulse-by-pulse geometric draw, in law: about
-    # 2^18 pulses each (at most 512 draws, so 512 pulses at size 1)
+    # _pair_numbers' histogram against P(N = j) and numpy's pulse-by-pulse geometric
+    # draw, in law: about 2^18 pulses each (at most 512 draws, so 512 pulses at size 1)
     draws = min(-(-(1 << 18) // size), 1 << 9)
     n = draws * size
     hist, dense_hist = np.zeros(64, dtype=np.int64), np.zeros(64, dtype=np.int64)
     total, dense_total = 0, 0
     for seed in range(draws):
-        positions, pairs = _occupied_cells(np.random.Generator(np.random.Philox(seed)), mu,
-                                           size)
-        assert positions.size == pairs.size
-        assert np.unique(positions).size == positions.size  # distinct pulses
-        assert positions.min(initial=0) >= 0 and positions.max(initial=0) < size
-        assert pairs.min(initial=1) >= 1
-        hist += np.bincount(np.minimum(pairs, 63), minlength=64)
-        total += int(pairs.sum())
+        cells = _pair_numbers(np.random.Generator(np.random.Philox(seed)), mu, size)
+        assert min(cells, default=0) >= 0 and sum(cells) <= size
+        for j, c in enumerate(cells, start=1):
+            hist[min(j, 63)] += c
+            total += j * c
         dense = np.random.Generator(np.random.Philox(seed + draws)).geometric(
             1.0 / (1.0 + mu), size) - 1
         dense_hist += np.bincount(np.minimum(dense, 63), minlength=64)
@@ -264,6 +283,32 @@ def test_word_sampler_matches_geometric(mu, size):
     # the mean pair number per pulse is mu, with variance mu (1 + mu)
     for t in (total, dense_total):
         assert abs(t / n - mu) < 4.0 * math.sqrt(mu * (1.0 + mu) / n), t
+
+
+@settings(deadline=None)
+@given(eta_s=st.floats(0.0, 1.0))
+def test_sampler_signal_laws_match_the_closed_form(eta_s):
+    # P(both) is exactly 0 for one photon, where the closed form reads +-1.1e-16 at
+    # the default eta_s = 0.14 and 0.13, and no probability leaves [0, 1]
+    laws = _signal_laws(eta_s)
+    for m in range(1, 65):
+        p_click, p_both = next(laws)
+        assert 0.0 <= p_click <= 1.0 and 0.0 <= p_both <= 1.0
+        none, no_s1 = (1.0 - eta_s) ** m, (1.0 - 0.5 * eta_s) ** m
+        assert abs(p_click - (1.0 - none)) < 1e-13
+        assert abs(p_click * p_both - (1.0 - 2.0 * no_s1 + none)) < 1e-13
+        if m == 1:
+            assert p_both == 0.0
+
+
+@pytest.mark.parametrize("multiplexed", [True, False])
+def test_sampler_one_pair_never_makes_a_triple(multiplexed):
+    # at mu = 1e-9 about 1e3 cells a mode hold a pair, and none of them two
+    for eta_s in (0.13, 0.14):
+        r = monte_carlo_counting(model(mu=1e-9, eta_s=eta_s, eta_h=1.0,
+                                       multiplexed=multiplexed), 10**12, rng=6)
+        assert r.p_h > 0.0 and r.p_s1h > 0.0 and r.p_s2h > 0.0
+        assert r.p_s1s2h == 0.0
 
 
 @pytest.mark.parametrize("multiplexed", [True, False])
@@ -281,45 +326,38 @@ def test_mc_samples_large_mu(multiplexed):
 
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_mc_mu_zero_gives_silence(multiplexed):
-    r = monte_carlo_counting(model(mu=0.0, multiplexed=multiplexed), MC_CHUNK + 3, rng=4)
+    r = monte_carlo_counting(model(mu=0.0, multiplexed=multiplexed), 131075, rng=4)
     assert (r.p_h, r.p_s, r.p_sh, r.p_s1h, r.p_s2h, r.p_s1s2h) == (0.0,) * 6
     assert math.isnan(r.g2_h) and math.isnan(r.se_g2_h)
 
 
 @pytest.mark.parametrize("multiplexed", [True, False])
-def test_chunk_memory_stays_with_the_occupied_cells(multiplexed):
-    # at the stats-sweep's mu = 0.01 about 1 % of cells hold a pair; a whole chunk's
-    # temporaries scale with those, far below one MC_CHUNK-word (1 MiB) array
-    m = model(multiplexed=multiplexed)
-    args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, MC_CHUNK)
-    rng = np.random.Generator(np.random.Philox(3))
-    _simulate_chunk(rng, *args)  # first-call allocations
-    tracemalloc.start()
-    try:
-        _simulate_chunk(rng, *args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << 20) // 4, peak
+def test_sampler_memory_is_flat_in_pulses(multiplexed):
+    # no array holds a cell or a pulse: the peak is a few KiB of Python ints, at 1e6
+    # pulses as at 1e12, with the many pair numbers of mu = 0.3
+    m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
+    monte_carlo_counting(m, 10**6, rng=3)  # first-call allocations
+    peaks = []
+    for pulses in (10**6, 10**12):
+        tracemalloc.start()
+        try:
+            monte_carlo_counting(m, pulses, rng=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 12, peaks
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-@pytest.mark.parametrize("pulses", [1, MC_CHUNK, 3 * MC_CHUNK + 5])
+@pytest.mark.parametrize("pulses", [1, 131072, 393221])
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_mc_threads_match_serial_oracle(cpus, pulses, multiplexed):
-    # a seed fixes each chunk's stream and size, and a run shares no state with
-    # another, so each of `cpus` concurrent callers gets the serial chunk sum
+    # a run shares no state with another, so each of `cpus` concurrent callers gets
+    # the result of the same call made alone
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
-    seed = 17
-    children = np.random.SeedSequence(seed).spawn(-(-pulses // MC_CHUNK))
-    parts = []
-    for k, child in enumerate(children):
-        size = min(MC_CHUNK, pulses - k * MC_CHUNK)
-        parts.append(_simulate_chunk(np.random.Generator(np.random.Philox(child)),
-                                     m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size))
-    expected = _counting_result(np.sum(parts, axis=0), pulses, seed)
+    expected = monte_carlo_counting(m, pulses, rng=17)
     with ThreadPoolExecutor(cpus) as pool:
-        runs = list(pool.map(lambda _: monte_carlo_counting(m, pulses, rng=seed), range(cpus)))
+        runs = list(pool.map(lambda _: monte_carlo_counting(m, pulses, rng=17), range(cpus)))
     for r in runs:
         assert_identical(r, expected)
 
