@@ -55,14 +55,28 @@ GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 # on the solver's rounding
 MODE_WEIGHT_FLOOR = 1e-12
 JITTER_MODELS = ("measured", "nominal", "none")
+# events.npy: one row per pulse, the row index its pulse number; the detunings and the
+# shift are in GHz at full precision, and herald_bin keeps the column's own int64
+EVENTS_DTYPE = np.dtype([
+    ("herald_bin", np.int64),
+    ("idler_detuning_ghz", np.float64),
+    ("herald_detuning_ghz", np.float64),
+    ("signal_detuning_ghz", np.float64),
+    ("shift_ghz", np.float64),
+    ("passed", np.bool_),
+    ("herald_click", np.bool_),
+    ("signal_click", np.bool_),
+])
 # resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
 # the lookup table one array row per TDC bin (lut.txt one text line each), each stream
-# histogram histogram_bins^2 float64 counts (134 MB at the ceiling), and the
-# delay-line chirp must be resolvable on a signal grid of at most CHIRP_POINTS_MAX points
+# histogram histogram_bins^2 float64 counts (134 MB at the ceiling), the delay-line
+# chirp must be resolvable on a signal grid of at most CHIRP_POINTS_MAX points, and
+# the stream's events.npy row array must be one numpy can size
 GRID_SCALE_MAX = 16.0
 LUT_BINS_MAX = 100_000
 HISTOGRAM_BINS_MAX = 4096
 CHIRP_POINTS_MAX = 16_384
+STREAM_PULSES_MAX = np.iinfo(np.intp).max // EVENTS_DTYPE.itemsize
 # the Monte Carlo draws binomials over the pulse count, and numpy's take an int64 n
 MC_PULSES_MAX = 2**63 - 1
 
@@ -86,6 +100,7 @@ _GRID_SCALE = (lambda v: 0 < v <= GRID_SCALE_MAX, f"must be in (0, {GRID_SCALE_M
 _HISTOGRAM_BINS = (lambda v: 1 <= v <= HISTOGRAM_BINS_MAX,
                    f"must be in [1, {HISTOGRAM_BINS_MAX}]")
 _MC_PULSES = (lambda v: 1 <= v <= MC_PULSES_MAX, f"must be in [1, {MC_PULSES_MAX}]")
+_STREAM_PULSES = (lambda v: 1 <= v <= STREAM_PULSES_MAX, f"must be in [1, {STREAM_PULSES_MAX}]")
 
 _SCHEMA = {
     "source.pump_sigma_ghz": (float, _POSITIVE),
@@ -116,7 +131,7 @@ _SCHEMA = {
     "run.seed": (int, _NON_NEGATIVE),
     "run.grid_scale": (float, _GRID_SCALE),
     "run.histogram_bins": (int, _HISTOGRAM_BINS),
-    "run.stream_pulses": (int, _AT_LEAST_ONE),
+    "run.stream_pulses": (int, _STREAM_PULSES),
     "run.hom_delay_span_ps": (float, _POSITIVE),
     "run.hom_delay_points": (int, _AT_LEAST_ONE),
 }
@@ -679,26 +694,63 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     n = edges.size - 1
     low, high = edges[0] / 2, edges[-1] / 2
-    guess = np.floor((values / 2 - low) / (high - low) * n)
-    index = np.clip(guess, 0, n - 1).astype(np.intp)
+    index = np.clip(np.floor((values / 2 - low) / (high - low) * n), 0, n - 1).astype(np.intp)
     index -= values < edges.take(index)
     upper = np.append(edges[1:-1], np.inf)  # a value on the last edge stays in the last bin
     index += values >= upper.take(index)
     return index
 
 
-def _joint_histogram(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
-                     y_edges: np.ndarray) -> np.ndarray:
-    """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] for np.linspace edges, by one bincount.
+def _fill_joint_bins(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
+                     y_edges: np.ndarray, out: np.ndarray) -> None:
+    """Write the row-major joint bin of each (x, y) pair into out.
 
-    Pairs with either value outside its edges (or NaN) are dropped, as
-    histogram2d drops them.
+    A pair with either value outside its edges (or NaN) gets the overflow
+    index nx * ny, which _count_joint_bins drops, as histogram2d drops it.
     """
+    ny = y_edges.size - 1
     inside = ((x >= x_edges[0]) & (x <= x_edges[-1])
               & (y >= y_edges[0]) & (y <= y_edges[-1]))
+    if inside.all():  # as in the unshifted histogram, whose edges hold every pair
+        out[...] = _bin_index(x, x_edges)
+        out *= ny
+        out += _bin_index(y, y_edges)
+        return
+    flat = _bin_index(x[inside], x_edges)
+    flat *= ny
+    flat += _bin_index(y[inside], y_edges)
+    out.fill((x_edges.size - 1) * ny)
+    out[inside] = flat
+
+
+def _count_joint_bins(index: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
+    """The float counts of a joint-bin index column, by one bincount, overflow bin dropped."""
     nx, ny = x_edges.size - 1, y_edges.size - 1
-    flat = _bin_index(x[inside], x_edges) * ny + _bin_index(y[inside], y_edges)
-    return np.bincount(flat, minlength=nx * ny).reshape(nx, ny).astype(float)
+    return np.bincount(index, minlength=nx * ny + 1)[:nx * ny].reshape(nx, ny).astype(float)
+
+
+# pulses per block of the stream sampler and the joint histograms: their temporaries
+# are a few block-sized columns, not copies of the whole stream
+_STREAM_BLOCK = 1 << 16
+
+
+def _blocks(n: int):
+    """Slices of _STREAM_BLOCK rows that cover n rows in order."""
+    return (slice(start, start + _STREAM_BLOCK) for start in range(0, n, _STREAM_BLOCK))
+
+
+def _joint_histogram(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
+                     y_edges: np.ndarray) -> np.ndarray:
+    """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] for np.linspace edges.
+
+    The joint-bin index column is filled block by block and counted by one
+    bincount. Pairs with either value outside its edges (or NaN) are
+    dropped, as histogram2d drops them.
+    """
+    index = np.empty(x.size, dtype=np.intp)
+    for rows in _blocks(x.size):
+        _fill_joint_bins(x[rows], y[rows], x_edges, y_edges, index[rows])
+    return _count_joint_bins(index, x_edges, y_edges)
 
 
 def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) -> StreamResult:
@@ -710,6 +762,18 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     flagged. The unshifted histogram covers all events; the shifted one only
     those routed and passing the output filter, which is the measurable
     joint spectrum downstream.
+
+    One Philox generator seeded from run.seed draws five whole columns, in
+    this order: the uniform idlers, the normal sum detunings, the normal
+    arrival-time jitter, the uniform herald-click draws and the uniform
+    signal-click draws. One scratch column holds the jitter, then each click
+    draw, then the unshifted histogram's joint-bin index. A pass over blocks
+    of _STREAM_BLOCK pulses fills the event columns: arrival time, TDC bin,
+    herald frequency, LUT shift, routed and passed. Once the columns are
+    whole, their extremes set the unshifted edges and their means centre
+    the correlation, and a second pass over the blocks fills that index and
+    sums the centred products. Every column value is computed pulse by
+    pulse, so the result does not depend on the block size.
     """
     if pulses is None:
         pulses = cfg.get("run.stream_pulses")
@@ -725,37 +789,66 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     eta_h = cfg.get("statistics.eta_herald")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    idler = herald_ref + rng.uniform(-half_span, half_span, size=pulses)
+    idler = rng.uniform(-half_span, half_span, size=pulses)
+    idler += herald_ref
     # energy conservation: sum detuning carries the pump intensity profile
-    sum_detuning = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=pulses)
-    signal = pump.center + sum_detuning - idler
+    signal = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=pulses)
+    signal += pump.center
+    signal -= idler
+    scratch = spect.jitter.sample(rng, size=pulses)
 
-    bins, herald_meas = spectrometer.sample_herald_event(spect, idler, rng)
-    applied_hz, routed = lut.route(bins)
+    bins = np.empty(pulses, dtype=int)
+    herald_meas = np.empty(pulses)
+    applied_hz = np.empty(pulses)
+    passed = np.empty(pulses, dtype=bool)
+    n_routed = 0
+    for rows in _blocks(pulses):
+        t = spectrometer.frequency_to_arrival_time(spect, idler[rows])
+        t += scratch[rows]
+        bins[rows] = spectrometer.time_to_bin(spect, t)
+        herald_meas[rows] = spect.bin_center_frequency(bins[rows])
+        applied_hz[rows], routed = lut.route(bins[rows])
+        shifted = signal[rows] + defaults.TWO_PI * applied_hz[rows]
+        passed[rows] = routed & (np.abs(shifted - window.center) <= window.half_width)
+        n_routed += np.count_nonzero(routed)
 
-    shifted_signal = signal + defaults.TWO_PI * applied_hz
-    in_filter = np.abs(shifted_signal - window.center) <= window.half_width
-    passed = routed & in_filter
-
-    herald_click = rng.random(pulses) < eta_h
-    signal_click = (rng.random(pulses) < eta_s) & passed
+    herald_click = rng.random(out=scratch) < eta_h
+    signal_click = rng.random(out=scratch) < eta_s
+    signal_click &= passed
 
     bins_n = cfg.get("run.histogram_bins")
-    h_all = herald_meas - herald_ref
-    s_all = signal - window.center
-    edge = max(half_span, np.abs(h_all).max(), np.abs(s_all).max()) * 1.0001
-    full_edges = np.linspace(-edge, edge, bins_n + 1)
-    unshifted_hist = _joint_histogram(h_all, s_all, full_edges, full_edges)
     herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
     shifted_edges = (
         np.linspace(-herald_half, herald_half, bins_n + 1),
         np.linspace(-window.half_width, window.half_width, bins_n + 1),
     )
-    h_passed = h_all[passed]
-    s_passed = (shifted_signal - window.center)[passed]
+    h_passed = herald_meas[passed] - herald_ref
+    s_passed = signal[passed] + defaults.TWO_PI * applied_hz[passed] - window.center
     shifted_hist = _joint_histogram(h_passed, s_passed, *shifted_edges)
+    r_shifted = _pearson(h_passed, s_passed)
+    del h_passed, s_passed  # out of the second pass's peak
 
-    n_routed = int(routed.sum())
+    # rounding is monotone, so the extreme detunings are those of the extreme frequencies
+    h_lo, h_hi = herald_meas.min() - herald_ref, herald_meas.max() - herald_ref
+    s_lo, s_hi = signal.min() - window.center, signal.max() - window.center
+    edge = max(half_span, abs(h_lo), abs(h_hi), abs(s_lo), abs(s_hi)) * 1.0001
+    full_edges = np.linspace(-edge, edge, bins_n + 1)
+    index = scratch.view(np.intp)
+    h_mean, s_mean = herald_meas.mean() - herald_ref, signal.mean() - window.center
+    sxy = sxx = syy = 0.0
+    for rows in _blocks(pulses):
+        h = herald_meas[rows] - herald_ref
+        s = signal[rows] - window.center
+        _fill_joint_bins(h, s, full_edges, full_edges, index[rows])
+        h -= h_mean
+        s -= s_mean
+        sxy, sxx, syy = sxy + float(h @ s), sxx + float(h @ h), syy + float(s @ s)
+    unshifted_hist = _count_joint_bins(index, full_edges, full_edges)
+    # Pearson as _pearson gives it: NaN when either column is constant
+    r_unshifted = float("nan")
+    if pulses > 1 and h_lo != h_hi and s_lo != s_hi:
+        r_unshifted = min(1.0, max(-1.0, sxy / math.sqrt(sxx) / math.sqrt(syy)))
+
     return StreamResult(
         signal_frequency=signal,
         idler_frequency=idler,
@@ -769,25 +862,11 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         unshifted_edges=(full_edges, full_edges),
         shifted_hist=shifted_hist,
         shifted_edges=shifted_edges,
-        r_unshifted=_pearson(h_all, s_all),
-        r_shifted=_pearson(h_passed, s_passed),
+        r_unshifted=r_unshifted,
+        r_shifted=r_shifted,
         in_range_fraction=n_routed / pulses,
         pass_fraction_in_range=float(passed.sum() / n_routed) if n_routed else float("nan"),
     )
-
-
-# events.npy: one row per pulse, the row index its pulse number; the detunings and the
-# shift are in GHz at full precision, and herald_bin keeps the column's own int64
-EVENTS_DTYPE = np.dtype([
-    ("herald_bin", np.int64),
-    ("idler_detuning_ghz", np.float64),
-    ("herald_detuning_ghz", np.float64),
-    ("signal_detuning_ghz", np.float64),
-    ("shift_ghz", np.float64),
-    ("passed", np.bool_),
-    ("herald_click", np.bool_),
-    ("signal_click", np.bool_),
-])
 
 
 # rows per write: the writer holds one block of 2.8 MB, not a copy of every column

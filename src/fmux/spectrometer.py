@@ -3,7 +3,8 @@
 Frequency maps to arrival time through the grating dispersion (an affine,
 strictly monotone map), the time tag is quantized by the TDC bin, and analog
 detector jitter smears the tag. One call of sample_herald_event tags a whole
-array of idlers, and the feed-forward stream runs on it.
+array of idlers; the feed-forward stream makes the same jitter draw and maps
+the arrival times to bins block by block.
 
 The instrument itself is built from the configuration
 (ScenarioConfig.build_spectrometer). Its measured jitter model carries the

@@ -21,6 +21,7 @@ from fmux.scenarios import (
     MC_PULSES_MAX,
     MODE_WEIGHT_FLOOR,
     SCENARIOS,
+    STREAM_PULSES_MAX,
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
@@ -30,7 +31,7 @@ from fmux.scenarios import (
     run_scenario,
     simulate_feedforward_stream,
 )
-from oracles import conditional_outcome_distribution
+from oracles import conditional_outcome_distribution, whole_column_stream
 
 
 def test_default_config_is_complete():
@@ -501,6 +502,77 @@ def test_stream_histograms_match_histogram2d(tmp_path, bins):
     assert result.unshifted_hist.sum() == result.pulses
 
 
+STREAM_COLUMNS = ("signal_frequency", "idler_frequency", "herald_bin", "herald_frequency",
+                  "applied_shift_hz", "passed", "herald_click", "signal_click")
+
+
+def assert_same_number(got: float, want: float, name: str) -> None:
+    assert got == want or (np.isnan(got) and np.isnan(want)), (name, got, want)
+
+
+def assert_matches_whole_column_stream(result, oracle) -> None:
+    """Every column, histogram and edge bit for bit; r_unshifted within 1e-12 relative."""
+    for name in STREAM_COLUMNS + ("unshifted_hist", "shifted_hist"):
+        got, want = getattr(result, name), getattr(oracle, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    for got, want in zip(result.unshifted_edges + result.shifted_edges,
+                         oracle.unshifted_edges + oracle.shifted_edges):
+        assert got.tobytes() == want.tobytes()
+    for name in ("r_shifted", "in_range_fraction", "pass_fraction_in_range"):
+        assert_same_number(getattr(result, name), getattr(oracle, name), name)
+    if np.isnan(oracle.r_unshifted):
+        assert np.isnan(result.r_unshifted)
+    else:
+        assert abs(result.r_unshifted - oracle.r_unshifted) <= 1e-12 * abs(oracle.r_unshifted)
+
+
+SAMPLER_BLOCK = 256
+
+
+@pytest.mark.parametrize("pulses", [1, 2, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1,
+                                    3 * SAMPLER_BLOCK + 5])
+@pytest.mark.parametrize("overrides", [
+    {"feedforward.stream_spectrometer": "measured"},
+    {"feedforward.stream_spectrometer": "nominal"},
+    {"feedforward.stream_spectrometer": "none"},
+    {"shifter.max_shift_ghz": 0.0},  # one routed bin: a NaN r_shifted
+    {"run.histogram_bins": 1},
+], ids=["measured", "nominal", "none", "no_drive_range", "one_bin"])
+def test_stream_sampler_matches_whole_column_oracle(tmp_path, monkeypatch, pulses, overrides):
+    # the block pass makes the same draws and the same per-pulse arithmetic as one
+    # expression per whole column, so no output depends on the block size
+    monkeypatch.setattr(scenarios, "_STREAM_BLOCK", SAMPLER_BLOCK)
+    cfg = stream_cfg(tmp_path, pulses=pulses, **overrides)
+    result = simulate_feedforward_stream(cfg)
+    assert_matches_whole_column_stream(result, whole_column_stream(cfg))
+    if overrides.get("shifter.max_shift_ghz") == 0.0:
+        assert np.isnan(result.r_shifted)
+
+
+def test_stream_sampler_matches_whole_column_oracle_at_its_own_block(tmp_path):
+    cfg = stream_cfg(tmp_path, pulses=2 * scenarios._STREAM_BLOCK + 7)
+    assert_matches_whole_column_stream(simulate_feedforward_stream(cfg), whole_column_stream(cfg))
+
+
+def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
+    # the peak is the columns it returns (43 B a pulse), one scratch column (8 B), the
+    # passed events' correlation and a few block-sized temporaries
+    cfg = stream_cfg(tmp_path, pulses=1000)
+    simulate_feedforward_stream(cfg)  # first-call allocations
+    per_pulse = []
+    for pulses in (300_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            simulate_feedforward_stream(cfg, pulses)
+            per_pulse.append(tracemalloc.get_traced_memory()[1] / pulses)
+        finally:
+            tracemalloc.stop()
+    assert per_pulse[1] < 64, per_pulse
+    # the block temporaries are a fixed few MB, no more than 15 % of 3e5 pulses' peak
+    assert abs(per_pulse[0] - per_pulse[1]) < 0.15 * per_pulse[1], per_pulse
+
+
 def test_every_scenario_runs_on_numpy_alone(tmp_path):
     """One interpreter runs all nine scenarios without loading scipy or a thread pool."""
     overlay = tmp_path / "small.cfg"
@@ -654,6 +726,9 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     ("feedforward-stream", "run.histogram_bins", str(HISTOGRAM_BINS_MAX + 1)),
     # one past the largest pulse count numpy's int64 binomial takes
     ("stats-sweep", "statistics.monte_carlo_pulses", str(MC_PULSES_MAX + 1)),
+    # a stream whose events.npy row array numpy cannot size exits 2 at validate, before
+    # the first draw would raise "array is too big"
+    ("feedforward-stream", "run.stream_pulses", str(2**62)),
     # a measured jitter 1e200 GHz wide or more, whose error nodes over the pump width
     # once overflowed a square in the purity engine
     *((scenario, "spectrometer.dispersion_ps_per_ghz", value)
@@ -747,6 +822,7 @@ DOMAIN_BOUNDARIES = [
     ("run.histogram_bins", 1, 0),
     ("run.histogram_bins", HISTOGRAM_BINS_MAX, HISTOGRAM_BINS_MAX + 1),  # nothing allocated
     ("run.stream_pulses", 1, 0),
+    ("run.stream_pulses", STREAM_PULSES_MAX, STREAM_PULSES_MAX + 1),  # nothing allocated
     ("run.hom_delay_span_ps", 1e-9, 0.0),
     ("run.hom_delay_points", 1, 0),
 ]
