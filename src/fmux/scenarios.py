@@ -79,6 +79,13 @@ CHIRP_POINTS_MAX = 16_384
 STREAM_PULSES_MAX = np.iinfo(np.intp).max // EVENTS_DTYPE.itemsize
 # the Monte Carlo draws binomials over the pulse count, and numpy's take an int64 n
 MC_PULSES_MAX = 2**63 - 1
+# the counting model walks the mode ladder in Python, the Monte Carlo draws about
+# ln(pulses) / ln(1 + 1/mu) binomials a mode and a sweep point makes two analytic
+# calls: at these ceilings stats-sweep takes at most about 14 s, and hom-dip 1.6 s
+MU_MAX = 10.0
+N_MODES_MAX = 1000.0
+SWEEP_POINTS_MAX = 10_000
+HOM_DELAY_POINTS_MAX = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -93,7 +100,11 @@ class ConfigError(ValueError):
 _ANY = (lambda v: True, "")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_MU = (lambda v: 0 < v <= MU_MAX, f"must be in (0, {MU_MAX:g}]")
+_N_MODES = (lambda v: 1 <= v <= N_MODES_MAX, f"must be in [1, {N_MODES_MAX:g}]")
+_SWEEP_POINTS = (lambda v: 1 <= v <= SWEEP_POINTS_MAX, f"must be in [1, {SWEEP_POINTS_MAX}]")
+_HOM_DELAY_POINTS = (lambda v: 1 <= v <= HOM_DELAY_POINTS_MAX,
+                     f"must be in [1, {HOM_DELAY_POINTS_MAX}]")
 _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 _JITTER_MODEL = (lambda v: v in JITTER_MODELS, f"must be one of {', '.join(JITTER_MODELS)}")
 _GRID_SCALE = (lambda v: 0 < v <= GRID_SCALE_MAX, f"must be in (0, {GRID_SCALE_MAX:g}]")
@@ -104,7 +115,7 @@ _STREAM_PULSES = (lambda v: 1 <= v <= STREAM_PULSES_MAX, f"must be in [1, {STREA
 
 _SCHEMA = {
     "source.pump_sigma_ghz": (float, _POSITIVE),
-    "source.mean_pairs_per_pulse": (float, _POSITIVE),
+    "source.mean_pairs_per_pulse": (float, _MU),
     "source.signal_wavelength_nm": (float, _POSITIVE),
     "filter.center_offset_ghz": (float, _ANY),
     "filter.full_width_ghz": (float, _POSITIVE),
@@ -120,11 +131,11 @@ _SCHEMA = {
     "feedforward.stream_spectrometer": (str, _JITTER_MODEL),
     "delay.fiber_dispersion_ps_nm_km": (float, _ANY),
     "delay.length_m": (float, _NON_NEGATIVE),
-    "statistics.n_modes": (float, _AT_LEAST_ONE),
+    "statistics.n_modes": (float, _N_MODES),
     "statistics.eta_signal": (float, _FRACTION),
     "statistics.eta_herald": (float, _FRACTION),
-    "statistics.sweep_points": (int, _AT_LEAST_ONE),
-    "statistics.mu_max": (float, _POSITIVE),
+    "statistics.sweep_points": (int, _SWEEP_POINTS),
+    "statistics.mu_max": (float, _MU),
     "statistics.monte_carlo_pulses": (int, _MC_PULSES),
     "losses.snspd_db": (float, _NON_NEGATIVE),
     "losses.tolerance": (float, _NON_NEGATIVE),
@@ -133,7 +144,7 @@ _SCHEMA = {
     "run.histogram_bins": (int, _HISTOGRAM_BINS),
     "run.stream_pulses": (int, _STREAM_PULSES),
     "run.hom_delay_span_ps": (float, _POSITIVE),
-    "run.hom_delay_points": (int, _AT_LEAST_ONE),
+    "run.hom_delay_points": (int, _HOM_DELAY_POINTS),
 }
 
 
@@ -159,8 +170,9 @@ class ScenarioConfig:
     """A scenario name plus the full resolved parameter set.
 
     The builders below are the one way to turn the configuration into
-    models. validate() checks every key against its _SCHEMA domain, then
-    runs every builder; a builder checks only what it derives from keys.
+    models. validate() checks every key against its _SCHEMA domain; each
+    builder checks what it derives from the keys, so a scenario rejects only
+    what it builds.
     """
 
     scenario: str
@@ -321,37 +333,24 @@ class ScenarioConfig:
     def loss_table(self) -> losses.LossTable:
         return losses.reference_loss_table(self.get("losses.snspd_db"))
 
-    def validate(self) -> None:
-        """Check every key against its _SCHEMA domain, then build every model the scenarios use.
+    def lut(self, spect: spectrometer.SpectrometerModel) -> serrodyne.FeedForwardLUT:
+        """The feed-forward table of spect, the stream's spectrometer, over the herald span.
 
-        The models check what spans keys: overflow of derived quantities, the
-        lookup-table and chirp-grid ceilings, and the counting model's domain.
+        It holds one row per TDC bin, at most LUT_BINS_MAX of them.
         """
-        for dotted, (_, (accepts, wording)) in _SCHEMA.items():
-            if not accepts(self.get(dotted)):
-                raise ConfigError(dotted, f"{wording}, got {self.get(dotted)!r}")
-        self.pump()
-        self.signal_filter()
-        self.build_spectrometer()
-        stream_spect = self.build_spectrometer(self.get("feedforward.stream_spectrometer"))
-        self._ghz("spectrometer.nominal_resolution_ghz")
-        herald_span = self._ghz("feedforward.herald_span_ghz")
-        bins = 2 * serrodyne.lut_half_width(stream_spect, herald_span) + 1
+        span = self._ghz("feedforward.herald_span_ghz")
+        bins = 2 * serrodyne.lut_half_width(spect, span) + 1
         if not bins <= LUT_BINS_MAX:
             raise ConfigError("spectrometer.dispersion_ps_per_ghz", (
                 f"the feed-forward table needs {bins:.3g} TDC bins (limit {LUT_BINS_MAX}); "
                 "lower it or raise spectrometer.tdc_bin_ps"))
-        self.shifter()
-        self.herald_window()
-        self.gamma()
-        self.statistics_model()
-        n_modes = self.get("statistics.n_modes")
-        for dotted in ("source.mean_pairs_per_pulse", "statistics.mu_max"):
-            product = self.get(dotted) * n_modes
-            if product >= statistics.EXPANSION_LIMIT:
-                raise ConfigError(dotted, f"mu * statistics.n_modes = {product:.3g} must be below "
-                                          f"{statistics.EXPANSION_LIMIT} (counting model domain)")
-        self.loss_table()
+        return serrodyne.build_lut(spect, self.signal_filter().center, self.shifter(), span=span)
+
+    def validate(self) -> None:
+        """Check every key against its _SCHEMA domain, and nothing else."""
+        for dotted, (_, (accepts, wording)) in _SCHEMA.items():
+            if not accepts(self.get(dotted)):
+                raise ConfigError(dotted, f"{wording}, got {self.get(dotted)!r}")
 
 
 def load_config(
@@ -567,6 +566,11 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 
 
 def _run_hom_dip(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
+    product = cfg.get("source.mean_pairs_per_pulse") * cfg.get("statistics.n_modes")
+    if not product < statistics.HOM_MU_MODES_LIMIT:
+        raise ConfigError("source.mean_pairs_per_pulse", (
+            f"mu * statistics.n_modes = {product:.3g} must be below "
+            f"{statistics.HOM_MU_MODES_LIMIT}: the visibility is leading order in mu"))
     model = cfg.heralded_model()
     purity = _converged_purity(model)
     dm = heralded.assemble_density_matrix(model)
@@ -629,10 +633,7 @@ def _run_loss_budget(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 
 def _run_lut_dump(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
-    shifter = cfg.shifter()
-    lut = serrodyne.build_lut(
-        spect, cfg.signal_filter().center, shifter, span=cfg._ghz("feedforward.herald_span_ghz")
-    )
+    lut = cfg.lut(spect)
     lut_path = out / "lut.txt"
     serrodyne.write_lut_text(lut, lut_path)
     shifts = lut.required_shift[lut.in_range]
@@ -640,7 +641,7 @@ def _run_lut_dump(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     lines.append(f"{lut.in_range.size} bins tabulated, {shifts.size} in range")
     lines.append(f"bin step = {spect.bin_frequency_step / GHZ:.4f} GHz")
     max_used = float(np.abs(shifts).max()) / 1e9
-    limit = serrodyne.max_shift(shifter) / 1e9
+    limit = serrodyne.max_shift(cfg.shifter()) / 1e9
     lines.append(f"largest in-range shift {max_used:.3f} GHz of {limit:.3f} GHz available")
     _grade("max_shift_within_drive", max_used, 0.0, limit, checks, lines)
     return lines, checks, [lut_path]
@@ -729,8 +730,8 @@ def _count_joint_bins(index: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarra
     return np.bincount(index, minlength=nx * ny + 1)[:nx * ny].reshape(nx, ny).astype(float)
 
 
-# pulses per block of the stream sampler and the joint histograms: their temporaries
-# are a few block-sized columns, not copies of the whole stream
+# pulses per block of the stream sampler, the joint histograms and the events writer:
+# their temporaries are a few block-sized columns, not copies of the whole stream
 _STREAM_BLOCK = 1 << 16
 
 
@@ -763,26 +764,26 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     those routed and passing the output filter, which is the measurable
     joint spectrum downstream.
 
-    One Philox generator seeded from run.seed draws five whole columns, in
-    this order: the uniform idlers, the normal sum detunings, the normal
-    arrival-time jitter, the uniform herald-click draws and the uniform
-    signal-click draws. One scratch column holds the jitter, then each click
-    draw, then the unshifted histogram's joint-bin index. A pass over blocks
-    of _STREAM_BLOCK pulses fills the event columns: arrival time, TDC bin,
-    herald frequency, LUT shift, routed and passed. Once the columns are
-    whole, their extremes set the unshifted edges and their means centre
-    the correlation, and a second pass over the blocks fills that index and
-    sums the centred products. Every column value is computed pulse by
-    pulse, so the result does not depend on the block size.
+    One Philox generator seeded from run.seed draws, in this order: the
+    uniform idlers and the normal sum detunings as whole columns, the
+    arrival-time jitter block by block, then the uniform herald-click and
+    signal-click draws as whole columns. A pass over blocks of _STREAM_BLOCK
+    pulses tags each block of idlers with spectrometer.sample_herald_event
+    (jitter, TDC bin, herald frequency), and routes and filters it through
+    the LUT. Consecutive normal draws of one generator equal one whole draw,
+    so the jitter is that of a whole column. One scratch column then holds
+    each click draw, then the unshifted histogram's joint-bin index. Once
+    the columns are whole, their extremes set the unshifted edges and their
+    means centre the correlation, and a second pass over the blocks fills
+    that index and sums the centred products. Every column value is computed
+    pulse by pulse, so the result does not depend on the block size.
     """
     if pulses is None:
         pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
     window = cfg.signal_filter()
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
-    lut = serrodyne.build_lut(
-        spect, window.center, cfg.shifter(), span=cfg._ghz("feedforward.herald_span_ghz")
-    )
+    lut = cfg.lut(spect)
     herald_ref = spect.reference_frequency
     half_span = cfg._ghz("feedforward.idler_sample_span_ghz") / 2.0
     eta_s = cfg.get("statistics.eta_signal")
@@ -795,7 +796,6 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     signal = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=pulses)
     signal += pump.center
     signal -= idler
-    scratch = spect.jitter.sample(rng, size=pulses)
 
     bins = np.empty(pulses, dtype=int)
     herald_meas = np.empty(pulses)
@@ -803,15 +803,13 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     passed = np.empty(pulses, dtype=bool)
     n_routed = 0
     for rows in _blocks(pulses):
-        t = spectrometer.frequency_to_arrival_time(spect, idler[rows])
-        t += scratch[rows]
-        bins[rows] = spectrometer.time_to_bin(spect, t)
-        herald_meas[rows] = spect.bin_center_frequency(bins[rows])
+        bins[rows], herald_meas[rows] = spectrometer.sample_herald_event(spect, idler[rows], rng)
         applied_hz[rows], routed = lut.route(bins[rows])
         shifted = signal[rows] + defaults.TWO_PI * applied_hz[rows]
         passed[rows] = routed & (np.abs(shifted - window.center) <= window.half_width)
         n_routed += np.count_nonzero(routed)
 
+    scratch = np.empty(pulses)
     herald_click = rng.random(out=scratch) < eta_h
     signal_click = rng.random(out=scratch) < eta_s
     signal_click &= passed
@@ -869,25 +867,21 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     )
 
 
-# rows per write: the writer holds one block of 2.8 MB, not a copy of every column
-_EVENT_BLOCK = 1 << 16
-
-
 def _write_events(result: StreamResult, herald_ref: float, filter_center: float, path) -> None:
     """events.npy: the event columns as EVENTS_DTYPE rows, the bytes np.save writes of them.
 
-    The .npy header goes first, then the rows, filled and written
-    _EVENT_BLOCK at a time.
+    The .npy header goes first, then the rows, filled and written one
+    _STREAM_BLOCK at a time: the writer holds one block of rows (2.8 MB),
+    not a copy of every column.
     """
     n = result.pulses
     header = {"descr": np.lib.format.dtype_to_descr(EVENTS_DTYPE), "fortran_order": False,
               "shape": (n,)}
-    block = np.empty(min(n, _EVENT_BLOCK), dtype=EVENTS_DTYPE)
+    block = np.empty(min(n, _STREAM_BLOCK), dtype=EVENTS_DTYPE)
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, n, _EVENT_BLOCK):
-            rows = slice(start, start + _EVENT_BLOCK)
-            events = block[:min(_EVENT_BLOCK, n - start)]
+        for rows in _blocks(n):
+            events = block[:min(_STREAM_BLOCK, n - rows.start)]
             events["herald_bin"] = result.herald_bin[rows]
             events["idler_detuning_ghz"] = (result.idler_frequency[rows] - herald_ref) / GHZ
             events["herald_detuning_ghz"] = (result.herald_frequency[rows] - herald_ref) / GHZ

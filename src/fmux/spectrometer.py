@@ -2,9 +2,10 @@
 
 Frequency maps to arrival time through the grating dispersion (an affine,
 strictly monotone map), the time tag is quantized by the TDC bin, and analog
-detector jitter smears the tag. One call of sample_herald_event tags a whole
-array of idlers; the feed-forward stream makes the same jitter draw and maps
-the arrival times to bins block by block.
+detector jitter smears the tag. One call of sample_herald_event tags an
+array of idlers; the feed-forward stream calls it block by block, and since a
+generator's consecutive normal draws equal one whole draw, the blocks tag as
+one call over the whole column would.
 
 The instrument itself is built from the configuration
 (ScenarioConfig.build_spectrometer). Its measured jitter model carries the

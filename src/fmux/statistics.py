@@ -7,8 +7,10 @@ of detectors the no-click probability of one mode has the closed form
 1 / (1 + mu (1 - q)), with q the per-photon probability of missing every
 detector in the subset, so every counting probability reduces to
 inclusion-exclusion over such terms. analytic_counting evaluates those exact
-expressions; monte_carlo_counting samples the same model and is the oracle
-the analytic path is tested against.
+expressions at any mu; monte_carlo_counting samples the same model and is the
+oracle the analytic path is tested against. Only hom_visibility is leading
+order in mu: its domain is mu * n_modes < HOM_MU_MODES_LIMIT, which the
+hom-dip scenario checks.
 
 The Monte Carlo draws counts, not cells: the pulses are iid, so each of its
 six counts is built from binomials over integer counts (monte_carlo_counting).
@@ -38,24 +40,19 @@ import numpy as np
 __all__ = [
     "MultiplexedStatisticsModel",
     "CountingResult",
-    "ExpansionDomainError",
     "effective_mode_count",
     "analytic_counting",
     "monte_carlo_counting",
     "klyshko_efficiencies",
     "hom_visibility",
+    "HOM_MU_MODES_LIMIT",
     "hom_dip_curve",
     "counting_csv_header",
     "counting_csv_row",
     "write_counting_csv",
 ]
 
-EXPANSION_LIMIT = 0.1  # max mu * n_modes accepted by the analytic path
 _DIP_EDGE = 28.0  # |bandwidth * t| beyond which exp(-(bandwidth * t)^2) is 0.0 in float64
-
-
-class ExpansionDomainError(ValueError):
-    """mu * n_modes is too large for the small-squeezing counting model."""
 
 
 def effective_mode_count(shift_range_hz: float, photon_bandwidth_hz: float) -> float:
@@ -182,15 +179,10 @@ def _g2(p_s1s2h, p_h, p_s1h, p_s2h) -> float:
 def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
     """Closed-form counting probabilities for the thermal threshold model.
 
-    Exact within the model (no series truncation); the small-squeezing
-    domain mu * n_modes < 0.1 is still enforced because outside it the
-    single-pair interpretation of the source breaks down. mu = 0 returns
-    zero probabilities with g2 = NaN.
+    Exact within the model (no series truncation), so it holds at any mu,
+    multi-pair pulses included; monte_carlo_counting agrees with it from mu =
+    1e-3 to 10. mu = 0 returns zero probabilities with g2 = NaN.
     """
-    if model.mu * model.n_modes >= EXPANSION_LIMIT:
-        raise ExpansionDomainError(
-            f"mu*n_modes = {model.mu * model.n_modes:.3f} >= {EXPANSION_LIMIT}"
-        )
     if model.mu == 0.0:
         return CountingResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float("nan"))
     if not model.multiplexing_enabled:
@@ -344,11 +336,16 @@ def klyshko_efficiencies(counts: CountingResult) -> tuple[float, float]:
     return counts.p_sh / counts.p_h, counts.p_sh / counts.p_s
 
 
+# mu * n_modes below which hom_visibility's leading-order multi-pair term holds
+HOM_MU_MODES_LIMIT = 0.1
+
+
 def hom_visibility(purity: float, g2_h: float) -> float:
     """Two-photon interference visibility, purity * (1 - g2_h).
 
     The multi-pair term enters as a coincidence background exactly the way
-    distinguishability does, so the two suppressions multiply.
+    distinguishability does, so the two suppressions multiply. That holds to
+    leading order in mu, for mu * n_modes < HOM_MU_MODES_LIMIT.
     """
     if not 0.0 < purity <= 1.0:
         raise ValueError("purity must be in (0, 1]")

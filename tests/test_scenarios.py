@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 import fmux
-from fmux import cli, defaults, losses, scenarios, serrodyne, spectrometer
+from fmux import cli, defaults, losses, scenarios, spectrometer
 from fmux.scenarios import (
     GHZ,
     HISTOGRAM_BINS_MAX,
+    HOM_DELAY_POINTS_MAX,
     MC_PULSES_MAX,
     MODE_WEIGHT_FLOOR,
+    MU_MAX,
+    N_MODES_MAX,
     SCENARIOS,
     STREAM_PULSES_MAX,
+    SWEEP_POINTS_MAX,
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
@@ -280,8 +284,7 @@ def analytic_in_range_fraction(cfg) -> float:
     distribution over TDC bins, summed over the bins the LUT routes.
     """
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
-    lut = serrodyne.build_lut(spect, cfg.signal_filter().center, cfg.shifter(),
-                              span=cfg.get("feedforward.herald_span_ghz") * GHZ)
+    lut = cfg.lut(spect)
     span = cfg.get("feedforward.idler_sample_span_ghz") * GHZ
     nodes = 6000
     total = 0.0
@@ -412,7 +415,7 @@ def assert_events_round_trip(path, result, ref: float, center: float) -> np.ndar
 # The events file was a CSV before it became events.npy; these tests keep their names.
 @pytest.mark.parametrize("block", [1 << 16, 4096, 7])
 def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch, block):
-    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
+    monkeypatch.setattr(scenarios, "_STREAM_BLOCK", block)
     result, ref, center = small_stream
     path = tmp_path / "events.npy"
     _write_events(result, ref, center, path)
@@ -424,7 +427,7 @@ def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch
                                          ((1 << 16) - 1, 1 << 16), ((1 << 16) + 1, 1 << 16)])
 def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkeypatch, rows,
                                                   block):
-    monkeypatch.setattr(scenarios, "_EVENT_BLOCK", block)
+    monkeypatch.setattr(scenarios, "_STREAM_BLOCK", block)
     result = seeded_stream(small_stream[0], rows, seed=rows)
     path = tmp_path / "events.npy"
     for ref, center in ((0.0, 0.0), small_stream[1:]):
@@ -442,7 +445,7 @@ def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
     # one block, and four blocks and five rows, reach the same peak: the block of rows
     # and one column's temporary, not a copy of every column
     peaks = []
-    for rows in (scenarios._EVENT_BLOCK, 4 * scenarios._EVENT_BLOCK + 5):
+    for rows in (scenarios._STREAM_BLOCK, 4 * scenarios._STREAM_BLOCK + 5):
         result = seeded_stream(small_stream[0], rows, seed=3)
         tracemalloc.start()
         try:
@@ -451,7 +454,7 @@ def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
-    assert max(peaks) < 2 * scenarios._EVENT_BLOCK * scenarios.EVENTS_DTYPE.itemsize, peaks
+    assert max(peaks) < 2 * scenarios._STREAM_BLOCK * scenarios.EVENTS_DTYPE.itemsize, peaks
 
 
 def edge_probes(edges: np.ndarray) -> np.ndarray:
@@ -676,12 +679,72 @@ def test_cli_nonpositive_rf_frequency_exits_two(tmp_path, capsys, scenario, valu
 ])
 def test_cli_pair_rate_outside_counting_domain_exits_two(tmp_path, capsys, scenario,
                                                          dotted, value):
+    """The counting model holds at any mu; only hom-dip's leading-order visibility
+    rejects mu * n_modes >= 0.1, and only on the key it reads. A zero rate is outside
+    the schema in both."""
     section, key = dotted.split(".")
     path = tmp_path / "mu.cfg"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     code = cli.main([scenario, "--config", str(path), "--outdir", str(tmp_path / "out")])
-    assert code == 2
-    assert dotted in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if value == "0" or (scenario, dotted) == ("hom-dip", "source.mean_pairs_per_pulse"):
+        assert code == 2
+        assert f"[{dotted}]" in err
+        assert not outputs_in(tmp_path / "out")
+    else:
+        assert code == 0, err
+
+
+def outputs_in(outdir) -> list:
+    """Every file a run left under outdir."""
+    return [p for p in Path(outdir).rglob("*") if p.is_file()]
+
+
+def test_pair_rates_change_no_output_of_the_scenarios_that_do_not_read_them(
+        small_digests, tmp_path):
+    # mu * n_modes = 0.142 on both keys: the seven other scenarios write what they
+    # write at the default rates
+    overlay = tmp_path / "mu.cfg"
+    write_overlay(overlay, {**SMALL, "source.mean_pairs_per_pulse": 0.05,
+                            "statistics.mu_max": 0.05})
+    for name in sorted(set(SCENARIOS) - {"stats-sweep", "hom-dip"}):
+        run_scenario(load_config(name, config_path=overlay, outdir=tmp_path / name))
+        for entry in manifest_of(tmp_path / name)["outputs"]:
+            assert entry["sha256"] == small_digests[f"{name}/{entry['name']}"], entry["name"]
+
+
+@pytest.mark.parametrize("dotted, value, runs, rejects", [
+    # a delay-line chirp too fine for the signal grid: only the heralded engine samples it
+    ("delay.length_m", "1e10", ("loss-budget", "stats-sweep"), ("purity-gvd", "hom-dip")),
+    # a lookup table of about 1.5e5 TDC bins: only the stream and lut-dump tabulate it
+    ("spectrometer.dispersion_ps_per_ghz", "1e5", ("purity-jitter",),
+     ("lut-dump", "feedforward-stream")),
+])
+def test_each_scenario_rejects_only_what_it_builds(tmp_path, capsys, dotted, value, runs,
+                                                   rejects):
+    path = tmp_path / "derived.cfg"
+    write_overlay(path, {**SMALL, dotted: value})
+    for scenario in runs + rejects:
+        out = tmp_path / scenario
+        code = cli.main([scenario, "--config", str(path), "--outdir", str(out)])
+        err = capsys.readouterr().err
+        if scenario in runs:
+            assert code in (0, 1) and not err, (scenario, code, err)
+        else:
+            assert code == 2 and f"[{dotted}]" in err, (scenario, code, err)
+            assert not outputs_in(out), scenario
+
+
+def test_mode_count_past_its_ceiling_exits_two_without_a_traceback(tmp_path, capsys):
+    # at mu = mu_max = 1e-300 the product stays tiny, but a ladder of 1e298 modes once
+    # ended in an OverflowError
+    path = tmp_path / "modes.cfg"
+    write_overlay(path, {"statistics.n_modes": "1e298", "source.mean_pairs_per_pulse": "1e-300",
+                         "statistics.mu_max": "1e-300"})
+    code = cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "[statistics.n_modes]" in err and "Traceback" not in err
+    assert not outputs_in(tmp_path / "out")
 
 
 def test_cli_joint_spectrum_coarse_grid_has_no_traceback(tmp_path, capsys):
@@ -792,6 +855,7 @@ def test_cli_malformed_overlay_exits_two_naming_file_and_line(tmp_path, capsys, 
 DOMAIN_BOUNDARIES = [
     ("source.pump_sigma_ghz", 1e-6, 0.0),
     ("source.mean_pairs_per_pulse", 1e-9, 0.0),
+    ("source.mean_pairs_per_pulse", MU_MAX, MU_MAX * (1 + 1e-12)),
     ("source.signal_wavelength_nm", 1.0, 0.0),
     ("filter.full_width_ghz", 1e-6, 0.0),
     ("spectrometer.dispersion_ps_per_ghz", 1e-6, -1e-9),
@@ -806,12 +870,15 @@ DOMAIN_BOUNDARIES = [
     ("feedforward.stream_spectrometer", "measured", "Measured"),
     ("delay.length_m", 0.0, -1e-9),
     ("statistics.n_modes", 1.0, 0.999),
+    ("statistics.n_modes", N_MODES_MAX, N_MODES_MAX * (1 + 1e-12)),
     ("statistics.eta_signal", 1.0, 1.0000001),
     ("statistics.eta_signal", 1e-9, 0.0),
     ("statistics.eta_herald", 1.0, 1.0000001),
     ("statistics.eta_herald", 1e-9, 0.0),
     ("statistics.sweep_points", 1, 0),
+    ("statistics.sweep_points", SWEEP_POINTS_MAX, SWEEP_POINTS_MAX + 1),  # nothing allocated
     ("statistics.mu_max", 1e-9, 0.0),
+    ("statistics.mu_max", MU_MAX, MU_MAX * (1 + 1e-12)),
     ("statistics.monte_carlo_pulses", 1, 0),
     ("statistics.monte_carlo_pulses", MC_PULSES_MAX, MC_PULSES_MAX + 1),
     ("losses.snspd_db", 0.0, -1e-9),
@@ -825,6 +892,7 @@ DOMAIN_BOUNDARIES = [
     ("run.stream_pulses", STREAM_PULSES_MAX, STREAM_PULSES_MAX + 1),  # nothing allocated
     ("run.hom_delay_span_ps", 1e-9, 0.0),
     ("run.hom_delay_points", 1, 0),
+    ("run.hom_delay_points", HOM_DELAY_POINTS_MAX, HOM_DELAY_POINTS_MAX + 1),  # nothing allocated
 ]
 UNBOUNDED_KEYS = {"filter.center_offset_ghz", "delay.fiber_dispersion_ps_nm_km"}
 

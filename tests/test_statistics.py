@@ -9,11 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmux import statistics
 from fmux.statistics import (
-    EXPANSION_LIMIT,
     CountingResult,
-    ExpansionDomainError,
     MultiplexedStatisticsModel,
     analytic_counting,
     counting_csv_header,
@@ -24,7 +21,6 @@ from fmux.statistics import (
     klyshko_efficiencies,
     monte_carlo_counting,
     write_counting_csv,
-    _open_mode,
     _pair_numbers,
     _signal_laws,
 )
@@ -96,13 +92,6 @@ def test_mu_zero_gives_silence():
     assert math.isnan(r.g2_h)
 
 
-def test_expansion_domain_guard():
-    bad = model(n_modes=11.0, mu=0.01)
-    assert bad.n_modes * bad.mu >= EXPANSION_LIMIT
-    with pytest.raises(ExpansionDomainError):
-        analytic_counting(bad)
-
-
 def test_multiplexed_signal_requires_herald():
     r = analytic_counting(model())
     assert r.p_s == r.p_sh  # unheralded pulses deliver no signal
@@ -138,8 +127,10 @@ def probabilities(r) -> np.ndarray:
 
 
 def test_mc_matches_analytic():
-    # 1e10 pulses give about 1 % on g2 at mu = 0.01, so every probability and g2 is graded
-    cells = [(0.002, 1.0), (0.002, N_REF), (0.01, 1.0), (0.01, N_REF), (0.03, N_REF)]
+    # 1e10 pulses give about 1 % on g2 at mu = 0.01, so every probability and g2 is graded;
+    # the model is exact at any mu, so the decades from 1e-3 to 10 are graded too
+    cells = [(0.002, 1.0), (0.002, N_REF), (0.01, 1.0), (0.01, N_REF), (0.03, N_REF),
+             (1e-3, N_REF), (0.1, N_REF), (1.0, N_REF), (10.0, N_REF)]
     for (mu, n), multiplexed in itertools.product(cells, (True, False)):
         m = model(n_modes=n, mu=mu, multiplexed=multiplexed)
         a = analytic_counting(m)
@@ -218,12 +209,6 @@ def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
                      (c_s1 & c_s2 & heralded).sum()], dtype=np.int64)
 
 
-def analytic_probabilities(monkeypatch, m) -> np.ndarray:
-    """The six exact probabilities, also outside the small-squeezing domain."""
-    monkeypatch.setattr(statistics, "EXPANSION_LIMIT", math.inf)
-    return probabilities(analytic_counting(m))
-
-
 def counts(r) -> np.ndarray:
     return np.rint(probabilities(r) * r.pulses).astype(np.int64)
 
@@ -233,7 +218,7 @@ def counts(r) -> np.ndarray:
 # 1.3e5; small sizes sum at most 1024 runs, so one pulse is graded at n = 1024.
 @pytest.mark.parametrize("size", [1, 1000, 8191, 8192, 8193, 24581, 32771, 131072, 131075])
 @pytest.mark.parametrize("multiplexed", [True, False])
-def test_sparse_chunk_matches_dense_oracle(monkeypatch, size, multiplexed):
+def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
     args = (m.mode_rates(), m.eta_s, m.eta_h, multiplexed, size)
     runs = min(-(-(1 << 19) // size), 1 << 10)
@@ -242,7 +227,7 @@ def test_sparse_chunk_matches_dense_oracle(monkeypatch, size, multiplexed):
         sampled += counts(monte_carlo_counting(m, size, rng=seed))
         dense += dense_chunk(np.random.Generator(np.random.Philox(seed + runs)), *args)
     n = runs * size
-    p = analytic_probabilities(monkeypatch, m)
+    p = probabilities(analytic_counting(m))
     se = np.sqrt(p * (1.0 - p) / n)
     assert np.all(np.abs(sampled / n - p) < 4.0 * se), (sampled / n - p) / se
     assert np.all(np.abs(dense / n - p) < 4.0 * se), (dense / n - p) / se
@@ -313,15 +298,12 @@ def test_sampler_one_pair_never_makes_a_triple(multiplexed):
 
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_mc_samples_large_mu(multiplexed):
-    # no ceiling on mu; the single arm's exact law is _open_mode's, outside the
-    # expansion domain too
+    # many pairs per pulse: the sampler and the exact counting model agree at mu = 3
     m = model(mu=3.0, n_modes=1.0, multiplexed=multiplexed)
     r = monte_carlo_counting(m, 200_000, rng=21)
-    p_h, p_s, p_sh, p_s1h, p_s1s2h = _open_mode(3.0, m.eta_h, m.eta_s)
-    n = r.pulses
-    for got, exact in ((r.p_h, p_h), (r.p_sh, p_sh), (r.p_s1h, p_s1h), (r.p_s2h, p_s1h),
-                       (r.p_s1s2h, p_s1s2h), (r.p_s, p_s if not multiplexed else p_sh)):
-        assert abs(got - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / n), (got, exact)
+    p = probabilities(analytic_counting(m))
+    se = np.sqrt(p * (1.0 - p) / r.pulses)
+    assert np.all(np.abs(probabilities(r) - p) < 4.0 * se), (probabilities(r) - p) / se
 
 
 @pytest.mark.parametrize("multiplexed", [True, False])
