@@ -679,13 +679,6 @@ class StreamResult:
         return self.herald_bin.size
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation; NaN when either column is constant, as in intensity_correlation."""
-    if x.size < 2 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        return float("nan")
-    return float(np.corrcoef(x, y)[0, 1])
-
-
 def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Index of the bin of evenly spaced edges holding each value, all within the edges.
 
@@ -702,32 +695,62 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return index
 
 
-def _fill_joint_bins(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
-                     y_edges: np.ndarray, out: np.ndarray) -> None:
-    """Write the row-major joint bin of each (x, y) pair into out.
+def _add_joint_counts(counts: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      x_edges: np.ndarray, y_edges: np.ndarray) -> None:
+    """Add the (x, y) pairs to counts, the float histogram2d counts on np.linspace edges.
 
-    A pair with either value outside its edges (or NaN) gets the overflow
-    index nx * ny, which _count_joint_bins drops, as histogram2d drops it.
+    A pair with either value outside its edges (or NaN) is dropped, as
+    histogram2d drops it. A block with at least as many pairs as cells is
+    counted by one bincount, a sparser one by its distinct joint bins: no
+    block pays a pass over a histogram much larger than itself.
     """
-    ny = y_edges.size - 1
-    inside = ((x >= x_edges[0]) & (x <= x_edges[-1])
-              & (y >= y_edges[0]) & (y <= y_edges[-1]))
-    if inside.all():  # as in the unshifted histogram, whose edges hold every pair
-        out[...] = _bin_index(x, x_edges)
-        out *= ny
-        out += _bin_index(y, y_edges)
-        return
+    inside = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
     flat = _bin_index(x[inside], x_edges)
-    flat *= ny
+    flat *= y_edges.size - 1
     flat += _bin_index(y[inside], y_edges)
-    out.fill((x_edges.size - 1) * ny)
-    out[inside] = flat
+    if flat.size >= counts.size:
+        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    else:
+        cells, n = np.unique(flat, return_counts=True)
+        counts.reshape(-1)[cells] += n
 
 
-def _count_joint_bins(index: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
-    """The float counts of a joint-bin index column, by one bincount, overflow bin dropped."""
-    nx, ny = x_edges.size - 1, y_edges.size - 1
-    return np.bincount(index, minlength=nx * ny + 1)[:nx * ny].reshape(nx, ny).astype(float)
+class _Correlation:
+    """Pearson r and the extremes of (x, y) pairs added block by block.
+
+    It keeps the count, the means and the sums of x², y² and xy about the
+    means. A block's sums, about its own means, merge by the pairwise update
+    of Chan, Golub and LeVeque, so no sum of raw squares cancels.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean_x = self.mean_y = self.sxx = self.syy = self.sxy = 0.0
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = math.inf, -math.inf, math.inf, -math.inf
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> None:
+        m = x.size
+        if m == 0:
+            return
+        n = self.n + m
+        block_x, block_y = x.mean(), y.mean()
+        dx, dy = x - block_x, y - block_y
+        ex, ey = block_x - self.mean_x, block_y - self.mean_y
+        weight = self.n * m / n
+        self.sxx += float(dx @ dx) + weight * ex * ex
+        self.syy += float(dy @ dy) + weight * ey * ey
+        self.sxy += float(dx @ dy) + weight * ex * ey
+        self.mean_x += ex * m / n
+        self.mean_y += ey * m / n
+        self.n = n
+        self.x_lo, self.x_hi = min(self.x_lo, x.min()), max(self.x_hi, x.max())
+        self.y_lo, self.y_hi = min(self.y_lo, y.min()), max(self.y_hi, y.max())
+
+    def pearson(self) -> float:
+        """r, or NaN for fewer than two pairs or a constant x or y, as intensity_correlation."""
+        if self.n < 2 or self.x_lo == self.x_hi or self.y_lo == self.y_hi:
+            return float("nan")
+        return float(min(1.0, max(-1.0, self.sxy / math.sqrt(self.sxx) / math.sqrt(self.syy))))
 
 
 # pulses per block of the stream sampler, the joint histograms and the events writer:
@@ -738,20 +761,6 @@ _STREAM_BLOCK = 1 << 16
 def _blocks(n: int):
     """Slices of _STREAM_BLOCK rows that cover n rows in order."""
     return (slice(start, start + _STREAM_BLOCK) for start in range(0, n, _STREAM_BLOCK))
-
-
-def _joint_histogram(x: np.ndarray, y: np.ndarray, x_edges: np.ndarray,
-                     y_edges: np.ndarray) -> np.ndarray:
-    """np.histogram2d(x, y, bins=(x_edges, y_edges))[0] for np.linspace edges.
-
-    The joint-bin index column is filled block by block and counted by one
-    bincount. Pairs with either value outside its edges (or NaN) are
-    dropped, as histogram2d drops them.
-    """
-    index = np.empty(x.size, dtype=np.intp)
-    for rows in _blocks(x.size):
-        _fill_joint_bins(x[rows], y[rows], x_edges, y_edges, index[rows])
-    return _count_joint_bins(index, x_edges, y_edges)
 
 
 def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) -> StreamResult:
@@ -766,17 +775,16 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
 
     One Philox generator seeded from run.seed draws, in this order: the
     uniform idlers and the normal sum detunings as whole columns, the
-    arrival-time jitter block by block, then the uniform herald-click and
-    signal-click draws as whole columns. A pass over blocks of _STREAM_BLOCK
-    pulses tags each block of idlers with spectrometer.sample_herald_event
-    (jitter, TDC bin, herald frequency), and routes and filters it through
-    the LUT. Consecutive normal draws of one generator equal one whole draw,
-    so the jitter is that of a whole column. One scratch column then holds
-    each click draw, then the unshifted histogram's joint-bin index. Once
-    the columns are whole, their extremes set the unshifted edges and their
-    means centre the correlation, and a second pass over the blocks fills
-    that index and sums the centred products. Every column value is computed
-    pulse by pulse, so the result does not depend on the block size.
+    arrival-time jitter block by block (consecutive normal draws of one
+    generator equal one whole draw), then the herald-click and signal-click
+    uniforms as whole columns into one scratch column. The first pass over
+    blocks of _STREAM_BLOCK pulses tags each block with
+    spectrometer.sample_herald_event, routes and filters it through the LUT,
+    and adds its passed events to the shifted histogram and its detuning
+    pairs to both correlations. The unshifted pairs' extremes then set the
+    unshifted edges, and the second pass only bins the unshifted histogram.
+    Columns and histograms do not depend on the block size; the
+    correlations, summed block by block, only up to rounding.
     """
     if pulses is None:
         pulses = cfg.get("run.stream_pulses")
@@ -788,6 +796,12 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     half_span = cfg._ghz("feedforward.idler_sample_span_ghz") / 2.0
     eta_s = cfg.get("statistics.eta_signal")
     eta_h = cfg.get("statistics.eta_herald")
+    bins_n = cfg.get("run.histogram_bins")
+    herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
+    shifted_edges = (
+        np.linspace(-herald_half, herald_half, bins_n + 1),
+        np.linspace(-window.half_width, window.half_width, bins_n + 1),
+    )
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     idler = rng.uniform(-half_span, half_span, size=pulses)
@@ -801,51 +815,33 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     herald_meas = np.empty(pulses)
     applied_hz = np.empty(pulses)
     passed = np.empty(pulses, dtype=bool)
+    shifted_hist = np.zeros((bins_n, bins_n))
+    unshifted, shifted = _Correlation(), _Correlation()
     n_routed = 0
     for rows in _blocks(pulses):
         bins[rows], herald_meas[rows] = spectrometer.sample_herald_event(spect, idler[rows], rng)
         applied_hz[rows], routed = lut.route(bins[rows])
-        shifted = signal[rows] + defaults.TWO_PI * applied_hz[rows]
-        passed[rows] = routed & (np.abs(shifted - window.center) <= window.half_width)
+        shifted_s = signal[rows] + defaults.TWO_PI * applied_hz[rows] - window.center
+        passed[rows] = routed & (np.abs(shifted_s) <= window.half_width)
         n_routed += np.count_nonzero(routed)
+        h = herald_meas[rows] - herald_ref
+        unshifted.add(h, signal[rows] - window.center)
+        h, shifted_s = h[passed[rows]], shifted_s[passed[rows]]  # the passed events
+        shifted.add(h, shifted_s)
+        _add_joint_counts(shifted_hist, h, shifted_s, *shifted_edges)
+
+    edge = max(half_span, abs(unshifted.x_lo), abs(unshifted.x_hi),
+               abs(unshifted.y_lo), abs(unshifted.y_hi)) * 1.0001
+    full_edges = np.linspace(-edge, edge, bins_n + 1)
+    unshifted_hist = np.zeros((bins_n, bins_n))
+    for rows in _blocks(pulses):
+        _add_joint_counts(unshifted_hist, herald_meas[rows] - herald_ref,
+                          signal[rows] - window.center, full_edges, full_edges)
 
     scratch = np.empty(pulses)
     herald_click = rng.random(out=scratch) < eta_h
     signal_click = rng.random(out=scratch) < eta_s
     signal_click &= passed
-
-    bins_n = cfg.get("run.histogram_bins")
-    herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
-    shifted_edges = (
-        np.linspace(-herald_half, herald_half, bins_n + 1),
-        np.linspace(-window.half_width, window.half_width, bins_n + 1),
-    )
-    h_passed = herald_meas[passed] - herald_ref
-    s_passed = signal[passed] + defaults.TWO_PI * applied_hz[passed] - window.center
-    shifted_hist = _joint_histogram(h_passed, s_passed, *shifted_edges)
-    r_shifted = _pearson(h_passed, s_passed)
-    del h_passed, s_passed  # out of the second pass's peak
-
-    # rounding is monotone, so the extreme detunings are those of the extreme frequencies
-    h_lo, h_hi = herald_meas.min() - herald_ref, herald_meas.max() - herald_ref
-    s_lo, s_hi = signal.min() - window.center, signal.max() - window.center
-    edge = max(half_span, abs(h_lo), abs(h_hi), abs(s_lo), abs(s_hi)) * 1.0001
-    full_edges = np.linspace(-edge, edge, bins_n + 1)
-    index = scratch.view(np.intp)
-    h_mean, s_mean = herald_meas.mean() - herald_ref, signal.mean() - window.center
-    sxy = sxx = syy = 0.0
-    for rows in _blocks(pulses):
-        h = herald_meas[rows] - herald_ref
-        s = signal[rows] - window.center
-        _fill_joint_bins(h, s, full_edges, full_edges, index[rows])
-        h -= h_mean
-        s -= s_mean
-        sxy, sxx, syy = sxy + float(h @ s), sxx + float(h @ h), syy + float(s @ s)
-    unshifted_hist = _count_joint_bins(index, full_edges, full_edges)
-    # Pearson as _pearson gives it: NaN when either column is constant
-    r_unshifted = float("nan")
-    if pulses > 1 and h_lo != h_hi and s_lo != s_hi:
-        r_unshifted = min(1.0, max(-1.0, sxy / math.sqrt(sxx) / math.sqrt(syy)))
 
     return StreamResult(
         signal_frequency=signal,
@@ -860,8 +856,8 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         unshifted_edges=(full_edges, full_edges),
         shifted_hist=shifted_hist,
         shifted_edges=shifted_edges,
-        r_unshifted=r_unshifted,
-        r_shifted=r_shifted,
+        r_unshifted=unshifted.pearson(),
+        r_shifted=shifted.pearson(),
         in_range_fraction=n_routed / pulses,
         pass_fraction_in_range=float(passed.sum() / n_routed) if n_routed else float("nan"),
     )
@@ -962,7 +958,10 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute one scenario; returns the summary also written to disk."""
     cfg.validate()
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # e.g. a file where the directory or one of its parents should be
+        raise ConfigError("outdir", f"cannot create directory {cfg.outdir!r}: {err.strerror}")
     started = time.perf_counter()
     lines, checks, outputs = _RUNNERS[cfg.scenario](cfg, out)
     wall = time.perf_counter() - started

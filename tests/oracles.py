@@ -8,7 +8,9 @@ fraction in test_scenarios.py is checked against it.
 
 The feed-forward stream sampled whole column by whole column
 (whole_column_stream): the block sampler in scenarios must give the same
-result from the same generator, bit for bit.
+columns, histograms, edges and fractions from the same generator, bit for
+bit. Its correlations come from np.corrcoef over whole columns, which the
+sampler's block sums match only to rounding.
 """
 
 import math
@@ -72,7 +74,8 @@ def whole_column_stream(cfg, pulses: int | None = None) -> StreamResult:
     """The feed-forward stream as one numpy expression per whole column.
 
     Every temporary spans all pulses; the histograms come from
-    np.histogram2d and the correlations from np.corrcoef.
+    np.histogram2d and the correlations from np.corrcoef. Every field but
+    r_unshifted and r_shifted is the sampler's bit for bit.
     """
     if pulses is None:
         pulses = cfg.get("run.stream_pulses")

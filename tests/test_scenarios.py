@@ -29,7 +29,7 @@ from fmux.scenarios import (
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
-    _joint_histogram,
+    _add_joint_counts,
     _write_events,
     load_config,
     run_scenario,
@@ -473,7 +473,8 @@ def test_joint_histogram_matches_histogram2d_on_edges(bins, x_half, y_half):
     y_edges = np.linspace(-y_half, y_half, bins + 1)
     # every pair of probes: both coordinates on, beside and outside the edges
     x, y = (a.ravel() for a in np.meshgrid(edge_probes(x_edges), edge_probes(y_edges)))
-    counts = _joint_histogram(x, y, x_edges, y_edges)
+    counts = np.zeros((bins, bins))
+    _add_joint_counts(counts, x, y, x_edges, y_edges)
     oracle = np.histogram2d(x, y, bins=(x_edges, y_edges))[0]
     assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
     assert counts.sum() < x.size  # the probes outside the edges are dropped
@@ -483,7 +484,8 @@ def test_joint_histogram_of_an_empty_selection_is_zero():
     edges = np.linspace(-2.0, 2.0, 65)
     none = np.zeros(5, bool)
     values = np.linspace(-1.0, 1.0, 5)
-    counts = _joint_histogram(values[none], values[none], edges, edges)
+    counts = np.zeros((64, 64))
+    _add_joint_counts(counts, values[none], values[none], edges, edges)
     assert np.array_equal(counts, np.histogram2d(values[none], values[none], bins=(edges, edges))[0])
     assert counts.shape == (64, 64) and not counts.any()
 
@@ -514,7 +516,7 @@ def assert_same_number(got: float, want: float, name: str) -> None:
 
 
 def assert_matches_whole_column_stream(result, oracle) -> None:
-    """Every column, histogram and edge bit for bit; r_unshifted within 1e-12 relative."""
+    """Every column, histogram and edge bit for bit; both correlations within 1e-12 relative."""
     for name in STREAM_COLUMNS + ("unshifted_hist", "shifted_hist"):
         got, want = getattr(result, name), getattr(oracle, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
@@ -522,12 +524,14 @@ def assert_matches_whole_column_stream(result, oracle) -> None:
     for got, want in zip(result.unshifted_edges + result.shifted_edges,
                          oracle.unshifted_edges + oracle.shifted_edges):
         assert got.tobytes() == want.tobytes()
-    for name in ("r_shifted", "in_range_fraction", "pass_fraction_in_range"):
+    for name in ("in_range_fraction", "pass_fraction_in_range"):
         assert_same_number(getattr(result, name), getattr(oracle, name), name)
-    if np.isnan(oracle.r_unshifted):
-        assert np.isnan(result.r_unshifted)
-    else:
-        assert abs(result.r_unshifted - oracle.r_unshifted) <= 1e-12 * abs(oracle.r_unshifted)
+    for name in ("r_unshifted", "r_shifted"):  # summed block by block, not np.corrcoef
+        got, want = getattr(result, name), getattr(oracle, name)
+        if np.isnan(want):
+            assert np.isnan(got), name
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
 
 
 SAMPLER_BLOCK = 256
@@ -540,11 +544,12 @@ SAMPLER_BLOCK = 256
     {"feedforward.stream_spectrometer": "nominal"},
     {"feedforward.stream_spectrometer": "none"},
     {"shifter.max_shift_ghz": 0.0},  # one routed bin: a NaN r_shifted
+    {"shifter.max_shift_ghz": 100.0},  # passed heralds beyond the shifted histogram's edges
     {"run.histogram_bins": 1},
-], ids=["measured", "nominal", "none", "no_drive_range", "one_bin"])
+], ids=["measured", "nominal", "none", "no_drive_range", "wide_drive_range", "one_bin"])
 def test_stream_sampler_matches_whole_column_oracle(tmp_path, monkeypatch, pulses, overrides):
     # the block pass makes the same draws and the same per-pulse arithmetic as one
-    # expression per whole column, so no output depends on the block size
+    # expression per whole column, so no column or histogram depends on the block size
     monkeypatch.setattr(scenarios, "_STREAM_BLOCK", SAMPLER_BLOCK)
     cfg = stream_cfg(tmp_path, pulses=pulses, **overrides)
     result = simulate_feedforward_stream(cfg)
@@ -559,8 +564,8 @@ def test_stream_sampler_matches_whole_column_oracle_at_its_own_block(tmp_path):
 
 
 def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
-    # the peak is the columns it returns (43 B a pulse), one scratch column (8 B), the
-    # passed events' correlation and a few block-sized temporaries
+    # the peak is the columns it returns (43 B a pulse), one scratch column (8 B) and a
+    # few block-sized temporaries
     cfg = stream_cfg(tmp_path, pulses=1000)
     simulate_feedforward_stream(cfg)  # first-call allocations
     per_pulse = []
@@ -571,7 +576,7 @@ def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
             per_pulse.append(tracemalloc.get_traced_memory()[1] / pulses)
         finally:
             tracemalloc.stop()
-    assert per_pulse[1] < 64, per_pulse
+    assert per_pulse[1] < 56, per_pulse
     # the block temporaries are a fixed few MB, no more than 15 % of 3e5 pulses' peak
     assert abs(per_pulse[0] - per_pulse[1]) < 0.15 * per_pulse[1], per_pulse
 
@@ -659,6 +664,15 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["stats-sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
     err = capsys.readouterr().err
     assert "statistics.modes" in err
+
+
+@pytest.mark.parametrize("where", ["afile", "afile/sub"])
+def test_cli_outdir_on_a_file_exits_two(tmp_path, capsys, where):
+    (tmp_path / "afile").write_text("kept\n")
+    assert cli.main(["lut-dump", "--outdir", str(tmp_path / where)]) == 2
+    assert "[outdir]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("scenario", ["hom-dip", "purity-combined", "lut-dump"])
@@ -912,14 +926,24 @@ def test_validate_domain_boundary(dotted, inside, outside):
     assert err.value.field == dotted
 
 
+def pearson(*blocks) -> float:
+    """r of the (x, y) blocks fed in order to the stream's correlation accumulator."""
+    correlation = scenarios._Correlation()
+    for x, y in blocks:
+        correlation.add(x, y)
+    return correlation.pearson()
+
+
 def test_pearson_of_a_constant_column_is_nan_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(scenarios._pearson(np.ones(5), np.arange(5.0)))
-        assert np.isnan(scenarios._pearson(np.arange(5.0), np.full(5, 2.0)))
-        assert np.isnan(scenarios._pearson(np.ones(1), np.ones(1)))
-        assert np.isnan(scenarios._pearson(np.ones(0), np.ones(0)))
-        assert scenarios._pearson(np.arange(5.0), -np.arange(5.0)) == pytest.approx(-1.0)
+        assert np.isnan(pearson((np.ones(5), np.arange(5.0))))
+        assert np.isnan(pearson((np.arange(5.0), np.full(5, 2.0))))
+        assert np.isnan(pearson((np.ones(1), np.ones(1))))
+        assert np.isnan(pearson((np.ones(0), np.ones(0))))
+        assert pearson((np.arange(5.0), -np.arange(5.0))) == pytest.approx(-1.0)
+        # a constant column split over two blocks, one of them a single pair
+        assert np.isnan(pearson((np.full(4, 3.0), np.arange(4.0)), (np.full(1, 3.0), np.ones(1))))
 
 
 def test_stream_without_drive_range_has_nan_shifted_correlation(tmp_path):
