@@ -695,32 +695,36 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return index
 
 
-def _add_joint_counts(counts: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      x_edges: np.ndarray, y_edges: np.ndarray) -> None:
-    """Add the (x, y) pairs to counts, the float histogram2d counts on np.linspace edges.
+class _JointCounts:
+    """The float histogram2d counts on np.linspace edges of (x, y) pairs added block by block.
 
-    A pair with either value outside its edges (or NaN) is dropped, as
-    histogram2d drops it. A block with at least as many pairs as cells is
-    counted by one bincount, a sparser one by its distinct joint bins: no
-    block pays a pass over a histogram much larger than itself.
+    Each block packs the row-major joint bins of its pairs into one index
+    column of capacity entries, which counts() counts by one bincount. A
+    pair outside its edges (or NaN) is dropped, as histogram2d drops it.
     """
-    inside = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
-    flat = _bin_index(x[inside], x_edges)
-    flat *= y_edges.size - 1
-    flat += _bin_index(y[inside], y_edges)
-    if flat.size >= counts.size:
-        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-    else:
-        cells, n = np.unique(flat, return_counts=True)
-        counts.reshape(-1)[cells] += n
+
+    def __init__(self, x_edges: np.ndarray, y_edges: np.ndarray, capacity: int):
+        self.x_edges, self.y_edges, self.n = x_edges, y_edges, 0
+        self.index = np.empty(capacity, dtype=np.intp)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> None:
+        x_edges, y_edges = self.x_edges, self.y_edges
+        inside = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
+        flat = self.index[self.n:self.n + np.count_nonzero(inside)]
+        np.multiply(_bin_index(x[inside], x_edges), y_edges.size - 1, out=flat)
+        flat += _bin_index(y[inside], y_edges)
+        self.n += flat.size
+
+    def counts(self) -> np.ndarray:
+        nx, ny = self.x_edges.size - 1, self.y_edges.size - 1
+        return np.bincount(self.index[:self.n], minlength=nx * ny).reshape(nx, ny).astype(float)
 
 
 class _Correlation:
     """Pearson r and the extremes of (x, y) pairs added block by block.
 
-    It keeps the count, the means and the sums of x², y² and xy about the
-    means. A block's sums, about its own means, merge by the pairwise update
-    of Chan, Golub and LeVeque, so no sum of raw squares cancels.
+    The sums of x², y² and xy about the means merge block by block by the
+    pairwise update of Chan, Golub and LeVeque, so no sum of raw squares cancels.
     """
 
     def __init__(self):
@@ -740,9 +744,7 @@ class _Correlation:
         self.sxx += float(dx @ dx) + weight * ex * ex
         self.syy += float(dy @ dy) + weight * ey * ey
         self.sxy += float(dx @ dy) + weight * ex * ey
-        self.mean_x += ex * m / n
-        self.mean_y += ey * m / n
-        self.n = n
+        self.n, self.mean_x, self.mean_y = n, self.mean_x + ex * m / n, self.mean_y + ey * m / n
         self.x_lo, self.x_hi = min(self.x_lo, x.min()), max(self.x_hi, x.max())
         self.y_lo, self.y_hi = min(self.y_lo, y.min()), max(self.y_hi, y.max())
 
@@ -774,17 +776,14 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     joint spectrum downstream.
 
     One Philox generator seeded from run.seed draws, in this order: the
-    uniform idlers and the normal sum detunings as whole columns, the
-    arrival-time jitter block by block (consecutive normal draws of one
-    generator equal one whole draw), then the herald-click and signal-click
-    uniforms as whole columns into one scratch column. The first pass over
-    blocks of _STREAM_BLOCK pulses tags each block with
-    spectrometer.sample_herald_event, routes and filters it through the LUT,
-    and adds its passed events to the shifted histogram and its detuning
-    pairs to both correlations. The unshifted pairs' extremes then set the
-    unshifted edges, and the second pass only bins the unshifted histogram.
-    Columns and histograms do not depend on the block size; the
-    correlations, summed block by block, only up to rounding.
+    idlers and sum detunings as whole columns, the arrival-time jitter block
+    by block (consecutive normal draws equal one whole draw), then the two
+    click columns. The first pass over blocks of _STREAM_BLOCK pulses tags
+    each block with spectrometer.sample_herald_event, routes and filters it
+    through the LUT, and adds its detuning pairs to both correlations and
+    its passed events to the shifted histogram. The second pass bins the
+    unshifted pairs on the edges their extremes set. Columns and histograms
+    do not depend on the block size; the correlations only up to rounding.
     """
     if pulses is None:
         pulses = cfg.get("run.stream_pulses")
@@ -798,10 +797,8 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     eta_h = cfg.get("statistics.eta_herald")
     bins_n = cfg.get("run.histogram_bins")
     herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
-    shifted_edges = (
-        np.linspace(-herald_half, herald_half, bins_n + 1),
-        np.linspace(-window.half_width, window.half_width, bins_n + 1),
-    )
+    shifted_edges = (np.linspace(-herald_half, herald_half, bins_n + 1),
+                     np.linspace(-window.half_width, window.half_width, bins_n + 1))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     idler = rng.uniform(-half_span, half_span, size=pulses)
@@ -815,7 +812,7 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     herald_meas = np.empty(pulses)
     applied_hz = np.empty(pulses)
     passed = np.empty(pulses, dtype=bool)
-    shifted_hist = np.zeros((bins_n, bins_n))
+    shifted_bins = _JointCounts(*shifted_edges, pulses)
     unshifted, shifted = _Correlation(), _Correlation()
     n_routed = 0
     for rows in _blocks(pulses):
@@ -828,15 +825,18 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
         unshifted.add(h, signal[rows] - window.center)
         h, shifted_s = h[passed[rows]], shifted_s[passed[rows]]  # the passed events
         shifted.add(h, shifted_s)
-        _add_joint_counts(shifted_hist, h, shifted_s, *shifted_edges)
+        shifted_bins.add(h, shifted_s)
+    shifted_hist = shifted_bins.counts()
+    del shifted_bins  # out of the second pass's peak
 
     edge = max(half_span, abs(unshifted.x_lo), abs(unshifted.x_hi),
                abs(unshifted.y_lo), abs(unshifted.y_hi)) * 1.0001
     full_edges = np.linspace(-edge, edge, bins_n + 1)
-    unshifted_hist = np.zeros((bins_n, bins_n))
+    unshifted_bins = _JointCounts(full_edges, full_edges, pulses)
     for rows in _blocks(pulses):
-        _add_joint_counts(unshifted_hist, herald_meas[rows] - herald_ref,
-                          signal[rows] - window.center, full_edges, full_edges)
+        unshifted_bins.add(herald_meas[rows] - herald_ref, signal[rows] - window.center)
+    unshifted_hist = unshifted_bins.counts()
+    del unshifted_bins  # out of the click draws' peak
 
     scratch = np.empty(pulses)
     herald_click = rng.random(out=scratch) < eta_h

@@ -29,7 +29,7 @@ from fmux.scenarios import (
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
-    _add_joint_counts,
+    _JointCounts,
     _write_events,
     load_config,
     run_scenario,
@@ -473,8 +473,11 @@ def test_joint_histogram_matches_histogram2d_on_edges(bins, x_half, y_half):
     y_edges = np.linspace(-y_half, y_half, bins + 1)
     # every pair of probes: both coordinates on, beside and outside the edges
     x, y = (a.ravel() for a in np.meshgrid(edge_probes(x_edges), edge_probes(y_edges)))
-    counts = np.zeros((bins, bins))
-    _add_joint_counts(counts, x, y, x_edges, y_edges)
+    joint = _JointCounts(x_edges, y_edges, x.size)
+    half = x.size // 2  # two blocks, packed one after the other
+    joint.add(x[:half], y[:half])
+    joint.add(x[half:], y[half:])
+    counts = joint.counts()
     oracle = np.histogram2d(x, y, bins=(x_edges, y_edges))[0]
     assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
     assert counts.sum() < x.size  # the probes outside the edges are dropped
@@ -484,8 +487,9 @@ def test_joint_histogram_of_an_empty_selection_is_zero():
     edges = np.linspace(-2.0, 2.0, 65)
     none = np.zeros(5, bool)
     values = np.linspace(-1.0, 1.0, 5)
-    counts = np.zeros((64, 64))
-    _add_joint_counts(counts, values[none], values[none], edges, edges)
+    joint = _JointCounts(edges, edges, 0)
+    joint.add(values[none], values[none])
+    counts = joint.counts()
     assert np.array_equal(counts, np.histogram2d(values[none], values[none], bins=(edges, edges))[0])
     assert counts.shape == (64, 64) and not counts.any()
 
