@@ -395,23 +395,23 @@ def load_config(
 # ---------------------------------------------------------------- scenarios
 
 
-def _check(value: float, lo: float, hi: float) -> bool:
-    return lo <= value <= hi
-
-
 def _grade(label: str, value: float, lo: float, hi: float, checks: dict, lines: list) -> None:
-    ok = _check(value, lo, hi)
+    ok = lo <= value <= hi
     checks[label] = {"value": value, "band": [lo, hi], "pass": ok}
     lines.append(f"{label}: {value:.5f} in [{lo:g}, {hi:g}] -> {'pass' if ok else 'FAIL'}")
 
 
-def _write_mode_weights(dm: heralded.DiscretizedDensityMatrix, path, top: int = 32) -> None:
-    lam = dm.eigenvalues()[::-1][:top]
-    floor = MODE_WEIGHT_FLOOR * float(lam[0])
+def _write_rows(path, head: str, rows, sep: str = ",") -> None:
+    """Write head, then one line per row of Python numbers and strings joined by sep.
+
+    str of a Python float is its repr, the shortest text that parses back to
+    it, so every value round-trips. rows may be a generator: one row is
+    formatted at a time.
+    """
     with open(path, "w") as fh:
-        fh.write("index,weight\n")
-        for i, v in enumerate(lam):
-            fh.write(f"{i},{float(v) if v > floor else 0.0!r}\n")
+        fh.write(head + "\n")
+        for row in rows:
+            fh.write(sep.join(map(str, row)) + "\n")
 
 
 def _phase_jitter_factor(cfg: ScenarioConfig) -> float:
@@ -457,12 +457,14 @@ def _run_purity(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
         )
         checks["phase_jitter_factor"] = {"value": phase_factor, "band": [0.99, 1.0],
                                          "pass": negligible}
+    weights = dm.eigenvalues()[::-1][:32]
+    floor = MODE_WEIGHT_FLOOR * float(weights[0])
     weights_path = out / "mode_weights.csv"
-    _write_mode_weights(dm, weights_path)
+    _write_rows(weights_path, "index,weight",
+                ((i, float(v) if v > floor else 0.0) for i, v in enumerate(weights)))
     csv_path = out / "purity.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("scenario,purity,purity_eigen,band_lo,band_hi\n")
-        fh.write(f"{flavor},{purity!r},{eig_purity!r},{lo},{hi}\n")
+    _write_rows(csv_path, "scenario,purity,purity_eigen,band_lo,band_hi",
+                [(flavor, purity, eig_purity, lo, hi)])
     return lines, checks, [csv_path, weights_path]
 
 
@@ -471,36 +473,43 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else float("nan")
 
 
+def _counting_row(model: statistics.MultiplexedStatisticsModel,
+                  result: statistics.CountingResult) -> tuple:
+    """The counting_mc.csv cells of one arm's counts; an analytic row has no pulses or seed.
+
+    The config cell is a short hash of the model, so rows of one arm share it.
+    """
+    key = (f"n_modes={model.n_modes!r},mu={model.mu!r},eta_s={model.eta_s!r},"
+           f"eta_h={model.eta_h!r},multiplexed={model.multiplexing_enabled}")
+    return (hashlib.sha1(key.encode()).hexdigest()[:12], model.n_modes, model.mu, model.eta_s,
+            model.eta_h, int(model.multiplexing_enabled), result.p_h, result.p_s, result.p_sh,
+            result.p_s1s2h, result.g2_h, result.se_p_sh, result.se_g2_h,
+            "" if result.pulses is None else result.pulses,
+            "" if result.seed is None else result.seed)
+
+
 def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     points = cfg.get("statistics.sweep_points")
     mu_max = cfg.get("statistics.mu_max")
     base_mux = cfg.statistics_model(multiplexed=True)
     base_single = cfg.statistics_model(multiplexed=False)
-    mus = np.linspace(mu_max / points, mu_max, points)
+    mus = np.linspace(mu_max / points, mu_max, points).tolist()
+    sweep_mux = [statistics.analytic_counting(replace(base_mux, mu=mu)) for mu in mus]
+    sweep_single = [statistics.analytic_counting(replace(base_single, mu=mu)) for mu in mus]
     sweep_path = out / "stats_sweep.csv"
-    column_mux, column_single = [], []
-    with open(sweep_path, "w") as fh:
-        fh.write("mu,p_sh_multiplexed,g2_multiplexed,p_sh_single,g2_single,enhancement\n")
-        for mu in mus:
-            rm = statistics.analytic_counting(replace(base_mux, mu=float(mu)))
-            rs = statistics.analytic_counting(replace(base_single, mu=float(mu)))
-            column_mux.append(rm.p_sh)
-            column_single.append(rs.p_sh)
-            fh.write(
-                f"{float(mu)!r},{rm.p_sh!r},{rm.g2_h!r},{rs.p_sh!r},{rs.g2_h!r},"
-                f"{_ratio(rm.p_sh, rs.p_sh)!r}\n"
-            )
+    _write_rows(sweep_path, "mu,p_sh_multiplexed,g2_multiplexed,p_sh_single,g2_single,enhancement",
+                ((mu, rm.p_sh, rm.g2_h, rs.p_sh, rs.g2_h, _ratio(rm.p_sh, rs.p_sh))
+                 for mu, rm, rs in zip(mus, sweep_mux, sweep_single)))
     pulses = cfg.get("statistics.monte_carlo_pulses")
     mc_mux = statistics.monte_carlo_counting(base_mux, pulses, rng=cfg.seed)
     mc_single = statistics.monte_carlo_counting(base_single, pulses, rng=cfg.seed + 1)
     an_mux = statistics.analytic_counting(base_mux)
     an_single = statistics.analytic_counting(base_single)
     mc_path = out / "counting_mc.csv"
-    statistics.write_counting_csv(
-        mc_path,
-        [(base_mux, mc_mux), (base_single, mc_single),
-         (base_mux, an_mux), (base_single, an_single)],
-    )
+    _write_rows(mc_path, ("config,n_modes,mu,eta_s,eta_h,multiplexed,"
+                          "p_h,p_s,p_sh,p_s1s2h,g2_h,se_p_sh,se_g2_h,pulses,seed"),
+                (_counting_row(m, r) for m, r in ((base_mux, mc_mux), (base_single, mc_single),
+                                                   (base_mux, an_mux), (base_single, an_single))))
     lines, checks = [], {}
     enhancement = _ratio(an_mux.p_sh, an_single.p_sh)
     lines.append(f"analytic coincidence enhancement at mu={base_mux.mu}: {enhancement:.4f}")
@@ -512,9 +521,8 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     )
     lines.append(f"analytic g2: multiplexed {an_mux.g2_h:.5f}, single {an_single.g2_h:.5f}")
     _grade("enhancement", enhancement, *ENHANCEMENT_BAND, checks, lines)
-    monotone = all(b > a for a, b in zip(column_mux, column_mux[1:])) and all(
-        b > a for a, b in zip(column_single, column_single[1:])
-    )
+    monotone = all(b.p_sh > a.p_sh for column in (sweep_mux, sweep_single)
+                   for a, b in zip(column, column[1:]))
     checks["p_sh_monotone"] = {"value": float(monotone), "band": [1, 1], "pass": monotone}
     lines.append(f"coincidence columns monotone in mu -> {'pass' if monotone else 'FAIL'}")
     return lines, checks, [sweep_path, mc_path]
@@ -555,13 +563,11 @@ def _run_joint_spectrum(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     spectral.write_jsa_text(jsa, jsa_path)
     spectral.write_jsa_text(filtered, filtered_path)
     marg_path = out / "marginals.csv"
-    with open(marg_path, "w") as fh:
-        fh.write("signal_detuning_ghz,signal_intensity,herald_detuning_ghz,herald_intensity\n")
-        # tolist() gives Python floats, whose repr is the shortest round-trip number
-        columns = (signal_grid.detunings / GHZ, jsa.signal_marginal(),
-                   herald_grid.detunings / GHZ, jsa.herald_marginal())
-        for row in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+    columns = (signal_grid.detunings / GHZ, jsa.signal_marginal(),
+               herald_grid.detunings / GHZ, jsa.herald_marginal())
+    _write_rows(marg_path,
+                "signal_detuning_ghz,signal_intensity,herald_detuning_ghz,herald_intensity",
+                zip(*(c.tolist() for c in columns)))
     return lines, checks, [jsa_path, filtered_path, marg_path]
 
 
@@ -603,10 +609,8 @@ def _run_hom_dip(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     )
     lines.append(f"non-classical threshold 0.5: {'exceeded' if visibility > 0.5 else 'not exceeded'}")
     curve_path = out / "hom_dip.csv"
-    with open(curve_path, "w") as fh:
-        fh.write("delay_ps,coincidence_rate\n")
-        for t, r in zip(delays, curve):
-            fh.write(f"{float(t) * 1e12!r},{float(r)!r}\n")
+    _write_rows(curve_path, "delay_ps,coincidence_rate",
+                ((float(t) * 1e12, float(r)) for t, r in zip(delays, curve)))
     return lines, checks, [curve_path]
 
 
@@ -765,7 +769,7 @@ def _blocks(n: int):
     return (slice(start, start + _STREAM_BLOCK) for start in range(0, n, _STREAM_BLOCK))
 
 
-def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) -> StreamResult:
+def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     """Sample pairs, measure heralds, apply LUT shifts, filter, and histogram.
 
     Pairs are drawn from the joint intensity (flat phase matching over the
@@ -785,8 +789,7 @@ def simulate_feedforward_stream(cfg: ScenarioConfig, pulses: int | None = None) 
     unshifted pairs on the edges their extremes set. Columns and histograms
     do not depend on the block size; the correlations only up to rounding.
     """
-    if pulses is None:
-        pulses = cfg.get("run.stream_pulses")
+    pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
     window = cfg.signal_filter()
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
@@ -889,13 +892,11 @@ def _write_events(result: StreamResult, herald_ref: float, filter_center: float,
 
 
 def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {label}\n")
-        fh.write("# rows: herald detuning bins, columns: signal detuning bins\n")
-        for tag, e in zip(("herald", "signal"), edges):
-            fh.write(f"# {tag}_edges_ghz: {e[0] / GHZ:.6f} .. {e[-1] / GHZ:.6f} ({len(e) - 1} bins)\n")
-        for row in hist.astype(int):
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    """The counts as integer text under a # header, converted and written one row at a time."""
+    head = [f"# {label}", "# rows: herald detuning bins, columns: signal detuning bins"]
+    head += [f"# {tag}_edges_ghz: {e[0] / GHZ:.6f} .. {e[-1] / GHZ:.6f} ({len(e) - 1} bins)"
+             for tag, e in zip(("herald", "signal"), edges)]
+    _write_rows(path, "\n".join(head), (row.astype(int).tolist() for row in hist), sep=" ")
 
 
 def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:

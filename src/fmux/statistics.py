@@ -27,11 +27,13 @@ Klyshko estimates are meaningful for.
 Useful leading-order laws recovered by the exact forms: P(S,H) = mu eta_s
 eta_h, and heralded g2 = 2 mu (2 - eta_h), i.e. 4 mu in the low-herald-
 efficiency limit where pair-number size bias is maximal.
+
+The module writes no files: the stats-sweep scenario writes each
+CountingResult, with its model, as one row of counting_mc.csv.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -47,9 +49,6 @@ __all__ = [
     "hom_visibility",
     "HOM_MU_MODES_LIMIT",
     "hom_dip_curve",
-    "counting_csv_header",
-    "counting_csv_row",
-    "write_counting_csv",
 ]
 
 _DIP_EDGE = 28.0  # |bandwidth * t| beyond which exp(-(bandwidth * t)^2) is 0.0 in float64
@@ -370,45 +369,3 @@ def hom_dip_curve(purity, g2_h, bandwidth, delays) -> np.ndarray:
     edge = _DIP_EDGE / bandwidth
     t = np.clip(np.asarray(delays, dtype=float), -edge, edge)
     return 1.0 - v * np.exp(-((bandwidth * t) ** 2))
-
-
-def _config_hash(model: MultiplexedStatisticsModel) -> str:
-    text = (
-        f"n_modes={model.n_modes!r},mu={model.mu!r},eta_s={model.eta_s!r},"
-        f"eta_h={model.eta_h!r},multiplexed={model.multiplexing_enabled}"
-    )
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
-
-
-def counting_csv_header() -> str:
-    return ("config,n_modes,mu,eta_s,eta_h,multiplexed,"
-            "p_h,p_s,p_sh,p_s1s2h,g2_h,se_p_sh,se_g2_h,pulses,seed")
-
-
-def counting_csv_row(model: MultiplexedStatisticsModel, result: CountingResult) -> str:
-    cells = [
-        _config_hash(model),
-        repr(model.n_modes),
-        repr(model.mu),
-        repr(model.eta_s),
-        repr(model.eta_h),
-        str(int(model.multiplexing_enabled)),
-        repr(result.p_h),
-        repr(result.p_s),
-        repr(result.p_sh),
-        repr(result.p_s1s2h),
-        repr(result.g2_h),
-        repr(result.se_p_sh),
-        repr(result.se_g2_h),
-        "" if result.pulses is None else str(result.pulses),
-        "" if result.seed is None else str(result.seed),
-    ]
-    return ",".join(cells)
-
-
-def write_counting_csv(path, rows) -> None:
-    """rows: iterable of (model, result) pairs."""
-    with open(path, "w") as fh:
-        fh.write(counting_csv_header() + "\n")
-        for model, result in rows:
-            fh.write(counting_csv_row(model, result) + "\n")

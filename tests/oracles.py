@@ -70,15 +70,14 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def whole_column_stream(cfg, pulses: int | None = None) -> StreamResult:
+def whole_column_stream(cfg) -> StreamResult:
     """The feed-forward stream as one numpy expression per whole column.
 
     Every temporary spans all pulses; the histograms come from
     np.histogram2d and the correlations from np.corrcoef. Every field but
     r_unshifted and r_shifted is the sampler's bit for bit.
     """
-    if pulses is None:
-        pulses = cfg.get("run.stream_pulses")
+    pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
     window = cfg.signal_filter()
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import fmux
-from fmux import cli, defaults, losses, scenarios, spectrometer
+from fmux import cli, defaults, losses, scenarios, spectrometer, statistics
 from fmux.scenarios import (
     GHZ,
     HISTOGRAM_BINS_MAX,
@@ -245,6 +246,51 @@ def test_stats_sweep_scenario(tmp_path):
     assert abs(summary["checks"]["enhancement"]["value"] - 2.8279) < 1e-3
     rows = (tmp_path / "stats-sweep" / "counting_mc.csv").read_text().splitlines()
     assert len(rows) == 5  # header + mux/single MC + mux/single analytic
+
+
+def counting_rows(tmp_path, **param_overrides):
+    """The stats-sweep config run under param_overrides, and its counting_mc.csv rows."""
+    cfg = load_config("stats-sweep", outdir=tmp_path / "stats-sweep")
+    cfg.params.update(param_overrides)
+    run_scenario(cfg)
+    with open(tmp_path / "stats-sweep" / "counting_mc.csv", newline="") as fh:
+        return cfg, list(csv.DictReader(fh))
+
+
+COUNTING_FIELDS = ("p_h", "p_s", "p_sh", "p_s1s2h", "g2_h", "se_p_sh", "se_g2_h")
+
+
+def test_counting_csv_round_trip(tmp_path):
+    # one Monte Carlo pulse gives no herald, so its g2 and g2 standard error cells are nan
+    for case, overrides in enumerate([{}, {"statistics.monte_carlo_pulses": 1}]):
+        cfg, rows = counting_rows(tmp_path / str(case), **overrides)
+        mux, single = cfg.statistics_model(True), cfg.statistics_model(False)
+        pulses = cfg.get("statistics.monte_carlo_pulses")
+        expected = [(mux, statistics.monte_carlo_counting(mux, pulses, rng=cfg.seed)),
+                    (single, statistics.monte_carlo_counting(single, pulses, rng=cfg.seed + 1)),
+                    (mux, statistics.analytic_counting(mux)),
+                    (single, statistics.analytic_counting(single))]
+        assert len(rows) == len(expected)
+        for row, (model, result) in zip(rows, expected):
+            for name in ("n_modes", "mu", "eta_s", "eta_h"):
+                assert float(row[name]) == getattr(model, name), name
+            assert row["multiplexed"] == str(int(model.multiplexing_enabled))
+            for name in COUNTING_FIELDS:  # the shortest repr parses back exactly
+                assert_same_number(float(row[name]), getattr(result, name), name)
+            analytic = result.pulses is None
+            assert (row["pulses"], row["seed"]) == (
+                ("", "") if analytic else (str(pulses), str(result.seed)))
+        if pulses == 1:
+            assert [(r["g2_h"], r["se_g2_h"]) for r in rows[:2]] == [("nan", "nan")] * 2
+
+
+def test_counting_csv_hash_distinguishes_configs(tmp_path):
+    configs = [row["config"] for row in counting_rows(tmp_path / "a")[1]]
+    # the two arms differ; each arm's Monte Carlo and analytic rows hash the same model
+    assert configs[0] != configs[1]
+    assert configs[2:] == configs[:2]
+    moved = counting_rows(tmp_path / "b", **{"source.mean_pairs_per_pulse": 0.02})[1]
+    assert not {row["config"] for row in moved} & set(configs)
 
 
 def stream_cfg(tmp_path, pulses=20_000, name="feedforward-stream", **param_overrides):
@@ -511,6 +557,44 @@ def test_stream_histograms_match_histogram2d(tmp_path, bins):
     assert result.unshifted_hist.sum() == result.pulses
 
 
+@pytest.mark.parametrize("bins", [1, 64])
+def test_stream_hist_text_round_trip(tmp_path, bins):
+    cfg = stream_cfg(tmp_path, pulses=20_000, **{"run.histogram_bins": bins})
+    run_scenario(cfg)
+    result = simulate_feedforward_stream(cfg)
+    out = tmp_path / "feedforward-stream"
+    for name, label, hist, edges in [
+        ("joint_hist_unshifted.txt", "joint spectrum, no feed-forward",
+         result.unshifted_hist, result.unshifted_edges),
+        ("joint_hist_shifted.txt", "joint spectrum after feed-forward, filter passband",
+         result.shifted_hist, result.shifted_edges),
+    ]:
+        assert np.array_equal(np.loadtxt(out / name, ndmin=2), hist), name
+        head = (out / name).read_text().splitlines()[:4]
+        assert head[:2] == [f"# {label}",
+                            "# rows: herald detuning bins, columns: signal detuning bins"]
+        for line, tag, e in zip(head[2:], ("herald", "signal"), edges):
+            lo, hi, n = re.fullmatch(rf"# {tag}_edges_ghz: (\S+) \.\. (\S+) \((\d+) bins\)",
+                                     line).groups()
+            # six decimals of the outer edges, in GHz
+            assert abs(float(lo) - e[0] / GHZ) <= 5e-7 and abs(float(hi) - e[-1] / GHZ) <= 5e-7
+            assert int(n) == bins
+
+
+def test_hist_text_writer_memory_is_one_row(tmp_path):
+    # the counts are converted to ints one row at a time: no int copy of the whole
+    # histogram (8 MB at 1024 x 1024)
+    hist = np.arange(1024.0 * 1024.0).reshape(1024, 1024)
+    edges = (np.linspace(-1e12, 1e12, 1025),) * 2
+    tracemalloc.start()
+    try:
+        scenarios._write_histogram(hist, edges, tmp_path / "hist.txt", "counts")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hist.size * np.dtype(int).itemsize, peak
+
+
 STREAM_COLUMNS = ("signal_frequency", "idler_frequency", "herald_bin", "herald_frequency",
                   "applied_shift_hz", "passed", "herald_click", "signal_click")
 
@@ -574,9 +658,10 @@ def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
     simulate_feedforward_stream(cfg)  # first-call allocations
     per_pulse = []
     for pulses in (300_000, 1_000_000):
+        cfg.params["run.stream_pulses"] = pulses
         tracemalloc.start()
         try:
-            simulate_feedforward_stream(cfg, pulses)
+            simulate_feedforward_stream(cfg)
             per_pulse.append(tracemalloc.get_traced_memory()[1] / pulses)
         finally:
             tracemalloc.stop()

@@ -13,14 +13,11 @@ from fmux.statistics import (
     CountingResult,
     MultiplexedStatisticsModel,
     analytic_counting,
-    counting_csv_header,
-    counting_csv_row,
     effective_mode_count,
     hom_dip_curve,
     hom_visibility,
     klyshko_efficiencies,
     monte_carlo_counting,
-    write_counting_csv,
     _pair_numbers,
     _signal_laws,
 )
@@ -411,27 +408,6 @@ def test_hom_dip_curve_far_delays_do_not_overflow():
     # bit for bit the unclipped formula where the dip resolves, exactly 1.0 far from it
     assert np.array_equal(r[:121], 1.0 - v * np.exp(-((bandwidth * near) ** 2)))
     assert r[121:].tolist() == [1.0] * 5
-
-
-def test_counting_csv_round_trip(tmp_path):
-    m = model()
-    rows = [(m, analytic_counting(m)), (m, monte_carlo_counting(m, 50_000, rng=2))]
-    path = tmp_path / "counts.csv"
-    write_counting_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == counting_csv_header()
-    assert len(lines) == 3
-    header_cols = lines[0].split(",")
-    for line, (_, result) in zip(lines[1:], rows):
-        cells = dict(zip(header_cols, line.split(",")))
-        assert float(cells["p_sh"]) == result.p_sh  # repr round-trips exactly
-        assert cells["pulses"] == ("" if result.pulses is None else str(result.pulses))
-
-
-def test_counting_csv_hash_distinguishes_configs():
-    a = counting_csv_row(model(), analytic_counting(model()))
-    b = counting_csv_row(model(multiplexed=False), analytic_counting(model(multiplexed=False)))
-    assert a.split(",")[0] != b.split(",")[0]
 
 
 @settings(deadline=None)
