@@ -277,9 +277,8 @@ def test_counting_csv_round_trip(tmp_path):
             assert row["multiplexed"] == str(int(model.multiplexing_enabled))
             for name in COUNTING_FIELDS:  # the shortest repr parses back exactly
                 assert_same_number(float(row[name]), getattr(result, name), name)
-            analytic = result.pulses is None
             assert (row["pulses"], row["seed"]) == (
-                ("", "") if analytic else (str(pulses), str(result.seed)))
+                ("", "") if result.pulses is None else (str(pulses), str(result.seed)))
         if pulses == 1:
             assert [(r["g2_h"], r["se_g2_h"]) for r in rows[:2]] == [("nan", "nan")] * 2
 
