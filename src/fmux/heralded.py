@@ -24,7 +24,14 @@ this module evaluates two ways:
   phase rho is real symmetric: one real GEMM and the same closed-form herald
   factor build it. A DiscretizedDensityMatrix holds only that form, exactly
   symmetric and even, and is eigensolved once, during validation; every
-  later eigenvalues() call returns that cached spectrum.
+  later eigenvalues() call returns that cached spectrum. The state has a
+  handful of modes, so each parity block is solved through a
+  diagonal-pivoted Cholesky factor of a few columns, stopped once the
+  largest residual diagonal is at most 1e-15 of the block's trace. When the
+  residual's Frobenius norm is at most 1e-12 it bounds the error of every
+  eigenvalue (Weyl), and the spectrum is that of the factor's small Gram
+  matrix plus exact zeros; otherwise, for indefinite or malformed input
+  only, a dense np.linalg.eigvalsh of the block decides.
 
 Both engines also use the state's parity. The signal grid is symmetric about
 the filter center (x -> -x), the error nodes e and their Gaussian weights are
@@ -34,14 +41,15 @@ under x -> -x: rho(-x, -y) = rho(x, y). _kernels builds these nodes and
 weights exactly symmetric (bit for bit), and keeps or drops each +/-e pair
 together, so the parity holds by construction. purity_integral tabulates its
 Gaussian only at signal midpoints m >= 0; assemble_density_matrix computes
-the x >= 0 rows and mirrors the rest; eigenvalues() diagonalizes the even
-and odd blocks separately.
+the x >= 0 rows and mirrors the rest; eigenvalues() solves the even and odd
+blocks separately.
 
 The two agree to well inside the contract tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -63,6 +71,8 @@ __all__ = [
 
 VACUOUS_NORM = 1e-12  # relative squared-norm below which an event is vacuous
 JITTER_SPAN_SIGMAS = 4.0  # error nodes span +/- this many jitter frequency stds
+PIVOT_STOP = 1e-15  # the pivoted factor stops at this residual diagonal, relative to the trace
+CERTIFIED_RESIDUAL = 1e-12  # ||b - F F^T||_F up to which the factor's spectrum stands for b's
 
 
 def gvd_parameter(dispersion_ps_nm_km: float, length_m: float, wavelength_m: float) -> float:
@@ -218,6 +228,7 @@ def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, a[..., lo + r :] - mirror
 
 
+@functools.lru_cache(maxsize=1)
 def _kernels(model: HeraldedStateModel):
     """(e, we / norms_sq, grid, x): the error kernel, the signal grid and its nodes.
 
@@ -226,13 +237,20 @@ def _kernels(model: HeraldedStateModel):
     mirror image, so they are exactly even too: each +/-e pair is kept or
     dropped together, and the kept e stay a symmetric contiguous stretch of
     the uniform grid.
+
+    The last model's kernels are kept, read-only: a scenario calls
+    purity_integral and then assemble_density_matrix on the same model, and
+    the second call reuses the first's build.
     """
     e, we = _error_kernel(model)
     norms_sq, grid = _norms_squared(model, e)
     norms_sq = 0.5 * (norms_sq + norms_sq[::-1])
     free = model.pump.sigma * math.sqrt(math.pi)
     e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
-    return e, we / norms_sq, grid, _odd(grid.detunings)
+    q, x = we / norms_sq, _odd(grid.detunings)
+    for a in (e, q, x):
+        a.flags.writeable = False
+    return e, q, grid, x
 
 
 def _purity_factored(model: HeraldedStateModel) -> float:
@@ -295,8 +313,9 @@ def purity_integral(model: HeraldedStateModel) -> float:
     and raises QuadratureConvergenceError if the value moves by more than
     1e-3; the base-grid value is returned.
     """
-    value = _purity_factored(model)
+    # the doubled grids first, so model's kernels are the cached ones afterwards
     refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
+    value = _purity_factored(model)
     if abs(refined - value) > 1e-3:
         raise QuadratureConvergenceError(
             f"purity moved by {abs(refined - value):.2e} on grid doubling"
@@ -324,6 +343,48 @@ def _parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         even[0, 1:] = math.sqrt(2.0) * rows[0, lo + 1 :]
         even[1:, 0] = math.sqrt(2.0) * rows[1:, lo]
     return even, odd[r:]
+
+
+def _pivoted_cholesky(b: np.ndarray) -> np.ndarray:
+    """Rows g, shape (k, m), with g.T @ g ~ b: a diagonal-pivoted outer-product Cholesky factor.
+
+    Each step pivots on the largest residual diagonal of b - g.T @ g and
+    stops once that is at or below PIVOT_STOP of the trace of b, is not
+    positive or is NaN, so a positive semidefinite b of numerical rank k costs
+    O(m k^2) here, not the O(m^3) of a dense solve.
+    """
+    m = b.shape[0]
+    d = np.diag(b).copy()  # the residual diagonal
+    stop = PIVOT_STOP * max(float(d.sum()), 0.0)  # a pivot is positive even if the trace is not
+    g = np.empty((m, m))
+    k = 0
+    while k < m:
+        p = int(np.argmax(d))
+        if not d[p] > stop:
+            break
+        row = b[p] - g[:k, p] @ g[:k]
+        row /= math.sqrt(d[p])
+        g[k] = row
+        d -= row * row
+        k += 1
+    return g[:k]
+
+
+def _block_spectrum(b: np.ndarray) -> np.ndarray:
+    """Spectrum of one real symmetric parity block, from its pivoted factor where that certifies it.
+
+    With g = _pivoted_cholesky(b), b = g.T @ g + R. g.T @ g has the k
+    eigenvalues of the k x k Gram matrix g @ g.T and m - k zeros, and by
+    Weyl's inequality each eigenvalue of b lies within ||R||_2 <= ||R||_F of
+    the matching one. So if ||R||_F <= CERTIFIED_RESIDUAL those are returned
+    (unsorted): each is within 1e-12 of b's, and no eigenvalue of b is below
+    -1e-12. Otherwise, as for an indefinite or malformed b, the dense solve
+    decides.
+    """
+    g = _pivoted_cholesky(b)
+    if np.linalg.norm(b - g.T @ g) <= CERTIFIED_RESIDUAL:
+        return np.concatenate([np.zeros(b.shape[0] - g.shape[0]), np.linalg.eigvalsh(g @ g.T)])
+    return np.linalg.eigvalsh(b)
 
 
 @dataclass(frozen=True)
@@ -372,15 +433,23 @@ class DiscretizedDensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of weighted(); solved on first call, then cached read-only.
 
-        Its even and odd parity blocks are solved (about a quarter of the
-        flops of one full solve) and the two spectra merged. The blocks read
-        only the rows x >= 0, so only those are weighted.
+        Its even and odd parity blocks are solved separately and the two
+        spectra merged. The blocks read only the rows x >= 0, so only those
+        are weighted. Each block is factored by diagonal-pivoted Cholesky,
+        stopped once the largest residual diagonal is at most PIVOT_STOP of
+        the block's trace: a few columns for a heralded state's handful of
+        modes. If the residual's Frobenius norm is at most CERTIFIED_RESIDUAL
+        (1e-12, against the unit trace checked before this call), the block's
+        spectrum is the factor's small Gram spectrum, each eigenvalue within
+        that norm of the exact one, and exact zeros past the factor's rank.
+        Otherwise, which only indefinite or malformed input reaches,
+        np.linalg.eigvalsh solves the block densely (_block_spectrum).
         """
         if self._eigenvalues is None:
             lo = self.matrix.shape[0] // 2
             sw = np.sqrt(self.grid.trapezoid_weights())
             blocks = _parity_blocks(self.matrix[lo:] * np.outer(sw[lo:], sw))
-            lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            lam = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
         return self._eigenvalues

@@ -4,13 +4,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmux import defaults
+from fmux import defaults, heralded
 from fmux.heralded import (
     JITTER_SPAN_SIGMAS,
     VACUOUS_NORM,
     DiscretizedDensityMatrix,
     HeraldedStateModel,
+    _block_spectrum,
     _drop_vacuous,
     _error_kernel,
     _fold,
@@ -20,6 +23,7 @@ from fmux.heralded import (
     _kernels,
     _norms_squared,
     _parity_blocks,
+    _pivoted_cholesky,
     _purity_factored,
     assemble_density_matrix,
     gvd_parameter,
@@ -388,18 +392,24 @@ BLOCK_MODELS = pytest.mark.parametrize(
     ids=["odd", "even", "off_center"])
 
 
+def record_blocks(monkeypatch) -> list:
+    """Spy on the block solver: the list of blocks it is given, in order."""
+    blocks = []
+    solve = heralded._block_spectrum
+
+    def recording(b):
+        blocks.append(b)
+        return solve(b)
+
+    monkeypatch.setattr(heralded, "_block_spectrum", recording)
+    return blocks
+
+
 @BLOCK_MODELS
 def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     from scipy import linalg
 
-    blocks = []
-    solve = np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        blocks.append(a)
-        return solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    blocks = record_blocks(monkeypatch)
     n_signal = model.n_signal
     dm = assemble_density_matrix(model)
     assert np.array_equal(dm.matrix, dm.matrix[::-1, ::-1])  # exactly centrosymmetric
@@ -418,7 +428,7 @@ def test_eigenvalues_weight_only_the_rows_they_read(model):
     dm = assemble_density_matrix(model)
     full = dm.weighted()
     blocks = _parity_blocks(full[full.shape[0] // 2 :])
-    expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    expected = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
     assert np.array_equal(dm.eigenvalues(), expected)
 
 
@@ -569,14 +579,87 @@ def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, monkeypatch
     grid = FrequencyGrid(0.0, 1.0, n)
     rho = b + b[::-1, ::-1]  # symmetric and exactly even under x -> -x
     rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
-    blocks = []
-    solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a, *args, **kw: blocks.append(a) or solve(a, *args, **kw))
+    blocks = record_blocks(monkeypatch)
     dm = DiscretizedDensityMatrix(grid, rho)
     assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)  # each block exactly symmetric
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(dm.weighted())).max() <= 1e-12
+
+
+def record_dense_solves(monkeypatch) -> list:
+    """Spy on np.linalg.eigvalsh: the list of matrices it is given, in order."""
+    solved = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or solve(a))
+    return solved
+
+
+@pytest.mark.parametrize("scenario, kw, overlay, grid_scale", [
+    ("purity-jitter", dict(gvd=False), None, None),
+    ("purity-gvd", dict(jitter=False), None, None),
+    ("purity-combined", {}, None, None),
+    ("hom-dip", {}, None, None),
+    ("purity-jitter", dict(gvd=False), 4.0, 2.0),
+], ids=["jitter", "gvd", "combined", "hom-dip", "4ps_per_ghz-grid2"])
+def test_default_states_are_certified_by_the_factor(scenario, kw, overlay, grid_scale,
+                                                    tmp_path, monkeypatch):
+    from scipy import linalg
+
+    path = None
+    if overlay is not None:
+        path = tmp_path / "dispersion.cfg"
+        path.write_text(f"[spectrometer]\ndispersion_ps_per_ghz = {overlay!r}\n")
+    model = load_config(scenario, config_path=path, grid_scale=grid_scale).heralded_model(**kw)
+    blocks = record_blocks(monkeypatch)
+    solved = record_dense_solves(monkeypatch)
+    dm = assemble_density_matrix(model)
+    # each block is solved through its factor's Gram matrix alone, never densely
+    ranks = [len(_pivoted_cholesky(b)) for b in blocks]
+    assert [len(a) for a in solved] == ranks
+    assert all(0 < k < len(b) for k, b in zip(ranks, blocks))
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(dm.weighted())).max() <= 1e-12
+
+
+def test_full_rank_block_runs_the_factor_to_its_size(monkeypatch):
+    m = 9
+    b = np.eye(m) / m  # a normalized identity: every column is a pivot
+    assert _pivoted_cholesky(b).shape == (m, m)
+    solved = record_dense_solves(monkeypatch)
+    lam = _block_spectrum(b)
+    assert len(solved) == 1 and solved[0] is not b  # the Gram matrix, not the block
+    assert np.abs(np.sort(lam) - np.full(m, 1.0 / m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("corner", [2.0, 1.000004], ids=["validation_input", "slightly_negative"])
+def test_indefinite_block_reaches_the_dense_solve(corner, monkeypatch):
+    g = FrequencyGrid(0.0, 1.0, 3)
+    bad = np.array([[1.0, 0.0, corner], [0.0, 1.0, 0.0], [corner, 0.0, 1.0]])
+    blocks = record_blocks(monkeypatch)
+    solved = record_dense_solves(monkeypatch)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DiscretizedDensityMatrix(g, bad)
+    # the even block is diag(1/2, (1 + corner) / 4) and certified; the odd block
+    # is (1 - corner) / 4, -1/4 or -1e-6, and no factor can certify it, so the
+    # dense solve decides
+    even, odd = blocks
+    assert len(_pivoted_cholesky(odd)) == 0
+    assert [a is odd for a in solved] == [False, True]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(3, 40), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_low_rank_even_states_match_the_dense_spectrum(n, rank, seed):
+    from scipy import linalg
+
+    v = np.random.default_rng(seed).normal(size=(rank, n))
+    b = v.T @ v
+    b = b + b.T  # exactly symmetric
+    rho = b + b[::-1, ::-1]  # and exactly even, of rank at most 2 * rank
+    grid = FrequencyGrid(0.0, 1.0, n)
+    dm = DiscretizedDensityMatrix(grid, rho / (grid.trapezoid_weights() @ np.diag(rho)))
+    weighted = dm.weighted()
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
+    assert abs(purity_from_eigenvalues(dm) - np.sum(weighted * weighted)) <= 1e-12
 
 
 def test_eigenvalues_are_cached_read_only():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fmux
-from fmux import cli, defaults, losses, scenarios, spectrometer, statistics
+from fmux import cli, defaults, heralded, losses, scenarios, spectrometer, statistics
 from fmux.scenarios import (
     GHZ,
     HISTOGRAM_BINS_MAX,
@@ -163,18 +163,38 @@ def test_purity_scenario_reduced_grid(tmp_path):
 
 def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
     solves = []
-    solve = np.linalg.eigvalsh
+    solve = heralded._block_spectrum
 
-    def recording(a, *args, **kwargs):
-        solves.append((np.asarray(a).dtype, np.shape(a)))
-        return solve(a, *args, **kwargs)
+    def recording(b):
+        solves.append((b.dtype, b.shape))
+        return solve(b)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(heralded, "_block_spectrum", recording)
     _, summary = run("purity-jitter", tmp_path, grid_scale=0.5)
     assert summary["all_passed"]
     # one matrix on 257 signal points, solved once as its even and odd parity
-    # blocks by the real symmetric solver
+    # blocks by the real symmetric block solver
     assert solves == [(np.float64, (129, 129)), (np.float64, (128, 128))]
+
+
+def test_purity_scenario_builds_each_grids_kernels_once(tmp_path, monkeypatch):
+    calls = []
+    norms_squared = heralded._norms_squared
+
+    def recording(model, e):
+        calls.append(model.n_signal)
+        return norms_squared(model, e)
+
+    monkeypatch.setattr(heralded, "_norms_squared", recording)
+    for _ in range(2):
+        calls.clear()
+        _, summary = run("purity-jitter", tmp_path)
+        assert summary["all_passed"]
+        # the doubled grid for the refinement guard, then the base grid, which
+        # assemble_density_matrix reuses
+        assert calls == [1025, 513]
+    e, q, _, x = heralded._kernels(load_config("purity-jitter").heralded_model(gvd=False))
+    assert not any(a.flags.writeable for a in (e, q, x))
 
 
 @pytest.mark.parametrize("jitter_ps, verdict", [("5.3", "negligible"), ("30", "not negligible")])
