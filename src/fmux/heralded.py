@@ -323,10 +323,6 @@ def purity_integral(model: HeraldedStateModel) -> float:
     return min(float(value), 1.0)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 def _parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd blocks of a real symmetric a with a[::-1, ::-1] == a, from its rows x >= 0.
 
@@ -412,6 +408,8 @@ class DiscretizedDensityMatrix:
         object.__setattr__(self, "matrix", m)
         if not m.any():
             raise ValueError("density matrix is zero")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix is not finite")
         if not np.array_equal(m, m.T):
             raise ValueError("density matrix is not exactly symmetric")
         if not np.array_equal(m, m[::-1, ::-1]):
@@ -448,7 +446,9 @@ class DiscretizedDensityMatrix:
         if self._eigenvalues is None:
             lo = self.matrix.shape[0] // 2
             sw = np.sqrt(self.grid.trapezoid_weights())
-            blocks = _parity_blocks(self.matrix[lo:] * np.outer(sw[lo:], sw))
+            rows = np.outer(sw[lo:], sw)
+            rows *= self.matrix[lo:]
+            blocks = _parity_blocks(rows)
             lam = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
@@ -489,7 +489,9 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     rho = np.empty((n, n))
     rho[lo:] = half
     rho[:lo] = half[r:][::-1, ::-1]
-    return DiscretizedDensityMatrix(grid, _hermitize(rho))
+    np.add(rho, rho.T, out=rho)  # exactly symmetric, in place
+    rho *= 0.5
+    return DiscretizedDensityMatrix(grid, rho)
 
 
 def purity_from_eigenvalues(dm: DiscretizedDensityMatrix) -> float:

@@ -55,18 +55,28 @@ GHZ = defaults.TWO_PI * 1e9  # rad/s per GHz
 # on the solver's rounding
 MODE_WEIGHT_FLOOR = 1e-12
 JITTER_MODELS = ("measured", "nominal", "none")
-# events.npy: one row per pulse, the row index its pulse number; the detunings and the
-# shift are in GHz at full precision, and herald_bin keeps the column's own int64
+# events.npy: one row per pulse, the row index its pulse number, holding what the
+# stream drew: the herald's TDC bin, the idler and signal detunings in GHz at full
+# precision, and the three flags (21 B a row)
 EVENTS_DTYPE = np.dtype([
-    ("herald_bin", np.int64),
+    ("herald_bin", np.int16),
     ("idler_detuning_ghz", np.float64),
-    ("herald_detuning_ghz", np.float64),
     ("signal_detuning_ghz", np.float64),
-    ("shift_ghz", np.float64),
     ("passed", np.bool_),
     ("herald_click", np.bool_),
     ("signal_click", np.bool_),
 ])
+# herald_bins.npy: one row per TDC bin from the lowest drawn to the highest, the
+# measured herald detuning (the bin's center) and the lookup table's shift in GHz and
+# whether the bin is routed; herald_bin is int64, so events["herald_bin"] -
+# table["herald_bin"][0] indexes the table without wrapping
+HERALD_BINS_DTYPE = np.dtype([
+    ("herald_bin", np.int64),
+    ("herald_detuning_ghz", np.float64),
+    ("shift_ghz", np.float64),
+    ("routed", np.bool_),
+])
+HERALD_BIN_LIMITS = np.iinfo(EVENTS_DTYPE["herald_bin"])
 # resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
 # the lookup table one array row per TDC bin (lut.txt one text line each), each stream
 # histogram histogram_bins^2 float64 counts (134 MB at the ceiling), the delay-line
@@ -653,21 +663,27 @@ def _run_lut_dump(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
 
 @dataclass(frozen=True)
 class StreamResult:
-    """The feed-forward stream: one numpy column per event field, plus histograms.
+    """The feed-forward stream: one numpy column per drawn event field, its bin table, histograms.
 
     Row i of every column is pulse i. Frequencies are in rad/s: the signal
-    before shifting, the true idler, and the herald frequency as measured
-    (the center of TDC bin herald_bin).
+    before shifting and the true idler. herald_bin (int16) is the TDC bin
+    each herald was measured in. The bin table has one row per bin from the
+    lowest drawn, first_bin, to the highest: the bin's center frequency (the
+    herald frequency as measured), its lookup-table shift in Hz and whether
+    it is routed. herald_frequency and applied_shift_hz look each pulse's
+    bin up in that table.
     """
 
     signal_frequency: np.ndarray
     idler_frequency: np.ndarray
     herald_bin: np.ndarray
-    herald_frequency: np.ndarray
-    applied_shift_hz: np.ndarray
     passed: np.ndarray
     herald_click: np.ndarray
     signal_click: np.ndarray
+    first_bin: int
+    bin_frequency: np.ndarray
+    bin_shift_hz: np.ndarray
+    bin_routed: np.ndarray
     unshifted_hist: np.ndarray
     unshifted_edges: tuple  # (herald edges, signal edges), rad/s detunings
     shifted_hist: np.ndarray
@@ -681,6 +697,23 @@ class StreamResult:
     def pulses(self) -> int:
         """Number of pulses: the length of every event column."""
         return self.herald_bin.size
+
+    @property
+    def herald_frequency(self) -> np.ndarray:
+        """The measured herald frequency of each pulse, rad/s: a new column looked up per bin."""
+        return self.bin_frequency[_table_rows(self.herald_bin, self.first_bin)]
+
+    @property
+    def applied_shift_hz(self) -> np.ndarray:
+        """The shift applied to each pulse, Hz: a new column looked up per bin."""
+        return self.bin_shift_hz[_table_rows(self.herald_bin, self.first_bin)]
+
+
+def _table_rows(bins: np.ndarray, first_bin: int) -> np.ndarray:
+    """Rows of the bin table for herald bins: bins - first_bin, in intp so no difference wraps."""
+    rows = bins.astype(np.intp)
+    rows -= first_bin
+    return rows
 
 
 def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -760,13 +793,28 @@ class _Correlation:
 
 
 # pulses per block of the stream sampler, the joint histograms and the events writer:
-# their temporaries are a few block-sized columns, not copies of the whole stream
-_STREAM_BLOCK = 1 << 16
+# their temporaries are a few block-sized columns (about 2 MB), not copies of the
+# whole stream
+_STREAM_BLOCK = 1 << 14
 
 
 def _blocks(n: int):
     """Slices of _STREAM_BLOCK rows that cover n rows in order."""
     return (slice(start, start + _STREAM_BLOCK) for start in range(0, n, _STREAM_BLOCK))
+
+
+def _check_bin_reach(cfg: ScenarioConfig, spect: spectrometer.SpectrometerModel) -> None:
+    """The stream's herald bins must fit herald_bin's int16.
+
+    An idler within the sampled span, plus jitter within its reach, lands at
+    most serrodyne.lut_half_width of that span bins from the reference.
+    """
+    width = serrodyne.lut_half_width(spect, cfg._ghz("feedforward.idler_sample_span_ghz"))
+    if not width <= HERALD_BIN_LIMITS.max:
+        raise ConfigError("spectrometer.tdc_bin_ps", (
+            f"the stream's herald bins reach {width:.3g} TDC bins from the reference, past "
+            f"the {HERALD_BIN_LIMITS.max} an events.npy row holds; raise it or narrow "
+            "feedforward.idler_sample_span_ghz"))
 
 
 def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
@@ -783,17 +831,25 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     idlers and sum detunings as whole columns, the arrival-time jitter block
     by block (consecutive normal draws equal one whole draw), then the two
     click columns. The first pass over blocks of _STREAM_BLOCK pulses tags
-    each block with spectrometer.sample_herald_event, routes and filters it
-    through the LUT, and adds its detuning pairs to both correlations and
-    its passed events to the shifted histogram. The second pass bins the
-    unshifted pairs on the edges their extremes set. Columns and histograms
-    do not depend on the block size; the correlations only up to rounding.
+    each block with spectrometer.sample_herald_event, keeps its int16 bins,
+    routes and filters it through the LUT, and adds its detuning pairs to
+    both correlations and its passed events to the shifted histogram; the
+    herald frequencies and shifts live only for their block. The bin table
+    then takes bin_center_frequency and lut.route of every bin from the
+    lowest drawn to the highest, the same expressions per bin, so a lookup
+    in it gives each pulse's values bit for bit. The second pass bins the
+    unshifted pairs, their herald detunings gathered from the table, on the
+    edges their extremes set. Columns and histograms do not depend on the
+    block size; the correlations only up to rounding. A config whose bins
+    could pass int16 is rejected (_check_bin_reach), and a drawn bin beyond
+    it (a jitter tail past its reach) raises OverflowError.
     """
     pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
     window = cfg.signal_filter()
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
     lut = cfg.lut(spect)
+    _check_bin_reach(cfg, spect)
     herald_ref = spect.reference_frequency
     half_span = cfg._ghz("feedforward.idler_sample_span_ghz") / 2.0
     eta_s = cfg.get("statistics.eta_signal")
@@ -811,20 +867,27 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     signal += pump.center
     signal -= idler
 
-    bins = np.empty(pulses, dtype=int)
-    herald_meas = np.empty(pulses)
-    applied_hz = np.empty(pulses)
+    bins = np.empty(pulses, dtype=EVENTS_DTYPE["herald_bin"])
     passed = np.empty(pulses, dtype=bool)
     shifted_bins = _JointCounts(*shifted_edges, pulses)
     unshifted, shifted = _Correlation(), _Correlation()
     n_routed = 0
+    first, last = HERALD_BIN_LIMITS.max, HERALD_BIN_LIMITS.min
     for rows in _blocks(pulses):
-        bins[rows], herald_meas[rows] = spectrometer.sample_herald_event(spect, idler[rows], rng)
-        applied_hz[rows], routed = lut.route(bins[rows])
-        shifted_s = signal[rows] + defaults.TWO_PI * applied_hz[rows] - window.center
+        drawn, h = spectrometer.sample_herald_event(spect, idler[rows], rng)
+        low, high = int(drawn.min()), int(drawn.max())
+        if low < HERALD_BIN_LIMITS.min or high > HERALD_BIN_LIMITS.max:
+            raise OverflowError(f"herald TDC bins {low}..{high} drawn, outside the int16 of "
+                                "an events.npy row")
+        first, last = min(first, low), max(last, high)
+        bins[rows] = drawn
+        shifted_s, routed = lut.route(drawn)  # the shift in Hz, a new array
+        shifted_s *= defaults.TWO_PI
+        shifted_s += signal[rows]
+        shifted_s -= window.center
         passed[rows] = routed & (np.abs(shifted_s) <= window.half_width)
         n_routed += np.count_nonzero(routed)
-        h = herald_meas[rows] - herald_ref
+        h -= herald_ref
         unshifted.add(h, signal[rows] - window.center)
         h, shifted_s = h[passed[rows]], shifted_s[passed[rows]]  # the passed events
         shifted.add(h, shifted_s)
@@ -832,12 +895,18 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     shifted_hist = shifted_bins.counts()
     del shifted_bins  # out of the second pass's peak
 
+    table_bins = np.arange(first, last + 1)
+    bin_frequency = spect.bin_center_frequency(table_bins)
+    bin_shift_hz, bin_routed = lut.route(table_bins)
+
     edge = max(half_span, abs(unshifted.x_lo), abs(unshifted.x_hi),
                abs(unshifted.y_lo), abs(unshifted.y_hi)) * 1.0001
     full_edges = np.linspace(-edge, edge, bins_n + 1)
     unshifted_bins = _JointCounts(full_edges, full_edges, pulses)
+    herald_detuning = bin_frequency - herald_ref
     for rows in _blocks(pulses):
-        unshifted_bins.add(herald_meas[rows] - herald_ref, signal[rows] - window.center)
+        unshifted_bins.add(herald_detuning[_table_rows(bins[rows], first)],
+                           signal[rows] - window.center)
     unshifted_hist = unshifted_bins.counts()
     del unshifted_bins  # out of the click draws' peak
 
@@ -850,11 +919,13 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
         signal_frequency=signal,
         idler_frequency=idler,
         herald_bin=bins,
-        herald_frequency=herald_meas,
-        applied_shift_hz=applied_hz,
         passed=passed,
         herald_click=herald_click,
         signal_click=signal_click,
+        first_bin=first,
+        bin_frequency=bin_frequency,
+        bin_shift_hz=bin_shift_hz,
+        bin_routed=bin_routed,
         unshifted_hist=unshifted_hist,
         unshifted_edges=(full_edges, full_edges),
         shifted_hist=shifted_hist,
@@ -867,11 +938,12 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
 
 
 def _write_events(result: StreamResult, herald_ref: float, filter_center: float, path) -> None:
-    """events.npy: the event columns as EVENTS_DTYPE rows, the bytes np.save writes of them.
+    """events.npy: the drawn event columns as EVENTS_DTYPE rows, the bytes np.save writes of them.
 
     The .npy header goes first, then the rows, filled and written one
-    _STREAM_BLOCK at a time: the writer holds one block of rows (2.8 MB),
-    not a copy of every column.
+    _STREAM_BLOCK at a time: the writer holds one block of rows (344 kB),
+    not a copy of every column. The herald frequency and shift of a pulse
+    are its bin's row of herald_bins.npy (_write_herald_bins).
     """
     n = result.pulses
     header = {"descr": np.lib.format.dtype_to_descr(EVENTS_DTYPE), "fortran_order": False,
@@ -883,12 +955,25 @@ def _write_events(result: StreamResult, herald_ref: float, filter_center: float,
             events = block[:min(_STREAM_BLOCK, n - rows.start)]
             events["herald_bin"] = result.herald_bin[rows]
             events["idler_detuning_ghz"] = (result.idler_frequency[rows] - herald_ref) / GHZ
-            events["herald_detuning_ghz"] = (result.herald_frequency[rows] - herald_ref) / GHZ
             events["signal_detuning_ghz"] = (result.signal_frequency[rows] - filter_center) / GHZ
-            events["shift_ghz"] = result.applied_shift_hz[rows] / 1e9
             for flag in ("passed", "herald_click", "signal_click"):
                 events[flag] = getattr(result, flag)[rows]
             events.tofile(fh)
+
+
+def _write_herald_bins(result: StreamResult, herald_ref: float, path) -> None:
+    """herald_bins.npy: the stream's bin table as HERALD_BINS_DTYPE rows, from its lowest bin up.
+
+    Each row holds the per-pulse expressions of its bin, so
+    table[events["herald_bin"] - table["herald_bin"][0]] gives each pulse's
+    herald detuning and shift bit for bit.
+    """
+    table = np.empty(result.bin_frequency.size, dtype=HERALD_BINS_DTYPE)
+    table["herald_bin"] = np.arange(result.first_bin, result.first_bin + table.size)
+    table["herald_detuning_ghz"] = (result.bin_frequency - herald_ref) / GHZ
+    table["shift_ghz"] = result.bin_shift_hz / 1e9
+    table["routed"] = result.bin_routed
+    np.save(path, table, allow_pickle=False)
 
 
 def _write_histogram(hist: np.ndarray, edges: tuple, path, label: str) -> None:
@@ -916,13 +1001,15 @@ def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
            STREAM_INDEPENDENCE_MAX, checks, lines)
     events_path = out / "events.npy"
     _write_events(result, cfg.anchor(), cfg.signal_filter().center, events_path)
+    table_path = out / "herald_bins.npy"
+    _write_herald_bins(result, cfg.anchor(), table_path)
     un_path = out / "joint_hist_unshifted.txt"
     sh_path = out / "joint_hist_shifted.txt"
     _write_histogram(result.unshifted_hist, result.unshifted_edges, un_path,
                      "joint spectrum, no feed-forward")
     _write_histogram(result.shifted_hist, result.shifted_edges, sh_path,
                      "joint spectrum after feed-forward, filter passband")
-    return lines, checks, [events_path, un_path, sh_path]
+    return lines, checks, [events_path, table_path, un_path, sh_path]
 
 
 _RUNNERS = {

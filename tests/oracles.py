@@ -9,17 +9,18 @@ fraction in test_scenarios.py is checked against it.
 The feed-forward stream sampled whole column by whole column
 (whole_column_stream): the block sampler in scenarios must give the same
 columns, histograms, edges and fractions from the same generator, bit for
-bit. Its correlations come from np.corrcoef over whole columns, which the
-sampler's block sums match only to rounding.
+bit, and its bin table the oracle's whole herald frequency, shift and
+routed columns. Its correlations come from np.corrcoef over whole columns,
+which the sampler's block sums match only to rounding.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 
 from fmux import defaults, serrodyne
-from fmux.scenarios import StreamResult
 from fmux.spectrometer import (
     SpectrometerModel,
     frequency_to_arrival_time,
@@ -70,12 +71,14 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def whole_column_stream(cfg) -> StreamResult:
+def whole_column_stream(cfg) -> SimpleNamespace:
     """The feed-forward stream as one numpy expression per whole column.
 
     Every temporary spans all pulses; the histograms come from
-    np.histogram2d and the correlations from np.corrcoef. Every field but
-    r_unshifted and r_shifted is the sampler's bit for bit.
+    np.histogram2d and the correlations from np.corrcoef. It keeps a whole
+    column per pulse of the int64 herald bins, the measured herald
+    frequency, the applied shift and the routed flag. Every StreamResult
+    field but r_unshifted and r_shifted is the sampler's bit for bit.
     """
     pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
@@ -120,12 +123,14 @@ def whole_column_stream(cfg) -> StreamResult:
     shifted_hist = np.histogram2d(h_passed, s_passed, bins=shifted_edges)[0]
 
     n_routed = int(routed.sum())
-    return StreamResult(
+    return SimpleNamespace(
+        pulses=pulses,
         signal_frequency=signal,
         idler_frequency=idler,
         herald_bin=bins,
         herald_frequency=herald_meas,
         applied_shift_hz=applied_hz,
+        routed=routed,
         passed=passed,
         herald_click=herald_click,
         signal_click=signal_click,

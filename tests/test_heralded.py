@@ -19,7 +19,6 @@ from fmux.heralded import (
     _fold,
     _herald_factor,
     _herald_mixture,
-    _hermitize,
     _kernels,
     _norms_squared,
     _parity_blocks,
@@ -36,6 +35,12 @@ from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, sca
 from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
 
 GHZ = defaults.TWO_PI * 1e9
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Oracle: the Hermitian part of a complex matrix."""
+    return 0.5 * (m + m.conj().T)
+
 
 CFG = load_config("purity-combined")
 COMBINED_MODEL = CFG.heralded_model()
@@ -528,7 +533,7 @@ def einsum_density_matrix(model):
     m_env = np.einsum("k,kx,ky->xy", we / norms_sq, env, env)
     chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)
     m_chirp = np.einsum("k,kx,ky->xy", wh, chirp, chirp.conj())
-    return _hermitize(m_env * m_chirp)
+    return hermitize(m_env * m_chirp)
 
 
 def co_moving(model, matrix):
@@ -564,7 +569,7 @@ def test_real_spectrum_matches_complex_oracle_spectrum(model):
     m = model.scaled(0.5)
     dm = assemble_density_matrix(m)
     sw = np.sqrt(dm.grid.trapezoid_weights())
-    weighted = _hermitize(sw[:, None] * einsum_density_matrix(m) * sw[None, :])
+    weighted = hermitize(sw[:, None] * einsum_density_matrix(m) * sw[None, :])
     assert weighted.dtype == np.complex128
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
 
@@ -680,6 +685,10 @@ def test_density_matrix_validation_rejects_bad_input():
         (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), "negative eigenvalue"),
         (np.eye(3, dtype=complex), "not real"),
         (np.zeros((3, 3)), "zero"),
+        # an infinite pair once passed: its spectrum reads [-inf, nan, nan], and NaN is
+        # not below the negative-eigenvalue threshold
+        (np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [np.inf, 0.0, 1.0]]), "not finite"),
+        (np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), "not finite"),
     ]:
         with pytest.raises(ValueError, match=message):
             DiscretizedDensityMatrix(g, bad)

@@ -32,6 +32,7 @@ from fmux.scenarios import (
     ScenarioConfig,
     _JointCounts,
     _write_events,
+    _write_herald_bins,
     load_config,
     run_scenario,
     simulate_feedforward_stream,
@@ -324,7 +325,7 @@ def test_stream_scenario_checks_and_reproducibility(tmp_path):
     summary = run_scenario(cfg)
     assert summary["all_passed"]
     again = run_scenario(stream_cfg(tmp_path / "b"))
-    for name in ("summary.txt", "events.npy", "joint_hist_unshifted.txt",
+    for name in ("summary.txt", "events.npy", "herald_bins.npy", "joint_hist_unshifted.txt",
                  "joint_hist_shifted.txt"):
         first = (tmp_path / "a" / "feedforward-stream" / name).read_bytes()
         second = (tmp_path / "b" / "feedforward-stream" / name).read_bytes()
@@ -407,74 +408,112 @@ def small_stream(tmp_path_factory):
 # signed zeros, the smallest subnormal, +-1e300 and the non-finite values
 EDGE_VALUES = [-0.0, 0.0, 1 / 128, -1 / 128, 5e-7, -5e-7, 999.9999995, -999.9999995, 5e-324,
                1e300, -1e300, np.inf, -np.inf, np.nan]
-EDGE_BINS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]
+EDGE_BINS = [np.iinfo(np.int16).min, np.iinfo(np.int16).max, -1, 0, 1]
 
 
 def seeded_stream(result, rows: int, seed: int):
-    """result with every event column replaced by rows of edge values and their neighbours.
+    """result with every event column and its bin table replaced by edge values and neighbours.
 
     Each column cycles through its own shuffle of its pool, so a stream of
-    at least the pool's size holds every edge value in every column.
+    at least the pool's size holds every edge value in every column; the
+    bin table spans its lowest bin to its highest (all of int16 once both
+    extremes are drawn), its rows cycling through the pool too.
     """
     rng = np.random.default_rng(seed)
     edge = np.array(EDGE_VALUES)
     pool = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
                            rng.uniform(-400.0, 400.0, 64) * GHZ])
-    bins = np.concatenate([EDGE_BINS, rng.integers(-1500, 1500, 64)])
-    pick = lambda values: np.resize(rng.permutation(values), rows)  # noqa: E731
+    bins = np.concatenate([EDGE_BINS, rng.integers(-1500, 1500, 64)]).astype(np.int16)
+    pick = lambda values, n=rows: np.resize(rng.permutation(values), n)  # noqa: E731
+    herald_bin = pick(bins)
+    first = int(herald_bin.min())
+    size = int(herald_bin.max()) - first + 1
     return replace(
         result,
         idler_frequency=pick(pool),
-        herald_frequency=pick(pool),
         signal_frequency=pick(pool),
-        applied_shift_hz=pick(pool),
-        herald_bin=pick(bins),
+        herald_bin=herald_bin,
         passed=rng.random(rows) < 0.5,
         herald_click=rng.random(rows) < 0.5,
         signal_click=rng.random(rows) < 0.5,
+        first_bin=first,
+        bin_frequency=pick(pool, size),
+        bin_shift_hz=pick(pool, size),
+        bin_routed=rng.random(size) < 0.5,
     )
 
 
-EVENT_FIELDS = [("herald_bin", np.int64), ("idler_detuning_ghz", np.float64),
-                ("herald_detuning_ghz", np.float64), ("signal_detuning_ghz", np.float64),
-                ("shift_ghz", np.float64), ("passed", np.bool_), ("herald_click", np.bool_),
-                ("signal_click", np.bool_)]
+EVENT_FIELDS = [("herald_bin", np.int16), ("idler_detuning_ghz", np.float64),
+                ("signal_detuning_ghz", np.float64), ("passed", np.bool_),
+                ("herald_click", np.bool_), ("signal_click", np.bool_)]
+TABLE_FIELDS = [("herald_bin", np.int64), ("herald_detuning_ghz", np.float64),
+                ("shift_ghz", np.float64), ("routed", np.bool_)]
+
+
+def saved(rows: list, fields: list) -> bytes:
+    """The bytes np.save writes of an array built one row at a time from Python values."""
+    whole = io.BytesIO()
+    np.save(whole, np.array(rows, dtype=fields), allow_pickle=False)
+    return whole.getvalue()
 
 
 def oracle_events(result, ref: float, center: float) -> bytes:
     """events.npy as np.save writes an array built one pulse at a time from Python values."""
-    rows = [(int(result.herald_bin[i]),
-             (float(result.idler_frequency[i]) - ref) / GHZ,
-             (float(result.herald_frequency[i]) - ref) / GHZ,
-             (float(result.signal_frequency[i]) - center) / GHZ,
-             float(result.applied_shift_hz[i]) / 1e9,
-             bool(result.passed[i]), bool(result.herald_click[i]), bool(result.signal_click[i]))
-            for i in range(result.pulses)]
-    whole = io.BytesIO()
-    np.save(whole, np.array(rows, dtype=EVENT_FIELDS), allow_pickle=False)
-    return whole.getvalue()
+    return saved([(int(result.herald_bin[i]),
+                   (float(result.idler_frequency[i]) - ref) / GHZ,
+                   (float(result.signal_frequency[i]) - center) / GHZ,
+                   bool(result.passed[i]), bool(result.herald_click[i]),
+                   bool(result.signal_click[i]))
+                  for i in range(result.pulses)], EVENT_FIELDS)
+
+
+def oracle_table(result, ref: float) -> bytes:
+    """herald_bins.npy as np.save writes an array built one bin at a time from Python values."""
+    return saved([(result.first_bin + i,
+                   (float(result.bin_frequency[i]) - ref) / GHZ,
+                   float(result.bin_shift_hz[i]) / 1e9,
+                   bool(result.bin_routed[i]))
+                  for i in range(result.bin_frequency.size)], TABLE_FIELDS)
+
+
+def assert_same_bits(array: np.ndarray, expected: dict) -> None:
+    """Each named field of a structured array holds its column bit for bit, NaN and -0.0 too."""
+    for name, column in expected.items():
+        assert array[name].tobytes() == np.asarray(column).tobytes(), name
 
 
 def assert_events_round_trip(path, result, ref: float, center: float) -> np.ndarray:
     """events.npy loads without pickle as EVENT_FIELDS rows, one a pulse, each bit for bit."""
     events = np.load(path, allow_pickle=False)
     assert [(name, events.dtype[name]) for name in events.dtype.names] == EVENT_FIELDS
-    assert events.shape == (result.pulses,)
-    expected = {
+    assert events.dtype.itemsize == 21 and events.shape == (result.pulses,)
+    assert_same_bits(events, {
         "herald_bin": result.herald_bin,
         "idler_detuning_ghz": (result.idler_frequency - ref) / GHZ,
-        "herald_detuning_ghz": (result.herald_frequency - ref) / GHZ,
         "signal_detuning_ghz": (result.signal_frequency - center) / GHZ,
-        "shift_ghz": result.applied_shift_hz / 1e9,
         "passed": result.passed,
         "herald_click": result.herald_click,
         "signal_click": result.signal_click,
-    }
-    for name, column in expected.items():  # bit for bit: NaN and -0.0 included
-        assert events[name].tobytes() == column.tobytes(), name
+    })
     # the blocks add up to the file np.save writes of the whole array
     assert path.read_bytes() == oracle_events(result, ref, center)
     return events
+
+
+def assert_table_round_trip(path, result, ref: float) -> np.ndarray:
+    """herald_bins.npy loads without pickle as TABLE_FIELDS rows, one a bin, each bit for bit."""
+    table = np.load(path, allow_pickle=False)
+    assert [(name, table.dtype[name]) for name in table.dtype.names] == TABLE_FIELDS
+    low, high = int(result.herald_bin.min()), int(result.herald_bin.max())  # no int16 wrap
+    assert table.shape == (high - low + 1,)
+    assert_same_bits(table, {
+        "herald_bin": np.arange(low, high + 1),
+        "herald_detuning_ghz": (result.bin_frequency - ref) / GHZ,
+        "shift_ghz": result.bin_shift_hz / 1e9,
+        "routed": result.bin_routed,
+    })
+    assert path.read_bytes() == oracle_table(result, ref)
+    return table
 
 
 # The events file was a CSV before it became events.npy; these tests keep their names.
@@ -485,6 +524,8 @@ def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch
     path = tmp_path / "events.npy"
     _write_events(result, ref, center, path)
     assert_events_round_trip(path, result, ref, center)
+    _write_herald_bins(result, ref, tmp_path / "herald_bins.npy")
+    assert_table_round_trip(tmp_path / "herald_bins.npy", result, ref)
 
 
 @pytest.mark.parametrize("rows, block", [(1, 4), (3, 4), (4, 4), (5, 4), (9, 4),
@@ -494,16 +535,23 @@ def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkey
                                                   block):
     monkeypatch.setattr(scenarios, "_STREAM_BLOCK", block)
     result = seeded_stream(small_stream[0], rows, seed=rows)
-    path = tmp_path / "events.npy"
+    path, table_path = tmp_path / "events.npy", tmp_path / "herald_bins.npy"
     for ref, center in ((0.0, 0.0), small_stream[1:]):
         _write_events(result, ref, center, path)
         events = assert_events_round_trip(path, result, ref, center)
+        _write_herald_bins(result, ref, table_path)
+        table = assert_table_round_trip(table_path, result, ref)
     if rows >= 3 * len(EDGE_VALUES) + 64:  # every pool value is in every column
-        shift = events["shift_ghz"]
+        # both int16 extremes are drawn, so the table spans all of int16
+        assert set(EDGE_BINS) <= set(events["herald_bin"].tolist())
+        assert table.size == 1 << 16
+        shift = table["shift_ghz"]
         assert np.isnan(shift).any() and np.isinf(shift).any()
         assert (shift == 1e300 / 1e9).any() and (shift == -1e300 / 1e9).any()
         assert np.signbit(shift[shift == 0.0]).any()
-        assert set(EDGE_BINS) <= set(events["herald_bin"].tolist())
+        # the lookup indexes the table from both extremes without wrapping
+        looked_up = table[events["herald_bin"] - table["herald_bin"][0]]
+        assert np.array_equal(looked_up["herald_bin"], events["herald_bin"])
 
 
 def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
@@ -614,7 +662,8 @@ def test_hist_text_writer_memory_is_one_row(tmp_path):
     assert peak < hist.size * np.dtype(int).itemsize, peak
 
 
-STREAM_COLUMNS = ("signal_frequency", "idler_frequency", "herald_bin", "herald_frequency",
+# the herald frequency and shift are the sampler's lookups in its bin table
+STREAM_COLUMNS = ("signal_frequency", "idler_frequency", "herald_frequency",
                   "applied_shift_hz", "passed", "herald_click", "signal_click")
 
 
@@ -623,7 +672,17 @@ def assert_same_number(got: float, want: float, name: str) -> None:
 
 
 def assert_matches_whole_column_stream(result, oracle) -> None:
-    """Every column, histogram and edge bit for bit; both correlations within 1e-12 relative."""
+    """Every column, table lookup, histogram and edge bit for bit; correlations within 1e-12.
+
+    The sampler's int16 herald bins hold the oracle's int64 bins, and its
+    table spans them from the lowest to the highest.
+    """
+    assert result.herald_bin.dtype == np.int16 and oracle.herald_bin.dtype == np.int64
+    assert np.array_equal(result.herald_bin, oracle.herald_bin)
+    assert result.first_bin == oracle.herald_bin.min()
+    assert result.bin_frequency.size == oracle.herald_bin.max() - oracle.herald_bin.min() + 1
+    rows = oracle.herald_bin - result.first_bin
+    assert np.array_equal(result.bin_routed[rows], oracle.routed)
     for name in STREAM_COLUMNS + ("unshifted_hist", "shifted_hist"):
         got, want = getattr(result, name), getattr(oracle, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
@@ -670,9 +729,70 @@ def test_stream_sampler_matches_whole_column_oracle_at_its_own_block(tmp_path):
     assert_matches_whole_column_stream(simulate_feedforward_stream(cfg), whole_column_stream(cfg))
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"feedforward.stream_spectrometer": "measured"},
+    {"shifter.max_shift_ghz": 40.0},  # bins drawn outside the drive range: unrouted rows
+], ids=["nominal", "measured", "narrow_drive_range"])
+def test_stream_events_and_bin_table_rebuild_the_whole_columns(tmp_path, overrides):
+    # events.npy keeps what was drawn; its bin's row of herald_bins.npy gives each
+    # pulse the herald detuning and shift the whole-column oracle computes per pulse
+    cfg = stream_cfg(tmp_path, pulses=20_000, **overrides)
+    run_scenario(cfg)
+    out = tmp_path / "feedforward-stream"
+    events = np.load(out / "events.npy", allow_pickle=False)
+    table = np.load(out / "herald_bins.npy", allow_pickle=False)
+    oracle = whole_column_stream(cfg)
+    ref = cfg.anchor()
+    assert events.dtype.itemsize == 21 and events["herald_bin"].dtype == np.int16
+    assert np.array_equal(events["herald_bin"], oracle.herald_bin)
+    assert np.array_equal(table["herald_bin"],
+                          np.arange(oracle.herald_bin.min(), oracle.herald_bin.max() + 1))
+    per_pulse = table[events["herald_bin"] - table["herald_bin"][0]]
+    assert_same_bits(per_pulse, {
+        "herald_bin": oracle.herald_bin,
+        "herald_detuning_ghz": (oracle.herald_frequency - ref) / GHZ,
+        "shift_ghz": oracle.applied_shift_hz / 1e9,
+        "routed": oracle.routed,
+    })
+    assert_same_bits(events, {
+        "idler_detuning_ghz": (oracle.idler_frequency - ref) / GHZ,
+        "signal_detuning_ghz": (oracle.signal_frequency - cfg.signal_filter().center) / GHZ,
+        "passed": oracle.passed,
+        "herald_click": oracle.herald_click,
+        "signal_click": oracle.signal_click,
+    })
+    assert not table["routed"].all()  # the drawn bins reach past the routed window
+
+
+def test_stream_bins_near_the_int16_reach_match_the_oracle(tmp_path):
+    # with 0.2 ps TDC bins the stream's bins may reach 2.7e4, near int16's 32767
+    cfg = stream_cfg(tmp_path, pulses=SAMPLER_BLOCK + 3, **{"spectrometer.tdc_bin_ps": 0.2})
+    result = simulate_feedforward_stream(cfg)
+    assert np.abs(result.herald_bin.astype(int)).max() > 20_000
+    assert_matches_whole_column_stream(result, whole_column_stream(cfg))
+
+
+@pytest.mark.parametrize("offset", [1, -1], ids=["above", "below"])
+def test_stream_bin_beyond_int16_raises(tmp_path, monkeypatch, offset):
+    # a jitter tail past its reach would draw such a bin: it is not cast into int16
+    draw = spectrometer.sample_herald_event
+    limits = np.iinfo(np.int16)
+
+    def far_tail(spect, omega, rng):
+        bins, frequency = draw(spect, omega, rng)
+        bins[-1] = limits.max + 1 if offset > 0 else limits.min - 1
+        return bins, frequency
+
+    monkeypatch.setattr(spectrometer, "sample_herald_event", far_tail)
+    with pytest.raises(OverflowError, match="int16"):
+        simulate_feedforward_stream(stream_cfg(tmp_path, pulses=2000))
+
+
 def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
-    # the peak is the columns it returns (43 B a pulse), one scratch column (8 B) and a
-    # few block-sized temporaries
+    # the peak is the columns it returns (19 B a pulse, 21 with the clicks), one scratch
+    # column (8 B: a histogram's joint-bin index, then the click draws) and a few
+    # block-sized temporaries
     cfg = stream_cfg(tmp_path, pulses=1000)
     simulate_feedforward_stream(cfg)  # first-call allocations
     per_pulse = []
@@ -841,6 +961,9 @@ def test_pair_rates_change_no_output_of_the_scenarios_that_do_not_read_them(
     # a lookup table of about 1.5e5 TDC bins: only the stream and lut-dump tabulate it
     ("spectrometer.dispersion_ps_per_ghz", "1e5", ("purity-jitter",),
      ("lut-dump", "feedforward-stream")),
+    # 0.1 ps TDC bins: the table's 3.8e4 rows pass LUT_BINS_MAX, but the stream's bins
+    # would reach 5.3e4, past the int16 of an events.npy row
+    ("spectrometer.tdc_bin_ps", "0.1", ("lut-dump",), ("feedforward-stream",)),
 ])
 def test_each_scenario_rejects_only_what_it_builds(tmp_path, capsys, dotted, value, runs,
                                                    rejects):
