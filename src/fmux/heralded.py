@@ -470,9 +470,10 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     The envelope of node -e at -x equals that of e at x, the error weights
     are symmetric and the Toeplitz factor is even under (i, j) -> (n-1-i,
     n-1-j), so rho(-x, -y) = rho(x, y). Only the rows x >= 0 are computed
-    (half the GEMM); the rows x < 0 are their mirror images, which makes the
-    returned matrix exactly even as well as exactly symmetric, the form its
-    constructor requires; validation eigensolves it once, block by block.
+    (half the GEMM) and symmetrized; the rows x < 0 are their mirror images,
+    which makes the returned matrix exactly even as well as exactly
+    symmetric, the form its constructor requires; validation eigensolves it
+    once, block by block.
     """
     e, q, grid, x = _kernels(model)
     n = x.size
@@ -489,8 +490,11 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     rho = np.empty((n, n))
     rho[lo:] = half
     rho[:lo] = half[r:][::-1, ::-1]
-    np.add(rho, rho.T, out=rho)  # exactly symmetric, in place
-    rho *= 0.5
+    # rho is exactly even, so the rows x >= 0 of (rho + rho^T) / 2 mirror into the rest
+    half = rho[lo:] + rho[:, lo:].T
+    half *= 0.5
+    rho[lo:] = half
+    rho[:lo] = half[r:][::-1, ::-1]
     return DiscretizedDensityMatrix(grid, rho)
 
 

@@ -11,6 +11,7 @@ same config and seed; the manifest differs only in its wall-time field.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -18,6 +19,7 @@ import math
 import platform
 import sys
 import time
+import types
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,10 +171,16 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _default_parser() -> configparser.ConfigParser:
+@functools.cache
+def _default_values() -> types.MappingProxyType:
+    """The raw string of every _SCHEMA key in the packaged default.cfg, parsed once a process.
+
+    The mapping is read-only, so no caller can change what the next one reads.
+    """
     ref = importlib.resources.files("fmux").joinpath("data/default.cfg")
     with importlib.resources.as_file(ref) as path:
-        return _read_ini(path)
+        parser = _read_ini(path)
+    return types.MappingProxyType({dotted: parser.get(*dotted.split(".")) for dotted in _SCHEMA})
 
 
 @dataclass
@@ -375,24 +383,21 @@ def load_config(
     seed and grid_scale, when given, replace run.seed and run.grid_scale in
     params, so every echo of the configuration shows the values in effect.
     """
-    parser = _default_parser()
+    values = dict(_default_values())
     if config_path is not None:
         user = _read_ini(config_path)
         for section in user.sections():
-            for key in user[section]:
-                dotted = f"{section}.{key}"
+            overlay = {f"{section}.{key}": value for key, value in user[section].items()}
+            for dotted in overlay:
                 if dotted not in _SCHEMA:
                     raise ConfigError(dotted, "unknown configuration key")
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser[section].update(user[section])
+            values.update(overlay)
     overrides = {"run.seed": seed, "run.grid_scale": grid_scale}
     params = {}
     for dotted, (caster, _) in _SCHEMA.items():
-        section, key = dotted.split(".")
         raw = overrides.get(dotted)
         if raw is None:
-            raw = parser.get(section, key)
+            raw = values[dotted]
         try:
             params[dotted] = caster(raw)
         except ValueError as err:
@@ -838,11 +843,12 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     then takes bin_center_frequency and lut.route of every bin from the
     lowest drawn to the highest, the same expressions per bin, so a lookup
     in it gives each pulse's values bit for bit. The second pass bins the
-    unshifted pairs, their herald detunings gathered from the table, on the
-    edges their extremes set. Columns and histograms do not depend on the
-    block size; the correlations only up to rounding. A config whose bins
-    could pass int16 is rejected (_check_bin_reach), and a drawn bin beyond
-    it (a jitter tail past its reach) raises OverflowError.
+    unshifted pairs on the edges their extremes set, the herald axis once
+    per table row, which each pulse looks up by its bin. Columns and
+    histograms do not depend on the block size; the correlations only up to
+    rounding. A config whose bins could pass int16 is rejected
+    (_check_bin_reach), and a drawn bin beyond it (a jitter tail past its
+    reach) raises OverflowError.
     """
     pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
@@ -902,13 +908,14 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     edge = max(half_span, abs(unshifted.x_lo), abs(unshifted.x_hi),
                abs(unshifted.y_lo), abs(unshifted.y_hi)) * 1.0001
     full_edges = np.linspace(-edge, edge, bins_n + 1)
-    unshifted_bins = _JointCounts(full_edges, full_edges, pulses)
-    herald_detuning = bin_frequency - herald_ref
+    # every pair lies inside these edges; a bin's herald row is binned once, per table row
+    row_offset = _bin_index(bin_frequency - herald_ref, full_edges) * bins_n
+    flat = np.empty(pulses, dtype=np.intp)
     for rows in _blocks(pulses):
-        unshifted_bins.add(herald_detuning[_table_rows(bins[rows], first)],
-                           signal[rows] - window.center)
-    unshifted_hist = unshifted_bins.counts()
-    del unshifted_bins  # out of the click draws' peak
+        np.take(row_offset, _table_rows(bins[rows], first), out=flat[rows])
+        flat[rows] += _bin_index(signal[rows] - window.center, full_edges)
+    unshifted_hist = np.bincount(flat, minlength=bins_n * bins_n).reshape(bins_n, -1).astype(float)
+    del flat  # out of the click draws' peak
 
     scratch = np.empty(pulses)
     herald_click = rng.random(out=scratch) < eta_h

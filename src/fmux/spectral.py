@@ -3,9 +3,12 @@
 The joint spectral amplitude (JSA) f(omega_s, omega_i) of a photon pair is
 held on a uniform 2-D grid, with trapezoid quadrature weights folded into
 the amplitude matrix M, so Schmidt quantities converge with grid refinement.
-The purity is ||M M^H||_F^2 / ||M||_F^4, one Gram product; the Schmidt
-spectrum itself is the singular-value decomposition of M. These routines are
-the independent oracle for the heralded-state purity engine.
+A real amplitude (every state the scenarios build) stays float64, so its
+arithmetic is real; a complex one, such as a chirped state, stays complex.
+The purity is ||M M^H||_F^2 / ||M||_F^4, one Gram product (M M^T for a real
+M); the Schmidt spectrum itself is the singular-value decomposition of M.
+These routines are the independent oracle for the heralded-state purity
+engine.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "rotated_gaussian_purity",
     "apply_filter",
     "intensity_correlation",
-    "JSA_DTYPE",
     "write_jsa_text",
 ]
 
@@ -167,10 +169,12 @@ def _grid_norm(signal_grid: FrequencyGrid, herald_grid: FrequencyGrid, amplitude
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Complex pair amplitude on the (signal, herald) grid, unit L2 norm.
+    """Pair amplitude on the (signal, herald) grid, unit L2 norm.
 
     amplitude[i, j] is f(signal_grid.values[i], herald_grid.values[j]); the
-    norm is taken with trapezoid grid weights.
+    norm is taken with trapezoid grid weights. A real amplitude is held as
+    float64 and a complex one as complex128, so every operation on a real
+    state runs in real arithmetic.
     """
 
     signal_grid: FrequencyGrid
@@ -178,7 +182,8 @@ class JointSpectralAmplitude:
     amplitude: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitude, dtype=complex)
+        a = np.asarray(self.amplitude)
+        a = a.astype(np.result_type(a, float), copy=False)  # float64 or complex128
         if a.shape != (self.signal_grid.points, self.herald_grid.points):
             raise ValueError("amplitude shape does not match grids")
         if not np.all(np.isfinite(a.view(float))):
@@ -273,7 +278,9 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
 
     The reduced state is the Gram matrix G = M M^H of the weighted amplitude,
     up to its trace, so sum_k lambda_k^2 = ||G||_F^2 / Tr(G)^2 without the
-    singular values themselves.
+    singular values themselves. For a real M, conj() returns M itself, so
+    the product is M M^T on one buffer, which numpy computes as a symmetric
+    rank-k update.
     """
     m = jsa.weighted_matrix()
     gram = m @ m.conj().T
@@ -346,27 +353,24 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
     return cov / math.sqrt(vs * vh)
 
 
-# joint_spectrum*.npy: one element per grid point, indexed (signal, herald); the two
-# angular frequencies (rad/s) and the amplitude's parts, all at full precision
-JSA_DTYPE = np.dtype([
-    ("omega_s", np.float64),
-    ("omega_i", np.float64),
-    ("re", np.float64),
-    ("im", np.float64),
-])
-
-
 # the name is older than the .npy format; the benchmark's per-layer metrics are keyed on it
 def write_jsa_text(jsa: JointSpectralAmplitude, path) -> None:
-    """The JSA as the bytes np.save writes of a (signal, herald) array of JSA_DTYPE rows.
+    """The JSA as the bytes np.save writes of one structured record.
 
-    The file is written to exactly path (np.save on a bare path would add
-    ".npy"). Read it back with np.load(path, allow_pickle=False).
+    The record's fields are omega_s (the signal grid, rad/s), omega_i (the
+    herald grid, rad/s) and amplitude (signal points x herald points, in the
+    JSA's own dtype), all at full precision. The file is written to exactly
+    path (np.save on a bare path would add ".npy"). Read the matrix back with
+    np.load(path, allow_pickle=False)["amplitude"].
     """
-    rows = np.empty(jsa.amplitude.shape, dtype=JSA_DTYPE)
-    rows["omega_s"] = jsa.signal_grid.values[:, None]
-    rows["omega_i"] = jsa.herald_grid.values[None, :]
-    rows["re"] = jsa.amplitude.real
-    rows["im"] = jsa.amplitude.imag
+    amp = jsa.amplitude
+    record = np.empty((), dtype=[
+        ("omega_s", np.float64, (amp.shape[0],)),
+        ("omega_i", np.float64, (amp.shape[1],)),
+        ("amplitude", amp.dtype, amp.shape),
+    ])
+    record["omega_s"] = jsa.signal_grid.values
+    record["omega_i"] = jsa.herald_grid.values
+    record["amplitude"] = amp
     with open(path, "wb") as fh:
-        np.save(fh, rows, allow_pickle=False)
+        np.save(fh, record, allow_pickle=False)

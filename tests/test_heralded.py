@@ -562,6 +562,30 @@ def test_gemm_assembly_matches_einsum_oracle(model):
     assert np.abs(rho - co_moving(m, oracle)).max() <= 1e-12 * np.abs(oracle).max()
 
 
+def fully_symmetrized_density_matrix(model) -> np.ndarray:
+    """Oracle: the assembly symmetrized as a whole matrix, (rho + rho^T) / 2, after mirroring."""
+    e, q, _, x = heralded._kernels(model)
+    n = x.size
+    lo, r = n // 2, n % 2
+    env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
+    rc = heralded._herald_factor(model, np.arange(n))
+    toeplitz = rc[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+    half = ((env[:, lo:].T * q) @ env) * toeplitz[lo:]
+    if r:
+        half[0] = 0.5 * (half[0] + half[0, ::-1])
+    rho = np.empty((n, n))
+    rho[lo:] = half
+    rho[:lo] = half[r:][::-1, ::-1]
+    return 0.5 * (rho + rho.T)
+
+
+@FRAME_MODELS
+def test_half_symmetrization_is_bit_identical_to_the_full_one(model):
+    for m in (model, replace(model, n_signal=model.n_signal - 1)):  # odd and even grid sizes
+        assert np.array_equal(assemble_density_matrix(m).matrix,
+                              fully_symmetrized_density_matrix(m))
+
+
 @FRAME_MODELS
 def test_real_spectrum_matches_complex_oracle_spectrum(model):
     from scipy import linalg

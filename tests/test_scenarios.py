@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fmux
-from fmux import cli, defaults, heralded, losses, scenarios, spectrometer, statistics
+from fmux import cli, defaults, heralded, losses, scenarios, spectral, spectrometer, statistics
 from fmux.scenarios import (
     GHZ,
     HISTOGRAM_BINS_MAX,
@@ -79,6 +79,27 @@ def test_user_overlay(tmp_path):
     cfg = load_config("stats-sweep", config_path=path)
     assert cfg.params["statistics.eta_signal"] == 0.2
     assert cfg.params["statistics.eta_herald"] == 0.13  # untouched default
+
+
+def test_overlays_and_mutated_params_do_not_leak_into_the_next_config(tmp_path, monkeypatch):
+    defaults_before = dict(load_config("stats-sweep").params)
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("[statistics]\neta_signal = 0.2\n[run]\nseed = 5\n")
+    second.write_text("[statistics]\neta_herald = 0.3\n")
+    a = load_config("stats-sweep", config_path=first)
+    b = load_config("stats-sweep", config_path=second, seed=8)
+    assert (a.params["statistics.eta_signal"], a.params["statistics.eta_herald"], a.seed) == (
+        0.2, 0.13, 5)
+    assert (b.params["statistics.eta_signal"], b.params["statistics.eta_herald"], b.seed) == (
+        defaults_before["statistics.eta_signal"], 0.3, 8)
+    a.params["statistics.n_modes"] = 1.0
+    b.params.clear()
+    reads = []
+    monkeypatch.setattr(scenarios, "_read_ini", lambda path: reads.append(path))
+    assert load_config("stats-sweep").params == defaults_before
+    assert reads == []  # the packaged defaults are parsed once a process
+    with pytest.raises(TypeError):
+        scenarios._default_values()["run.seed"] = "9"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -243,8 +264,21 @@ def test_joint_spectrum_runs_no_svd_and_reruns_byte_identical(tmp_path, monkeypa
     # both Schmidt purities come from Gram products
     assert solves == []
     assert outputs[0] == outputs[1]
-    jsa = np.load(tmp_path / "first" / "joint-spectrum" / "joint_spectrum.npy", allow_pickle=False)
-    assert jsa.shape == (257, 257) and jsa.dtype.names == ("omega_s", "omega_i", "re", "im")
+    out = tmp_path / "first" / "joint-spectrum"
+    record = np.load(out / "joint_spectrum.npy", allow_pickle=False)
+    assert record.shape == () and record.dtype.names == ("omega_s", "omega_i", "amplitude")
+    assert record["amplitude"].shape == (257, 257) and record["amplitude"].dtype == np.float64
+    # the record rebuilds the state: unit norm, and the marginals the scenario wrote
+    signal_grid, herald_grid = (spectral.FrequencyGrid(v[v.size // 2], v[-1] - v[0], v.size)
+                                for v in (record["omega_s"], record["omega_i"]))
+    np.testing.assert_allclose(signal_grid.values, record["omega_s"], rtol=1e-15)
+    np.testing.assert_allclose(herald_grid.values, record["omega_i"], rtol=1e-15)
+    jsa = spectral.JointSpectralAmplitude(signal_grid, herald_grid, record["amplitude"])
+    norm = spectral._grid_norm(signal_grid, herald_grid, jsa.amplitude)
+    assert abs(norm - 1.0) <= 1e-13
+    marginals = np.loadtxt(out / "marginals.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(marginals[:, 1], jsa.signal_marginal(), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(marginals[:, 3], jsa.herald_marginal(), rtol=1e-12, atol=0)
 
 
 def test_hom_dip_scenario(tmp_path):

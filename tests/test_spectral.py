@@ -16,6 +16,7 @@ from fmux.spectral import (
     JointSpectralAmplitude,
     PumpEnvelope,
     TopHatWindow,
+    _grid_norm,
     _normalized,
     apply_filter,
     build_anticorrelated_jsa,
@@ -225,8 +226,11 @@ def test_default_grid_shape():
     assert math.isclose(g.span, 12.0 * PUMP.sigma)
 
 
-JSA_FIELDS = [("omega_s", np.float64), ("omega_i", np.float64), ("re", np.float64),
-              ("im", np.float64)]
+def jsa_record_fields(jsa: JointSpectralAmplitude) -> list:
+    """The (name, dtype, shape) of each field of the JSA's .npy record."""
+    ns, nh = jsa.amplitude.shape
+    return [("omega_s", np.dtype(np.float64), (ns,)), ("omega_i", np.dtype(np.float64), (nh,)),
+            ("amplitude", jsa.amplitude.dtype, (ns, nh))]
 
 
 def scenario_states() -> dict:
@@ -256,29 +260,88 @@ def test_schmidt_purity_matches_singular_values():
         assert math.isclose(schmidt_purity(state), float((lam**2).sum()), rel_tol=1e-12), name
 
 
+def test_real_jsa_matches_its_complex_copy():
+    # the real state runs in real arithmetic; its complex128 copy takes the complex path
+    states = scenario_states()
+    for name in ("full", "filtered"):
+        state = states[name]
+        copy = JointSpectralAmplitude(state.signal_grid, state.herald_grid,
+                                      state.amplitude.astype(np.complex128))
+        assert copy.amplitude.dtype == np.complex128
+        for f in (lambda j: _grid_norm(j.signal_grid, j.herald_grid, j.amplitude),
+                  intensity_correlation, schmidt_purity):
+            assert math.isclose(f(state), f(copy), rel_tol=1e-13), name
+        for f in (JointSpectralAmplitude.signal_marginal, JointSpectralAmplitude.herald_marginal):
+            np.testing.assert_allclose(f(state), f(copy), rtol=1e-13, atol=0, err_msg=name)
+
+
+def test_real_jsa_stays_float64_and_chirped_stays_complex():
+    states = scenario_states()
+    for name in ("full", "filtered"):
+        assert states[name].amplitude.dtype == np.float64, name
+        assert states[name].weighted_matrix().dtype == np.float64, name
+    assert states["chirped"].amplitude.dtype == np.complex128
+    assert states["chirped"].weighted_matrix().dtype == np.complex128
+    pump, sg, hg = reference_pair(33, 33)
+    narrowed, _ = apply_filter(build_anticorrelated_jsa(pump, sg, hg),
+                               GaussianWindow(HERALD_REF, pump.sigma), axis="herald")
+    assert narrowed.amplitude.dtype == np.float64
+
+
+class _MatmulSpy(np.ndarray):
+    """An ndarray that records the operand dtypes of every matmul it takes part in."""
+
+    operands: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul:
+            _MatmulSpy.operands.append(tuple(x.dtype for x in plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_schmidt_purity_of_a_real_jsa_builds_no_complex_array(monkeypatch):
+    weighted = JointSpectralAmplitude.weighted_matrix
+    monkeypatch.setattr(JointSpectralAmplitude, "weighted_matrix",
+                        lambda jsa: weighted(jsa).view(_MatmulSpy))
+    monkeypatch.setattr(_MatmulSpy, "operands", [])
+    states = scenario_states()
+    schmidt_purity(states["full"])
+    schmidt_purity(states["filtered"])
+    assert _MatmulSpy.operands == [(np.dtype(np.float64),) * 2] * 2
+    _MatmulSpy.operands.clear()
+    schmidt_purity(states["chirped"])
+    assert _MatmulSpy.operands == [(np.dtype(np.complex128),) * 2]
+
+
 def test_jsa_npy_round_trip(tmp_path):
     pump, sg, hg = reference_pair(65, 33)
     jsa = build_anticorrelated_jsa(pump, sg, hg, phase_matching_sigma=2.0 * pump.sigma)
-    path = tmp_path / "jsa"  # no suffix, so an appended ".npy" would show
-    write_jsa_text(jsa, path)
-    assert [p.name for p in tmp_path.iterdir()] == ["jsa"]
-    rows = np.load(path, allow_pickle=False)
-    assert [(name, rows.dtype[name]) for name in rows.dtype.names] == JSA_FIELDS
-    assert rows.shape == (65, 33)  # signal index first
-    np.testing.assert_array_equal(rows["omega_s"], np.broadcast_to(sg.values[:, None], (65, 33)))
-    np.testing.assert_array_equal(rows["omega_i"], np.broadcast_to(hg.values[None, :], (65, 33)))
-    np.testing.assert_array_equal(rows["re"] + 1j * rows["im"], jsa.amplitude)
+    chirp = np.exp(1j * sg.detunings / pump.sigma)[:, None]
+    chirped = JointSpectralAmplitude(sg, hg, jsa.amplitude * chirp)
+    for name, state in (("jsa", jsa), ("chirped", chirped)):
+        path = tmp_path / name  # no suffix, so an appended ".npy" would show
+        write_jsa_text(state, path)
+        record = np.load(path, allow_pickle=False)
+        assert record.shape == ()
+        assert [(f, record.dtype[f].base, record.dtype[f].shape)
+                for f in record.dtype.names] == jsa_record_fields(state)
+        np.testing.assert_array_equal(record["omega_s"], sg.values)
+        np.testing.assert_array_equal(record["omega_i"], hg.values)
+        assert record["amplitude"].shape == (65, 33)  # signal index first
+        np.testing.assert_array_equal(record["amplitude"], state.amplitude)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chirped", "jsa"]
+    assert np.load(tmp_path / "chirped", allow_pickle=False)["amplitude"].dtype == np.complex128
 
 
 def oracle_jsa_npy(jsa: JointSpectralAmplitude) -> bytes:
-    """Oracle: the JSA export as np.save writes an array built one element at a time."""
+    """Oracle: the JSA export as np.save writes a record built from Python numbers."""
     vs, vh = jsa.signal_grid.values, jsa.herald_grid.values
-    rows = [[(float(vs[i]), float(vh[j]), float(jsa.amplitude[i, j].real),
-              float(jsa.amplitude[i, j].imag))
-             for j in range(jsa.herald_grid.points)]
-            for i in range(jsa.signal_grid.points)]
+    amplitude = [[jsa.amplitude[i, j].item() for j in range(jsa.herald_grid.points)]
+                 for i in range(jsa.signal_grid.points)]
+    record = np.array((vs.tolist(), vh.tolist(), amplitude), dtype=jsa_record_fields(jsa))
     whole = io.BytesIO()
-    np.save(whole, np.array(rows, dtype=JSA_FIELDS), allow_pickle=False)
+    np.save(whole, record, allow_pickle=False)
     return whole.getvalue()
 
 
