@@ -6,8 +6,6 @@ factors from the model, sketches the dip, and puts the bench measurement next
 to it.
 """
 
-import math
-
 import numpy as np
 
 from dataclasses import replace
@@ -34,12 +32,7 @@ def main():
     cfg = load_config("hom-dip")
     model = cfg.heralded_model()
     purity = heralded.purity_integral(model)
-    dm = heralded.assemble_density_matrix(model)
-    w = dm.grid.trapezoid_weights()
-    p = np.real(np.diag(dm.matrix)) * w
-    x = dm.grid.detunings
-    mean = float(p @ x)
-    sigma_eff = math.sqrt(float(p @ (x - mean) ** 2))  # heralded intensity rms width
+    sigma_eff = heralded.assemble_density_matrix(model).intensity_width()  # heralded intensity rms
 
     shift_range_hz = 2.0 * cfg.get("shifter.max_shift_ghz") * 1e9
     counts = replace(

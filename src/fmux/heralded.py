@@ -16,22 +16,24 @@ this module evaluates two ways:
   has the closed form sin(L phi) / (2L tan(phi / 2)): O(n) trig. The pairs
   are then summed along the diagonals of the signal grid in O(n). It is the
   one fast enough for sweeps.
-* assemble_density_matrix + purity_from_eigenvalues: materialize rho and sum
+* assemble_density_matrix + purity_from_eigenvalues: build the state and sum
   its squared eigenvalues. The herald window is symmetric about its mean
   shift h0 with symmetric weights, so the herald mixture of delay-line chirps
   is the diagonal phase exp(i gamma (x - h0)^2) times a real symmetric
   Toeplitz matrix times its conjugate. In the frame that co-moves with that
-  phase rho is real symmetric: one real GEMM and the same closed-form herald
-  factor build it. A DiscretizedDensityMatrix holds only that form, exactly
-  symmetric and even, and is eigensolved once, during validation; every
-  later eigenvalues() call returns that cached spectrum. The state has a
-  handful of modes, so each parity block is solved through a
-  diagonal-pivoted Cholesky factor of a few columns, stopped once the
-  largest residual diagonal is at most 1e-15 of the block's trace. When the
-  residual's Frobenius norm is at most 1e-12 it bounds the error of every
-  eigenvalue (Weyl), and the spectrum is that of the factor's small Gram
-  matrix plus exact zeros; otherwise, for indefinite or malformed input
-  only, a dense np.linalg.eigvalsh of the block decides.
+  phase rho is real symmetric and even, so sqrt(w) rho sqrt(w) is block
+  diagonal in the basis (d_x +/- d_-x) / sqrt(2): an even block over x >= 0
+  and an odd block over x > 0. A DiscretizedDensityMatrix holds only those
+  two blocks, each exactly symmetric; two real GEMMs over x >= 0 and the
+  same closed-form herald factor build them, and no n x n matrix is formed.
+  They are eigensolved once, during validation; every later eigenvalues()
+  call returns that cached spectrum. The state has a handful of modes, so
+  each block is solved through a diagonal-pivoted Cholesky factor of a few
+  columns, stopped once the largest residual diagonal is at most 1e-15 of
+  the block's trace. When the residual's Frobenius norm is at most 1e-12 it
+  bounds the error of every eigenvalue (Weyl), and the spectrum is that of
+  the factor's small Gram matrix plus exact zeros; otherwise, for indefinite
+  or malformed input only, a dense np.linalg.eigvalsh of the block decides.
 
 Both engines also use the state's parity. The signal grid is symmetric about
 the filter center (x -> -x), the error nodes e and their Gaussian weights are
@@ -40,9 +42,9 @@ which enters only through shift differences or |h - h0|. So rho is even
 under x -> -x: rho(-x, -y) = rho(x, y). _kernels builds these nodes and
 weights exactly symmetric (bit for bit), and keeps or drops each +/-e pair
 together, so the parity holds by construction. purity_integral tabulates its
-Gaussian only at signal midpoints m >= 0; assemble_density_matrix computes
-the x >= 0 rows and mirrors the rest; eigenvalues() solves the even and odd
-blocks separately.
+Gaussian only at signal midpoints m >= 0; assemble_density_matrix evaluates
+the envelopes only at x >= 0 and reads those at -x off the mirrored error
+nodes.
 
 The two agree to well inside the contract tolerances.
 """
@@ -352,12 +354,14 @@ def _pivoted_cholesky(b: np.ndarray) -> np.ndarray:
     m = b.shape[0]
     d = np.diag(b).copy()  # the residual diagonal
     stop = PIVOT_STOP * max(float(d.sum()), 0.0)  # a pivot is positive even if the trace is not
-    g = np.empty((m, m))
+    g = np.empty((min(m, 8), m))  # rows for the factor, doubled as it grows
     k = 0
     while k < m:
         p = int(np.argmax(d))
         if not d[p] > stop:
             break
+        if k == len(g):
+            g = np.concatenate([g, np.empty((min(k, m - k), m))])
         row = b[p] - g[:k, p] @ g[:k]
         row /= math.sqrt(d[p])
         g[k] = row
@@ -378,64 +382,132 @@ def _block_spectrum(b: np.ndarray) -> np.ndarray:
     decides.
     """
     g = _pivoted_cholesky(b)
-    if np.linalg.norm(b - g.T @ g) <= CERTIFIED_RESIDUAL:
+    residual = g.T @ g
+    residual -= b
+    if np.linalg.norm(residual) <= CERTIFIED_RESIDUAL:
         return np.concatenate([np.zeros(b.shape[0] - g.shape[0]), np.linalg.eigvalsh(g @ g.T)])
     return np.linalg.eigvalsh(b)
 
 
 @dataclass(frozen=True)
 class DiscretizedDensityMatrix:
-    """Heralded signal state on the signal grid; validated on construction.
+    """Heralded signal state on the signal grid, as two parity blocks; validated on construction.
 
-    assemble_density_matrix stores the state in the frame that co-moves with
-    the deterministic delay-line phase exp(i gamma (x - h0)^2), h0 the mean
-    herald shift, where it is real symmetric. That diagonal unitary leaves
-    the diagonal, the spectrum, every |rho_ij| and so every output
-    unchanged. The matrix has one form, real (float64), exactly symmetric and
-    exactly even (m[::-1, ::-1] == m); a ValueError names what an input lacks.
+    The state is taken in the frame that co-moves with the deterministic
+    delay-line phase exp(i gamma (x - h0)^2), h0 the mean herald shift, where
+    rho is real symmetric and even under x -> -x. That diagonal unitary
+    leaves the diagonal, the spectrum, every |rho_ij| and so every output
+    unchanged. What is stored is sqrt(w) rho sqrt(w), whose spectrum is the
+    state's, in the basis (d_x +/- d_-x) / sqrt(2) where it is block
+    diagonal (_parity_blocks): even, ceil(n/2) square over x >= 0, and odd,
+    floor(n/2) square over x > 0, n = grid.points. Each block is float64,
+    finite and exactly symmetric; together they are not zero, have unit
+    trace within 1e-6 and no eigenvalue below -1e-8. A ValueError names what
+    an input lacks. A whole rho enters through from_matrix; matrix()
+    rebuilds it.
     """
 
     grid: FrequencyGrid
-    matrix: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     _eigenvalues: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if np.iscomplexobj(self.matrix):
-            raise ValueError("density matrix is not real")
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if not m.any():
+        n = self.grid.points
+        blocks = []
+        for name, b, size in (("even", self.even, (n + 1) // 2), ("odd", self.odd, n // 2)):
+            if np.iscomplexobj(b):
+                raise ValueError("density matrix is not real")
+            b = np.asarray(b, dtype=np.float64)
+            if b.shape != (size, size):
+                raise ValueError(f"{name} block has shape {b.shape}, not {(size, size)} "
+                                 f"for {n} grid points")
+            object.__setattr__(self, name, b)
+            blocks.append(b)
+        if not any(b.any() for b in blocks):
             raise ValueError("density matrix is zero")
-        if not np.isfinite(m).all():
+        if not all(np.isfinite(b).all() for b in blocks):
             raise ValueError("density matrix is not finite")
-        if not np.array_equal(m, m.T):
+        if not all(np.array_equal(b, b.T) for b in blocks):
             raise ValueError("density matrix is not exactly symmetric")
-        if not np.array_equal(m, m[::-1, ::-1]):
-            raise ValueError("density matrix is not exactly even under x -> -x")
-        trace = float(self.grid.trapezoid_weights() @ np.diag(m))
+        trace = float(np.trace(self.even) + np.trace(self.odd))
         if abs(trace - 1.0) > 1e-6:
             raise ValueError(f"trace {trace:.8f} != 1")
         if float(self.eigenvalues().min()) < -1e-8:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
-    def weighted(self) -> np.ndarray:
-        """sqrt(w) rho sqrt(w): the matrix whose spectrum is the state's.
+    @classmethod
+    def from_matrix(cls, grid: FrequencyGrid, matrix) -> DiscretizedDensityMatrix:
+        """The state of a whole rho on grid: real, exactly symmetric and exactly even.
 
-        The weights are symmetric, so it is exactly symmetric and even, as rho is.
+        Its rows x >= 0 are weighted and folded into the parity blocks
+        (_parity_blocks); the constructor checks the rest.
         """
+        if np.iscomplexobj(matrix):
+            raise ValueError("density matrix is not real")
+        m = np.asarray(matrix, dtype=np.float64)
+        n = grid.points
+        if m.shape != (n, n):
+            raise ValueError(f"density matrix has shape {m.shape}, not {(n, n)}")
+        # NaN counts as equal here, so that a non-finite input is named as such
+        if not np.array_equal(m, m.T, equal_nan=True):
+            raise ValueError("density matrix is not exactly symmetric")
+        if not np.array_equal(m, m[::-1, ::-1], equal_nan=True):
+            raise ValueError("density matrix is not exactly even under x -> -x")
+        lo = n // 2
+        sw = np.sqrt(grid.trapezoid_weights())
+        rows = np.outer(sw[lo:], sw)
+        rows *= m[lo:]
+        return cls(grid, *_parity_blocks(rows))
+
+    def matrix(self) -> np.ndarray:
+        """rho on the grid, n x n, rebuilt from the blocks; no scenario needs it.
+
+        Over x, y >= 0, W(x, y) = (even + odd) / 2 and W(x, -y) = (even -
+        odd) / 2, W = sqrt(w) rho sqrt(w); the center couples as sqrt(2)
+        W(x, 0). The rows x < 0 mirror the rows x > 0, so the result is
+        exactly symmetric and even.
+        """
+        n = self.grid.points
+        lo, r = n // 2, n % 2
+        scale = np.ones(lo + r)
+        scale[:r] = math.sqrt(2.0)
+        # at a center node 2 W(0, 0) and 2 W(x, 0), which the halving below takes to W
+        even = self.even * np.outer(scale, scale)
+        odd = np.zeros_like(even)
+        odd[r:, r:] = self.odd
+        full = np.empty((n, n))
+        full[lo:, lo:] = 0.5 * (even + odd)
+        full[lo:, :lo] = 0.5 * (even - odd)[:, r:][:, ::-1]
+        full[:lo] = full[lo + r :][::-1, ::-1]
         sw = np.sqrt(self.grid.trapezoid_weights())
-        return self.matrix * np.outer(sw, sw)
+        return full / np.outer(sw, sw)
+
+    def intensity_width(self) -> float:
+        """rms width about its mean of the heralded intensity p = w diag(rho), in rad/s.
+
+        p is the diagonal of sqrt(w) rho sqrt(w): at x > 0 the mean of the two
+        blocks' diagonals, at a center node the even block's corner, and at
+        -x the same as at x.
+        """
+        r = self.grid.points % 2
+        half = np.diagonal(self.even).copy()
+        half[r:] += np.diagonal(self.odd)
+        half[r:] *= 0.5
+        p = np.concatenate([half[r:][::-1], half])
+        x = self.grid.detunings
+        mean = float(p @ x)
+        return math.sqrt(float(p @ (x - mean) ** 2))
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of weighted(); solved on first call, then cached read-only.
+        """Ascending spectrum of the state; solved on first call, then cached read-only.
 
-        Its even and odd parity blocks are solved separately and the two
-        spectra merged. The blocks read only the rows x >= 0, so only those
-        are weighted. Each block is factored by diagonal-pivoted Cholesky,
-        stopped once the largest residual diagonal is at most PIVOT_STOP of
-        the block's trace: a few columns for a heralded state's handful of
+        The even and odd blocks are solved separately and the two spectra
+        merged. Each block is factored by diagonal-pivoted Cholesky, stopped
+        once the largest residual diagonal is at most PIVOT_STOP of the
+        block's trace: a few columns for a heralded state's handful of
         modes. If the residual's Frobenius norm is at most CERTIFIED_RESIDUAL
         (1e-12, against the unit trace checked before this call), the block's
         spectrum is the factor's small Gram spectrum, each eigenvalue within
@@ -444,58 +516,62 @@ class DiscretizedDensityMatrix:
         np.linalg.eigvalsh solves the block densely (_block_spectrum).
         """
         if self._eigenvalues is None:
-            lo = self.matrix.shape[0] // 2
-            sw = np.sqrt(self.grid.trapezoid_weights())
-            rows = np.outer(sw[lo:], sw)
-            rows *= self.matrix[lo:]
-            blocks = _parity_blocks(rows)
-            lam = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
+            lam = np.sort(np.concatenate([_block_spectrum(b) for b in (self.even, self.odd)]))
             lam.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", lam)
         return self._eigenvalues
 
 
 def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatrix:
-    """Mix the conditional wavepackets over the herald window and error kernel.
+    """Mix the conditional wavepackets over the herald window and error kernel, by parity block.
 
     rho factorizes into (error mixture of envelopes) x (herald mixture of
-    chirp phases). The error factor is one real (x, e) @ (e, x) GEMM. The
-    herald nodes h sit symmetrically about their mean h0 with symmetric
-    weights, so in the frame of exp(i gamma (x - h0)^2) the herald factor is
-    the real Toeplitz matrix r(|i - j|), r_k = sum_h w_h cos(2 gamma (h - h0)
-    k dx) on the uniform signal grid, taken in closed form (_herald_factor).
+    chirp phases). The herald nodes h sit symmetrically about their mean h0
+    with symmetric weights, so in the frame of exp(i gamma (x - h0)^2) the
+    herald factor is r(|i - j|) between grid nodes i and j, r_k = sum_h w_h
+    cos(2 gamma (h - h0) k dx), taken in closed form (_herald_factor).
     Vacuous events (filter kills the envelope) are dropped with their weight
     renormalized away.
 
-    The envelope of node -e at -x equals that of e at x, the error weights
-    are symmetric and the Toeplitz factor is even under (i, j) -> (n-1-i,
-    n-1-j), so rho(-x, -y) = rho(x, y). Only the rows x >= 0 are computed
-    (half the GEMM) and symmetrized; the rows x < 0 are their mirror images,
-    which makes the returned matrix exactly even as well as exactly
-    symmetric, the form its constructor requires; validation eigensolves it
-    once, block by block.
+    a holds the envelopes times sqrt(w) at x >= 0, one row per error node.
+    e is exactly odd and its weights q exactly even (_kernels), so a[::-1]
+    holds them at -x. Two real GEMMs then give the error mixture between x
+    and y, P = (a^T q) a, and between x and -y, M = (a^T q) a[::-1]. The
+    herald factor multiplies P as the Toeplitz r(|i - j|) and M as the Hankel
+    r(i + j + 1 - n % 2), both strided views of one table. even = P + M
+    (the center couples as sqrt(2) P, as _parity_blocks has it) and odd = P
+    - M over x > 0, each symmetrized. No n x n array is formed: at most
+    three block-sized arrays are alive at once.
     """
     e, q, grid, x = _kernels(model)
     n = x.size
-    lo, r = n // 2, n % 2  # rows lo: have x >= 0
-    sig = model.pump.sigma
-
-    env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / sig) ** 2)  # (e, x)
+    lo, r = n // 2, n % 2  # nodes lo: have x >= 0
+    m = n - lo
+    a = np.subtract(x[None, lo:], e[:, None])  # (e, x >= 0), one buffer
+    a /= model.pump.sigma
+    np.square(a, out=a)
+    a *= -0.5
+    np.exp(a, out=a)
+    a *= np.sqrt(grid.trapezoid_weights()[lo:])
+    qa = a.T * q
+    p, mix = qa @ a, qa @ a[::-1]
+    del a, qa  # only the products are needed from here
     rc = _herald_factor(model, np.arange(n))
-    v = np.concatenate([rc[:0:-1], rc])  # v[n - 1 + k] = rc[|k|]
-    toeplitz = np.lib.stride_tricks.sliding_window_view(v, n)[::-1]  # a view: row i is rc[|i - j|]
-    half = ((env[:, lo:].T * q) @ env) * toeplitz[lo:]
-    if r:  # the center row is its own mirror image
-        half[0] = 0.5 * (half[0] + half[0, ::-1])
-    rho = np.empty((n, n))
-    rho[lo:] = half
-    rho[:lo] = half[r:][::-1, ::-1]
-    # rho is exactly even, so the rows x >= 0 of (rho + rho^T) / 2 mirror into the rest
-    half = rho[lo:] + rho[:, lo:].T
-    half *= 0.5
-    rho[lo:] = half
-    rho[:lo] = half[r:][::-1, ::-1]
-    return DiscretizedDensityMatrix(grid, rho)
+    windows = np.lib.stride_tricks.sliding_window_view
+    p *= windows(np.concatenate([rc[m - 1 : 0 : -1], rc[:m]]), m)[::-1]  # row i: rc[|i - j|]
+    mix *= windows(rc[1 - r :], m)  # row i: rc[i + j + 1 - r], the lag from x_i to -x_j
+    odd = p[r:, r:] - mix[r:, r:]
+    even = mix
+    even += p
+    if r:  # the center couples to each pair as sqrt(2) P(x, 0), and to itself as P(0, 0)
+        even[0, 1:] = math.sqrt(2.0) * p[0, 1:]
+        even[1:, 0] = math.sqrt(2.0) * p[1:, 0]
+        even[0, 0] = p[0, 0]
+    del p
+    for b in (even, odd):  # (b + b^T) / 2 in place, exactly symmetric
+        b += b.T  # numpy reads the overlapping b.T through a temporary copy
+        b *= 0.5
+    return DiscretizedDensityMatrix(grid, even, odd)
 
 
 def purity_from_eigenvalues(dm: DiscretizedDensityMatrix) -> float:

@@ -594,12 +594,7 @@ def _run_hom_dip(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
             f"{statistics.HOM_MU_MODES_LIMIT}: the visibility is leading order in mu"))
     model = cfg.heralded_model()
     purity = _converged_purity(model)
-    dm = heralded.assemble_density_matrix(model)
-    w = dm.grid.trapezoid_weights()
-    p = np.diag(dm.matrix) * w
-    x = dm.grid.detunings
-    mean = float(p @ x)
-    sigma_eff = math.sqrt(float(p @ (x - mean) ** 2))
+    sigma_eff = heralded.assemble_density_matrix(model).intensity_width()
     counts = statistics.analytic_counting(cfg.statistics_model())
     g2 = counts.g2_h
     visibility = statistics.hom_visibility(purity, g2)

@@ -111,6 +111,11 @@ class FeedForwardLUT:
         """Herald bin of each row."""
         return self.first_bin + np.arange(self.in_range.size)
 
+    @functools.cached_property
+    def _padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shift_hz, routed) per row, plus an unrouted zero row on each side; built once."""
+        return np.pad(np.where(self.in_range, self.required_shift, 0.0), 1), np.pad(self.in_range, 1)
+
     def route(self, bins) -> tuple[np.ndarray, np.ndarray]:
         """(shift_hz, routed) for each measured herald bin.
 
@@ -119,8 +124,8 @@ class FeedForwardLUT:
         """
         # a padded row on each side stands for every bin below or above the table
         row = np.clip(np.asarray(bins) - (self.first_bin - 1), 0, self.in_range.size + 1)
-        shift = np.pad(np.where(self.in_range, self.required_shift, 0.0), 1)
-        return shift[row], np.pad(self.in_range, 1)[row]
+        shift, routed = self._padded_rows
+        return shift[row], routed[row]
 
 
 def lut_half_width(spectrometer: SpectrometerModel, span: float) -> float:

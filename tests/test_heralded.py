@@ -163,9 +163,15 @@ def conditional_wavepacket(omega_h: float, omega_i: float,
 
 
 def purity_from_trace(dm: DiscretizedDensityMatrix) -> float:
-    """Oracle: Tr(rho^2) as the weighted Frobenius norm, no diagonalization."""
+    """Oracle: Tr(rho^2) as the weighted Frobenius norm of the rebuilt rho, no diagonalization."""
     w = dm.grid.trapezoid_weights()
-    return float(np.einsum("i,j,ij->", w, w, np.abs(dm.matrix) ** 2).real)
+    return float(np.einsum("i,j,ij->", w, w, dm.matrix() ** 2))
+
+
+def weighted(dm: DiscretizedDensityMatrix) -> np.ndarray:
+    """sqrt(w) rho sqrt(w), n x n, unfolded from the blocks: its spectrum is the state's."""
+    sw = np.sqrt(dm.grid.trapezoid_weights())
+    return sw[:, None] * dm.matrix() * sw[None, :]
 
 
 def test_conditional_wavepacket_is_normalized():
@@ -417,24 +423,50 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     blocks = record_blocks(monkeypatch)
     n_signal = model.n_signal
     dm = assemble_density_matrix(model)
-    assert np.array_equal(dm.matrix, dm.matrix[::-1, ::-1])  # exactly centrosymmetric
-    assert np.array_equal(dm.matrix, dm.matrix.T)
-    # the even block, then the odd, each exactly symmetric
+    # the stored even block, then the odd, each exactly symmetric
+    assert blocks[0] is dm.even and blocks[1] is dm.odd and len(blocks) == 2
     assert [len(b) for b in blocks] == [(n_signal + 1) // 2, n_signal // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)
-    full = linalg.eigvalsh(dm.weighted())
+    rho = dm.matrix()
+    assert np.array_equal(rho, rho[::-1, ::-1])  # unfolded exactly centrosymmetric
+    assert np.array_equal(rho, rho.T)
+    full = linalg.eigvalsh(weighted(dm))
     assert np.abs(dm.eigenvalues() - full).max() <= 1e-12
 
 
 @BLOCK_MODELS
 def test_eigenvalues_weight_only_the_rows_they_read(model):
-    # the same solver on blocks cut from the fully weighted matrix: bit-equal
-    # only if weighting just the rows x >= 0 gives the same blocks
-    dm = assemble_density_matrix(model)
-    full = dm.weighted()
+    # a whole rho handed to from_matrix: blocks cut from the fully weighted
+    # matrix are bit-equal only if weighting just the rows x >= 0, which the
+    # adapter folds, gives the same blocks; so are the spectra of the same solver
+    rho = assemble_density_matrix(model).matrix()
+    grid = model.signal_grid
+    dm = DiscretizedDensityMatrix.from_matrix(grid, rho)
+    sw = np.sqrt(grid.trapezoid_weights())
+    full = rho * np.outer(sw, sw)
     blocks = _parity_blocks(full[full.shape[0] // 2 :])
+    assert np.array_equal(dm.even, blocks[0]) and np.array_equal(dm.odd, blocks[1])
     expected = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
     assert np.array_equal(dm.eigenvalues(), expected)
+
+
+@pytest.mark.parametrize("n_signal", [201, 200], ids=["odd", "even"])
+def test_whole_matrix_adapter_round_trips_the_blocks(n_signal):
+    dm = assemble_density_matrix(small_model(n_signal=n_signal))
+    # blocks handed to the constructor are kept as they are, bit for bit
+    again = DiscretizedDensityMatrix(dm.grid, dm.even, dm.odd)
+    assert again.even is dm.even and again.odd is dm.odd
+    assert np.array_equal(again.eigenvalues(), dm.eigenvalues())
+    # through the whole rho: unfolding divides by sqrt(w) and the odd block is a
+    # difference, so the fold of the rebuilt rho gives the blocks back to within
+    # a few ulps of the largest entry, not bit for bit
+    rho = dm.matrix()
+    assert rho.shape == (n_signal, n_signal) and rho.dtype == np.float64
+    folded = DiscretizedDensityMatrix.from_matrix(dm.grid, rho)
+    top = max(np.abs(dm.even).max(), np.abs(dm.odd).max())
+    for got, want in [(folded.even, dm.even), (folded.odd, dm.odd)]:
+        assert np.abs(got - want).max() <= 4.0 * np.spacing(top)
+    assert np.abs(folded.eigenvalues() - dm.eigenvalues()).max() <= 1e-15
 
 
 def brute_force_purity(model):
@@ -514,8 +546,10 @@ def test_density_matrix_paths_agree_with_quadrature():
 def test_density_matrix_is_a_state():
     dm = assemble_density_matrix(small_model())
     w = dm.grid.trapezoid_weights()
-    assert abs(float(w @ np.real(np.diag(dm.matrix))) - 1.0) < 1e-6
-    assert np.allclose(dm.matrix, dm.matrix.conj().T, atol=1e-9 * np.abs(dm.matrix).max())
+    rho = dm.matrix()
+    assert abs(float(w @ np.diag(rho)) - 1.0) < 1e-6
+    assert abs(float(np.trace(dm.even) + np.trace(dm.odd)) - 1.0) < 1e-6
+    assert np.allclose(rho, rho.T, atol=1e-9 * np.abs(rho).max())
     lam = dm.eigenvalues()
     assert lam.min() > -1e-8
     assert abs(lam.sum() - 1.0) < 1e-6
@@ -556,14 +590,19 @@ FRAME_MODELS = pytest.mark.parametrize(
 @FRAME_MODELS
 def test_gemm_assembly_matches_einsum_oracle(model):
     m = model.scaled(0.5)
-    rho = assemble_density_matrix(m).matrix
+    rho = assemble_density_matrix(m).matrix()
     oracle = einsum_density_matrix(m)
     assert rho.dtype == np.float64
     assert np.abs(rho - co_moving(m, oracle)).max() <= 1e-12 * np.abs(oracle).max()
 
 
-def fully_symmetrized_density_matrix(model) -> np.ndarray:
-    """Oracle: the assembly symmetrized as a whole matrix, (rho + rho^T) / 2, after mirroring."""
+def whole_matrix_assembly(model) -> np.ndarray:
+    """Oracle: rho assembled as one n x n array, as the package once did.
+
+    The rows x >= 0 by one GEMM against every x, times the Toeplitz herald
+    factor; the center row symmetrized; the rows mirrored; and the whole
+    matrix symmetrized as (rho + rho^T) / 2.
+    """
     e, q, _, x = heralded._kernels(model)
     n = x.size
     lo, r = n // 2, n % 2
@@ -580,10 +619,57 @@ def fully_symmetrized_density_matrix(model) -> np.ndarray:
 
 
 @FRAME_MODELS
-def test_half_symmetrization_is_bit_identical_to_the_full_one(model):
-    for m in (model, replace(model, n_signal=model.n_signal - 1)):  # odd and even grid sizes
-        assert np.array_equal(assemble_density_matrix(m).matrix,
-                              fully_symmetrized_density_matrix(m))
+def test_blocks_match_the_whole_matrix_oracle(model):
+    for scale in (0.5, 1.0):
+        base = model.scaled(scale)
+        # a center node and none: the lag from x to -y is i + j + 1 - n % 2
+        for m in (base, replace(base, n_signal=base.n_signal - 1)):
+            dm = assemble_density_matrix(m)
+            rho = whole_matrix_assembly(m)
+            w = m.signal_grid.trapezoid_weights()
+            sw = np.sqrt(w)
+            lo = m.n_signal // 2
+            blocks = _parity_blocks(np.outer(sw[lo:], sw) * rho[lo:])
+            top = max(np.abs(b).max() for b in blocks)
+            assert np.abs(dm.even - blocks[0]).max() <= 1e-13 * top
+            assert np.abs(dm.odd - blocks[1]).max() <= 1e-13 * top
+            spectrum = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
+            assert np.abs(dm.eigenvalues() - spectrum).max() <= 1e-13 * spectrum[-1]
+            assert abs(np.trace(dm.even) + np.trace(dm.odd) - w @ np.diag(rho)) <= 1e-13
+            p = w * np.diag(rho)
+            assert np.abs(w * np.diag(dm.matrix()) - p).max() <= 1e-13 * p.max()
+            x = m.signal_grid.detunings
+            width = math.sqrt(float(p @ (x - float(p @ x)) ** 2))
+            assert abs(dm.intensity_width() - width) <= 1e-13 * width
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n_signal=st.integers(3, 41), n_herald=st.integers(3, 17), n_jitter=st.integers(3, 17),
+       dispersion=st.sampled_from([0.25, 1.0, 4.0]), gamma=st.sampled_from([0.0, 1.0, 30.0]),
+       off_center=st.booleans())
+def test_block_spectrum_matches_the_unfolded_dense_spectrum(n_signal, n_herald, n_jitter,
+                                                             dispersion, gamma, off_center):
+    base = OFF_CENTER_MODEL if off_center else COMBINED_MODEL
+    model = replace(with_dispersion_scale(base, dispersion), gamma=gamma * base.gamma,
+                    n_signal=n_signal, n_herald=n_herald, n_jitter=n_jitter)
+    dm = assemble_density_matrix(model)
+    assert np.abs(dm.eigenvalues() - np.linalg.eigvalsh(weighted(dm))).max() <= 1e-12
+
+
+def test_default_assembly_allocates_no_whole_matrix():
+    import tracemalloc
+
+    n = COMBINED_MODEL.n_signal
+    _kernels(COMBINED_MODEL)  # the kernels are cached; this measures the assembly
+    tracemalloc.start()
+    try:
+        dm = assemble_density_matrix(COMBINED_MODEL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dm.even.shape == ((n + 1) // 2,) * 2 and dm.odd.shape == (n // 2,) * 2
+    # validation and the eigensolve included, the call never holds as much as one n x n array
+    assert peak < n * n * np.dtype(np.float64).itemsize
 
 
 @FRAME_MODELS
@@ -609,10 +695,10 @@ def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, monkeypatch
     rho = b + b[::-1, ::-1]  # symmetric and exactly even under x -> -x
     rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
     blocks = record_blocks(monkeypatch)
-    dm = DiscretizedDensityMatrix(grid, rho)
+    dm = DiscretizedDensityMatrix.from_matrix(grid, rho)
     assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)  # each block exactly symmetric
-    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(dm.weighted())).max() <= 1e-12
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted(dm))).max() <= 1e-12
 
 
 def record_dense_solves(monkeypatch) -> list:
@@ -646,7 +732,7 @@ def test_default_states_are_certified_by_the_factor(scenario, kw, overlay, grid_
     ranks = [len(_pivoted_cholesky(b)) for b in blocks]
     assert [len(a) for a in solved] == ranks
     assert all(0 < k < len(b) for k, b in zip(ranks, blocks))
-    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(dm.weighted())).max() <= 1e-12
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted(dm))).max() <= 1e-12
 
 
 def test_full_rank_block_runs_the_factor_to_its_size(monkeypatch):
@@ -666,7 +752,7 @@ def test_indefinite_block_reaches_the_dense_solve(corner, monkeypatch):
     blocks = record_blocks(monkeypatch)
     solved = record_dense_solves(monkeypatch)
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        DiscretizedDensityMatrix(g, bad)
+        DiscretizedDensityMatrix.from_matrix(g, bad)
     # the even block is diag(1/2, (1 + corner) / 4) and certified; the odd block
     # is (1 - corner) / 4, -1/4 or -1e-6, and no factor can certify it, so the
     # dense solve decides
@@ -685,10 +771,10 @@ def test_low_rank_even_states_match_the_dense_spectrum(n, rank, seed):
     b = b + b.T  # exactly symmetric
     rho = b + b[::-1, ::-1]  # and exactly even, of rank at most 2 * rank
     grid = FrequencyGrid(0.0, 1.0, n)
-    dm = DiscretizedDensityMatrix(grid, rho / (grid.trapezoid_weights() @ np.diag(rho)))
-    weighted = dm.weighted()
-    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted)).max() <= 1e-12
-    assert abs(purity_from_eigenvalues(dm) - np.sum(weighted * weighted)) <= 1e-12
+    dm = DiscretizedDensityMatrix.from_matrix(grid, rho / (grid.trapezoid_weights() @ np.diag(rho)))
+    full = weighted(dm)
+    assert np.abs(dm.eigenvalues() - linalg.eigvalsh(full)).max() <= 1e-12
+    assert abs(purity_from_eigenvalues(dm) - np.sum(full * full)) <= 1e-12
 
 
 def test_eigenvalues_are_cached_read_only():
@@ -696,12 +782,13 @@ def test_eigenvalues_are_cached_read_only():
     lam = dm.eigenvalues()
     assert dm.eigenvalues() is lam
     assert not lam.flags.writeable
-    assert np.allclose(lam, np.linalg.eigvalsh(dm.weighted()), rtol=0, atol=1e-12)
+    assert np.allclose(lam, np.linalg.eigvalsh(weighted(dm)), rtol=0, atol=1e-12)
 
 
 def test_density_matrix_validation_rejects_bad_input():
     g = FrequencyGrid(0.0, 1.0, 3)  # trapezoid weights 1/4, 1/2, 1/4
-    # apart from the zero matrix, each input fails only the check named
+    # whole matrices, through the adapter; apart from the zero matrix, each
+    # input fails only the check named
     for bad, message in [
         (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 1.0]]), "not exactly symmetric"),
         (np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not exactly even"),
@@ -713,26 +800,65 @@ def test_density_matrix_validation_rejects_bad_input():
         # not below the negative-eigenvalue threshold
         (np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [np.inf, 0.0, 1.0]]), "not finite"),
         (np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), "not finite"),
+        (np.eye(4), "shape"),
     ]:
         with pytest.raises(ValueError, match=message):
-            DiscretizedDensityMatrix(g, bad)
+            DiscretizedDensityMatrix.from_matrix(g, bad)
+
+
+def test_parity_blocks_validation_rejects_bad_input():
+    g = FrequencyGrid(0.0, 1.0, 5)  # blocks of 3 and 2 points
+    even = np.diag([0.5, 0.25, 0.0])
+    odd = np.diag([0.25, 0.0])
+    DiscretizedDensityMatrix(g, even, odd)  # a state: unit trace, no negative eigenvalue
+    asymmetric = even.copy()
+    asymmetric[0, 1] = 1e-3
+    skew = np.array([[0.25, 0.0], [0.0, 0.0]])
+    skew[1, 0] = np.nextafter(0.0, 1.0)  # one ulp off exact symmetry
+    negative = np.array([[0.5, 0.25, 0.0], [0.25, 0.25, 0.0], [0.0, 0.0, -0.1]])
+    # the zero state aside, each pair fails only the check named
+    for bad_even, bad_odd, message in [
+        (asymmetric, odd, "not exactly symmetric"),
+        (even, skew, "not exactly symmetric"),
+        (2.0 * even, odd, "trace"),
+        (negative, odd + np.diag([0.1, 0.0]), "negative eigenvalue"),
+        (even.astype(complex), odd, "not real"),
+        (even, 1j * odd, "not real"),
+        (np.zeros((3, 3)), np.zeros((2, 2)), "zero"),
+        (np.where(even == 0.5, np.inf, even), odd, "not finite"),
+        (even, np.where(odd == 0.25, np.nan, odd), "not finite"),
+        (odd, even, "shape"),
+        (even, odd.ravel(), "shape"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            DiscretizedDensityMatrix(g, bad_even, bad_odd)
 
 
 def test_density_matrix_symmetric_only_to_round_off_is_rejected():
-    rho = assemble_density_matrix(small_model()).matrix.copy()
+    dm = assemble_density_matrix(small_model())
+    rho = dm.matrix()
     n = rho.shape[0]
     for i, j in [(0, 1), (n - 1, n - 2)]:  # a mirrored pair, so rho stays exactly even
         rho[i, j] = np.nextafter(rho[i, j], np.inf)  # one ulp up
     assert np.array_equal(rho, rho[::-1, ::-1]) and not np.array_equal(rho, rho.T)
     assert np.abs(rho - rho.T).max() <= 1e-15 * np.abs(rho).max()
     with pytest.raises(ValueError, match="not exactly symmetric"):
-        DiscretizedDensityMatrix(small_model().signal_grid, rho)
+        DiscretizedDensityMatrix.from_matrix(dm.grid, rho)
+    for name in ("even", "odd"):  # and so are the blocks themselves
+        blocks = {"even": dm.even.copy(), "odd": dm.odd.copy()}
+        blocks[name][0, 1] = np.nextafter(blocks[name][0, 1], np.inf)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            DiscretizedDensityMatrix(dm.grid, **blocks)
 
 
 def test_real_density_matrix_stays_real():
-    dm = DiscretizedDensityMatrix(FrequencyGrid(0.0, 1.0, 3), np.eye(3, dtype=np.float32))
-    assert dm.matrix.dtype == np.float64
+    grid = FrequencyGrid(0.0, 1.0, 3)
+    dm = DiscretizedDensityMatrix.from_matrix(grid, np.eye(3, dtype=np.float32))
+    assert dm.even.dtype == dm.odd.dtype == np.float64
+    assert dm.matrix().dtype == np.float64
     assert dm.eigenvalues().dtype == np.float64
+    dm = DiscretizedDensityMatrix(grid, dm.even.astype(np.float32), dm.odd.astype(np.float32))
+    assert dm.even.dtype == dm.odd.dtype == np.float64
 
 
 def test_schmidt_cross_oracle():

@@ -146,6 +146,28 @@ def test_lut_route_agrees_with_rows(model):
         assert float(one_shift) == (lut.required_shift[row_of(lut, k)] if flag else 0.0)
 
 
+def padding_route(lut, bins):
+    """Oracle: route as it once was, padding both columns on every call."""
+    row = np.clip(np.asarray(bins) - (lut.first_bin - 1), 0, lut.in_range.size + 1)
+    shift = np.pad(np.where(lut.in_range, lut.required_shift, 0.0), 1)
+    return shift[row], np.pad(lut.in_range, 1)[row]
+
+
+@pytest.mark.parametrize("model", [SHIFTER, WIDE_SHIFTER], ids=["default", "wide"])
+def test_lut_route_matches_padding_oracle(model):
+    lut = lut_of(model)
+    first, last = int(lut.bins[0]), int(lut.bins[-1])
+    below = np.arange(first - 30, first - 1)
+    above = np.arange(last + 2, last + 31)
+    # first - 1 and last + 1 land on the two pad rows themselves
+    every = np.concatenate([[-(10**6)], below, [first - 1], lut.bins, [last + 1], above, [10**6]])
+    for bins in (every, every[::-1].copy(), first - 1, first, 0, last, last + 1):
+        got, want = lut.route(bins), padding_route(lut, bins)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert lut._padded_rows is lut._padded_rows  # built once per table
+
+
 def test_write_lut_text(tmp_path):
     lut = lut_of()
     path = tmp_path / "lut.txt"
