@@ -6,45 +6,54 @@ differs from omega_H by the spectrometer error, so the shifted signal
 wavepacket is displaced by e = omega_H - omega_i; the delay-line dispersion
 adds a quadratic spectral phase accumulated before the shift, i.e. in
 (x - h) where h is the applied shift. Mixing over the herald window and the
-error distribution gives the heralded density matrix, whose purity Tr(rho^2)
-this module evaluates two ways:
+error distribution gives the heralded density matrix.
 
-* purity_integral: the discrete sum of squared overlaps, rearranged
-  exactly. The Gaussian envelopes factor into a function of x - y and one
-  of (x + y) / 2, tabulated once against the error-pair midpoints: O(n ne)
-  exponentials. The herald mixture of chirps over 2L + 1 trapezoid nodes
-  has the closed form sin(L phi) / (2L tan(phi / 2)): O(n) trig. The pairs
-  are then summed along the diagonals of the signal grid in O(n). It is the
-  one fast enough for sweeps.
+The herald nodes h sit symmetrically about their mean shift h0 with
+symmetric weights, so in the frame that co-moves with the delay-line phase
+exp(i gamma (x - h0)^2) the herald mixture of chirps is one real factor
+r(x - y), r(u) = sum_h w_h cos(2 gamma (h - h0) u). Over 2L + 1 trapezoid
+nodes it has the closed form sin(L phi) / (2L tan(phi / 2)): O(n) trig.
+Every envelope has the pump width sig, g(v) = exp(-v^2 / 2 sig^2), and
+
+    g(x - e) g(y - e) = exp(-(x - y)^2 / 4 sig^2) exp(-((x + y) / 2 - e)^2 / sig^2).
+
+So the state is one separable product of two 1-D factors,
+
+    rho(x, y) = R(x - y) h((x + y) / 2),
+    R(u) = r(u) exp(-u^2 / 4 sig^2),  h(m) = sum_i q_i exp(-(m - e_i)^2 / sig^2),
+
+q_i the error weights over the wavepackets' squared norms. On the signal
+grid x - y is a multiple of dx and (x + y) / 2 of dx / 2, so n values of
+each carry all of rho: R at the lags k dx and h at the half-step midpoints
+m_j = j dx / 2 >= 0 (h is even). One exponential table over the error nodes
+and those midpoints gives h and, every other column being a node x >= 0,
+the squared norms as well (_kernels). Tr(rho^2) is evaluated two ways:
+
+* purity_integral: sum_ab w_a w_b F(x_a - x_b) G((x_a + x_b) / 2) with
+  F = R^2 and G = h^2, summed along the diagonals of the signal grid in
+  O(n). It is the one fast enough for sweeps.
 * assemble_density_matrix + purity_from_eigenvalues: build the state and sum
-  its squared eigenvalues. The herald window is symmetric about its mean
-  shift h0 with symmetric weights, so the herald mixture of delay-line chirps
-  is the diagonal phase exp(i gamma (x - h0)^2) times a real symmetric
-  Toeplitz matrix times its conjugate. In the frame that co-moves with that
-  phase rho is real symmetric and even, so sqrt(w) rho sqrt(w) is block
-  diagonal in the basis (d_x +/- d_-x) / sqrt(2): an even block over x >= 0
-  and an odd block over x > 0. A DiscretizedDensityMatrix holds only those
-  two blocks, each exactly symmetric; two real GEMMs over x >= 0 and the
-  same closed-form herald factor build them, and no n x n matrix is formed.
-  They are eigensolved once, during validation; every later eigenvalues()
-  call returns that cached spectrum. The state has a handful of modes, so
-  each block is solved through a diagonal-pivoted Cholesky factor of a few
-  columns, stopped once the largest residual diagonal is at most 1e-15 of
-  the block's trace. When the residual's Frobenius norm is at most 1e-12 it
+  its squared eigenvalues. rho is real symmetric and even, so
+  sqrt(w) rho sqrt(w) is block diagonal in the basis (d_x +/- d_-x) / sqrt(2):
+  an even block over x >= 0 and an odd block over x > 0. A
+  DiscretizedDensityMatrix holds only those two blocks, each exactly
+  symmetric; each is a Toeplitz-times-Hankel product of the two tables, so
+  no n x n matrix and no matrix product is formed. They are eigensolved
+  once, during validation; every later eigenvalues() call returns that
+  cached spectrum. The state has a handful of modes, so each block is
+  solved through a diagonal-pivoted Cholesky factor of a few columns,
+  stopped once the largest residual diagonal is at most 1e-15 of the
+  block's trace. When the residual's Frobenius norm is at most 1e-12 it
   bounds the error of every eigenvalue (Weyl), and the spectrum is that of
   the factor's small Gram matrix plus exact zeros; otherwise, for indefinite
   or malformed input only, a dense np.linalg.eigvalsh of the block decides.
 
-Both engines also use the state's parity. The signal grid is symmetric about
-the filter center (x -> -x), the error nodes e and their Gaussian weights are
-symmetric about 0, and the herald nodes and weights are symmetric about h0,
-which enters only through shift differences or |h - h0|. So rho is even
-under x -> -x: rho(-x, -y) = rho(x, y). _kernels builds these nodes and
-weights exactly symmetric (bit for bit), and keeps or drops each +/-e pair
-together, so the parity holds by construction. purity_integral tabulates its
-Gaussian only at signal midpoints m >= 0; assemble_density_matrix evaluates
-the envelopes only at x >= 0 and reads those at -x off the mirrored error
-nodes.
+Both use the state's parity. The signal grid is symmetric about the filter
+center (x -> -x), the error nodes e and their Gaussian weights are
+symmetric about 0, and the herald nodes enter only through |h - h0|. The
+error nodes are built exactly odd and their weights exactly even (bit for
+bit), and each +/-e pair is kept or dropped together, so h is even and
+rho(-x, -y) = rho(x, y) by construction.
 
 The two agree to well inside the contract tolerances.
 """
@@ -195,24 +204,28 @@ def _herald_factor(model: HeraldedStateModel, lags: np.ndarray) -> np.ndarray:
     return _herald_mixture(phi_step * lags, model.n_herald)
 
 
-def _norms_squared(model: HeraldedStateModel, e: np.ndarray):
+def _error_table(model: HeraldedStateModel, e: np.ndarray):
+    """(E, norms_sq): the error table on the half-step grid and each wavepacket's squared norm.
+
+    E[i, j] = exp(-((m_j - e_i) / sig)^2) at the midpoints m_j = j dx / 2, j = 0 ... n - 1,
+    built in one buffer. The signal nodes x >= 0 are every other column, j = n - 1 mod 2, and
+    norms_sq[i] = sum_x w_x E(x - e_i). A node -x sees e_i as x sees -e_i, and e is exactly
+    odd, so the sum over x < 0 is the sum over x > 0 mirrored in e: the norms are that half
+    plus its mirror, with a center node, its own mirror, taken once. They are exactly even.
+    """
     grid = model.signal_grid
-    g2 = np.subtract(grid.detunings[None, :], e[:, None])  # (e, x), one buffer
-    g2 /= model.pump.sigma
-    np.square(g2, out=g2)
-    np.negative(g2, out=g2)
-    np.exp(g2, out=g2)
-    return g2 @ grid.trapezoid_weights(), grid
-
-
-def _drop_vacuous(e, we, norms_sq, free_norm_sq):
-    keep = norms_sq > VACUOUS_NORM * free_norm_sq
-    if not keep.any():
-        raise FilterOverlapError("the filter passes under 1e-12 of every conditional wavepacket")
-    if not np.all(keep):
-        e, we, norms_sq = e[keep], we[keep], norms_sq[keep]
-        we = we / we.sum()
-    return e, we, norms_sq
+    n = grid.points
+    table = np.subtract(np.linspace(0.0, 0.5 * grid.span, n)[None, :], e[:, None])
+    table /= model.pump.sigma
+    np.square(table, out=table)
+    np.negative(table, out=table)
+    np.exp(table, out=table)
+    w = grid.trapezoid_weights()[n // 2 :]
+    half = table[:, (n - 1) % 2 :: 2] @ w
+    norms_sq = half + half[::-1]
+    if n % 2:
+        norms_sq -= w[0] * table[:, 0]
+    return table, norms_sq
 
 
 def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,60 +244,47 @@ def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _kernels(model: HeraldedStateModel):
-    """(e, we / norms_sq, grid, x): the error kernel, the signal grid and its nodes.
+def _kernels(model: HeraldedStateModel) -> tuple[np.ndarray, np.ndarray]:
+    """(R, h): the factors of rho(x, y) = R(x - y) h((x + y) / 2) on the signal grid, read-only.
 
-    Vacuous error nodes are dropped. e and x are exactly odd and the
-    weights exactly even under reversal. The norms are averaged with their
-    mirror image, so they are exactly even too: each +/-e pair is kept or
-    dropped together, and the kept e stay a symmetric contiguous stretch of
-    the uniform grid.
+    Every envelope has the pump width sig, so g(x - e) g(y - e) = exp(-(x - y)^2 / 4 sig^2)
+    exp(-((x + y) / 2 - e)^2 / sig^2), g(v) = exp(-v^2 / 2 sig^2), and the error mixture of
+    envelope pairs splits off one Gaussian in x - y. R(u) = r(u) exp(-u^2 / 4 sig^2) at the
+    lags u = k dx, r the closed-form herald factor, and h(m) = sum_i q_i exp(-((m - e_i) /
+    sig)^2) at the half-step midpoints m = k dx / 2, k = 0 ... n - 1 for both. h = q @ E,
+    E the error table (_error_table) and q = we / norms_sq. Error nodes whose wavepacket the
+    filter passes under VACUOUS_NORM of its free norm are dropped and the rest renormalized;
+    the norms are exactly even, so each +/-e pair is kept or dropped together.
 
-    The last model's kernels are kept, read-only: a scenario calls
-    purity_integral and then assemble_density_matrix on the same model, and
-    the second call reuses the first's build.
+    The last model's factors are kept: a scenario calls purity_integral and then
+    assemble_density_matrix on the same model, and the second call reuses the first's build.
     """
     e, we = _error_kernel(model)
-    norms_sq, grid = _norms_squared(model, e)
-    norms_sq = 0.5 * (norms_sq + norms_sq[::-1])
-    free = model.pump.sigma * math.sqrt(math.pi)
-    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
-    q, x = we / norms_sq, _odd(grid.detunings)
-    for a in (e, q, x):
-        a.flags.writeable = False
-    return e, q, grid, x
+    table, norms_sq = _error_table(model, e)
+    keep = norms_sq > VACUOUS_NORM * model.pump.sigma * math.sqrt(math.pi)
+    if not keep.any():
+        raise FilterOverlapError("the filter passes under 1e-12 of every conditional wavepacket")
+    if not keep.all():
+        we, norms_sq, table = we[keep] / we[keep].sum(), norms_sq[keep], table[keep]
+    lags = np.arange(model.n_signal)
+    half_lag = 0.5 * model.signal_grid.step / model.pump.sigma
+    factors = (_herald_factor(model, lags) * np.exp(-((lags * half_lag) ** 2)),
+               (we / norms_sq) @ table)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 def _purity_factored(model: HeraldedStateModel) -> float:
-    """sum_ab w_a w_b rho(x_a, x_b)^2 on the signal grid, by the Gaussian product identity.
+    """sum_ab w_a w_b rho(x_a, x_b)^2 on the signal grid, from the two factors of rho.
 
-    rho(x, y)^2 = r(x - y)^2 sum_ij q_i q_j g(x - e_i) g(y - e_i) g(x - e_j) g(y - e_j),
-    g(v) = exp(-v^2 / 2 sig^2), and the four Gaussians are exp(-(x - y)^2 / 2 sig^2)
-    exp(-(e_i - e_j)^2 / 2 sig^2) exp(-2 (m - mu_ij)^2 / sig^2), m = (x + y) / 2 and
-    mu_ij = (e_i + e_j) / 2. So the sum is sum_ab w_a w_b F(x_a - x_b) G((x_a + x_b) / 2)
-    with F(u) = r(u)^2 exp(-u^2 / 2 sig^2) and G(m) = sum_k W_k exp(-2 (m - mu_k)^2 / sig^2),
-    W_k the pair weights with i + j = k. Every Gaussian argument is divided by sig
-    before it is squared.
+    rho(x, y)^2 = F(x - y) G((x + y) / 2) with F = R^2 and G = h^2 (_kernels). G is the
+    sum over error pairs i, j of q_i q_j exp(-(e_i - e_j)^2 / 2 sig^2) exp(-2 (m - mu_ij)^2 /
+    sig^2), mu_ij = (e_i + e_j) / 2, taken as the square of one sum over the nodes. The sum
+    runs over the lags d = |a - b| and, along each diagonal, the midpoints j dx / 2.
     """
-    e, q, grid, x = _kernels(model)
-    ne, n = e.size, x.size
-    sig = model.pump.sigma
-
-    # pair weights W_k, k = i + j indexing the error-pair midpoints linspace(e[0], e[-1], 2 ne - 1)
-    es = e / sig
-    pairs = np.outer(q, q) * np.exp(-0.5 * (es[:, None] - es[None, :]) ** 2)
-    w_mid = np.bincount(np.add.outer(np.arange(ne), np.arange(ne)).ravel(), pairs.ravel())
-    mids = np.linspace(0.0, es[-1], ne)
-    mids = np.concatenate([-mids[:0:-1], mids])
-
-    # G is even, so only m >= 0 is needed: m_j = j dx / 2, j = a + b - (n - 1) = 0 ... n - 1
-    m = np.linspace(0.0, x[-1] / sig, n)
-    table = np.subtract(m[:, None], mids[None, :])  # (m, mid), one buffer
-    np.square(table, out=table)
-    table *= -2.0
-    g = np.exp(table, out=table) @ w_mid
-    lags = np.arange(n)  # d = |a - b|
-    f = _herald_factor(model, lags) ** 2 * np.exp(-0.5 * (lags * (grid.step / sig)) ** 2)
+    f, g = (a * a for a in _kernels(model))
+    step = model.signal_grid.step
 
     # The diagonal a - b = d meets the midpoints j = -J, -J + 2, ..., J, J = n - 1 - d. G being
     # even, it sums to G_0 [J even] + 2 sum_{0 < j <= J, j = J mod 2} G_j: a cumulative sum
@@ -300,22 +300,20 @@ def _purity_factored(model: HeraldedStateModel) -> float:
     diag[0] += 0.25 * g[0]  # J = 0: nothing so far
     diag[-1] -= 0.5 * g[-1]
     total = 2.0 * (f @ diag[::-1]) - f[0] * diag[-1]  # d and -d, the main diagonal once
-    return float(grid.step * grid.step * total)
+    return float(step * step * total)
 
 
 def purity_integral(model: HeraldedStateModel) -> float:
     """Heralded-photon purity Tr(rho^2) by quadrature of squared overlaps.
 
-    The discrete sum over signal-node pairs is rearranged exactly (see
-    _purity_factored): one Gaussian table over the signal midpoints m >= 0
-    and the error-pair midpoints, O(n ne) exponentials, and the herald
-    factor in closed form, O(n) trig; the pairs are then summed along the
-    diagonals of the signal grid in O(n). Use model.scaled() for quick scans
-    on coarser grids. Every call repeats the evaluation with doubled grids
-    and raises QuadratureConvergenceError if the value moves by more than
-    1e-3; the base-grid value is returned.
+    rho(x, y)^2 = R(x - y)^2 h((x + y) / 2)^2 (see _purity_factored): one exponential table
+    over the error nodes and the signal midpoints m >= 0, O(n ne), and the herald factor in
+    closed form, O(n) trig; the pairs are then summed along the diagonals of the signal grid
+    in O(n). Use model.scaled() for quick scans on coarser grids. Every call repeats the
+    evaluation with doubled grids and raises QuadratureConvergenceError if the value moves
+    by more than 1e-3; the base-grid value is returned.
     """
-    # the doubled grids first, so model's kernels are the cached ones afterwards
+    # the doubled grids first, so model's factors are the cached ones afterwards
     refined = _purity_factored(model.scaled(2.0))  # n -> 2n - 1 on every grid
     value = _purity_factored(model)
     if abs(refined - value) > 1e-3:
@@ -382,7 +380,7 @@ def _block_spectrum(b: np.ndarray) -> np.ndarray:
     decides.
     """
     g = _pivoted_cholesky(b)
-    residual = g.T @ g
+    residual = np.ascontiguousarray(g.T) @ g  # from a strided g.T it is several times slower
     residual -= b
     if np.linalg.norm(residual) <= CERTIFIED_RESIDUAL:
         return np.concatenate([np.zeros(b.shape[0] - g.shape[0]), np.linalg.eigvalsh(g @ g.T)])
@@ -523,43 +521,37 @@ class DiscretizedDensityMatrix:
 
 
 def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatrix:
-    """Mix the conditional wavepackets over the herald window and error kernel, by parity block.
+    """The heralded state as its two parity blocks, Toeplitz and Hankel products of rho's factors.
 
-    rho factorizes into (error mixture of envelopes) x (herald mixture of
-    chirp phases). The herald nodes h sit symmetrically about their mean h0
-    with symmetric weights, so in the frame of exp(i gamma (x - h0)^2) the
-    herald factor is r(|i - j|) between grid nodes i and j, r_k = sum_h w_h
-    cos(2 gamma (h - h0) k dx), taken in closed form (_herald_factor).
-    Vacuous events (filter kills the envelope) are dropped with their weight
-    renormalized away.
-
-    a holds the envelopes times sqrt(w) at x >= 0, one row per error node.
-    e is exactly odd and its weights q exactly even (_kernels), so a[::-1]
-    holds them at -x. Two real GEMMs then give the error mixture between x
-    and y, P = (a^T q) a, and between x and -y, M = (a^T q) a[::-1]. The
-    herald factor multiplies P as the Toeplitz r(|i - j|) and M as the Hankel
-    r(i + j + 1 - n % 2), both strided views of one table. even = P + M
-    (the center couples as sqrt(2) P, as _parity_blocks has it) and odd = P
-    - M over x > 0, each symmetrized. No n x n array is formed: at most
-    three block-sized arrays are alive at once.
+    rho(x, y) = R(x - y) h((x + y) / 2) (_kernels). Over the nodes x_i, x_k >= 0,
+    i, k = 0 ... m - 1 with m = ceil(n / 2), rho(x_i, x_k) = R[|i - k|] h[i + k + 1 - n % 2],
+    a Toeplitz times a Hankel table, and rho(x_i, -x_k) = R[i + k + 1 - n % 2] h[|i - k|],
+    a Hankel times a Toeplitz one, each a sliding_window_view of its 1-D table. Times
+    outer(sqrt(w), sqrt(w)) over x >= 0 they are P and M; even = P + M (the center couples
+    as sqrt(2) P, as _parity_blocks has it) and odd = P - M over x > 0. Every factor is
+    exactly symmetric and each entry is the product of the same values in the same order,
+    so both blocks are exactly symmetric. No n x n array and no matrix product is formed.
     """
-    e, q, grid, x = _kernels(model)
-    n = x.size
+    lag, mid = _kernels(model)
+    grid = model.signal_grid
+    n = grid.points
     lo, r = n // 2, n % 2  # nodes lo: have x >= 0
     m = n - lo
-    a = np.subtract(x[None, lo:], e[:, None])  # (e, x >= 0), one buffer
-    a /= model.pump.sigma
-    np.square(a, out=a)
-    a *= -0.5
-    np.exp(a, out=a)
-    a *= np.sqrt(grid.trapezoid_weights()[lo:])
-    qa = a.T * q
-    p, mix = qa @ a, qa @ a[::-1]
-    del a, qa  # only the products are needed from here
-    rc = _herald_factor(model, np.arange(n))
     windows = np.lib.stride_tricks.sliding_window_view
-    p *= windows(np.concatenate([rc[m - 1 : 0 : -1], rc[:m]]), m)[::-1]  # row i: rc[|i - j|]
-    mix *= windows(rc[1 - r :], m)  # row i: rc[i + j + 1 - r], the lag from x_i to -x_j
+
+    def toeplitz(t):  # row i: t[|i - k|]
+        return windows(np.concatenate([t[m - 1 : 0 : -1], t[:m]]), m)[::-1]
+
+    def hankel(t):  # row i: t[i + k + 1 - r]
+        return windows(t[1 - r :], m)
+
+    sw = np.sqrt(grid.trapezoid_weights()[lo:])
+    p = np.outer(sw, sw)
+    mix = p.copy()
+    p *= toeplitz(lag)
+    p *= hankel(mid)
+    mix *= hankel(lag)
+    mix *= toeplitz(mid)
     odd = p[r:, r:] - mix[r:, r:]
     even = mix
     even += p
@@ -567,10 +559,7 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
         even[0, 1:] = math.sqrt(2.0) * p[0, 1:]
         even[1:, 0] = math.sqrt(2.0) * p[1:, 0]
         even[0, 0] = p[0, 0]
-    del p
-    for b in (even, odd):  # (b + b^T) / 2 in place, exactly symmetric
-        b += b.T  # numpy reads the overlapping b.T through a temporary copy
-        b *= 0.5
+    del p  # only the blocks are needed from here
     return DiscretizedDensityMatrix(grid, even, odd)
 
 

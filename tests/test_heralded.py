@@ -4,23 +4,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmux import defaults, heralded
+from fmux import cli, defaults, heralded
 from fmux.heralded import (
     JITTER_SPAN_SIGMAS,
     VACUOUS_NORM,
     DiscretizedDensityMatrix,
     HeraldedStateModel,
     _block_spectrum,
-    _drop_vacuous,
     _error_kernel,
+    _error_table,
     _fold,
     _herald_factor,
     _herald_mixture,
     _kernels,
-    _norms_squared,
     _parity_blocks,
     _pivoted_cholesky,
     _purity_factored,
@@ -30,6 +29,7 @@ from fmux.heralded import (
     purity_integral,
 )
 from fmux.scenarios import ConfigError, _converged_purity, load_config
+from fmux.serrodyne import QuadratureConvergenceError
 from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
 from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, scaled_points
 from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
@@ -84,6 +84,89 @@ def herald_cos_sum(phi, n_herald):
     return np.cos(np.multiply.outer(phi, k)) @ (w / w.sum())
 
 
+def error_mixture(model):
+    """Oracle: (e, q, grid, x), the error nodes and weights q = we / norms_sq on the signal grid.
+
+    The engine's kernels as they once were: each wavepacket's squared norm summed over the
+    whole signal grid, averaged with its mirror image so that it is exactly even, and the
+    error nodes whose norm is at most VACUOUS_NORM of the free norm dropped, the rest
+    renormalized. e and x are exactly odd and q exactly even.
+    """
+    e, we = _error_kernel(model)
+    grid = model.signal_grid
+    g2 = np.exp(-((grid.detunings[None, :] - e[:, None]) / model.pump.sigma) ** 2)
+    norms_sq = g2 @ grid.trapezoid_weights()
+    norms_sq = 0.5 * (norms_sq + norms_sq[::-1])
+    keep = norms_sq > VACUOUS_NORM * model.pump.sigma * math.sqrt(math.pi)
+    if not np.all(keep):
+        e, we, norms_sq = e[keep], we[keep] / we[keep].sum(), norms_sq[keep]
+    return e, we / norms_sq, grid, heralded._odd(grid.detunings)
+
+
+def pair_weight_purity(model):
+    """Oracle: the purity sum as the engine once took it, through error-pair weights.
+
+    rho(x, y)^2 = r(x - y)^2 sum_ij q_i q_j g(x - e_i) g(y - e_i) g(x - e_j) g(y - e_j), and
+    the four Gaussians are exp(-(x - y)^2 / 2 sig^2) exp(-(e_i - e_j)^2 / 2 sig^2)
+    exp(-2 (m - mu_ij)^2 / sig^2), m = (x + y) / 2 and mu_ij = (e_i + e_j) / 2. So the sum is
+    sum_ab w_a w_b F(x_a - x_b) G((x_a + x_b) / 2) with G(m) = sum_k W_k exp(-2 (m - mu_k)^2 /
+    sig^2), W_k the pair weights with i + j = k: a bincount, and an n x (2 ne - 1) table.
+    """
+    e, q, grid, x = error_mixture(model)
+    ne, n = e.size, x.size
+    sig = model.pump.sigma
+    es = e / sig
+    pairs = np.outer(q, q) * np.exp(-0.5 * (es[:, None] - es[None, :]) ** 2)
+    w_mid = np.bincount(np.add.outer(np.arange(ne), np.arange(ne)).ravel(), pairs.ravel())
+    mids = np.linspace(0.0, es[-1], ne)
+    mids = np.concatenate([-mids[:0:-1], mids])
+    m = np.linspace(0.0, x[-1] / sig, n)  # G is even: m_j = j dx / 2 >= 0
+    g = np.exp(-2.0 * (m[:, None] - mids[None, :]) ** 2) @ w_mid
+    lags = np.arange(n)
+    f = _herald_factor(model, lags) ** 2 * np.exp(-0.5 * (lags * (grid.step / sig)) ** 2)
+    # each diagonal a - b = d sums G over j = -J, -J + 2, ..., J, J = n - 1 - d, its two
+    # ends at trapezoid weight 1/2 (the corners of the main diagonal at 1/4)
+    acc = g.copy()
+    acc[0] = 0.0
+    acc[0::2] = np.cumsum(acc[0::2])
+    acc[1::2] = np.cumsum(acc[1::2])
+    diag = 2.0 * acc - g
+    diag[0::2] += g[0]
+    diag[0] += 0.25 * g[0]
+    diag[-1] -= 0.5 * g[-1]
+    total = 2.0 * (f @ diag[::-1]) - f[0] * diag[-1]
+    return float(grid.step * grid.step * total)
+
+
+def two_gemm_assembly(model) -> DiscretizedDensityMatrix:
+    """Oracle: the parity blocks as the engine once built them, from two real GEMMs.
+
+    a holds the envelopes times sqrt(w) at x >= 0, one row per error node, and a[::-1]
+    those at -x (e exactly odd, q exactly even). P = (a^T q) a times the Toeplitz herald
+    factor r(|i - j|) and M = (a^T q) a[::-1] times the Hankel r(i + j + 1 - n % 2);
+    even = P + M (the center as sqrt(2) P) and odd = P - M over x > 0, each symmetrized.
+    """
+    e, q, grid, x = error_mixture(model)
+    n = x.size
+    lo, r = n // 2, n % 2
+    m = n - lo
+    a = np.exp(-0.5 * ((x[None, lo:] - e[:, None]) / model.pump.sigma) ** 2)
+    a *= np.sqrt(grid.trapezoid_weights()[lo:])
+    qa = a.T * q
+    p, mix = qa @ a, qa @ a[::-1]
+    rc = _herald_factor(model, np.arange(n))
+    i = np.arange(m)
+    p *= rc[np.abs(i[:, None] - i[None, :])]
+    mix *= rc[i[:, None] + i[None, :] + 1 - r]
+    odd = p[r:, r:] - mix[r:, r:]
+    even = mix + p
+    if r:
+        even[0, 1:] = math.sqrt(2.0) * p[0, 1:]
+        even[1:, 0] = math.sqrt(2.0) * p[1:, 0]
+        even[0, 0] = p[0, 0]
+    return DiscretizedDensityMatrix(grid, 0.5 * (even + even.T), 0.5 * (odd + odd.T))
+
+
 def window_table_purity(model):
     """Oracle: the same discrete sum through window-integral tables and one GEMM.
 
@@ -93,7 +176,7 @@ def window_table_purity(model):
     symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. Folding x onto
     x >= 0, cos pairs with the even part of the envelope and sin with its odd part.
     """
-    e, q, grid, x = _kernels(model)
+    e, q, grid, x = error_mixture(model)
     h, wh = herald_kernel(model)
     ne, n = e.size, x.size  # x[n // 2] == 0 when n is odd
     wx = grid.trapezoid_weights()
@@ -184,16 +267,16 @@ def test_conditional_wavepacket_is_normalized():
 
 def test_conditional_wavepacket_vacuous_event():
     # an idler so far off that the displaced envelope misses the filter: the
-    # engine drops that error node and renormalizes the rest
+    # engine's norms put that error node, and its mirror, below the vacuous cut
     m = small_model()
     ref = m.spectrometer.reference_frequency
     free = m.pump.sigma * math.sqrt(math.pi)
     far = 1000.0 * GHZ
-    assert conditional_wavepacket(ref, ref - far, m).norm_sq <= VACUOUS_NORM * free
-    e = np.array([0.0, far])
-    norms_sq, _ = _norms_squared(m, e)
-    kept, we, _ = _drop_vacuous(e, np.array([0.25, 0.75]), norms_sq, free)
-    assert kept.tolist() == [0.0] and we.tolist() == [1.0]
+    events = [conditional_wavepacket(ref, ref - e, m) for e in (-far, 0.0, far)]
+    assert events[0].norm_sq <= VACUOUS_NORM * free and events[2].norm_sq <= VACUOUS_NORM * free
+    _, norms_sq = _error_table(m, np.array([-far, 0.0, far]))
+    assert (norms_sq > VACUOUS_NORM * free).tolist() == [False, True, False]
+    assert abs(norms_sq[1] - events[1].norm_sq) <= 1e-14 * events[1].norm_sq
 
 
 def test_perfect_detection_no_dispersion_is_pure():
@@ -208,16 +291,13 @@ def direct_purity(model):
     tables: each normalized wavepacket is a row, and the purity is the
     mixture-weighted sum of squared overlaps between all rows.
     """
-    e, we = _error_kernel(model)
+    e, q, grid, _ = error_mixture(model)
     h, wh = herald_kernel(model)
-    norms_sq, grid = _norms_squared(model, e)
-    free = model.pump.sigma * math.sqrt(math.pi)
-    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
     x = grid.detunings
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)  # (e, x)
     chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)  # (h, x)
     rows = (chirp[:, None, :] * env[None, :, :]).reshape(-1, x.size)  # (h, e) flattened
-    v = np.outer(wh, we / norms_sq).ravel()
+    v = np.outer(wh, q).ravel()
     overlaps = (rows * grid.trapezoid_weights()) @ rows.conj().T
     return float(v @ np.abs(overlaps) ** 2 @ v)
 
@@ -340,10 +420,20 @@ def test_herald_factor_matches_cosine_table_on_the_herald_nodes(model):
 
 @PARITY_MODELS
 def test_norms_squared_in_one_buffer_is_bit_identical(model):
+    # the error table, built in one buffer, is the plain expression bit for bit; the
+    # norms read off its columns x >= 0 by parity are those summed over the whole grid
     e, _ = _error_kernel(model)
     grid = model.signal_grid
+    n = grid.points
+    table, norms_sq = _error_table(model, e)
+    m = np.linspace(0.0, 0.5 * grid.span, n)
+    assert np.array_equal(table, np.exp(-((m[None, :] - e[:, None]) / model.pump.sigma) ** 2))
+    # every other midpoint is a node x >= 0, to the rounding of the two linspaces
+    nodes = heralded._odd(grid.detunings)[n // 2 :]
+    assert np.abs(m[(n - 1) % 2 :: 2] - nodes).max() <= 4.0 * np.spacing(nodes[-1])
     g2 = np.exp(-((grid.detunings[None, :] - e[:, None]) / model.pump.sigma) ** 2)
-    assert np.array_equal(_norms_squared(model, e)[0], g2 @ grid.trapezoid_weights())
+    direct = g2 @ grid.trapezoid_weights()
+    assert np.abs(norms_sq - direct).max() <= 1e-14 * direct.max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -378,9 +468,20 @@ def test_jitter_just_inside_the_squarable_reach_never_overflows(tmp_path):
 
 @PARITY_MODELS
 def test_kernels_are_exactly_symmetric(model):
-    e, q, grid, x = _kernels(model)
-    assert np.array_equal(e, -e[::-1]) and np.array_equal(q, q[::-1])
+    e, we = _error_kernel(model)
+    _, norms_sq = _error_table(model, e)
+    assert np.array_equal(e, -e[::-1]) and np.array_equal(we, we[::-1])
+    assert np.array_equal(norms_sq, norms_sq[::-1])  # so the cut keeps +/-e pairs
+    lag, mid = _kernels(model)
+    assert lag.size == mid.size == model.n_signal
+    # h(m) over every midpoint j dx / 2, j = -(n - 1) ... n - 1, from the oracle's
+    # symmetric nodes: even, and its half m >= 0 is the engine's table
+    e, q, grid, x = error_mixture(model)
     assert np.array_equal(x, -x[::-1]) and x.size == model.n_signal
+    m = np.linspace(-x[-1], x[-1], 2 * x.size - 1)
+    h = q @ np.exp(-((m[None, :] - e[:, None]) / model.pump.sigma) ** 2)
+    assert np.abs(h - h[::-1]).max() <= 1e-14 * h.max()
+    assert np.abs(mid - h[x.size - 1 :]).max() <= 1e-13 * h.max()
 
 
 def test_filter_that_passes_nothing_is_an_error():
@@ -392,10 +493,17 @@ def test_filter_that_passes_nothing_is_an_error():
 
 
 def test_vacuous_cut_drops_nodes_in_pairs():
-    e, *_ = _kernels(VACUOUS_CUT_MODEL)
-    full, _ = _error_kernel(VACUOUS_CUT_MODEL)
+    e, q, _, _ = error_mixture(VACUOUS_CUT_MODEL)
+    full, we = _error_kernel(VACUOUS_CUT_MODEL)
     assert 1 < e.size < full.size and (full.size - e.size) % 2 == 0
     assert np.array_equal(e, full[(full.size - e.size) // 2 : (full.size + e.size) // 2])
+    # the engine's h is the kept nodes' mixture, far from the mixture of them all
+    _, mid = _kernels(VACUOUS_CUT_MODEL)
+    kept = q @ _error_table(VACUOUS_CUT_MODEL, e)[0]
+    table, norms_sq = _error_table(VACUOUS_CUT_MODEL, full)
+    every = (we / norms_sq) @ table
+    assert np.abs(mid - kept).max() <= 1e-13 * kept.max()
+    assert np.abs(mid - every).max() > 1e-3 * kept.max()
 
 
 BLOCK_MODELS = pytest.mark.parametrize(
@@ -557,14 +665,11 @@ def test_density_matrix_is_a_state():
 
 def einsum_density_matrix(model):
     """Oracle: the mixture products as 3-operand einsums over the kernel nodes."""
-    e, we = _error_kernel(model)
+    e, q, grid, _ = error_mixture(model)
     h, wh = herald_kernel(model)
-    norms_sq, grid = _norms_squared(model, e)
-    free = model.pump.sigma * math.sqrt(math.pi)
-    e, we, norms_sq = _drop_vacuous(e, we, norms_sq, free)
     x = grid.detunings
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
-    m_env = np.einsum("k,kx,ky->xy", we / norms_sq, env, env)
+    m_env = np.einsum("k,kx,ky->xy", q, env, env)
     chirp = np.exp(1j * model.gamma * (x[None, :] - h[:, None]) ** 2)
     m_chirp = np.einsum("k,kx,ky->xy", wh, chirp, chirp.conj())
     return hermitize(m_env * m_chirp)
@@ -603,7 +708,7 @@ def whole_matrix_assembly(model) -> np.ndarray:
     factor; the center row symmetrized; the rows mirrored; and the whole
     matrix symmetrized as (rho + rho^T) / 2.
     """
-    e, q, _, x = heralded._kernels(model)
+    e, q, _, x = error_mixture(model)
     n = x.size
     lo, r = n // 2, n % 2
     env = np.exp(-0.5 * ((x[None, :] - e[:, None]) / model.pump.sigma) ** 2)
@@ -643,17 +748,56 @@ def test_blocks_match_the_whole_matrix_oracle(model):
             assert abs(dm.intensity_width() - width) <= 1e-13 * width
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(n_signal=st.integers(3, 41), n_herald=st.integers(3, 17), n_jitter=st.integers(3, 17),
-       dispersion=st.sampled_from([0.25, 1.0, 4.0]), gamma=st.sampled_from([0.0, 1.0, 30.0]),
-       off_center=st.booleans())
-def test_block_spectrum_matches_the_unfolded_dense_spectrum(n_signal, n_herald, n_jitter,
-                                                             dispersion, gamma, off_center):
+# small models: odd and even signal counts, the delay-line dispersion (so the jitter's
+# width in frequency) and the delay-line gamma scaled, a centred or an off-centre herald
+# window. At a quarter of the dispersion every drawn model drops vacuous error nodes
+SMALL_MODELS = dict(
+    n_signal=st.integers(3, 41), n_herald=st.integers(3, 17), n_jitter=st.integers(3, 17),
+    dispersion=st.sampled_from([0.25, 1.0, 4.0]), gamma=st.sampled_from([0.0, 1.0, 30.0]),
+    off_center=st.booleans())
+
+
+def drawn_model(n_signal, n_herald, n_jitter, dispersion, gamma, off_center):
     base = OFF_CENTER_MODEL if off_center else COMBINED_MODEL
-    model = replace(with_dispersion_scale(base, dispersion), gamma=gamma * base.gamma,
-                    n_signal=n_signal, n_herald=n_herald, n_jitter=n_jitter)
-    dm = assemble_density_matrix(model)
+    return replace(with_dispersion_scale(base, dispersion), gamma=gamma * base.gamma,
+                   n_signal=n_signal, n_herald=n_herald, n_jitter=n_jitter)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(**SMALL_MODELS)
+def test_block_spectrum_matches_the_unfolded_dense_spectrum(**draw):
+    dm = assemble_density_matrix(drawn_model(**draw))
     assert np.abs(dm.eigenvalues() - np.linalg.eigvalsh(weighted(dm))).max() <= 1e-12
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(**SMALL_MODELS)
+@example(n_signal=201, n_herald=17, n_jitter=65, dispersion=0.25, gamma=1.0,
+         off_center=False)  # the vacuous-cut model, VACUOUS_CUT_MODEL
+def test_separable_factors_match_the_pair_weight_and_two_gemm_engines(**draw):
+    model = drawn_model(**draw)
+    oracle = pair_weight_purity(model)
+    assert abs(_purity_factored(model) - oracle) <= 1e-13 * oracle
+    dm, old = assemble_density_matrix(model), two_gemm_assembly(model)
+    top = max(np.abs(old.even).max(), np.abs(old.odd).max())
+    assert np.abs(dm.even - old.even).max() <= 1e-13 * top
+    assert np.abs(dm.odd - old.odd).max() <= 1e-13 * top
+    width = old.intensity_width()
+    assert abs(dm.intensity_width() - width) <= 1e-13 * width
+
+
+def test_doubling_check_fires_on_a_wide_jitter(tmp_path, capsys):
+    # at 4 ps/GHz the jitter is 180 GHz wide, and at grid scale 1 the doubled grids move
+    # the purity by more than 1e-3; the scenario names the key that refines them
+    path = tmp_path / "dispersion.cfg"
+    path.write_text("[spectrometer]\ndispersion_ps_per_ghz = 4\n")
+    model = load_config("purity-jitter", config_path=path).heralded_model(gvd=False)
+    with pytest.raises(QuadratureConvergenceError, match="on grid doubling"):
+        purity_integral(model)
+    code = cli.main(["purity-jitter", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "run.grid_scale" in err and "on grid doubling" in err
 
 
 def test_default_assembly_allocates_no_whole_matrix():

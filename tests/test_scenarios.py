@@ -201,22 +201,22 @@ def test_purity_scenario_eigensolves_once(tmp_path, monkeypatch):
 
 def test_purity_scenario_builds_each_grids_kernels_once(tmp_path, monkeypatch):
     calls = []
-    norms_squared = heralded._norms_squared
+    error_table = heralded._error_table
 
     def recording(model, e):
         calls.append(model.n_signal)
-        return norms_squared(model, e)
+        return error_table(model, e)
 
-    monkeypatch.setattr(heralded, "_norms_squared", recording)
+    monkeypatch.setattr(heralded, "_error_table", recording)
     for _ in range(2):
         calls.clear()
         _, summary = run("purity-jitter", tmp_path)
         assert summary["all_passed"]
-        # the doubled grid for the refinement guard, then the base grid, which
-        # assemble_density_matrix reuses
+        # one exponential table for the doubled grid of the refinement guard, then one
+        # for the base grid, whose factors assemble_density_matrix reuses
         assert calls == [1025, 513]
-    e, q, _, x = heralded._kernels(load_config("purity-jitter").heralded_model(gvd=False))
-    assert not any(a.flags.writeable for a in (e, q, x))
+    lag, mid = heralded._kernels(load_config("purity-jitter").heralded_model(gvd=False))
+    assert not any(a.flags.writeable for a in (lag, mid))
 
 
 @pytest.mark.parametrize("jitter_ps, verdict", [("5.3", "negligible"), ("30", "not negligible")])
