@@ -735,26 +735,29 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 class _JointCounts:
     """The float histogram2d counts on np.linspace edges of (x, y) pairs added block by block.
 
-    Each block packs the row-major joint bins of its pairs into one index
-    column of capacity entries, which counts() counts by one bincount. A
+    Each block's pairs are counted at their row-major joint bins into one
+    intp count array by np.add.at, so no index column outlives its block. A
     pair outside its edges (or NaN) is dropped, as histogram2d drops it.
     """
 
-    def __init__(self, x_edges: np.ndarray, y_edges: np.ndarray, capacity: int):
-        self.x_edges, self.y_edges, self.n = x_edges, y_edges, 0
-        self.index = np.empty(capacity, dtype=np.intp)
+    def __init__(self, x_edges: np.ndarray, y_edges: np.ndarray):
+        self.x_edges, self.y_edges = x_edges, y_edges
+        self.bins = np.zeros((x_edges.size - 1) * (y_edges.size - 1), dtype=np.intp)
 
     def add(self, x: np.ndarray, y: np.ndarray) -> None:
         x_edges, y_edges = self.x_edges, self.y_edges
         inside = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
-        flat = self.index[self.n:self.n + np.count_nonzero(inside)]
-        np.multiply(_bin_index(x[inside], x_edges), y_edges.size - 1, out=flat)
+        flat = _bin_index(x[inside], x_edges)
+        flat *= y_edges.size - 1
         flat += _bin_index(y[inside], y_edges)
-        self.n += flat.size
+        self.add_flat(flat)
+
+    def add_flat(self, flat: np.ndarray) -> None:
+        """Count pairs given as their row-major joint bins."""
+        np.add.at(self.bins, flat, 1)
 
     def counts(self) -> np.ndarray:
-        nx, ny = self.x_edges.size - 1, self.y_edges.size - 1
-        return np.bincount(self.index[:self.n], minlength=nx * ny).reshape(nx, ny).astype(float)
+        return self.bins.reshape(self.x_edges.size - 1, -1).astype(float)
 
 
 class _Correlation:
@@ -828,22 +831,25 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     joint spectrum downstream.
 
     One Philox generator seeded from run.seed draws, in this order: the
-    idlers and sum detunings as whole columns, the arrival-time jitter block
-    by block (consecutive normal draws equal one whole draw), then the two
-    click columns. The first pass over blocks of _STREAM_BLOCK pulses tags
-    each block with spectrometer.sample_herald_event, keeps its int16 bins,
-    routes and filters it through the LUT, and adds its detuning pairs to
-    both correlations and its passed events to the shifted histogram; the
+    idlers, the sum detunings, the arrival-time jitter, the herald clicks and
+    the signal clicks, each over every block of _STREAM_BLOCK pulses in turn.
+    Consecutive draws equal one whole draw, so every column is the
+    whole-column draw bit for bit. Nothing pulse-sized is allocated but the
+    returned columns: the two frequencies are the rows of one float array,
+    the three flags the rows of one bool array. The first pass over blocks
+    tags each block with spectrometer.sample_herald_event, keeps its int16
+    bins, routes and filters it through the LUT, and adds its detuning pairs
+    to both correlations and its passed events to the shifted histogram; the
     herald frequencies and shifts live only for their block. The bin table
     then takes bin_center_frequency and lut.route of every bin from the
     lowest drawn to the highest, the same expressions per bin, so a lookup
     in it gives each pulse's values bit for bit. The second pass bins the
     unshifted pairs on the edges their extremes set, the herald axis once
-    per table row, which each pulse looks up by its bin. Columns and
-    histograms do not depend on the block size; the correlations only up to
-    rounding. A config whose bins could pass int16 is rejected
-    (_check_bin_reach), and a drawn bin beyond it (a jitter tail past its
-    reach) raises OverflowError.
+    per table row, which each pulse looks up by its bin. Both histograms are
+    counted block by block (_JointCounts). Columns and histograms do not
+    depend on the block size; the correlations only up to rounding. A
+    config whose bins could pass int16 is rejected (_check_bin_reach), and a
+    drawn bin beyond it (a jitter tail past its reach) raises OverflowError.
     """
     pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
@@ -861,16 +867,22 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
                      np.linspace(-window.half_width, window.half_width, bins_n + 1))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    idler = rng.uniform(-half_span, half_span, size=pulses)
-    idler += herald_ref
-    # energy conservation: sum detuning carries the pump intensity profile
-    signal = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=pulses)
-    signal += pump.center
-    signal -= idler
-
+    # the returned columns: one float and one flag allocation, rows filled block by block
+    frequencies = np.empty((2, pulses))
+    idler, signal = frequencies
+    for rows in _blocks(pulses):
+        np.add(rng.uniform(-half_span, half_span, size=idler[rows].size), herald_ref,
+               out=idler[rows])
+    for rows in _blocks(pulses):
+        # energy conservation: sum detuning carries the pump intensity profile
+        sum_detuning = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=signal[rows].size)
+        sum_detuning += pump.center
+        np.subtract(sum_detuning, idler[rows], out=signal[rows])
+    flags = np.empty((3, pulses), dtype=bool)
+    passed, herald_click, signal_click = flags
     bins = np.empty(pulses, dtype=EVENTS_DTYPE["herald_bin"])
-    passed = np.empty(pulses, dtype=bool)
-    shifted_bins = _JointCounts(*shifted_edges, pulses)
+
+    shifted_bins = _JointCounts(*shifted_edges)
     unshifted, shifted = _Correlation(), _Correlation()
     n_routed = 0
     first, last = HERALD_BIN_LIMITS.max, HERALD_BIN_LIMITS.min
@@ -905,16 +917,18 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     full_edges = np.linspace(-edge, edge, bins_n + 1)
     # every pair lies inside these edges; a bin's herald row is binned once, per table row
     row_offset = _bin_index(bin_frequency - herald_ref, full_edges) * bins_n
-    flat = np.empty(pulses, dtype=np.intp)
+    unshifted_bins = _JointCounts(full_edges, full_edges)
     for rows in _blocks(pulses):
-        np.take(row_offset, _table_rows(bins[rows], first), out=flat[rows])
-        flat[rows] += _bin_index(signal[rows] - window.center, full_edges)
-    unshifted_hist = np.bincount(flat, minlength=bins_n * bins_n).reshape(bins_n, -1).astype(float)
-    del flat  # out of the click draws' peak
+        flat = row_offset.take(_table_rows(bins[rows], first))
+        flat += _bin_index(signal[rows] - window.center, full_edges)
+        unshifted_bins.add_flat(flat)
+    unshifted_hist = unshifted_bins.counts()
+    del unshifted_bins  # out of the click draws' peak
 
-    scratch = np.empty(pulses)
-    herald_click = rng.random(out=scratch) < eta_h
-    signal_click = rng.random(out=scratch) < eta_s
+    draws = np.empty(min(pulses, _STREAM_BLOCK))
+    for click, eta in ((herald_click, eta_h), (signal_click, eta_s)):
+        for rows in _blocks(pulses):
+            np.less(rng.random(out=draws[:click[rows].size]), eta, out=click[rows])
     signal_click &= passed
 
     return StreamResult(

@@ -114,8 +114,7 @@ class PumpEnvelope:
             raise ValueError("pump sigma must be positive")
 
     def amplitude(self, omega) -> np.ndarray:
-        x = (np.asarray(omega, dtype=float) - self.center) / self.sigma
-        return np.exp(-0.5 * x * x)
+        return _gaussian(omega, self.center, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,32 @@ class GaussianWindow:
             raise ValueError("window sigma must be positive")
 
     def amplitude(self, omega) -> np.ndarray:
-        x = (np.asarray(omega, dtype=float) - self.center) / self.sigma
-        return np.exp(-0.5 * x * x)
+        return _gaussian(omega, self.center, self.sigma)
+
+
+def _gaussian(omega, center: float, sigma: float) -> np.ndarray:
+    """exp(-0.5 * x * x) with x = (omega - center) / sigma, a numpy scalar for scalar omega.
+
+    Every step after the first is done in place on the two arrays made
+    here, in the order of the expression; omega itself is never written.
+    """
+    x = np.asarray(omega, dtype=float) - center
+    x /= sigma
+    g = -0.5 * x
+    g *= x
+    return np.exp(g, out=g if g.ndim else None)
+
+
+def _intensity(amplitude: np.ndarray) -> np.ndarray:
+    """|amplitude|**2 as a new array, squared in place; the amplitude is not written."""
+    p = np.abs(amplitude)
+    return np.square(p, out=p)
 
 
 def _grid_norm(signal_grid: FrequencyGrid, herald_grid: FrequencyGrid, amplitude) -> float:
     ws = signal_grid.trapezoid_weights()
     wh = herald_grid.trapezoid_weights()
-    return float(np.sqrt(np.einsum("i,j,ij->", ws, wh, np.abs(amplitude) ** 2)))
+    return float(np.sqrt(np.einsum("i,j,ij->", ws, wh, _intensity(amplitude))))
 
 
 @dataclass(frozen=True)
@@ -194,13 +211,15 @@ class JointSpectralAmplitude:
             raise ValueError(f"amplitude not normalized (norm={norm:.3e})")
 
     def joint_intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
+        return _intensity(self.amplitude)
 
     def weighted_matrix(self) -> np.ndarray:
-        """Amplitude with sqrt quadrature weights folded in; SVD-ready."""
+        """Amplitude with sqrt quadrature weights folded in; SVD-ready, a new array."""
         ws = np.sqrt(self.signal_grid.trapezoid_weights())
         wh = np.sqrt(self.herald_grid.trapezoid_weights())
-        return ws[:, None] * self.amplitude * wh[None, :]
+        m = self.amplitude * ws[:, None]
+        m *= wh[None, :]
+        return m
 
     def signal_marginal(self) -> np.ndarray:
         """Intensity marginal over the herald axis (density in the signal variable)."""
@@ -212,11 +231,13 @@ class JointSpectralAmplitude:
         return ws @ self.joint_intensity()
 
 
-def _normalized(signal_grid, herald_grid, amplitude) -> JointSpectralAmplitude:
+def _normalized(signal_grid, herald_grid, amplitude: np.ndarray) -> JointSpectralAmplitude:
+    """The JSA of amplitude divided by its grid norm, in place: pass an array made for it."""
     norm = _grid_norm(signal_grid, herald_grid, amplitude)
     if norm <= 0 or not math.isfinite(norm):
         raise ValueError("cannot normalize zero or non-finite amplitude")
-    return JointSpectralAmplitude(signal_grid, herald_grid, amplitude / norm)
+    amplitude /= norm
+    return JointSpectralAmplitude(signal_grid, herald_grid, amplitude)
 
 
 def default_grid(center: float, sigma: float) -> FrequencyGrid:
@@ -246,8 +267,7 @@ def build_anticorrelated_jsa(
     if phase_matching_sigma is not None:
         if not phase_matching_sigma > 0:
             raise ValueError("phase matching sigma must be positive")
-        d = (ws - wh) / phase_matching_sigma
-        amp = amp * np.exp(-0.5 * d * d)
+        amp *= _gaussian(ws - wh, 0.0, phase_matching_sigma)
     peak = float(amp.max())
     sum_offset = signal_grid.center + herald_grid.center - pump.center
     reach = 0.5 * (signal_grid.span + herald_grid.span)
@@ -326,7 +346,8 @@ def apply_filter(
     transmitted = norm * norm
     if transmitted <= 1e-300:
         raise FilterOverlapError("window does not overlap the amplitude")
-    return JointSpectralAmplitude(jsa.signal_grid, jsa.herald_grid, amp / norm), transmitted
+    amp /= norm
+    return JointSpectralAmplitude(jsa.signal_grid, jsa.herald_grid, amp), transmitted
 
 
 def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
@@ -337,8 +358,10 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
     """
     ws = jsa.signal_grid.trapezoid_weights()
     wh = jsa.herald_grid.trapezoid_weights()
-    p = ws[:, None] * jsa.joint_intensity() * wh[None, :]
-    p = p / p.sum()
+    p = jsa.joint_intensity()
+    p *= ws[:, None]
+    p *= wh[None, :]
+    p /= p.sum()
     xs = jsa.signal_grid.detunings
     xh = jsa.herald_grid.detunings
     ps = p.sum(axis=1)

@@ -620,8 +620,8 @@ def test_joint_histogram_matches_histogram2d_on_edges(bins, x_half, y_half):
     y_edges = np.linspace(-y_half, y_half, bins + 1)
     # every pair of probes: both coordinates on, beside and outside the edges
     x, y = (a.ravel() for a in np.meshgrid(edge_probes(x_edges), edge_probes(y_edges)))
-    joint = _JointCounts(x_edges, y_edges, x.size)
-    half = x.size // 2  # two blocks, packed one after the other
+    joint = _JointCounts(x_edges, y_edges)
+    half = x.size // 2  # two blocks, counted one after the other
     joint.add(x[:half], y[:half])
     joint.add(x[half:], y[half:])
     counts = joint.counts()
@@ -634,11 +634,35 @@ def test_joint_histogram_of_an_empty_selection_is_zero():
     edges = np.linspace(-2.0, 2.0, 65)
     none = np.zeros(5, bool)
     values = np.linspace(-1.0, 1.0, 5)
-    joint = _JointCounts(edges, edges, 0)
+    joint = _JointCounts(edges, edges)
     joint.add(values[none], values[none])
     counts = joint.counts()
     assert np.array_equal(counts, np.histogram2d(values[none], values[none], bins=(edges, edges))[0])
     assert counts.shape == (64, 64) and not counts.any()
+
+
+def test_joint_histogram_at_the_bin_ceiling_matches_histogram2d():
+    # run.histogram_bins' ceiling: a 16.7M-entry count array. Every probe (on, beside and
+    # outside the edges, infinite and NaN) is paired twice with a random probe of the other
+    # axis; the oracle is kept as its nonzero cells, so at most two full arrays are alive
+    x_edges = np.linspace(-3.7e12, 3.7e12, HISTOGRAM_BINS_MAX + 1)
+    y_edges = np.linspace(-1.1e11, 1.1e11, HISTOGRAM_BINS_MAX + 1)
+    rng = np.random.default_rng(4096)
+    x = np.tile(edge_probes(x_edges), 2)
+    y = np.concatenate([rng.permutation(edge_probes(y_edges)) for _ in range(2)])
+    oracle = np.histogram2d(x, y, bins=(x_edges, y_edges))[0].ravel()
+    cells = np.flatnonzero(oracle)
+    oracle_counts, oracle_total = oracle[cells], oracle.sum()
+    del oracle
+    joint = _JointCounts(x_edges, y_edges)
+    for start in range(0, x.size, 5000):  # blocks of pairs, as the stream adds them
+        joint.add(x[start:start + 5000], y[start:start + 5000])
+    counts = joint.counts()
+    assert counts.dtype == np.float64
+    assert counts.shape == (HISTOGRAM_BINS_MAX, HISTOGRAM_BINS_MAX)
+    assert np.array_equal(np.flatnonzero(counts), cells)
+    assert np.array_equal(counts.ravel()[cells], oracle_counts)
+    assert counts.sum() == oracle_total < x.size  # the probes outside the edges are dropped
 
 
 @pytest.mark.parametrize("bins", [1, 64])
@@ -824,9 +848,9 @@ def test_stream_bin_beyond_int16_raises(tmp_path, monkeypatch, offset):
 
 
 def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
-    # the peak is the columns it returns (19 B a pulse, 21 with the clicks), one scratch
-    # column (8 B: a histogram's joint-bin index, then the click draws) and a few
-    # block-sized temporaries
+    # the peak is the columns it returns (21 B a pulse: the idler and signal frequencies
+    # as one float64 array, the int16 bins, the three flags as one bool array) and a few
+    # block-sized temporaries; no column of the histograms or the click draws
     cfg = stream_cfg(tmp_path, pulses=1000)
     simulate_feedforward_stream(cfg)  # first-call allocations
     per_pulse = []
@@ -838,7 +862,7 @@ def test_stream_sampler_memory_is_flat_in_pulses(tmp_path):
             per_pulse.append(tracemalloc.get_traced_memory()[1] / pulses)
         finally:
             tracemalloc.stop()
-    assert per_pulse[1] < 56, per_pulse
+    assert per_pulse[1] < 25, per_pulse
     # the block temporaries are a fixed few MB, no more than 15 % of 3e5 pulses' peak
     assert abs(per_pulse[0] - per_pulse[1]) < 0.15 * per_pulse[1], per_pulse
 

@@ -350,3 +350,60 @@ def test_jsa_npy_matches_per_element_oracle(tmp_path):
         path = tmp_path / name
         write_jsa_text(state, path)
         assert path.read_bytes() == oracle_jsa_npy(state), name
+
+
+@pytest.mark.parametrize("envelope", [PUMP, GaussianWindow(HERALD_REF, 0.2 * PUMP.sigma)],
+                         ids=["pump", "gaussian_window"])
+def test_gaussian_amplitude_is_the_expression_and_leaves_its_input(envelope):
+    # evaluated in place on arrays of its own, in the order of exp(-0.5 * x * x)
+    omega = envelope.center + np.linspace(-7.0, 7.0, 257) * 0.3e12
+    grid = omega[:, None] + np.linspace(-1.0, 1.0, 5)[None, :] * 1e11  # a 2-D argument
+    for value in (omega, grid):
+        before = value.copy()
+        got = envelope.amplitude(value)
+        assert value.tobytes() == before.tobytes()
+        x = (value - envelope.center) / envelope.sigma
+        want = np.exp(-0.5 * x * x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    scalar = envelope.amplitude(envelope.center + 1.3e11)
+    x = (envelope.center + 1.3e11 - envelope.center) / envelope.sigma
+    assert isinstance(scalar, np.float64) and scalar == np.exp(-0.5 * x * x)
+    assert envelope.amplitude(float(envelope.center)) == 1.0
+
+
+def jsa_operations() -> dict:
+    """Every operation that reads a JSA's amplitude, each called for its effect on it."""
+    return {
+        "build_anticorrelated_jsa": lambda j: build_anticorrelated_jsa(
+            PUMP, j.signal_grid, j.herald_grid),
+        "build_phase_matched": lambda j: build_anticorrelated_jsa(
+            PUMP, j.signal_grid, j.herald_grid, phase_matching_sigma=2.0 * PUMP.sigma),
+        "apply_filter_signal": lambda j: apply_filter(j, FILTER, axis="signal"),
+        "apply_filter_herald": lambda j: apply_filter(
+            j, GaussianWindow(HERALD_REF, PUMP.sigma), axis="herald"),
+        "intensity_correlation": intensity_correlation,
+        "schmidt_purity": schmidt_purity,
+        "schmidt_coefficients": schmidt_coefficients,
+        "signal_marginal": JointSpectralAmplitude.signal_marginal,
+        "herald_marginal": JointSpectralAmplitude.herald_marginal,
+        "joint_intensity": JointSpectralAmplitude.joint_intensity,
+        "weighted_matrix": JointSpectralAmplitude.weighted_matrix,
+        "grid_norm": lambda j: _grid_norm(j.signal_grid, j.herald_grid, j.amplitude),
+    }
+
+
+@pytest.mark.parametrize("operation", list(jsa_operations()))
+def test_jsa_operations_leave_every_input_amplitude_unchanged(operation):
+    # the arithmetic is in place on arrays each operation makes; a JSA holds the array it
+    # was given, so its caller's array must not change either
+    states = scenario_states()
+    given = states["filtered"].amplitude.copy()
+    states["given"] = JointSpectralAmplitude(
+        states["filtered"].signal_grid, states["filtered"].herald_grid, given)
+    assert states["given"].amplitude is given
+    run = jsa_operations()[operation]
+    for name, state in states.items():
+        before = state.amplitude.copy()
+        run(state)
+        assert state.amplitude.tobytes() == before.tobytes(), name
