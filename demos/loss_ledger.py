@@ -27,7 +27,7 @@ def main():
 
     model = replace(cfg.statistics_model(multiplexed=False), n_modes=1.0)
     pulses = 2_000_000
-    counts = statistics.monte_carlo_counting(model, pulses, rng=11)
+    counts = statistics.monte_carlo_counting(model, pulses, seed=11)
     s_hat, h_hat = statistics.klyshko_efficiencies(counts)
     se_s = math.sqrt(s_hat * (1 - s_hat) / (counts.p_h * pulses))
     se_h = math.sqrt(h_hat * (1 - h_hat) / (counts.p_s * pulses))

@@ -44,9 +44,9 @@ def main():
 
     pulses = 10**10
     equal_rate = replace(single, mu=mux.mu * n)  # one mode pumped to the same herald rate
-    mc_mux = statistics.monte_carlo_counting(mux, pulses, rng=7)
-    mc_single = statistics.monte_carlo_counting(single, pulses, rng=8)
-    mc_equal = statistics.monte_carlo_counting(equal_rate, pulses, rng=9)
+    mc_mux = statistics.monte_carlo_counting(mux, pulses, seed=7)
+    mc_single = statistics.monte_carlo_counting(single, pulses, seed=8)
+    mc_equal = statistics.monte_carlo_counting(equal_rate, pulses, seed=9)
     print(f"Monte Carlo spot check, {pulses:.0e} pulses per arm (seeds 7, 8 and 9)")
     print(f"  enhancement  {mc_mux.p_sh / mc_single.p_sh:.3f}")
     print(f"  {'arm':<28}  {'p_h':>9}  {'g2':>17}  {'g2 analytic':>11}")

@@ -10,14 +10,12 @@ from dataclasses import replace
 
 from fmux import defaults, heralded, serrodyne
 from fmux.scenarios import load_config
-from fmux.spectrometer import JitterDistribution
 
 GHZ = defaults.TWO_PI * 1e9
 
 
 def with_jitter_std(model, std):
-    spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
+    spect = replace(model.spectrometer, jitter_std=std * model.spectrometer.dispersion)
     return replace(model, spectrometer=spect)
 
 

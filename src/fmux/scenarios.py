@@ -79,11 +79,14 @@ HERALD_BINS_DTYPE = np.dtype([
     ("routed", np.bool_),
 ])
 HERALD_BIN_LIMITS = np.iinfo(EVENTS_DTYPE["herald_bin"])
-# resource ceilings: the density matrix holds (513 * grid_scale)^2 float64 values,
-# the lookup table one array row per TDC bin (lut.txt one text line each), each stream
-# histogram histogram_bins^2 float64 counts (134 MB at the ceiling), the delay-line
-# chirp must be resolvable on a signal grid of at most CHIRP_POINTS_MAX points, and
-# the stream's events.npy row array must be one numpy can size
+# resource ceilings: a purity run's largest array, heralded._error_table on the doubled
+# grids, holds (2 n_jitter - 1) x (2 n_signal - 1) float64 values, n_jitter and n_signal
+# scaled from 129 and 513, so it grows as grid_scale^2 (4097 x 16385, 537 MB, at the
+# ceiling); the lookup table holds one array row per TDC bin (lut.txt one text line
+# each), each stream histogram histogram_bins^2 float64 counts (134 MB at the
+# ceiling), the delay-line chirp must be resolvable on a signal grid of at most
+# CHIRP_POINTS_MAX points, and the stream's events.npy row array must be one numpy
+# can size
 GRID_SCALE_MAX = 16.0
 LUT_BINS_MAX = 100_000
 HISTOGRAM_BINS_MAX = 4096
@@ -129,7 +132,6 @@ _SCHEMA = {
     "source.pump_sigma_ghz": (float, _POSITIVE),
     "source.mean_pairs_per_pulse": (float, _MU),
     "source.signal_wavelength_nm": (float, _POSITIVE),
-    "filter.center_offset_ghz": (float, _ANY),
     "filter.full_width_ghz": (float, _POSITIVE),
     "spectrometer.dispersion_ps_per_ghz": (float, _POSITIVE),
     "spectrometer.tdc_bin_ps": (float, _POSITIVE),
@@ -215,8 +217,12 @@ class ScenarioConfig:
         return self.params["run.grid_scale"]
 
     def _in_range(self, dotted: str, value: float) -> float:
-        """value, a quantity derived from dotted; one that overflowed is a config error."""
-        if not math.isfinite(value):
+        """value, a quantity derived from dotted.
+
+        One that overflowed, or that underflowed to 0 from a nonzero key, is a
+        config error.
+        """
+        if not math.isfinite(value) or (value == 0 and self.get(dotted) != 0):
             raise ConfigError(dotted, f"{self.get(dotted)!r} is out of range")
         return value
 
@@ -225,18 +231,18 @@ class ScenarioConfig:
 
     def anchor(self) -> float:
         """Absolute frequency of degeneracy, rad/s: the herald reference and zero shift."""
-        wavelength = self.get("source.signal_wavelength_nm") / 1e9
+        wavelength = self._in_range("source.signal_wavelength_nm",
+                                    self.get("source.signal_wavelength_nm") / 1e9)
         return self._in_range("source.signal_wavelength_nm",
                               defaults.TWO_PI * defaults.C_LIGHT / wavelength)
 
     def signal_filter(self) -> spectral.TopHatWindow:
-        center = self.anchor() + self._ghz("filter.center_offset_ghz")
-        return spectral.TopHatWindow(center, self._ghz("filter.full_width_ghz"))
+        """The output filter, centred at degeneracy: non-degenerate tuning is not modelled."""
+        return spectral.TopHatWindow(self.anchor(), self._ghz("filter.full_width_ghz"))
 
     def pump(self) -> spectral.PumpEnvelope:
         return spectral.PumpEnvelope(
-            sigma=self._ghz("source.pump_sigma_ghz"),
-            center=self.signal_filter().center + self.anchor(),
+            sigma=self._ghz("source.pump_sigma_ghz"), center=2.0 * self.anchor()
         )
 
     def build_spectrometer(self, which: str | None = None) -> spectrometer.SpectrometerModel:
@@ -249,7 +255,8 @@ class ScenarioConfig:
         idler span.
         """
         which = self.get("spectrometer.jitter_model") if which is None else which
-        dispersion = self.get("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ
+        dispersion = self._in_range("spectrometer.dispersion_ps_per_ghz",
+                                    self.get("spectrometer.dispersion_ps_per_ghz") / 1e12 / GHZ)
         self._in_range("spectrometer.dispersion_ps_per_ghz", 1.0 / dispersion)  # time -> frequency
         if which == "measured":
             sigma_t = spectrometer.MEASURED_JITTER_TIME_STD
@@ -266,7 +273,7 @@ class ScenarioConfig:
         return spectrometer.SpectrometerModel(
             dispersion=dispersion,
             tdc_bin=tdc_bin,
-            jitter=spectrometer.JitterDistribution.gaussian(sigma_t),
+            jitter_std=sigma_t,
             reference_frequency=self.anchor(),
             calibrated_span=self._ghz("feedforward.idler_sample_span_ghz"),
         )
@@ -303,9 +310,10 @@ class ScenarioConfig:
         jitter = self.get("shifter.phase_jitter_ps") * 1e-12
         nu_rf = self._in_range("shifter.rf_frequency_ghz",
                                self.get("shifter.rf_frequency_ghz") * 1e9)
+        self._in_range("shifter.rf_frequency_ghz", 1.0 / nu_rf)  # the drive period
         vmax = self._in_range("shifter.max_shift_ghz",
                               self.get("shifter.max_shift_ghz") * 1e9 / (math.pi * nu_rf))
-        return serrodyne.ShifterModel(v_pi=1.0, nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
+        return serrodyne.ShifterModel(nu_rf=nu_rf, v0_max=vmax, sigma_jitter=jitter)
 
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
         """Heralded state with the configured jitter model and delay-line GVD, each switchable off.
@@ -516,8 +524,8 @@ def _run_stats_sweep(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
                 ((mu, rm.p_sh, rm.g2_h, rs.p_sh, rs.g2_h, _ratio(rm.p_sh, rs.p_sh))
                  for mu, rm, rs in zip(mus, sweep_mux, sweep_single)))
     pulses = cfg.get("statistics.monte_carlo_pulses")
-    mc_mux = statistics.monte_carlo_counting(base_mux, pulses, rng=cfg.seed)
-    mc_single = statistics.monte_carlo_counting(base_single, pulses, rng=cfg.seed + 1)
+    mc_mux = statistics.monte_carlo_counting(base_mux, pulses, seed=cfg.seed)
+    mc_single = statistics.monte_carlo_counting(base_single, pulses, seed=cfg.seed + 1)
     an_mux = statistics.analytic_counting(base_mux)
     an_single = statistics.analytic_counting(base_single)
     mc_path = out / "counting_mc.csv"

@@ -1,14 +1,15 @@
 """Electro-optic serrodyne frequency shift and the feed-forward lookup table.
 
 The modulator driven at nu_rf with amplitude v0 imprints the temporal phase
-theta * sin(2 pi nu_rf (t - t_lock)) with theta = pi v0 / v_pi. Around a
-zero crossing the phase is linear in time and translates the spectrum by
-delta_nu = pi (v0 / v_pi) nu_rf. The lookup table holds one row per herald
-time bin, as columns: the drive voltage and shift that land the conditional
-signal center on the output filter, and whether the drive reaches it. Bins
-needing more than the largest available shift are marked out of range rather
-than rejected; FeedForwardLUT.route turns an array of measured bins into the
-shifts applied, all at once.
+theta * sin(2 pi nu_rf t) with theta = pi v0 / V_PI, the pulse centred on a
+zero crossing at t = 0. Around it the phase is linear in time and translates
+the spectrum by delta_nu = pi (v0 / V_PI) nu_rf. Drive amplitudes are in
+units of the half-wave voltage, V_PI = 1 V. The lookup table holds one row
+per herald time bin, as columns: the drive voltage and shift that land the
+conditional signal center on the output filter, and whether the drive
+reaches it. Bins needing more than the largest available shift are marked
+out of range rather than rejected; FeedForwardLUT.route turns an array of
+measured bins into the shifts applied, all at once.
 
 Spectra here follow the exp(-i 2 pi nu t) analysis convention, so a positive
 delta_nu moves a spectrum toward positive frequencies.
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .spectrometer import SpectrometerModel
+from .spectrometer import JITTER_REACH_SIGMAS, SpectrometerModel
 
 __all__ = [
+    "V_PI",
     "ShifterModel",
     "FeedForwardLUT",
     "OverdriveError",
@@ -49,6 +51,9 @@ class QuadratureConvergenceError(RuntimeError):
     """Quadrature refinement moved the result more than the contract allows."""
 
 
+# half-wave voltage, V: the unit of every drive amplitude
+V_PI = 1.0
+
 # Gauss-Hermite orders of the drive-timing-jitter quadrature; refinement adds
 # 32 timing nodes and doubles the pulse-time nodes
 PHASE_JITTER_NODES = 64
@@ -57,16 +62,13 @@ PHASE_TIME_NODES = 128
 
 @dataclass(frozen=True)
 class ShifterModel:
-    """EOM drive parameters: half-wave voltage, RF rate, drive limit, timing jitter."""
+    """EOM drive parameters: RF rate, drive limit v0_max (V, in units of V_PI), timing jitter."""
 
-    v_pi: float
     nu_rf: float
     v0_max: float
     sigma_jitter: float = 0.0
 
     def __post_init__(self):
-        if not self.v_pi > 0:
-            raise ValueError("v_pi must be positive")
         if not self.nu_rf > 0:
             raise ValueError("nu_rf must be positive")
         if self.v0_max < 0 or self.sigma_jitter < 0:
@@ -74,20 +76,20 @@ class ShifterModel:
 
 
 def shift_magnitude(v0: float, model: ShifterModel) -> float:
-    """Signed serrodyne shift delta_nu = pi (v0 / v_pi) nu_rf, in Hz."""
+    """Signed serrodyne shift delta_nu = pi (v0 / V_PI) nu_rf, in Hz."""
     if abs(v0) > model.v0_max * (1.0 + 1e-12):
         raise OverdriveError(f"|v0|={abs(v0):.3g} V exceeds v0_max={model.v0_max:.3g} V")
-    return math.pi * (v0 / model.v_pi) * model.nu_rf
+    return math.pi * (v0 / V_PI) * model.nu_rf
 
 
 def voltage_for_shift(delta_nu: float, model: ShifterModel) -> float:
     """Drive voltage producing a given shift; inverse of shift_magnitude."""
-    return delta_nu * model.v_pi / (math.pi * model.nu_rf)
+    return delta_nu * V_PI / (math.pi * model.nu_rf)
 
 
 def max_shift(model: ShifterModel) -> float:
     """Largest available |delta_nu| in Hz."""
-    return math.pi * (model.v0_max / model.v_pi) * model.nu_rf
+    return math.pi * (model.v0_max / V_PI) * model.nu_rf
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class FeedForwardLUT:
 
 def lut_half_width(spectrometer: SpectrometerModel, span: float) -> float:
     """The span's half plus the jitter's reach, in TDC bins; build_lut tabulates its ceiling."""
-    reach = span / 2.0 + spectrometer.jitter.reach() / abs(spectrometer.dispersion)
+    reach = span / 2.0 + JITTER_REACH_SIGMAS * spectrometer.jitter_std / spectrometer.dispersion
     return reach / spectrometer.bin_frequency_step + 0.5
 
 
@@ -170,29 +172,16 @@ def write_lut_text(lut: FeedForwardLUT, path) -> None:
 
 
 def apply_temporal_phase(
-    times: np.ndarray,
-    amplitude: np.ndarray,
-    v0: float,
-    model: ShifterModel,
-    mode: str = "sinusoidal",
-    t_lock: float = 0.0,
+    times: np.ndarray, amplitude: np.ndarray, v0: float, model: ShifterModel
 ) -> np.ndarray:
-    """Imprint the drive phase on a time-domain wavepacket.
+    """Imprint the drive phase exp(i theta sin(2 pi nu_rf t)) on a time-domain wavepacket.
 
-    sinusoidal applies exp(i theta sin(2 pi nu_rf (t - t_lock))); linearized
-    applies exp(i 2 pi delta_nu (t - t_lock)), the tangent at the zero
-    crossing. Both are unit-modulus so the L2 norm is untouched. t_lock = 0
-    locks a pulse centered at t = 0 to the zero crossing (maximal linearity).
+    The zero crossing at t = 0, where the phase is most nearly linear, locks
+    to a pulse centred there. The factor is unit-modulus, so the L2 norm is
+    untouched.
     """
-    delta_nu = shift_magnitude(v0, model)
-    t = np.asarray(times, dtype=float) - t_lock
-    if mode == "sinusoidal":
-        theta = delta_nu / model.nu_rf
-        phase = theta * np.sin(2.0 * math.pi * model.nu_rf * t)
-    elif mode == "linearized":
-        phase = 2.0 * math.pi * delta_nu * t
-    else:
-        raise ValueError("mode must be 'sinusoidal' or 'linearized'")
+    theta = shift_magnitude(v0, model) / model.nu_rf
+    phase = theta * np.sin(2.0 * math.pi * model.nu_rf * np.asarray(times, dtype=float))
     return np.asarray(amplitude, dtype=complex) * np.exp(1j * phase)
 
 

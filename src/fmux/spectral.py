@@ -27,9 +27,11 @@ __all__ = [
     "JointSpectralAmplitude",
     "GridTooNarrowError",
     "FilterOverlapError",
+    "default_grid",
     "build_anticorrelated_jsa",
     "schmidt_purity",
     "schmidt_coefficients",
+    "schmidt_number",
     "rotated_gaussian_purity",
     "apply_filter",
     "intensity_correlation",

@@ -1,11 +1,13 @@
 """Time-of-flight herald spectrometer.
 
 Frequency maps to arrival time through the grating dispersion (an affine,
-strictly monotone map), the time tag is quantized by the TDC bin, and analog
-detector jitter smears the tag. One call of sample_herald_event tags an
-array of idlers; the feed-forward stream calls it block by block, and since a
-generator's consecutive normal draws equal one whole draw, the blocks tag as
-one call over the whole column would.
+increasing map: the dispersion is positive), the time tag is quantized by the
+TDC bin, and analog detector jitter, a Gaussian given by its one standard
+deviation, smears the tag. Frequencies outside the calibrated span are
+refused. One call of sample_herald_event tags an array of idlers; the
+feed-forward stream calls it block by block, and since a generator's
+consecutive normal draws equal one whole draw, the blocks tag as one call
+over the whole column would.
 
 The instrument itself is built from the configuration
 (ScenarioConfig.build_spectrometer). Its measured jitter model carries the
@@ -23,7 +25,6 @@ import numpy as np
 from . import defaults
 
 __all__ = [
-    "JitterDistribution",
     "SpectrometerModel",
     "FrequencyRangeError",
     "frequency_to_arrival_time",
@@ -31,6 +32,7 @@ __all__ = [
     "sample_herald_event",
     "MEASURED_JITTER_FREQ_STD",
     "MEASURED_JITTER_TIME_STD",
+    "JITTER_REACH_SIGMAS",
 ]
 
 # Effective Gaussian width of the measured arrival-time jitter: 45 GHz of
@@ -46,75 +48,52 @@ MEASURED_JITTER_TIME_STD = MEASURED_JITTER_FREQ_STD * (
 )  # s
 
 
+# jitter offsets beyond this many stds carry negligible probability (about 1e-15)
+JITTER_REACH_SIGMAS = 8.0
+
+
 class FrequencyRangeError(ValueError):
     """Frequency outside the calibrated span of the instrument."""
 
 
 @dataclass(frozen=True)
-class JitterDistribution:
-    """Gaussian arrival-time jitter of std sigma_t, s."""
-
-    sigma_t: float
-
-    def __post_init__(self):
-        if self.sigma_t < 0:
-            raise ValueError("sigma_t must be non-negative")
-
-    @classmethod
-    def gaussian(cls, sigma_t: float) -> "JitterDistribution":
-        return cls(sigma_t=sigma_t)
-
-    def time_std(self) -> float:
-        return self.sigma_t
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.normal(0.0, self.sigma_t, size=size)
-
-    def reach(self) -> float:
-        """Offset beyond which the density carries negligible mass."""
-        return 8.0 * self.sigma_t
-
-
-@dataclass(frozen=True)
 class SpectrometerModel:
-    """Dispersion map plus digitizer and jitter; immutable.
+    """Dispersion map plus digitizer and Gaussian jitter; immutable.
 
-    dispersion is in s per rad/s (positive sign convention; only the
-    magnitude matters for purity), tdc_bin in s, reference_frequency in
-    rad/s. calibrated_span, when set, bounds accepted input frequencies
-    around the reference.
+    dispersion is in s per rad/s and positive, tdc_bin and the arrival-time
+    jitter std jitter_std in s, reference_frequency and calibrated_span in
+    rad/s. calibrated_span bounds accepted input frequencies around the
+    reference; math.inf accepts every frequency.
     """
 
     dispersion: float
     tdc_bin: float
-    jitter: JitterDistribution
+    jitter_std: float
     reference_frequency: float
-    calibrated_span: float | None = None
+    calibrated_span: float
 
     def __post_init__(self):
-        if self.dispersion == 0:
-            raise ValueError("dispersion must be nonzero")
+        if not self.dispersion > 0:
+            raise ValueError("dispersion must be positive")
         if not self.tdc_bin > 0:
             raise ValueError("tdc_bin must be positive")
+        if not self.jitter_std >= 0:
+            raise ValueError("jitter_std must be non-negative")
 
     @property
     def bin_frequency_step(self) -> float:
         """Frequency width of one TDC bin, rad/s."""
-        return self.tdc_bin / abs(self.dispersion)
+        return self.tdc_bin / self.dispersion
 
     def frequency_std(self) -> float:
         """Jitter-induced frequency uncertainty std, rad/s (bin quantization excluded)."""
-        return self.jitter.time_std() / abs(self.dispersion)
+        return self.jitter_std / self.dispersion
 
     def bin_center_frequency(self, index) -> np.ndarray:
-        return self.reference_frequency + np.asarray(index) * self.bin_frequency_step * np.sign(
-            self.dispersion
-        )
+        return self.reference_frequency + np.asarray(index) * self.bin_frequency_step
 
 
 def _check_range(model: SpectrometerModel, omega) -> None:
-    if model.calibrated_span is None:
-        return
     det = np.abs(np.asarray(omega, dtype=float) - model.reference_frequency)
     if np.any(det > 0.5 * model.calibrated_span * (1 + 1e-12)):
         raise FrequencyRangeError("frequency outside the calibrated span")
@@ -144,6 +123,6 @@ def sample_herald_event(
     state.
     """
     om = np.asarray(omega_i, dtype=float)
-    t = frequency_to_arrival_time(model, om) + model.jitter.sample(rng, size=om.shape)
+    t = frequency_to_arrival_time(model, om) + rng.normal(0.0, model.jitter_std, size=om.shape)
     bins = time_to_bin(model, t)
     return bins, model.bin_center_frequency(bins)

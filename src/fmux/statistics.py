@@ -272,7 +272,7 @@ def _counting_result(counts, pulses: int, seed: int) -> CountingResult:
 def monte_carlo_counting(
     model: MultiplexedStatisticsModel,
     pulses: int,
-    rng: int | np.random.Generator,
+    seed: int,
 ) -> CountingResult:
     """Sample the thermal threshold model's six counts as binomials over integer counts.
 
@@ -288,17 +288,13 @@ def monte_carlo_counting(
     samples.
 
     One counter-based generator seeded with the recorded seed drives the
-    call, so the seed alone reproduces the run. rng may be a seed or a
-    Generator (a seed is then drawn from it). The counts have the law of a
+    call, so the seed alone reproduces the run. The counts have the law of a
     pulse-by-pulse geometric sampler, but a seed does not give the counts
     that sampler would.
     """
     if pulses < 1:
         raise ValueError("pulses must be positive")
-    if isinstance(rng, np.random.Generator):
-        seed = int(rng.integers(2**63))
-    else:
-        seed = int(rng)
+    seed = int(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     c_h = c_sh = c_s1h = c_s2h = c_s1s2h = unheralded_s = 0
     free = pulses

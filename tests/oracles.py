@@ -22,6 +22,7 @@ from scipy import special
 
 from fmux import defaults, serrodyne
 from fmux.spectrometer import (
+    JITTER_REACH_SIGMAS,
     SpectrometerModel,
     frequency_to_arrival_time,
     sample_herald_event,
@@ -49,13 +50,13 @@ def conditional_outcome_distribution(
     """
     t_center = float(frequency_to_arrival_time(model, omega_i))
     if bins is None:
-        reach = model.jitter.reach() + model.tdc_bin
+        reach = JITTER_REACH_SIGMAS * model.jitter_std + model.tdc_bin
         k_lo = time_to_bin(model, t_center - reach)
         k_hi = time_to_bin(model, t_center + reach)
         bins = np.arange(int(k_lo), int(k_hi) + 1)
     else:
         bins = np.asarray(bins, dtype=int)
-    sigma_t = model.jitter.sigma_t
+    sigma_t = model.jitter_std
     lo = (bins - 0.5) * model.tdc_bin - t_center
     hi = (bins + 0.5) * model.tdc_bin - t_center
     p = jitter_cdf(sigma_t, hi) - jitter_cdf(sigma_t, lo)

@@ -14,7 +14,6 @@ import numpy as np
 
 from fmux import defaults, heralded, losses, serrodyne, spectral, statistics
 from fmux.scenarios import load_config, simulate_feedforward_stream
-from fmux.spectrometer import JitterDistribution
 
 CFG = load_config("purity-combined")
 
@@ -76,7 +75,7 @@ def test_criterion_6_counting_statistics():
     single = statistics.MultiplexedStatisticsModel(
         n_modes=1.0, mu=0.01, eta_s=1.0, eta_h=0.13, multiplexing_enabled=False
     )
-    mc = statistics.monte_carlo_counting(single, 1_000_000, rng=7)
+    mc = statistics.monte_carlo_counting(single, 1_000_000, seed=7)
     ok_small_mu = abs(mc.g2_h - 4 * single.mu) <= 3.0 * mc.se_g2_h
 
     n = statistics.effective_mode_count(170e9, 60e9)
@@ -87,8 +86,8 @@ def test_criterion_6_counting_statistics():
     enhancement = statistics.analytic_counting(mux).p_sh / statistics.analytic_counting(flat).p_sh
     ok_analytic = 2.2 <= enhancement <= 3.4
 
-    mc_mux = statistics.monte_carlo_counting(mux, 16_000_000, rng=7)
-    mc_flat = statistics.monte_carlo_counting(flat, 16_000_000, rng=8)
+    mc_mux = statistics.monte_carlo_counting(mux, 16_000_000, seed=7)
+    mc_flat = statistics.monte_carlo_counting(flat, 16_000_000, seed=8)
     mc_enh = mc_mux.p_sh / mc_flat.p_sh
     se_enh = mc_enh * math.hypot(mc_mux.se_p_sh / mc_mux.p_sh, mc_flat.se_p_sh / mc_flat.p_sh)
     ok_mc = 2.2 <= mc_enh <= 3.4 and abs(mc_enh - enhancement) <= 3.0 * se_enh
@@ -115,7 +114,7 @@ def test_criterion_7_loss_budget_and_klyshko():
     injected = statistics.MultiplexedStatisticsModel(
         n_modes=1.0, mu=0.01, eta_s=0.14, eta_h=0.13, multiplexing_enabled=False
     )
-    mc = statistics.monte_carlo_counting(injected, 2_000_000, rng=11)
+    mc = statistics.monte_carlo_counting(injected, 2_000_000, seed=11)
     s_hat, h_hat = statistics.klyshko_efficiencies(mc)
     se_s = math.sqrt(s_hat * (1 - s_hat) / (mc.p_h * mc.pulses))
     se_h = math.sqrt(h_hat * (1 - h_hat) / (mc.p_s * mc.pulses))
@@ -132,8 +131,7 @@ def test_criterion_7_loss_budget_and_klyshko():
 
 
 def with_jitter_std(model, std):
-    spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
+    spect = replace(model.spectrometer, jitter_std=std * model.spectrometer.dispersion)
     return replace(model, spectrometer=spect)
 
 
@@ -193,10 +191,10 @@ def test_criterion_8_property_bundle():
         mu=0.01, eta_s=0.14, eta_h=0.13, multiplexing_enabled=True,
     )
     an = statistics.analytic_counting(mux)
-    mc = statistics.monte_carlo_counting(mux, 400_000, rng=5)
+    mc = statistics.monte_carlo_counting(mux, 400_000, seed=5)
     flags["analytic_vs_monte_carlo"] = abs(mc.p_sh - an.p_sh) <= 3.0 * mc.se_p_sh
 
-    v0 = 0.4 * shifter.v_pi
+    v0 = 0.4 * serrodyne.V_PI
     flags["shift_linearity"] = (
         math.isclose(2.0 * serrodyne.shift_magnitude(v0, shifter),
                      serrodyne.shift_magnitude(2.0 * v0, shifter), rel_tol=1e-12)
@@ -206,13 +204,13 @@ def test_criterion_8_property_bundle():
 
     t = np.linspace(-50e-12, 50e-12, 401)
     pulse = np.exp(-((t / 10e-12) ** 2)).astype(complex)
-    shifted = serrodyne.apply_temporal_phase(t, pulse, 0.7 * shifter.v_pi, shifter)
+    shifted = serrodyne.apply_temporal_phase(t, pulse, 0.7 * serrodyne.V_PI, shifter)
     flags["temporal_phase_norm"] = abs(
         float(np.sum(np.abs(shifted) ** 2) - np.sum(np.abs(pulse) ** 2))
     ) <= 1e-9
 
-    r1 = statistics.monte_carlo_counting(mux, 300_000, rng=123)
-    r2 = statistics.monte_carlo_counting(mux, 300_000, rng=123)
+    r1 = statistics.monte_carlo_counting(mux, 300_000, seed=123)
+    r2 = statistics.monte_carlo_counting(mux, 300_000, seed=123)
     fields = ("p_h", "p_s", "p_sh", "p_s1h", "p_s2h", "p_s1s2h", "g2_h", "se_p_sh", "se_g2_h")
     flags["seed_reproducibility"] = all(
         getattr(r1, f) == getattr(r2, f)

@@ -32,7 +32,7 @@ from fmux.scenarios import ConfigError, _converged_purity, load_config
 from fmux.serrodyne import QuadratureConvergenceError
 from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
 from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, scaled_points
-from fmux.spectrometer import MEASURED_JITTER_FREQ_STD, JitterDistribution
+from fmux.spectrometer import MEASURED_JITTER_FREQ_STD
 
 GHZ = defaults.TWO_PI * 1e9
 
@@ -61,8 +61,7 @@ def small_model(**overrides):
 
 
 def with_jitter_std(model, std):
-    spect = replace(model.spectrometer,
-                    jitter=JitterDistribution.gaussian(std * model.spectrometer.dispersion))
+    spect = replace(model.spectrometer, jitter_std=std * model.spectrometer.dispersion)
     return replace(model, spectrometer=spect)
 
 

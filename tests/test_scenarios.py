@@ -43,7 +43,7 @@ from oracles import conditional_outcome_distribution, whole_column_stream
 def test_default_config_is_complete():
     cfg = load_config("loss-budget")
     assert set(cfg.params) == set(_SCHEMA)
-    assert len(_SCHEMA) == 31
+    assert len(_SCHEMA) == 30
     assert cfg.seed == 7
     assert cfg.grid_scale == 1.0
     cfg.validate()
@@ -321,8 +321,8 @@ def test_counting_csv_round_trip(tmp_path):
         cfg, rows = counting_rows(tmp_path / str(case), **overrides)
         mux, single = cfg.statistics_model(True), cfg.statistics_model(False)
         pulses = cfg.get("statistics.monte_carlo_pulses")
-        expected = [(mux, statistics.monte_carlo_counting(mux, pulses, rng=cfg.seed)),
-                    (single, statistics.monte_carlo_counting(single, pulses, rng=cfg.seed + 1)),
+        expected = [(mux, statistics.monte_carlo_counting(mux, pulses, seed=cfg.seed)),
+                    (single, statistics.monte_carlo_counting(single, pulses, seed=cfg.seed + 1)),
                     (mux, statistics.analytic_counting(mux)),
                     (single, statistics.analytic_counting(single))]
         assert len(rows) == len(expected)
@@ -893,7 +893,7 @@ def test_measured_jitter_is_a_time_width(tmp_path):
     path = tmp_path / "dispersion.cfg"
     path.write_text("[spectrometer]\ndispersion_ps_per_ghz = 4.0\n")
     wide_spect = load_config("purity-jitter", config_path=path).build_spectrometer()
-    assert wide_spect.jitter == load_config("purity-jitter").build_spectrometer().jitter
+    assert wide_spect.jitter_std == load_config("purity-jitter").build_spectrometer().jitter_std
     assert wide_spect.frequency_std() == pytest.approx(4.0 * spectrometer.MEASURED_JITTER_FREQ_STD)
     # the default grid does not converge for a jitter kernel this wide; doubling does
     _, base = run("purity-jitter", tmp_path / "base", grid_scale=2.0)
@@ -1075,7 +1075,6 @@ def test_cli_unconverged_purity_grid_exits_two(tmp_path, capsys, scenario):
     ("purity-gvd", "delay.fiber_dispersion_ps_nm_km", "inf"),
     ("feedforward-stream", "spectrometer.dispersion_ps_per_ghz", "inf"),
     ("feedforward-stream", "source.pump_sigma_ghz", "inf"),
-    ("lut-dump", "filter.center_offset_ghz", "nan"),
     ("lut-dump", "shifter.max_shift_ghz", "-5"),
     ("feedforward-stream", "shifter.max_shift_ghz", "-5"),
     ("loss-budget", "statistics.eta_signal", "0"),
@@ -1129,6 +1128,15 @@ def test_cli_removed_marginal_fwhm_key_exits_two(tmp_path, capsys):
     code = cli.main(["stats-sweep", "--config", str(path), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert "source.marginal_fwhm_ghz" in capsys.readouterr().err
+
+
+def test_cli_removed_filter_offset_key_exits_two(tmp_path, capsys):
+    # the filter sits at degeneracy: an offset key would only relabel the frequency axis
+    path = tmp_path / "old.cfg"
+    path.write_text("[filter]\ncenter_offset_ghz = 5.0\n")
+    code = cli.main(["lut-dump", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "[filter.center_offset_ghz] unknown configuration key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, text", [
@@ -1197,7 +1205,7 @@ DOMAIN_BOUNDARIES = [
     ("run.hom_delay_points", 1, 0),
     ("run.hom_delay_points", HOM_DELAY_POINTS_MAX, HOM_DELAY_POINTS_MAX + 1),  # nothing allocated
 ]
-UNBOUNDED_KEYS = {"filter.center_offset_ghz", "delay.fiber_dispersion_ps_nm_km"}
+UNBOUNDED_KEYS = {"delay.fiber_dispersion_ps_nm_km"}
 
 
 def test_every_bounded_key_has_a_boundary_row():
@@ -1260,7 +1268,6 @@ PERTURBED = {
     "source.pump_sigma_ghz": 45.0,
     "source.mean_pairs_per_pulse": 0.02,
     "source.signal_wavelength_nm": 1550.0,
-    "filter.center_offset_ghz": 5.0,
     "filter.full_width_ghz": 40.0,
     "spectrometer.dispersion_ps_per_ghz": 8.0,
     "spectrometer.tdc_bin_ps": 300.0,
@@ -1329,7 +1336,8 @@ def test_every_key_changes_an_output(small_digests, tmp_path, dotted):
     assert any(changed[k] != small_digests[k] for k in changed), f"{dotted} changes no output"
 
 
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300")
+# 5e-324, the smallest positive float, underflows to 0 when scaled down to SI units
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "5e-324")
 # values outside that grid which once ended in a traceback
 FUZZ_EXTRA = {"shifter.max_shift_ghz": ("-5",), "shifter.phase_jitter_ps": ("400",)}
 FUZZ_BASE = {"run.stream_pulses": 2000, "statistics.monte_carlo_pulses": 10_000}

@@ -46,7 +46,7 @@ def test_default_shifter_reaches_design_limit():
 
 @given(v0=st.floats(-1.0, 1.0), scale=st.floats(-1.0, 1.0))
 def test_shift_is_linear_in_drive(v0, scale):
-    m = ShifterModel(v_pi=1.0, nu_rf=8e9, v0_max=2.0)
+    m = ShifterModel(nu_rf=8e9, v0_max=2.0)
     lhs = shift_magnitude(scale * v0, m)
     rhs = scale * shift_magnitude(v0, m)
     assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-3)
@@ -182,27 +182,23 @@ def test_write_lut_text(tmp_path):
         assert r[3] == str(int(flag))
 
 
-@given(v0=st.floats(-0.3, 0.3), mode=st.sampled_from(["sinusoidal", "linearized"]))
-def test_temporal_phase_preserves_norm(v0, mode):
+@given(v0=st.floats(-0.3, 0.3))
+def test_temporal_phase_preserves_norm(v0):
     m = SHIFTER
     t = np.linspace(-200e-12, 200e-12, 257)
     amp = np.exp(-0.5 * (t / 60e-12) ** 2) * np.exp(1j * 0.3 * np.sin(t / 50e-12))
-    out = apply_temporal_phase(t, amp, v0, m, mode=mode)
+    out = apply_temporal_phase(t, amp, v0, m)
     np.testing.assert_allclose(np.abs(out), np.abs(amp), rtol=1e-12)
 
 
 def test_temporal_phase_modes_agree_near_zero_crossing():
+    # near the zero crossing the sinusoidal drive phase is the linear ramp of its shift
     m = SHIFTER
     t = np.linspace(-1e-12, 1e-12, 11)  # well inside an 8 GHz half-period
     amp = np.ones_like(t, dtype=complex)
-    a = apply_temporal_phase(t, amp, 0.2, m, mode="sinusoidal")
-    b = apply_temporal_phase(t, amp, 0.2, m, mode="linearized")
-    np.testing.assert_allclose(np.angle(a), np.angle(b), atol=1e-4)
-
-
-def test_temporal_phase_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        apply_temporal_phase(np.zeros(3), np.ones(3), 0.1, SHIFTER, mode="cubic")
+    a = apply_temporal_phase(t, amp, 0.2, m)
+    ramp = 2.0 * math.pi * shift_magnitude(0.2, m) * t
+    np.testing.assert_allclose(np.angle(a), ramp, atol=1e-4)
 
 
 def test_phase_jitter_purity_limits():
@@ -239,7 +235,7 @@ def einsum_overlap_matrix(sigma, delta_nu, model, nx, nt):
                                     (PHASE_JITTER_NODES + 32, 2 * PHASE_TIME_NODES)])
 @pytest.mark.parametrize("sigma_jitter", [5.3e-12, 20e-12])
 def test_jitter_overlap_gemm_matches_einsum_oracle(nx, nt, sigma_jitter):
-    model = ShifterModel(SHIFTER.v_pi, SHIFTER.nu_rf, SHIFTER.v0_max, sigma_jitter)
+    model = ShifterModel(SHIFTER.nu_rf, SHIFTER.v0_max, sigma_jitter)
     wx, overlap = _jitter_overlap_matrix(SIGMA, max_shift(SHIFTER), model, nx, nt)
     wx_ref, oracle = einsum_overlap_matrix(SIGMA, max_shift(SHIFTER), model, nx, nt)
     assert np.abs(wx - wx_ref).max() <= 1e-12 * wx_ref.max()

@@ -12,7 +12,7 @@ from fmux.spectral import FrequencyGrid
 from fmux.spectrometer import (
     MEASURED_JITTER_FREQ_STD,
     FrequencyRangeError,
-    JitterDistribution,
+    SpectrometerModel,
     frequency_to_arrival_time,
     sample_herald_event,
     time_to_bin,
@@ -28,7 +28,7 @@ REF = MEASURED.reference_frequency
 
 def quiet_spectrometer(sigma_t=0.0):
     """The configured instrument with Gaussian jitter sigma_t and no span limit."""
-    return replace(MEASURED, jitter=JitterDistribution.gaussian(sigma_t), calibrated_span=None)
+    return replace(MEASURED, jitter_std=sigma_t, calibrated_span=math.inf)
 
 
 def test_dispersion_map_round_trip():
@@ -125,11 +125,21 @@ def test_calibrated_span_guard():
         frequency_to_arrival_time(m, REF + 0.51 * m.calibrated_span)
 
 
+def test_model_refuses_a_dispersion_that_is_not_positive():
+    for dispersion in (0.0, -MEASURED.dispersion, math.nan):
+        with pytest.raises(ValueError, match="dispersion must be positive"):
+            replace(MEASURED, dispersion=dispersion)
+    with pytest.raises(ValueError, match="jitter_std"):
+        replace(MEASURED, jitter_std=-1e-12)
+    with pytest.raises(TypeError):  # the span has no default
+        SpectrometerModel(MEASURED.dispersion, MEASURED.tdc_bin, 0.0, REF)
+
+
 def test_gaussian_jitter_stats():
-    j = JitterDistribution.gaussian(720e-12)
-    assert j.time_std() == 720e-12
-    assert abs(jitter_cdf(j.sigma_t, 0.0) - 0.5) < 1e-12
-    one_sigma = jitter_cdf(j.sigma_t, 720e-12) - jitter_cdf(j.sigma_t, -720e-12)
+    sigma_t = MEASURED.jitter_std  # the 720 ps measured jitter
+    assert math.isclose(sigma_t, 720e-12, rel_tol=1e-12)
+    assert abs(jitter_cdf(sigma_t, 0.0) - 0.5) < 1e-12
+    one_sigma = jitter_cdf(sigma_t, sigma_t) - jitter_cdf(sigma_t, -sigma_t)
     assert abs(one_sigma - 0.6826894921) < 1e-6
 
 
@@ -143,7 +153,7 @@ def test_factory_interpretations():
                         4.0 * nominal.frequency_std(), rel_tol=1e-12)
     assert abs(MEASURED.frequency_std() - MEASURED_JITTER_FREQ_STD) < 1e-3
     assert CFG.build_spectrometer("none").frequency_std() == 0.0
-    assert CFG.build_spectrometer().jitter == MEASURED.jitter  # configured jitter_model
+    assert CFG.build_spectrometer().jitter_std == MEASURED.jitter_std  # configured jitter_model
     bad = replace(CFG, params={**CFG.params, "spectrometer.jitter_model": "hwhm"})
     with pytest.raises(ConfigError, match="spectrometer.jitter_model"):
         bad.validate()

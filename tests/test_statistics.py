@@ -131,7 +131,7 @@ def test_mc_matches_analytic():
     for (mu, n), multiplexed in itertools.product(cells, (True, False)):
         m = model(n_modes=n, mu=mu, multiplexed=multiplexed)
         a = analytic_counting(m)
-        r = monte_carlo_counting(m, 10**10, rng=5)
+        r = monte_carlo_counting(m, 10**10, seed=5)
         p = probabilities(a)
         se = np.sqrt(p * (1.0 - p) / r.pulses)
         z = (probabilities(r) - p) / se
@@ -144,8 +144,8 @@ def test_mc_single_mode_at_equal_herald_rate_has_higher_g2():
     # but not its g2 (2.85 times higher, analytically); graded here by Monte Carlo alone
     mux = model()
     single = model(multiplexed=False, n_modes=1.0, mu=REF["mu"] * N_REF)
-    r_mux = monte_carlo_counting(mux, 10**10, rng=31)
-    r_single = monte_carlo_counting(single, 10**10, rng=32)
+    r_mux = monte_carlo_counting(mux, 10**10, seed=31)
+    r_single = monte_carlo_counting(single, 10**10, seed=32)
     assert abs(r_single.p_h / r_mux.p_h - 1.0) < 0.01
     assert r_single.g2_h - r_mux.g2_h > 4.0 * math.hypot(r_single.se_g2_h, r_mux.se_g2_h)
     ratio = r_single.g2_h / r_mux.g2_h
@@ -169,19 +169,19 @@ def assert_identical(a, b):
 
 def test_mc_seed_reproducible():
     m = model()
-    a = monte_carlo_counting(m, 100_000, rng=7)
-    b = monte_carlo_counting(m, 100_000, rng=7)
+    a = monte_carlo_counting(m, 100_000, seed=7)
+    b = monte_carlo_counting(m, 100_000, seed=7)
     assert_identical(a, b)
-    c = monte_carlo_counting(m, 100_000, rng=8)
+    c = monte_carlo_counting(m, 100_000, seed=8)
     assert c.p_sh != a.p_sh or c.p_h != a.p_h
 
 
 def test_mc_generator_seed_is_recorded():
+    # the result records the seed of its generator, and that seed alone reproduces it
     m = model()
-    r = monte_carlo_counting(m, 50_000, rng=np.random.default_rng(123))
-    assert r.seed is not None
-    again = monte_carlo_counting(m, 50_000, rng=r.seed)
-    assert_identical(again, r)
+    r = monte_carlo_counting(m, 50_000, seed=123)
+    assert r.seed == 123
+    assert_identical(monte_carlo_counting(m, 50_000, seed=r.seed), r)
 
 
 def dense_chunk(rng, mus, eta_s, eta_h, multiplexed, n):
@@ -221,7 +221,7 @@ def test_sparse_chunk_matches_dense_oracle(size, multiplexed):
     runs = min(-(-(1 << 19) // size), 1 << 10)
     sampled, dense = np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
     for seed in range(runs):
-        sampled += counts(monte_carlo_counting(m, size, rng=seed))
+        sampled += counts(monte_carlo_counting(m, size, seed=seed))
         dense += dense_chunk(np.random.Generator(np.random.Philox(seed + runs)), *args)
     n = runs * size
     p = probabilities(analytic_counting(m))
@@ -288,7 +288,7 @@ def test_sampler_one_pair_never_makes_a_triple(multiplexed):
     # at mu = 1e-9 about 1e3 cells a mode hold a pair, and none of them two
     for eta_s in (0.13, 0.14):
         r = monte_carlo_counting(model(mu=1e-9, eta_s=eta_s, eta_h=1.0,
-                                       multiplexed=multiplexed), 10**12, rng=6)
+                                       multiplexed=multiplexed), 10**12, seed=6)
         assert r.p_h > 0.0 and r.p_s1h > 0.0 and r.p_s2h > 0.0
         assert r.p_s1s2h == 0.0
 
@@ -297,7 +297,7 @@ def test_sampler_one_pair_never_makes_a_triple(multiplexed):
 def test_mc_samples_large_mu(multiplexed):
     # many pairs per pulse: the sampler and the exact counting model agree at mu = 3
     m = model(mu=3.0, n_modes=1.0, multiplexed=multiplexed)
-    r = monte_carlo_counting(m, 200_000, rng=21)
+    r = monte_carlo_counting(m, 200_000, seed=21)
     p = probabilities(analytic_counting(m))
     se = np.sqrt(p * (1.0 - p) / r.pulses)
     assert np.all(np.abs(probabilities(r) - p) < 4.0 * se), (probabilities(r) - p) / se
@@ -305,7 +305,7 @@ def test_mc_samples_large_mu(multiplexed):
 
 @pytest.mark.parametrize("multiplexed", [True, False])
 def test_mc_mu_zero_gives_silence(multiplexed):
-    r = monte_carlo_counting(model(mu=0.0, multiplexed=multiplexed), 131075, rng=4)
+    r = monte_carlo_counting(model(mu=0.0, multiplexed=multiplexed), 131075, seed=4)
     assert (r.p_h, r.p_s, r.p_sh, r.p_s1h, r.p_s2h, r.p_s1s2h) == (0.0,) * 6
     assert math.isnan(r.g2_h) and math.isnan(r.se_g2_h)
 
@@ -315,12 +315,12 @@ def test_sampler_memory_is_flat_in_pulses(multiplexed):
     # no array holds a cell or a pulse: the peak is a few KiB of Python ints, at 1e6
     # pulses as at 1e12, with the many pair numbers of mu = 0.3
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
-    monte_carlo_counting(m, 10**6, rng=3)  # first-call allocations
+    monte_carlo_counting(m, 10**6, seed=3)  # first-call allocations
     peaks = []
     for pulses in (10**6, 10**12):
         tracemalloc.start()
         try:
-            monte_carlo_counting(m, pulses, rng=3)
+            monte_carlo_counting(m, pulses, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -334,23 +334,23 @@ def test_mc_threads_match_serial_oracle(cpus, pulses, multiplexed):
     # a run shares no state with another, so each of `cpus` concurrent callers gets
     # the result of the same call made alone
     m = model(mu=0.3, n_modes=2.5, multiplexed=multiplexed)
-    expected = monte_carlo_counting(m, pulses, rng=17)
+    expected = monte_carlo_counting(m, pulses, seed=17)
     with ThreadPoolExecutor(cpus) as pool:
-        runs = list(pool.map(lambda _: monte_carlo_counting(m, pulses, rng=17), range(cpus)))
+        runs = list(pool.map(lambda _: monte_carlo_counting(m, pulses, seed=17), range(cpus)))
     for r in runs:
         assert_identical(r, expected)
 
 
 def test_mc_respects_partial_mode():
     # fractional ladder shows up as extra heralds over the integer floor
-    full = monte_carlo_counting(model(n_modes=2.0), 400_000, rng=9)
-    frac = monte_carlo_counting(model(n_modes=2.9), 400_000, rng=9)
+    full = monte_carlo_counting(model(n_modes=2.0), 400_000, seed=9)
+    frac = monte_carlo_counting(model(n_modes=2.9), 400_000, seed=9)
     assert frac.p_h > full.p_h
 
 
 def test_klyshko_closed_loop():
     m = model(multiplexed=False, n_modes=1.0)
-    r = monte_carlo_counting(m, 2_000_000, rng=11)
+    r = monte_carlo_counting(m, 2_000_000, seed=11)
     eta_s_hat, eta_h_hat = klyshko_efficiencies(r)
     n = r.pulses
     se_s = math.sqrt(eta_s_hat * (1 - eta_s_hat) / (r.p_h * n))
