@@ -40,10 +40,7 @@ def main():
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
     window = cfg.signal_filter()
     shifter = cfg.shifter()
-    lut = serrodyne.build_lut(
-        spect, window.center, shifter,
-        span=cfg.get("feedforward.herald_span_ghz") * GHZ,
-    )
+    lut = serrodyne.build_lut(spect, shifter, span=cfg.get("feedforward.herald_span_ghz") * GHZ)
 
     print("single event, step by step")
     idler_true = spect.reference_frequency - 40.0 * GHZ

@@ -14,11 +14,6 @@ from fmux.scenarios import load_config
 GHZ = defaults.TWO_PI * 1e9
 
 
-def with_jitter_std(model, std):
-    spect = replace(model.spectrometer, jitter_std=std * model.spectrometer.dispersion)
-    return replace(model, spectrometer=spect)
-
-
 def main():
     cfg = load_config("purity-combined")
     combined = cfg.heralded_model()
@@ -27,7 +22,7 @@ def main():
     gamma = combined.gamma
     print("the two imperfections the feed-forward loop introduces")
     print(f"  spectrometer jitter, as frequency std: "
-          f"{combined.spectrometer.frequency_std() / GHZ:.0f} GHz")
+          f"{combined.error_std / GHZ:.0f} GHz")
     print(f"  delay-line GVD parameter: {gamma:.3e} s^2 "
           f"({cfg.get('delay.length_m'):.0f} m of standard fiber)")
     print()
@@ -46,7 +41,7 @@ def main():
     print("sweep: purity vs spectrometer jitter (dispersion off)")
     print(f"  {'jitter std (GHz)':>17}  {'purity':>7}")
     for s_ghz in (5.0, 10.0, 25.0, 45.0, 70.0):
-        model = with_jitter_std(jitter_only, s_ghz * GHZ).scaled(0.5)
+        model = replace(jitter_only, error_std=s_ghz * GHZ).scaled(0.5)
         p = heralded.purity_integral(model)
         print(f"  {s_ghz:>17.0f}  {p:7.4f}")
     print()
@@ -62,7 +57,7 @@ def main():
 
     shifter = cfg.shifter()
     p_drive = serrodyne.phase_jitter_purity(
-        combined.pump.sigma, cfg.get("shifter.max_shift_ghz") * 1e9, shifter
+        combined.sigma, cfg.get("shifter.max_shift_ghz") * 1e9, shifter
     )
     print("third channel, for completeness: shifter drive timing jitter")
     print(f"  {shifter.sigma_jitter * 1e12:.1f} ps of drive jitter at the "

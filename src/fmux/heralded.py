@@ -6,13 +6,15 @@ differs from omega_H by the spectrometer error, so the shifted signal
 wavepacket is displaced by e = omega_H - omega_i; the delay-line dispersion
 adds a quadratic spectral phase accumulated before the shift, i.e. in
 (x - h) where h is the applied shift. Mixing over the herald window and the
-error distribution gives the heralded density matrix.
+error distribution gives the heralded density matrix. Frequencies are
+detunings in rad/s from the filter center, which is degeneracy: zero shift.
 
-The herald nodes h sit symmetrically about their mean shift h0 with
-symmetric weights, so in the frame that co-moves with the delay-line phase
-exp(i gamma (x - h0)^2) the herald mixture of chirps is one real factor
-r(x - y), r(u) = sum_h w_h cos(2 gamma (h - h0) u). Over 2L + 1 trapezoid
-nodes it has the closed form sin(L phi) / (2L tan(phi / 2)): O(n) trig.
+The herald nodes h sit symmetrically about zero shift with symmetric
+weights, so in the frame that co-moves with the delay-line phase
+exp(i gamma x^2) the herald mixture of chirps is one real factor r(x - y),
+r(u) = sum_h w_h cos(2 gamma h u); a window off the filter center would only
+move that frame. Over 2L + 1 trapezoid nodes it has the closed form
+sin(L phi) / (2L tan(phi / 2)): O(n) trig.
 Every envelope has the pump width sig, g(v) = exp(-v^2 / 2 sig^2), and
 
     g(x - e) g(y - e) = exp(-(x - y)^2 / 4 sig^2) exp(-((x + y) / 2 - e)^2 / sig^2).
@@ -50,7 +52,7 @@ the squared norms as well (_kernels). Tr(rho^2) is evaluated two ways:
 
 Both use the state's parity. The signal grid is symmetric about the filter
 center (x -> -x), the error nodes e and their Gaussian weights are
-symmetric about 0, and the herald nodes enter only through |h - h0|. The
+symmetric about 0, and the herald nodes enter only through |h|. The
 error nodes are built exactly odd and their weights exactly even (bit for
 bit), and each +/-e pair is kept or dropped together, so h is even and
 rho(-x, -y) = rho(x, y) by construction.
@@ -68,8 +70,7 @@ import numpy as np
 
 from . import defaults
 from .serrodyne import QuadratureConvergenceError
-from .spectral import FilterOverlapError, FrequencyGrid, PumpEnvelope, TopHatWindow, scaled_points
-from .spectrometer import SpectrometerModel
+from .spectral import FilterOverlapError, FrequencyGrid, scaled_points
 
 __all__ = [
     "HeraldedStateModel",
@@ -104,26 +105,30 @@ def gvd_parameter(dispersion_ps_nm_km: float, length_m: float, wavelength_m: flo
 class HeraldedStateModel:
     """Everything the purity integral needs, immutable.
 
-    pump.center is the sum (energy-conservation) frequency; filter is the
-    signal output top-hat; herald_window is the span of heralds accepted by
-    the feed-forward stage (its center defines zero shift), weighted flat.
-    Grid counts default to 513 signal points across the
-    filter support, 129-point quadratures for the herald and error
-    variables, the latter spanning +/- JITTER_SPAN_SIGMAS of the
-    spectrometer's frequency uncertainty. scaled() coarsens or refines all
-    three together.
+    In rad/s from the filter center: sigma, the pump amplitude width;
+    filter_width and herald_width, the full widths of the signal filter and
+    of the flat window of heralds the feed-forward stage accepts, both
+    centred on zero; error_std, the std of the Gaussian herald frequency
+    error (0 for none). gamma is the delay-line GVD coefficient, s^2. Grid
+    counts default to 513 signal points across the filter, 129-point
+    quadratures for the herald and error variables, the latter spanning
+    +/- JITTER_SPAN_SIGMAS error stds. scaled() refines all three together.
     """
 
-    pump: PumpEnvelope
-    filter: TopHatWindow
+    sigma: float
+    filter_width: float
+    herald_width: float
+    error_std: float
     gamma: float
-    spectrometer: SpectrometerModel
-    herald_window: TopHatWindow
     n_signal: int = 513
     n_herald: int = 129
     n_jitter: int = 129
 
     def __post_init__(self):
+        if not (self.sigma > 0 and self.filter_width > 0 and self.herald_width > 0):
+            raise ValueError("pump sigma and window widths must be positive")
+        if not self.error_std >= 0:
+            raise ValueError("error_std must be non-negative")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         for n in (self.n_signal, self.n_herald, self.n_jitter):
@@ -133,7 +138,7 @@ class HeraldedStateModel:
     @property
     def signal_grid(self) -> FrequencyGrid:
         """Signal grid across the filter support, edges on-grid."""
-        return FrequencyGrid(self.filter.center, self.filter.full_width, self.n_signal)
+        return FrequencyGrid(0.0, self.filter_width, self.n_signal)
 
     def scaled(self, grid_scale: float) -> HeraldedStateModel:
         """The same model with every quadrature point count scaled by grid_scale."""
@@ -158,11 +163,11 @@ def _error_kernel(model: HeraldedStateModel):
     """Measurement-error nodes e = omega_H - omega_i and normalized weights.
 
     Uniform grid, exactly symmetric about 0, as are the weights; the density
-    is the spectrometer's Gaussian jitter pushed through the dispersion map.
-    Zero jitter collapses to a single node at e = 0.
+    is the Gaussian of std error_std. Zero error collapses to a single node
+    at e = 0.
     """
     n = model.n_jitter
-    s = model.spectrometer.frequency_std()
+    s = model.error_std
     if s == 0.0:
         return np.array([0.0]), np.array([1.0])
     e = _odd(np.linspace(-JITTER_SPAN_SIGMAS * s, JITTER_SPAN_SIGMAS * s, n))
@@ -193,13 +198,13 @@ def _herald_mixture(phi: np.ndarray, n_herald: int) -> np.ndarray:
 
 
 def _herald_factor(model: HeraldedStateModel, lags: np.ndarray) -> np.ndarray:
-    """r(u) = sum_h w_h cos(2 gamma (h - h0) u) at the signal separations u = lags * dx.
+    """r(u) = sum_h w_h cos(2 gamma h u) at the signal separations u = lags * dx.
 
     The mixture over the herald window of the delay-line chirps, seen in the
-    frame of exp(i gamma (x - h0)^2): |r(x - y)|^2 is the herald factor of
+    frame of exp(i gamma x^2): |r(x - y)|^2 is the herald factor of
     |rho(x, y)|^2, and r(|i - j|) that of rho itself.
     """
-    dh = model.herald_window.full_width / (model.n_herald - 1)
+    dh = model.herald_width / (model.n_herald - 1)
     phi_step = 2.0 * model.gamma * dh * model.signal_grid.step
     return _herald_mixture(phi_step * lags, model.n_herald)
 
@@ -216,7 +221,7 @@ def _error_table(model: HeraldedStateModel, e: np.ndarray):
     grid = model.signal_grid
     n = grid.points
     table = np.subtract(np.linspace(0.0, 0.5 * grid.span, n)[None, :], e[:, None])
-    table /= model.pump.sigma
+    table /= model.sigma
     np.square(table, out=table)
     np.negative(table, out=table)
     np.exp(table, out=table)
@@ -261,13 +266,13 @@ def _kernels(model: HeraldedStateModel) -> tuple[np.ndarray, np.ndarray]:
     """
     e, we = _error_kernel(model)
     table, norms_sq = _error_table(model, e)
-    keep = norms_sq > VACUOUS_NORM * model.pump.sigma * math.sqrt(math.pi)
+    keep = norms_sq > VACUOUS_NORM * model.sigma * math.sqrt(math.pi)
     if not keep.any():
         raise FilterOverlapError("the filter passes under 1e-12 of every conditional wavepacket")
     if not keep.all():
         we, norms_sq, table = we[keep] / we[keep].sum(), norms_sq[keep], table[keep]
     lags = np.arange(model.n_signal)
-    half_lag = 0.5 * model.signal_grid.step / model.pump.sigma
+    half_lag = 0.5 * model.signal_grid.step / model.sigma
     factors = (_herald_factor(model, lags) * np.exp(-((lags * half_lag) ** 2)),
                (we / norms_sq) @ table)
     for f in factors:
@@ -392,8 +397,8 @@ class DiscretizedDensityMatrix:
     """Heralded signal state on the signal grid, as two parity blocks; validated on construction.
 
     The state is taken in the frame that co-moves with the deterministic
-    delay-line phase exp(i gamma (x - h0)^2), h0 the mean herald shift, where
-    rho is real symmetric and even under x -> -x. That diagonal unitary
+    delay-line phase exp(i gamma x^2), where rho is real symmetric and even
+    under x -> -x. That diagonal unitary
     leaves the diagonal, the spectrum, every |rho_ij| and so every output
     unchanged. What is stored is sqrt(w) rho sqrt(w), whose spectrum is the
     state's, in the basis (d_x +/- d_-x) / sqrt(2) where it is block

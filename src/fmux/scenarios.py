@@ -295,16 +295,13 @@ class ScenarioConfig:
         except OverflowError as err:
             raise ConfigError("source.signal_wavelength_nm",
                               f"{wavelength!r} m is out of range") from err
-        width = self.signal_filter().full_width
-        points = 2.0 * abs(gamma) * (width + self.herald_window().full_width) * width
+        width = self._ghz("filter.full_width_ghz")
+        points = 2.0 * abs(gamma) * (width + self._ghz("feedforward.herald_span_ghz")) * width
         if not points <= CHIRP_POINTS_MAX:
             raise ConfigError("delay.length_m", (
                 f"the delay-line chirp needs {points:.3g} signal grid points (limit "
                 f"{CHIRP_POINTS_MAX}); shorten it or lower delay.fiber_dispersion_ps_nm_km"))
         return gamma
-
-    def herald_window(self) -> spectral.TopHatWindow:
-        return spectral.TopHatWindow(self.anchor(), self._ghz("feedforward.herald_span_ghz"))
 
     def shifter(self) -> serrodyne.ShifterModel:
         jitter = self.get("shifter.phase_jitter_ps") * 1e-12
@@ -318,26 +315,27 @@ class ScenarioConfig:
     def heralded_model(self, jitter: bool = True, gvd: bool = True) -> heralded.HeraldedStateModel:
         """Heralded state with the configured jitter model and delay-line GVD, each switchable off.
 
-        The pump envelope must span at least one step of the signal grid, and
-        the error nodes, out to JITTER_SPAN_SIGMAS jitter stds, must stay few
-        enough pump widths from the filter that the engine can square
+        The error std is the spectrometer's frequency_std, so its keys are
+        checked. The pump envelope must span at least one step of the signal
+        grid, and the error nodes, out to JITTER_SPAN_SIGMAS error stds, must
+        stay few enough pump widths from the filter that the engine can square
         (x - e) / pump sigma: below half the root of the largest float, room
         for the rounding of x - e. No square is taken here.
         """
         model = heralded.HeraldedStateModel(
-            pump=self.pump(),
-            filter=self.signal_filter(),
+            sigma=self._ghz("source.pump_sigma_ghz"),
+            filter_width=self._ghz("filter.full_width_ghz"),
+            herald_width=self._ghz("feedforward.herald_span_ghz"),
+            error_std=self.build_spectrometer(None if jitter else "none").frequency_std(),
             gamma=self.gamma() if gvd else 0.0,
-            spectrometer=self.build_spectrometer(None if jitter else "none"),
-            herald_window=self.herald_window(),
         ).scaled(self.grid_scale)
         step = model.signal_grid.step
-        if not model.pump.sigma >= step:
+        if not model.sigma >= step:
             raise ConfigError("source.pump_sigma_ghz", (
                 f"the pump envelope is narrower than the signal grid step ({step / GHZ:.3g} GHz); "
                 "widen it or raise run.grid_scale"))
-        width = model.spectrometer.frequency_std()
-        reach = (heralded.JITTER_SPAN_SIGMAS * width + model.filter.half_width) / model.pump.sigma
+        width = model.error_std
+        reach = (heralded.JITTER_SPAN_SIGMAS * width + 0.5 * model.filter_width) / model.sigma
         if not reach < 0.5 * math.sqrt(sys.float_info.max):
             nominal = self.get("spectrometer.jitter_model") == "nominal"
             raise ConfigError(
@@ -370,7 +368,7 @@ class ScenarioConfig:
             raise ConfigError("spectrometer.dispersion_ps_per_ghz", (
                 f"the feed-forward table needs {bins:.3g} TDC bins (limit {LUT_BINS_MAX}); "
                 "lower it or raise spectrometer.tdc_bin_ps"))
-        return serrodyne.build_lut(spect, self.signal_filter().center, self.shifter(), span=span)
+        return serrodyne.build_lut(spect, self.shifter(), span=span)
 
     def validate(self) -> None:
         """Check every key against its _SCHEMA domain, and nothing else."""
@@ -961,13 +959,14 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     )
 
 
-def _write_events(result: StreamResult, herald_ref: float, filter_center: float, path) -> None:
+def _write_events(result: StreamResult, anchor: float, path) -> None:
     """events.npy: the drawn event columns as EVENTS_DTYPE rows, the bytes np.save writes of them.
 
     The .npy header goes first, then the rows, filled and written one
     _STREAM_BLOCK at a time: the writer holds one block of rows (344 kB),
-    not a copy of every column. The herald frequency and shift of a pulse
-    are its bin's row of herald_bins.npy (_write_herald_bins).
+    not a copy of every column. Both detunings are from anchor, the herald
+    reference and filter center; a pulse's herald frequency and shift are
+    its bin's row of herald_bins.npy (_write_herald_bins).
     """
     n = result.pulses
     header = {"descr": np.lib.format.dtype_to_descr(EVENTS_DTYPE), "fortran_order": False,
@@ -978,8 +977,8 @@ def _write_events(result: StreamResult, herald_ref: float, filter_center: float,
         for rows in _blocks(n):
             events = block[:min(_STREAM_BLOCK, n - rows.start)]
             events["herald_bin"] = result.herald_bin[rows]
-            events["idler_detuning_ghz"] = (result.idler_frequency[rows] - herald_ref) / GHZ
-            events["signal_detuning_ghz"] = (result.signal_frequency[rows] - filter_center) / GHZ
+            events["idler_detuning_ghz"] = (result.idler_frequency[rows] - anchor) / GHZ
+            events["signal_detuning_ghz"] = (result.signal_frequency[rows] - anchor) / GHZ
             for flag in ("passed", "herald_click", "signal_click"):
                 events[flag] = getattr(result, flag)[rows]
             events.tofile(fh)
@@ -1024,9 +1023,10 @@ def _run_stream(cfg: ScenarioConfig, out) -> tuple[list, dict, list]:
     _grade("independence_shifted", result.r_shifted, -STREAM_INDEPENDENCE_MAX,
            STREAM_INDEPENDENCE_MAX, checks, lines)
     events_path = out / "events.npy"
-    _write_events(result, cfg.anchor(), cfg.signal_filter().center, events_path)
+    anchor = cfg.anchor()
+    _write_events(result, anchor, events_path)
     table_path = out / "herald_bins.npy"
-    _write_herald_bins(result, cfg.anchor(), table_path)
+    _write_herald_bins(result, anchor, table_path)
     un_path = out / "joint_hist_unshifted.txt"
     sh_path = out / "joint_hist_shifted.txt"
     _write_histogram(result.unshifted_hist, result.unshifted_edges, un_path,

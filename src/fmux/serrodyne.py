@@ -105,8 +105,7 @@ class FeedForwardLUT:
     required_shift: np.ndarray
     v0: np.ndarray
     in_range: np.ndarray
-    target_center: float  # rad/s
-    reference_frequency: float  # rad/s
+    reference_frequency: float  # rad/s, also the filter center
 
     @property
     def bins(self) -> np.ndarray:
@@ -136,17 +135,12 @@ def lut_half_width(spectrometer: SpectrometerModel, span: float) -> float:
     return reach / spectrometer.bin_frequency_step + 0.5
 
 
-def build_lut(
-    spectrometer: SpectrometerModel,
-    target_center: float,
-    model: ShifterModel,
-    span: float,
-) -> FeedForwardLUT:
+def build_lut(spectrometer: SpectrometerModel, model: ShifterModel, span: float) -> FeedForwardLUT:
     """Table of drive settings for every herald bin reachable within the span.
 
-    The conditional signal center for a herald measured at omega_H sits at
-    target_center - (omega_H - reference), so the corrective shift is
-    +(omega_H - reference). Rows whose shift exceeds the drive limit are
+    The filter sits at the reference, degeneracy, and the conditional signal
+    center for a herald measured at omega_H at reference - (omega_H -
+    reference), so the corrective shift is +(omega_H - reference). Rows whose shift exceeds the drive limit are
     stored clipped and flagged out of range; route leaves their events
     unshifted, and the output filter discards them downstream.
     """
@@ -155,7 +149,7 @@ def build_lut(
     shift_hz = (omega_h - spectrometer.reference_frequency) / defaults.TWO_PI
     in_range = np.abs(shift_hz) <= max_shift(model) * (1.0 + 1e-12)
     v0 = np.clip(voltage_for_shift(shift_hz, model), -model.v0_max, model.v0_max)
-    return FeedForwardLUT(-k_max, omega_h, shift_hz, v0, in_range, target_center,
+    return FeedForwardLUT(-k_max, omega_h, shift_hz, v0, in_range,
                           spectrometer.reference_frequency)
 
 
@@ -163,9 +157,10 @@ def write_lut_text(lut: FeedForwardLUT, path) -> None:
     """Columnar export: bin index, herald frequency (GHz), v0 (V), in-range flag."""
     with open(path, "w") as fh:
         fh.write("# feed-forward lookup table\n")
-        fh.write(f"# target_center={lut.target_center!r} reference={lut.reference_frequency!r}\n")
+        ref = lut.reference_frequency  # the filter center too: the target of every shift
+        fh.write(f"# target_center={ref!r} reference={ref!r}\n")
         fh.write("# columns: bin herald_freq_ghz v0_volts in_range\n")
-        ghz = (lut.herald_frequency - lut.reference_frequency) / (defaults.TWO_PI * 1e9)
+        ghz = (lut.herald_frequency - ref) / (defaults.TWO_PI * 1e9)
         for k, g, v0, flag in zip(lut.bins.tolist(), ghz.tolist(), lut.v0.tolist(),
                                   lut.in_range.tolist()):
             fh.write(f"{k} {g:+.6f} {v0!r} {int(flag)}\n")

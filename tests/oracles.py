@@ -85,9 +85,7 @@ def whole_column_stream(cfg) -> SimpleNamespace:
     pump = cfg.pump()
     window = cfg.signal_filter()
     spect = cfg.build_spectrometer(cfg.get("feedforward.stream_spectrometer"))
-    lut = serrodyne.build_lut(
-        spect, window.center, cfg.shifter(), span=cfg._ghz("feedforward.herald_span_ghz")
-    )
+    lut = serrodyne.build_lut(spect, cfg.shifter(), span=cfg._ghz("feedforward.herald_span_ghz"))
     herald_ref = spect.reference_frequency
     half_span = cfg._ghz("feedforward.idler_sample_span_ghz") / 2.0
     eta_s = cfg.get("statistics.eta_signal")

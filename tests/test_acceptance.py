@@ -130,11 +130,6 @@ def test_criterion_7_loss_budget_and_klyshko():
     )
 
 
-def with_jitter_std(model, std):
-    spect = replace(model.spectrometer, jitter_std=std * model.spectrometer.dispersion)
-    return replace(model, spectrometer=spect)
-
-
 def test_criterion_8_property_bundle():
     """Quick representatives; the heavy versions live in the module suites."""
     started = time.perf_counter()
@@ -173,7 +168,7 @@ def test_criterion_8_property_bundle():
     # purity_integral always runs its refinement guard, so these calls also check convergence
     p45 = heralded.purity_integral(jitter_only.scaled(0.5))
     p10 = heralded.purity_integral(
-        with_jitter_std(jitter_only, defaults.TWO_PI * 10e9).scaled(0.5)
+        replace(jitter_only, error_std=defaults.TWO_PI * 10e9).scaled(0.5)
     )
     flags["monotone_in_jitter"] = p10 > p45
     flags["grid_refinement"] = abs(p45 - 0.90674) <= 1e-3

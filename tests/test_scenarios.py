@@ -435,7 +435,7 @@ def test_stream_quantization_floor(tmp_path):
 @pytest.fixture(scope="module")
 def small_stream(tmp_path_factory):
     cfg = stream_cfg(tmp_path_factory.mktemp("stream"), pulses=5000)
-    return simulate_feedforward_stream(cfg), cfg.anchor(), cfg.signal_filter().center
+    return simulate_feedforward_stream(cfg), cfg.anchor()
 
 
 # column values (rad/s, or Hz for the shift): exact binary fractions, decimal near-ties,
@@ -491,11 +491,11 @@ def saved(rows: list, fields: list) -> bytes:
     return whole.getvalue()
 
 
-def oracle_events(result, ref: float, center: float) -> bytes:
+def oracle_events(result, ref: float) -> bytes:
     """events.npy as np.save writes an array built one pulse at a time from Python values."""
     return saved([(int(result.herald_bin[i]),
                    (float(result.idler_frequency[i]) - ref) / GHZ,
-                   (float(result.signal_frequency[i]) - center) / GHZ,
+                   (float(result.signal_frequency[i]) - ref) / GHZ,
                    bool(result.passed[i]), bool(result.herald_click[i]),
                    bool(result.signal_click[i]))
                   for i in range(result.pulses)], EVENT_FIELDS)
@@ -516,7 +516,7 @@ def assert_same_bits(array: np.ndarray, expected: dict) -> None:
         assert array[name].tobytes() == np.asarray(column).tobytes(), name
 
 
-def assert_events_round_trip(path, result, ref: float, center: float) -> np.ndarray:
+def assert_events_round_trip(path, result, ref: float) -> np.ndarray:
     """events.npy loads without pickle as EVENT_FIELDS rows, one a pulse, each bit for bit."""
     events = np.load(path, allow_pickle=False)
     assert [(name, events.dtype[name]) for name in events.dtype.names] == EVENT_FIELDS
@@ -524,13 +524,13 @@ def assert_events_round_trip(path, result, ref: float, center: float) -> np.ndar
     assert_same_bits(events, {
         "herald_bin": result.herald_bin,
         "idler_detuning_ghz": (result.idler_frequency - ref) / GHZ,
-        "signal_detuning_ghz": (result.signal_frequency - center) / GHZ,
+        "signal_detuning_ghz": (result.signal_frequency - ref) / GHZ,
         "passed": result.passed,
         "herald_click": result.herald_click,
         "signal_click": result.signal_click,
     })
     # the blocks add up to the file np.save writes of the whole array
-    assert path.read_bytes() == oracle_events(result, ref, center)
+    assert path.read_bytes() == oracle_events(result, ref)
     return events
 
 
@@ -554,10 +554,10 @@ def assert_table_round_trip(path, result, ref: float) -> np.ndarray:
 @pytest.mark.parametrize("block", [1 << 16, 4096, 7])
 def test_events_csv_matches_per_event_oracle(small_stream, tmp_path, monkeypatch, block):
     monkeypatch.setattr(scenarios, "_STREAM_BLOCK", block)
-    result, ref, center = small_stream
+    result, ref = small_stream
     path = tmp_path / "events.npy"
-    _write_events(result, ref, center, path)
-    assert_events_round_trip(path, result, ref, center)
+    _write_events(result, ref, path)
+    assert_events_round_trip(path, result, ref)
     _write_herald_bins(result, ref, tmp_path / "herald_bins.npy")
     assert_table_round_trip(tmp_path / "herald_bins.npy", result, ref)
 
@@ -570,9 +570,9 @@ def test_events_csv_matches_oracle_on_edge_values(small_stream, tmp_path, monkey
     monkeypatch.setattr(scenarios, "_STREAM_BLOCK", block)
     result = seeded_stream(small_stream[0], rows, seed=rows)
     path, table_path = tmp_path / "events.npy", tmp_path / "herald_bins.npy"
-    for ref, center in ((0.0, 0.0), small_stream[1:]):
-        _write_events(result, ref, center, path)
-        events = assert_events_round_trip(path, result, ref, center)
+    for ref in (0.0, small_stream[1]):
+        _write_events(result, ref, path)
+        events = assert_events_round_trip(path, result, ref)
         _write_herald_bins(result, ref, table_path)
         table = assert_table_round_trip(table_path, result, ref)
     if rows >= 3 * len(EDGE_VALUES) + 64:  # every pool value is in every column
@@ -596,7 +596,7 @@ def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
         result = seeded_stream(small_stream[0], rows, seed=3)
         tracemalloc.start()
         try:
-            _write_events(result, *small_stream[1:], tmp_path / "events.npy")
+            _write_events(result, small_stream[1], tmp_path / "events.npy")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1323,6 +1323,18 @@ def output_digests(overlay: dict, root) -> dict:
 @pytest.fixture(scope="module")
 def small_digests(tmp_path_factory):
     return output_digests(SMALL, tmp_path_factory.mktemp("small") / "base")
+
+
+def test_purity_outputs_move_with_the_wavelength_only_through_the_delay_line(small_digests,
+                                                                            tmp_path):
+    # the heralded state is built from detunings, so moving degeneracy from 1535 to 1550 nm
+    # leaves purity-jitter's files as they were; purity-gvd's move, as the delay line's
+    # gamma grows with the wavelength squared
+    assert load_config("purity-jitter").get("source.signal_wavelength_nm") == 1535.0
+    moved = output_digests({**SMALL, "source.signal_wavelength_nm": 1550.0}, tmp_path / "1550")
+    for name in ("purity.csv", "mode_weights.csv", "summary.txt"):
+        assert moved[f"purity-jitter/{name}"] == small_digests[f"purity-jitter/{name}"], name
+        assert moved[f"purity-gvd/{name}"] != small_digests[f"purity-gvd/{name}"], name
 
 
 def test_every_key_has_a_perturbation():

@@ -29,13 +29,12 @@ SHIFTER = CFG.shifter()
 # a drive that reaches every tabulated bin: no row is out of range
 WIDE_SHIFTER = replace(SHIFTER, v0_max=100.0 * SHIFTER.v0_max)
 SPECT = CFG.build_spectrometer("measured")
-CENTER = CFG.signal_filter().center
-SPAN = CFG.herald_window().full_width
+SPAN = CFG._ghz("feedforward.herald_span_ghz")
 SIGMA = CFG.pump().sigma
 
 
 def lut_of(model=SHIFTER):
-    return build_lut(SPECT, CENTER, model, SPAN)
+    return build_lut(SPECT, model, SPAN)
 
 
 def test_default_shifter_reaches_design_limit():

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fmux.statistics import (
@@ -267,7 +267,6 @@ def test_word_sampler_matches_geometric(mu, size):
         assert abs(t / n - mu) < 4.0 * math.sqrt(mu * (1.0 + mu) / n), t
 
 
-@settings(deadline=None)
 @given(eta_s=st.floats(0.0, 1.0))
 def test_sampler_signal_laws_match_the_closed_form(eta_s):
     # P(both) is exactly 0 for one photon, where the closed form reads +-1.1e-16 at
@@ -410,7 +409,6 @@ def test_hom_dip_curve_far_delays_do_not_overflow():
     assert r[121:].tolist() == [1.0] * 5
 
 
-@settings(deadline=None)
 @given(mu=st.floats(1e-5, 0.02), eta_s=st.floats(0.05, 1.0), eta_h=st.floats(0.05, 1.0))
 def test_analytic_probabilities_are_consistent(mu, eta_s, eta_h):
     r = analytic_counting(MultiplexedStatisticsModel(2.0, mu, eta_s, eta_h))
