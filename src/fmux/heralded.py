@@ -233,21 +233,6 @@ def _error_table(model: HeraldedStateModel, e: np.ndarray):
     return table, norms_sq
 
 
-def _fold(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the last axis of a, sampled on a grid symmetric about 0, onto x >= 0.
-
-    Returns (a(x) + a(-x) on x >= 0, a(x) - a(-x) on x > 0); a node at
-    x = 0, present for an odd count, is its own mirror and enters the even
-    part once.
-    """
-    n = a.shape[-1]
-    lo, r = n // 2, n % 2  # lo nodes have x < 0
-    mirror = a[..., lo - 1 :: -1]  # x < 0 reflected onto x[lo + r:] > 0
-    even = a[..., lo:].copy()
-    even[..., r:] += mirror
-    return even, a[..., lo + r :] - mirror
-
-
 @functools.lru_cache(maxsize=1)
 def _kernels(model: HeraldedStateModel) -> tuple[np.ndarray, np.ndarray]:
     """(R, h): the factors of rho(x, y) = R(x - y) h((x + y) / 2) on the signal grid, read-only.
@@ -328,24 +313,6 @@ def purity_integral(model: HeraldedStateModel) -> float:
     return min(float(value), 1.0)
 
 
-def _parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of a real symmetric a with a[::-1, ::-1] == a, from its rows x >= 0.
-
-    rows is a[n // 2:]. In the basis (d_x +/- d_-x) / sqrt(2) of node pairs
-    mirrored about the center (plus the center node itself for odd n, in the
-    even block) a is block diagonal: even = a(x, y) + a(x, -y) over x, y >= 0,
-    of size ceil(n/2), and odd = a(x, y) - a(x, -y) over x, y > 0, of size
-    floor(n/2), both exactly symmetric. The spectrum of a is their union.
-    """
-    n = rows.shape[1]
-    lo, r = n // 2, n % 2
-    even, odd = _fold(rows)
-    if r:  # the center couples to each pair as sqrt(2) a(x, 0)
-        even[0, 1:] = math.sqrt(2.0) * rows[0, lo + 1 :]
-        even[1:, 0] = math.sqrt(2.0) * rows[1:, lo]
-    return even, odd[r:]
-
-
 def _pivoted_cholesky(b: np.ndarray) -> np.ndarray:
     """Rows g, shape (k, m), with g.T @ g ~ b: a diagonal-pivoted outer-product Cholesky factor.
 
@@ -400,14 +367,16 @@ class DiscretizedDensityMatrix:
     delay-line phase exp(i gamma x^2), where rho is real symmetric and even
     under x -> -x. That diagonal unitary
     leaves the diagonal, the spectrum, every |rho_ij| and so every output
-    unchanged. What is stored is sqrt(w) rho sqrt(w), whose spectrum is the
-    state's, in the basis (d_x +/- d_-x) / sqrt(2) where it is block
-    diagonal (_parity_blocks): even, ceil(n/2) square over x >= 0, and odd,
-    floor(n/2) square over x > 0, n = grid.points. Each block is float64,
-    finite and exactly symmetric; together they are not zero, have unit
-    trace within 1e-6 and no eigenvalue below -1e-8. A ValueError names what
-    an input lacks. A whole rho enters through from_matrix; matrix()
-    rebuilds it.
+    unchanged. What is stored is W = sqrt(w) rho sqrt(w), whose spectrum is
+    the state's, in the basis (d_x +/- d_-x) / sqrt(2) of node pairs mirrored
+    about the center (plus the center node itself for odd n, in the even
+    block) where it is block diagonal: even = W(x, y) + W(x, -y), ceil(n/2)
+    square over x, y >= 0, the center coupling to each pair as sqrt(2)
+    W(x, 0), and odd = W(x, y) - W(x, -y), floor(n/2) square over x, y > 0,
+    n = grid.points. Each block is float64, finite and exactly symmetric;
+    together they are not zero, have unit trace within 1e-6 and no
+    eigenvalue below -1e-8. A ValueError names what an input lacks.
+    matrix() rebuilds the whole rho.
     """
 
     grid: FrequencyGrid
@@ -440,30 +409,6 @@ class DiscretizedDensityMatrix:
             raise ValueError(f"trace {trace:.8f} != 1")
         if float(self.eigenvalues().min()) < -1e-8:
             raise ValueError("density matrix has a significantly negative eigenvalue")
-
-    @classmethod
-    def from_matrix(cls, grid: FrequencyGrid, matrix) -> DiscretizedDensityMatrix:
-        """The state of a whole rho on grid: real, exactly symmetric and exactly even.
-
-        Its rows x >= 0 are weighted and folded into the parity blocks
-        (_parity_blocks); the constructor checks the rest.
-        """
-        if np.iscomplexobj(matrix):
-            raise ValueError("density matrix is not real")
-        m = np.asarray(matrix, dtype=np.float64)
-        n = grid.points
-        if m.shape != (n, n):
-            raise ValueError(f"density matrix has shape {m.shape}, not {(n, n)}")
-        # NaN counts as equal here, so that a non-finite input is named as such
-        if not np.array_equal(m, m.T, equal_nan=True):
-            raise ValueError("density matrix is not exactly symmetric")
-        if not np.array_equal(m, m[::-1, ::-1], equal_nan=True):
-            raise ValueError("density matrix is not exactly even under x -> -x")
-        lo = n // 2
-        sw = np.sqrt(grid.trapezoid_weights())
-        rows = np.outer(sw[lo:], sw)
-        rows *= m[lo:]
-        return cls(grid, *_parity_blocks(rows))
 
     def matrix(self) -> np.ndarray:
         """rho on the grid, n x n, rebuilt from the blocks; no scenario needs it.
@@ -533,9 +478,9 @@ def assemble_density_matrix(model: HeraldedStateModel) -> DiscretizedDensityMatr
     a Toeplitz times a Hankel table, and rho(x_i, -x_k) = R[i + k + 1 - n % 2] h[|i - k|],
     a Hankel times a Toeplitz one, each a sliding_window_view of its 1-D table. Times
     outer(sqrt(w), sqrt(w)) over x >= 0 they are P and M; even = P + M (the center couples
-    as sqrt(2) P, as _parity_blocks has it) and odd = P - M over x > 0. Every factor is
-    exactly symmetric and each entry is the product of the same values in the same order,
-    so both blocks are exactly symmetric. No n x n array and no matrix product is formed.
+    as sqrt(2) P) and odd = P - M over x > 0, the blocks DiscretizedDensityMatrix holds.
+    Every factor is exactly symmetric and each entry is the product of the same values in the
+    same order, so both blocks are exactly symmetric. No n x n array or matrix product is formed.
     """
     lag, mid = _kernels(model)
     grid = model.signal_grid

@@ -9,7 +9,6 @@ flags arms whose discrepancy leaves a tolerance band.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "arm_efficiency",
     "reconcile",
     "reference_loss_table",
-    "load_loss_table",
     "write_loss_table",
     "format_reconciliation",
 ]
@@ -124,36 +122,9 @@ def format_reconciliation(report: dict) -> str:
     return "\n".join(lines)
 
 
-def load_loss_table(path) -> LossTable:
-    """CSV columns: component, loss_db, arm. A header row is skipped if present."""
-    entries = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            name, db, arm = (c.strip() for c in row[:3])
-            try:
-                loss = float(db)
-            except ValueError:
-                if not entries and name.lower() in ("component", "name"):
-                    continue
-                raise
-            entries.append(LossEntry(name, loss, arm))
-    if not entries:
-        raise ValueError(f"no loss entries in {path}")
-    return LossTable(tuple(entries))
-
-
 def write_loss_table(table: LossTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "loss_db", "arm"])
         for e in table.entries:
             writer.writerow([e.component, repr(e.loss_db), e.arm])
-    # sanity: the file must round-trip
-    back = load_loss_table(path)
-    if not all(
-        a.component == b.component and math.isclose(a.loss_db, b.loss_db) and a.arm == b.arm
-        for a, b in zip(back.entries, table.entries)
-    ):
-        raise RuntimeError("loss table failed to round-trip")

@@ -287,9 +287,10 @@ class ScenarioConfig:
         """
         d = self.get("delay.fiber_dispersion_ps_nm_km")
         length = self.get("delay.length_m")
-        wavelength = self.get("source.signal_wavelength_nm") * 1e-9
         if length == 0.0:
             return 0.0
+        wavelength = self._in_range("source.signal_wavelength_nm",
+                                    self.get("source.signal_wavelength_nm") * 1e-9)
         try:
             gamma = heralded.gvd_parameter(d, length, wavelength)
         except OverflowError as err:

@@ -182,8 +182,6 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
     multi-pair pulses included; monte_carlo_counting agrees with it from mu =
     1e-3 to 10. mu = 0 returns zero probabilities with g2 = NaN.
     """
-    if model.mu == 0.0:
-        return CountingResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float("nan"))
     if not model.multiplexing_enabled:
         p_h, p_s, p_hs, p_hs1, p_hs1s2 = _open_mode(model.mu, model.eta_h, model.eta_s)
     else:

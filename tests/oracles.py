@@ -12,6 +12,11 @@ columns, histograms, edges and fractions from the same generator, bit for
 bit, and its bin table the oracle's whole herald frequency, shift and
 routed columns. Its correlations come from np.corrcoef over whole columns,
 which the sampler's block sums match only to rounding.
+
+A whole density matrix folded into the two parity blocks the package's
+DiscretizedDensityMatrix holds (parity_fold): the package builds only the
+blocks, so tests that hand-build a whole rho fold it here, by an orthogonal
+change of basis rather than by slicing.
 """
 
 import math
@@ -142,3 +147,29 @@ def whole_column_stream(cfg) -> SimpleNamespace:
         in_range_fraction=n_routed / pulses,
         pass_fraction_in_range=float(passed.sum() / n_routed) if n_routed else float("nan"),
     )
+
+
+def parity_fold(grid, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd): the parity blocks of a real, symmetric and even rho on grid.
+
+    The columns of the orthogonal Q are, over x >= 0 ascending, the center
+    node d_0 (odd n only) and (d_x + d_-x) / sqrt(2) for x > 0, then (d_x -
+    d_-x) / sqrt(2) for x > 0. B = Q^T sqrt(w) rho sqrt(w) Q is block
+    diagonal for an even rho, and its two diagonal blocks are returned, each
+    symmetrized as (B + B^T) / 2.
+    """
+    n = grid.points
+    lo, r = n // 2, n % 2  # lo nodes have x < 0
+    pos = np.arange(lo + r, n)  # x > 0, ascending
+    neg = n - 1 - pos  # their mirrors -x
+    pairs = np.arange(lo)
+    s = 1.0 / math.sqrt(2.0)
+    even, odd = np.zeros((n, lo + r)), np.zeros((n, lo))
+    if r:
+        even[lo, 0] = 1.0
+    even[pos, r + pairs] = even[neg, r + pairs] = s
+    odd[pos, pairs], odd[neg, pairs] = s, -s
+    sw = np.sqrt(grid.trapezoid_weights())
+    weighted = sw[:, None] * np.asarray(rho, dtype=np.float64) * sw[None, :]
+    blocks = (q.T @ weighted @ q for q in (even, odd))
+    return tuple(0.5 * (b + b.T) for b in blocks)

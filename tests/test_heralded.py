@@ -16,11 +16,9 @@ from fmux.heralded import (
     _block_spectrum,
     _error_kernel,
     _error_table,
-    _fold,
     _herald_factor,
     _herald_mixture,
     _kernels,
-    _parity_blocks,
     _pivoted_cholesky,
     _purity_factored,
     assemble_density_matrix,
@@ -33,6 +31,7 @@ from fmux.serrodyne import QuadratureConvergenceError
 from fmux.spectral import GaussianWindow, apply_filter, build_anticorrelated_jsa
 from fmux.spectral import FilterOverlapError, FrequencyGrid, schmidt_purity, scaled_points
 from fmux.spectrometer import MEASURED_JITTER_FREQ_STD
+from oracles import parity_fold
 
 GHZ = defaults.TWO_PI * 1e9
 
@@ -169,21 +168,22 @@ def window_table_purity(model):
     Window integrals S(m, dh) = sum_x wx exp(-(x-m)^2/sig^2) exp(-2i gamma dh x) at the
     midpoints m = (e_i + e_j) / 2, i + j indexing linspace(e[0], e[-1], 2 ne - 1), against
     the herald-shift differences dh, weighted by the herald autocorrelation. x and wx are
-    symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. Folding x onto
-    x >= 0, cos pairs with the even part of the envelope and sin with its odd part.
+    symmetric, so S(-m, dh) = conj S(m, dh): only m >= 0 is tabulated. x is exactly odd, so
+    the reversed grid is x -> -x: cos pairs with the even part of the envelope and sin with
+    its odd part.
     """
     e, q, grid, x = error_mixture(model)
     h, wh = herald_kernel(model)
-    ne, n = e.size, x.size  # x[n // 2] == 0 when n is odd
+    ne = e.size
     wx = grid.trapezoid_weights()
     sig = model.sigma
 
     mids = np.linspace(0.0, e[-1], ne)  # m >= 0: indices ne - 1 ... 2 ne - 2
     env = np.exp(-((x[None, :] - mids[:, None]) / sig) ** 2) * wx  # (m, x)
-    even, odd = _fold(env)
+    even, odd = 0.5 * (env + env[:, ::-1]), 0.5 * (env - env[:, ::-1])
     dh = np.arange(h.size) * (h[1] - h[0])  # non-negative differences; |S| is even in dh
-    phase = 2.0 * model.gamma * np.outer(x[n // 2 :], dh)  # (x >= 0, dh)
-    s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase[n % 2 :])) ** 2  # |S(m, dh)|^2
+    phase = 2.0 * model.gamma * np.outer(x, dh)  # (x, dh)
+    s_abs_sq = (even @ np.cos(phase)) ** 2 + (odd @ np.sin(phase)) ** 2  # |S(m, dh)|^2
 
     c = np.correlate(wh, wh, mode="full")[h.size - 1 :]  # herald autocorrelation, dh >= 0
     scale = np.ones_like(c) * 2.0
@@ -532,22 +532,6 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
     assert np.abs(dm.eigenvalues() - full).max() <= 1e-12
 
 
-@BLOCK_MODELS
-def test_eigenvalues_weight_only_the_rows_they_read(model):
-    # a whole rho handed to from_matrix: blocks cut from the fully weighted
-    # matrix are bit-equal only if weighting just the rows x >= 0, which the
-    # adapter folds, gives the same blocks; so are the spectra of the same solver
-    rho = assemble_density_matrix(model).matrix()
-    grid = model.signal_grid
-    dm = DiscretizedDensityMatrix.from_matrix(grid, rho)
-    sw = np.sqrt(grid.trapezoid_weights())
-    full = rho * np.outer(sw, sw)
-    blocks = _parity_blocks(full[full.shape[0] // 2 :])
-    assert np.array_equal(dm.even, blocks[0]) and np.array_equal(dm.odd, blocks[1])
-    expected = np.sort(np.concatenate([_block_spectrum(b) for b in blocks]))
-    assert np.array_equal(dm.eigenvalues(), expected)
-
-
 @pytest.mark.parametrize("n_signal", [201, 200], ids=["odd", "even"])
 def test_whole_matrix_adapter_round_trips_the_blocks(n_signal):
     dm = assemble_density_matrix(small_model(n_signal=n_signal))
@@ -556,11 +540,11 @@ def test_whole_matrix_adapter_round_trips_the_blocks(n_signal):
     assert again.even is dm.even and again.odd is dm.odd
     assert np.array_equal(again.eigenvalues(), dm.eigenvalues())
     # through the whole rho: unfolding divides by sqrt(w) and the odd block is a
-    # difference, so the fold of the rebuilt rho gives the blocks back to within
-    # a few ulps of the largest entry, not bit for bit
+    # difference, so the oracle fold of the rebuilt rho gives the blocks back to
+    # within a few ulps of the largest entry, not bit for bit
     rho = dm.matrix()
     assert rho.shape == (n_signal, n_signal) and rho.dtype == np.float64
-    folded = DiscretizedDensityMatrix.from_matrix(dm.grid, rho)
+    folded = DiscretizedDensityMatrix(dm.grid, *parity_fold(dm.grid, rho))
     top = max(np.abs(dm.even).max(), np.abs(dm.odd).max())
     for got, want in [(folded.even, dm.even), (folded.odd, dm.odd)]:
         assert np.abs(got - want).max() <= 4.0 * np.spacing(top)
@@ -724,9 +708,7 @@ def test_blocks_match_the_whole_matrix_oracle(model):
             dm = assemble_density_matrix(m)
             rho = whole_matrix_assembly(m)
             w = m.signal_grid.trapezoid_weights()
-            sw = np.sqrt(w)
-            lo = m.n_signal // 2
-            blocks = _parity_blocks(np.outer(sw[lo:], sw) * rho[lo:])
+            blocks = parity_fold(m.signal_grid, rho)
             top = max(np.abs(b).max() for b in blocks)
             assert np.abs(dm.even - blocks[0]).max() <= 1e-13 * top
             assert np.abs(dm.odd - blocks[1]).max() <= 1e-13 * top
@@ -829,7 +811,7 @@ def test_centrosymmetric_state_built_directly_is_solved_by_blocks(n, monkeypatch
     rho = b + b[::-1, ::-1]  # symmetric and exactly even under x -> -x
     rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
     blocks = record_blocks(monkeypatch)
-    dm = DiscretizedDensityMatrix.from_matrix(grid, rho)
+    dm = DiscretizedDensityMatrix(grid, *parity_fold(grid, rho))
     assert [len(b) for b in blocks] == [(n + 1) // 2, n // 2]
     assert all(np.array_equal(b, b.T) for b in blocks)  # each block exactly symmetric
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(weighted(dm))).max() <= 1e-12
@@ -886,7 +868,7 @@ def test_indefinite_block_reaches_the_dense_solve(corner, monkeypatch):
     blocks = record_blocks(monkeypatch)
     solved = record_dense_solves(monkeypatch)
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        DiscretizedDensityMatrix.from_matrix(g, bad)
+        DiscretizedDensityMatrix(g, *parity_fold(g, bad))
     # the even block is diag(1/2, (1 + corner) / 4) and certified; the odd block
     # is (1 - corner) / 4, -1/4 or -1e-6, and no factor can certify it, so the
     # dense solve decides
@@ -905,7 +887,8 @@ def test_low_rank_even_states_match_the_dense_spectrum(n, rank, seed):
     b = b + b.T  # exactly symmetric
     rho = b + b[::-1, ::-1]  # and exactly even, of rank at most 2 * rank
     grid = FrequencyGrid(0.0, 1.0, n)
-    dm = DiscretizedDensityMatrix.from_matrix(grid, rho / (grid.trapezoid_weights() @ np.diag(rho)))
+    rho = rho / (grid.trapezoid_weights() @ np.diag(rho))
+    dm = DiscretizedDensityMatrix(grid, *parity_fold(grid, rho))
     full = weighted(dm)
     assert np.abs(dm.eigenvalues() - linalg.eigvalsh(full)).max() <= 1e-12
     assert abs(purity_from_eigenvalues(dm) - np.sum(full * full)) <= 1e-12
@@ -917,27 +900,6 @@ def test_eigenvalues_are_cached_read_only():
     assert dm.eigenvalues() is lam
     assert not lam.flags.writeable
     assert np.allclose(lam, np.linalg.eigvalsh(weighted(dm)), rtol=0, atol=1e-12)
-
-
-def test_density_matrix_validation_rejects_bad_input():
-    g = FrequencyGrid(0.0, 1.0, 3)  # trapezoid weights 1/4, 1/2, 1/4
-    # whole matrices, through the adapter; apart from the zero matrix, each
-    # input fails only the check named
-    for bad, message in [
-        (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 1.0]]), "not exactly symmetric"),
-        (np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not exactly even"),
-        (2.0 * np.eye(3), "trace"),
-        (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), "negative eigenvalue"),
-        (np.eye(3, dtype=complex), "not real"),
-        (np.zeros((3, 3)), "zero"),
-        # an infinite pair once passed: its spectrum reads [-inf, nan, nan], and NaN is
-        # not below the negative-eigenvalue threshold
-        (np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [np.inf, 0.0, 1.0]]), "not finite"),
-        (np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), "not finite"),
-        (np.eye(4), "shape"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            DiscretizedDensityMatrix.from_matrix(g, bad)
 
 
 def test_parity_blocks_validation_rejects_bad_input():
@@ -961,6 +923,11 @@ def test_parity_blocks_validation_rejects_bad_input():
         (np.zeros((3, 3)), np.zeros((2, 2)), "zero"),
         (np.where(even == 0.5, np.inf, even), odd, "not finite"),
         (even, np.where(odd == 0.25, np.nan, odd), "not finite"),
+        # an infinite pair rho(x, -x), folded: +inf in the even block and -inf in the odd
+        # one. It once passed: its spectrum reads [-inf, nan, ...], and NaN is not below the
+        # negative-eigenvalue threshold
+        (even + np.diag([0.0, np.inf, 0.0]), odd - np.diag([np.inf, 0.0]), "not finite"),
+        (even + np.diag([0.0, np.nan, 0.0]), odd + np.diag([np.nan, 0.0]), "not finite"),
         (odd, even, "shape"),
         (even, odd.ravel(), "shape"),
     ]:
@@ -970,15 +937,7 @@ def test_parity_blocks_validation_rejects_bad_input():
 
 def test_density_matrix_symmetric_only_to_round_off_is_rejected():
     dm = assemble_density_matrix(small_model())
-    rho = dm.matrix()
-    n = rho.shape[0]
-    for i, j in [(0, 1), (n - 1, n - 2)]:  # a mirrored pair, so rho stays exactly even
-        rho[i, j] = np.nextafter(rho[i, j], np.inf)  # one ulp up
-    assert np.array_equal(rho, rho[::-1, ::-1]) and not np.array_equal(rho, rho.T)
-    assert np.abs(rho - rho.T).max() <= 1e-15 * np.abs(rho).max()
-    with pytest.raises(ValueError, match="not exactly symmetric"):
-        DiscretizedDensityMatrix.from_matrix(dm.grid, rho)
-    for name in ("even", "odd"):  # and so are the blocks themselves
+    for name in ("even", "odd"):
         blocks = {"even": dm.even.copy(), "odd": dm.odd.copy()}
         blocks[name][0, 1] = np.nextafter(blocks[name][0, 1], np.inf)
         with pytest.raises(ValueError, match="not exactly symmetric"):
@@ -986,13 +945,12 @@ def test_density_matrix_symmetric_only_to_round_off_is_rejected():
 
 
 def test_real_density_matrix_stays_real():
-    grid = FrequencyGrid(0.0, 1.0, 3)
-    dm = DiscretizedDensityMatrix.from_matrix(grid, np.eye(3, dtype=np.float32))
+    grid = FrequencyGrid(0.0, 1.0, 3)  # the blocks of the identity on it, in float32
+    even, odd = np.diag([0.5, 0.25]).astype(np.float32), np.full((1, 1), 0.25, np.float32)
+    dm = DiscretizedDensityMatrix(grid, even, odd)
     assert dm.even.dtype == dm.odd.dtype == np.float64
     assert dm.matrix().dtype == np.float64
     assert dm.eigenvalues().dtype == np.float64
-    dm = DiscretizedDensityMatrix(grid, dm.even.astype(np.float32), dm.odd.astype(np.float32))
-    assert dm.even.dtype == dm.odd.dtype == np.float64
 
 
 def test_schmidt_cross_oracle():

@@ -1050,6 +1050,18 @@ def test_mode_count_past_its_ceiling_exits_two_without_a_traceback(tmp_path, cap
     assert not outputs_in(tmp_path / "out")
 
 
+def test_gamma_rejects_a_wavelength_that_underflows(tmp_path):
+    # 1e-320 nm is positive, but 1e-320 * 1e-9 m is 0: gamma() names the key on its own,
+    # not only because the purity scenarios build the spectrometer first
+    path = tmp_path / "wavelength.cfg"
+    write_overlay(path, {"source.signal_wavelength_nm": "1e-320"})
+    cfg = load_config("purity-gvd", config_path=path)
+    assert cfg.get("delay.length_m") == 300.0
+    with pytest.raises(ConfigError, match=r"\[source\.signal_wavelength_nm\]") as err:
+        cfg.gamma()
+    assert err.value.field == "source.signal_wavelength_nm"
+
+
 def test_cli_joint_spectrum_coarse_grid_has_no_traceback(tmp_path, capsys):
     # at this scale the filtered signal marginal sits on one grid point
     code = cli.main(["joint-spectrum", "--grid-scale", "0.05",
@@ -1335,6 +1347,39 @@ def test_purity_outputs_move_with_the_wavelength_only_through_the_delay_line(sma
     for name in ("purity.csv", "mode_weights.csv", "summary.txt"):
         assert moved[f"purity-jitter/{name}"] == small_digests[f"purity-jitter/{name}"], name
         assert moved[f"purity-gvd/{name}"] != small_digests[f"purity-gvd/{name}"], name
+
+
+@pytest.mark.parametrize("which", ["nominal", "measured"])
+def test_stream_moves_with_the_wavelength_only_through_its_frame(tmp_path, which):
+    # the stream draws detunings from degeneracy and routes them by TDC bin, so moving
+    # degeneracy from 1535 to 1550 nm leaves every event, histogram and fraction as it was;
+    # the absolute frequencies move with the anchor, up to its rounding
+    runs, tables = [], []
+    for nm in (1535.0, 1550.0):
+        overrides = {"source.signal_wavelength_nm": nm, "feedforward.stream_spectrometer": which}
+        cfg = stream_cfg(tmp_path / f"{nm:g}", **overrides)
+        runs.append((cfg.anchor(), simulate_feedforward_stream(cfg)))
+        lut_cfg = stream_cfg(tmp_path / f"{nm:g}", name="lut-dump", **overrides)
+        tables.append(lut_cfg.lut(lut_cfg.build_spectrometer(which)))
+    (anchor_a, a), (anchor_b, b) = runs
+    assert anchor_a != anchor_b
+    for column in ("herald_bin", "passed", "herald_click", "signal_click",
+                   "unshifted_hist", "shifted_hist"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+    for edges in ("unshifted_edges", "shifted_edges"):
+        for axis_a, axis_b in zip(getattr(a, edges), getattr(b, edges)):
+            assert np.array_equal(axis_a, axis_b), edges
+    assert a.in_range_fraction == b.in_range_fraction
+    assert a.pass_fraction_in_range == b.pass_fraction_in_range
+    for column in ("idler_frequency", "signal_frequency"):
+        moved = (getattr(a, column) - anchor_a) - (getattr(b, column) - anchor_b)
+        assert np.abs(moved).max() / GHZ <= 1e-9, column
+    for r in ("r_unshifted", "r_shifted"):
+        assert abs(getattr(a, r) - getattr(b, r)) <= 1e-9 * abs(getattr(a, r)), r
+    lut_a, lut_b = tables
+    assert lut_a.first_bin == lut_b.first_bin
+    for column in ("in_range", "required_shift", "v0"):
+        assert np.array_equal(getattr(lut_a, column), getattr(lut_b, column)), column
 
 
 def test_every_key_has_a_perturbation():
