@@ -739,34 +739,6 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return index
 
 
-class _JointCounts:
-    """The float histogram2d counts on np.linspace edges of (x, y) pairs added block by block.
-
-    Each block's pairs are counted at their row-major joint bins into one
-    intp count array by np.add.at, so no index column outlives its block. A
-    pair outside its edges (or NaN) is dropped, as histogram2d drops it.
-    """
-
-    def __init__(self, x_edges: np.ndarray, y_edges: np.ndarray):
-        self.x_edges, self.y_edges = x_edges, y_edges
-        self.bins = np.zeros((x_edges.size - 1) * (y_edges.size - 1), dtype=np.intp)
-
-    def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        x_edges, y_edges = self.x_edges, self.y_edges
-        inside = (x >= x_edges[0]) & (x <= x_edges[-1]) & (y >= y_edges[0]) & (y <= y_edges[-1])
-        flat = _bin_index(x[inside], x_edges)
-        flat *= y_edges.size - 1
-        flat += _bin_index(y[inside], y_edges)
-        self.add_flat(flat)
-
-    def add_flat(self, flat: np.ndarray) -> None:
-        """Count pairs given as their row-major joint bins."""
-        np.add.at(self.bins, flat, 1)
-
-    def counts(self) -> np.ndarray:
-        return self.bins.reshape(self.x_edges.size - 1, -1).astype(float)
-
-
 class _Correlation:
     """Pearson r and the extremes of (x, y) pairs added block by block.
 
@@ -843,20 +815,22 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     Consecutive draws equal one whole draw, so every column is the
     whole-column draw bit for bit. Nothing pulse-sized is allocated but the
     returned columns: the two frequencies are the rows of one float array,
-    the three flags the rows of one bool array. The first pass over blocks
-    tags each block with spectrometer.sample_herald_event, keeps its int16
-    bins, routes and filters it through the LUT, and adds its detuning pairs
-    to both correlations and its passed events to the shifted histogram; the
-    herald frequencies and shifts live only for their block. The bin table
-    then takes bin_center_frequency and lut.route of every bin from the
-    lowest drawn to the highest, the same expressions per bin, so a lookup
-    in it gives each pulse's values bit for bit. The second pass bins the
-    unshifted pairs on the edges their extremes set, the herald axis once
-    per table row, which each pulse looks up by its bin. Both histograms are
-    counted block by block (_JointCounts). Columns and histograms do not
-    depend on the block size; the correlations only up to rounding. A
-    config whose bins could pass int16 is rejected (_check_bin_reach), and a
-    drawn bin beyond it (a jitter tail past its reach) raises OverflowError.
+    the three flags the rows of one bool array. The jitter pass tags each
+    block with spectrometer.sample_herald_event and keeps only its int16
+    bins. Everything on the herald side depends on the bin alone, so the bin
+    table evaluates it once per bin, from the lowest drawn to the highest:
+    the measured detuning, the lookup table's shift and routing, and the
+    bin's row in both histograms. Rounding is monotone, so the table's end
+    rows and the signal's extremes are the extremes of every pair, which set
+    the unshifted edges. One pass over the blocks then looks each pulse's
+    bin up in the table, filters it, adds its pairs to both correlations and
+    counts both histograms with np.add.at. Every passed signal lies within
+    the filter's half width, the shifted histogram's signal edges, so only
+    a herald outside its herald edges is left out of it. Columns and
+    histograms do not depend on the block size; the correlations only up to
+    rounding. A config whose bins could pass int16 is rejected
+    (_check_bin_reach), and a drawn bin beyond it (a jitter tail past its
+    reach) raises OverflowError.
     """
     pulses = cfg.get("run.stream_pulses")
     pump = cfg.pump()
@@ -870,8 +844,8 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
     eta_h = cfg.get("statistics.eta_herald")
     bins_n = cfg.get("run.histogram_bins")
     herald_half = cfg._ghz("feedforward.herald_span_ghz") / 2.0
-    shifted_edges = (np.linspace(-herald_half, herald_half, bins_n + 1),
-                     np.linspace(-window.half_width, window.half_width, bins_n + 1))
+    herald_edges = np.linspace(-herald_half, herald_half, bins_n + 1)
+    signal_edges = np.linspace(-window.half_width, window.half_width, bins_n + 1)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     # the returned columns: one float and one flag allocation, rows filled block by block
@@ -885,52 +859,62 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
         sum_detuning = rng.normal(0.0, pump.sigma / math.sqrt(2.0), size=signal[rows].size)
         sum_detuning += pump.center
         np.subtract(sum_detuning, idler[rows], out=signal[rows])
-    flags = np.empty((3, pulses), dtype=bool)
-    passed, herald_click, signal_click = flags
     bins = np.empty(pulses, dtype=EVENTS_DTYPE["herald_bin"])
-
-    shifted_bins = _JointCounts(*shifted_edges)
-    unshifted, shifted = _Correlation(), _Correlation()
-    n_routed = 0
-    first, last = HERALD_BIN_LIMITS.max, HERALD_BIN_LIMITS.min
     for rows in _blocks(pulses):
-        drawn, h = spectrometer.sample_herald_event(spect, idler[rows], rng)
+        drawn, _ = spectrometer.sample_herald_event(spect, idler[rows], rng)
         low, high = int(drawn.min()), int(drawn.max())
         if low < HERALD_BIN_LIMITS.min or high > HERALD_BIN_LIMITS.max:
             raise OverflowError(f"herald TDC bins {low}..{high} drawn, outside the int16 of "
                                 "an events.npy row")
-        first, last = min(first, low), max(last, high)
         bins[rows] = drawn
-        shifted_s, routed = lut.route(drawn)  # the shift in Hz, a new array
-        shifted_s *= defaults.TWO_PI
-        shifted_s += signal[rows]
-        shifted_s -= window.center
-        passed[rows] = routed & (np.abs(shifted_s) <= window.half_width)
-        n_routed += np.count_nonzero(routed)
-        h -= herald_ref
-        unshifted.add(h, signal[rows] - window.center)
-        h, shifted_s = h[passed[rows]], shifted_s[passed[rows]]  # the passed events
-        shifted.add(h, shifted_s)
-        shifted_bins.add(h, shifted_s)
-    shifted_hist = shifted_bins.counts()
-    del shifted_bins  # out of the second pass's peak
 
-    table_bins = np.arange(first, last + 1)
+    first = int(bins.min())
+    table_bins = np.arange(first, int(bins.max()) + 1)
     bin_frequency = spect.bin_center_frequency(table_bins)
     bin_shift_hz, bin_routed = lut.route(table_bins)
-
-    edge = max(half_span, abs(unshifted.x_lo), abs(unshifted.x_hi),
-               abs(unshifted.y_lo), abs(unshifted.y_hi)) * 1.0001
+    herald = bin_frequency - herald_ref
+    shift = bin_shift_hz * defaults.TWO_PI
+    edge = max(half_span, abs(herald[0]), abs(herald[-1]), abs(signal.min() - window.center),
+               abs(signal.max() - window.center)) * 1.0001
     full_edges = np.linspace(-edge, edge, bins_n + 1)
-    # every pair lies inside these edges; a bin's herald row is binned once, per table row
-    row_offset = _bin_index(bin_frequency - herald_ref, full_edges) * bins_n
-    unshifted_bins = _JointCounts(full_edges, full_edges)
+    # each bin's flat row offset in both histograms; a herald outside the shifted
+    # histogram's herald edges is counted in a spare row past its last, dropped below
+    unshifted_row = _bin_index(herald, full_edges) * bins_n
+    inside = (herald >= herald_edges[0]) & (herald <= herald_edges[-1])
+    shifted_row = np.full(herald.size, bins_n * bins_n)
+    shifted_row[inside] = _bin_index(herald[inside], herald_edges) * bins_n
+
+    flags = np.empty((3, pulses), dtype=bool)
+    passed, herald_click, signal_click = flags
+    unshifted_counts = np.zeros(bins_n * bins_n, dtype=np.intp)
+    shifted_counts = np.zeros((bins_n + 1) * bins_n, dtype=np.intp)
+    unshifted, shifted = _Correlation(), _Correlation()
+    n_routed = 0
     for rows in _blocks(pulses):
-        flat = row_offset.take(_table_rows(bins[rows], first))
-        flat += _bin_index(signal[rows] - window.center, full_edges)
-        unshifted_bins.add_flat(flat)
-    unshifted_hist = unshifted_bins.counts()
-    del unshifted_bins  # out of the click draws' peak
+        row = _table_rows(bins[rows], first)
+        h = herald.take(row)
+        s = signal[rows] - window.center
+        unshifted.add(h, s)
+        flat = unshifted_row.take(row)
+        flat += _bin_index(s, full_edges)
+        np.add.at(unshifted_counts, flat, 1)
+        shifted_s = shift.take(row)
+        shifted_s += signal[rows]
+        shifted_s -= window.center
+        routed = bin_routed.take(row)
+        passed[rows] = routed & (np.abs(shifted_s) <= window.half_width)
+        n_routed += np.count_nonzero(routed)
+        keep = passed[rows]
+        h, shifted_s = h[keep], shifted_s[keep]
+        shifted.add(h, shifted_s)
+        flat = shifted_row.take(row[keep])
+        flat += _bin_index(shifted_s, signal_edges)
+        np.add.at(shifted_counts, flat, 1)
+    # one count array converted at a time: at most three histograms alive
+    shifted_hist = shifted_counts[:bins_n * bins_n].reshape(bins_n, bins_n).astype(float)
+    del shifted_counts
+    unshifted_hist = unshifted_counts.reshape(bins_n, bins_n).astype(float)
+    del unshifted_counts  # out of the click draws' peak
 
     draws = np.empty(min(pulses, _STREAM_BLOCK))
     for click, eta in ((herald_click, eta_h), (signal_click, eta_s)):
@@ -952,7 +936,7 @@ def simulate_feedforward_stream(cfg: ScenarioConfig) -> StreamResult:
         unshifted_hist=unshifted_hist,
         unshifted_edges=(full_edges, full_edges),
         shifted_hist=shifted_hist,
-        shifted_edges=shifted_edges,
+        shifted_edges=(herald_edges, signal_edges),
         r_unshifted=unshifted.pearson(),
         r_shifted=shifted.pearson(),
         in_range_fraction=n_routed / pulses,

@@ -164,14 +164,16 @@ class GaussianWindow:
 def _gaussian(omega, center: float, sigma: float) -> np.ndarray:
     """exp(-0.5 * x * x) with x = (omega - center) / sigma, a numpy scalar for scalar omega.
 
-    Every step after the first is done in place on the two arrays made
-    here, in the order of the expression; omega itself is never written.
+    Every step after the first is done in place on the one array made here,
+    so a grid-sized call holds one array besides omega, which is never
+    written. x * x is scaled by -0.5 after squaring: halving is exact, so the
+    bits are those of the expression.
     """
     x = np.asarray(omega, dtype=float) - center
     x /= sigma
-    g = -0.5 * x
-    g *= x
-    return np.exp(g, out=g if g.ndim else None)
+    x *= x
+    x *= -0.5
+    return np.exp(x, out=x if x.ndim else None)
 
 
 def _intensity(amplitude: np.ndarray) -> np.ndarray:

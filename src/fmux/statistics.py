@@ -182,19 +182,17 @@ def analytic_counting(model: MultiplexedStatisticsModel) -> CountingResult:
     multi-pair pulses included; monte_carlo_counting agrees with it from mu =
     1e-3 to 10. mu = 0 returns zero probabilities with g2 = NaN.
     """
-    if not model.multiplexing_enabled:
-        p_h, p_s, p_hs, p_hs1, p_hs1s2 = _open_mode(model.mu, model.eta_h, model.eta_s)
-    else:
-        p_h = p_hs = p_hs1 = p_hs1s2 = 0.0
-        upstream_silent = 1.0
-        for mu_m in model.mode_rates():
-            m_h, _, m_hs, m_hs1, m_hs1s2 = _open_mode(mu_m, model.eta_h, model.eta_s)
-            p_h += upstream_silent * m_h
-            p_hs += upstream_silent * m_hs
-            p_hs1 += upstream_silent * m_hs1
-            p_hs1s2 += upstream_silent * m_hs1s2
-            upstream_silent *= _silence(mu_m * model.eta_h)
-        p_s = p_hs  # unheralded pulses leave nothing in the filter band
+    p_h = p_hs = p_hs1 = p_hs1s2 = 0.0
+    upstream_silent = 1.0
+    for mu_m in model.mode_rates():  # [mu] for the single arm
+        m_h, m_s, m_hs, m_hs1, m_hs1s2 = _open_mode(mu_m, model.eta_h, model.eta_s)
+        p_h += upstream_silent * m_h
+        p_hs += upstream_silent * m_hs
+        p_hs1 += upstream_silent * m_hs1
+        p_hs1s2 += upstream_silent * m_hs1s2
+        upstream_silent *= _silence(mu_m * model.eta_h)
+    # multiplexed, unheralded pulses leave nothing in the filter band
+    p_s = p_hs if model.multiplexing_enabled else m_s
     return CountingResult(
         p_h=p_h,
         p_s=p_s,

@@ -533,7 +533,7 @@ def test_parity_blocked_spectrum_matches_full_solve(model, monkeypatch):
 
 
 @pytest.mark.parametrize("n_signal", [201, 200], ids=["odd", "even"])
-def test_whole_matrix_adapter_round_trips_the_blocks(n_signal):
+def test_blocks_round_trip_through_the_whole_matrix(n_signal):
     dm = assemble_density_matrix(small_model(n_signal=n_signal))
     # blocks handed to the constructor are kept as they are, bit for bit
     again = DiscretizedDensityMatrix(dm.grid, dm.even, dm.odd)

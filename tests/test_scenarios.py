@@ -30,7 +30,7 @@ from fmux.scenarios import (
     _SCHEMA,
     ConfigError,
     ScenarioConfig,
-    _JointCounts,
+    _bin_index,
     _write_events,
     _write_herald_bins,
     load_config,
@@ -605,12 +605,41 @@ def test_events_csv_memory_scales_with_the_block(small_stream, tmp_path):
 
 
 def edge_probes(edges: np.ndarray) -> np.ndarray:
-    """Every edge and one ulp either side of it, bin centers, and values outside the edges."""
+    """Every edge and one ulp either side of it within the edges, and the bin centers.
+
+    The stream bins only values within its edges: every pair of the unshifted
+    histogram lies inside edges set by their extremes, and a shifted pair is
+    binned only when its herald lies within the herald edges and its signal
+    passed the filter, whose half width is the signal edges.
+    """
     centers = (edges[:-1] + edges[1:]) / 2
-    span = edges[-1] - edges[0]
-    outside = [edges[0] - span, edges[-1] + span, -np.inf, np.inf, np.nan]
-    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                           centers, outside])
+    probes = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             centers])
+    return probes[(probes >= edges[0]) & (probes <= edges[-1])]
+
+
+def histogram_bin_of_each(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin np.histogram counts each value in.
+
+    np.histogram's bin never decreases with the value, so its counts, handed
+    out over the values in sorted order, give each value's bin.
+    """
+    counts = np.histogram(values, edges)[0]
+    assert counts.sum() == values.size
+    index = np.empty(values.size, dtype=np.intp)
+    index[np.argsort(values, kind="stable")] = np.repeat(np.arange(edges.size - 1), counts)
+    return index
+
+
+def stream_joint_counts(x_edges: np.ndarray, y_edges: np.ndarray, blocks) -> np.ndarray:
+    """Pairs counted as the stream counts them: each axis by _bin_index, the row-major
+    joint bins by np.add.at into one intp array, block by block; float counts."""
+    counts = np.zeros((x_edges.size - 1) * (y_edges.size - 1), dtype=np.intp)
+    for x, y in blocks:
+        flat = _bin_index(x, x_edges) * (y_edges.size - 1)
+        flat += _bin_index(y, y_edges)
+        np.add.at(counts, flat, 1)
+    return counts.reshape(x_edges.size - 1, -1).astype(float)
 
 
 @pytest.mark.parametrize("bins", [1, 64])
@@ -618,35 +647,40 @@ def edge_probes(edges: np.ndarray) -> np.ndarray:
 def test_joint_histogram_matches_histogram2d_on_edges(bins, x_half, y_half):
     x_edges = np.linspace(-x_half, x_half, bins + 1)
     y_edges = np.linspace(-y_half, y_half, bins + 1)
-    # every pair of probes: both coordinates on, beside and outside the edges
+    for edges in (x_edges, y_edges):  # each axis, value by value
+        probes = edge_probes(edges)
+        assert np.array_equal(_bin_index(probes, edges), histogram_bin_of_each(probes, edges))
+    # every pair of probes: both coordinates on and beside the edges, in two blocks
     x, y = (a.ravel() for a in np.meshgrid(edge_probes(x_edges), edge_probes(y_edges)))
-    joint = _JointCounts(x_edges, y_edges)
-    half = x.size // 2  # two blocks, counted one after the other
-    joint.add(x[:half], y[:half])
-    joint.add(x[half:], y[half:])
-    counts = joint.counts()
+    half = x.size // 2
+    counts = stream_joint_counts(x_edges, y_edges, [(x[:half], y[:half]), (x[half:], y[half:])])
     oracle = np.histogram2d(x, y, bins=(x_edges, y_edges))[0]
     assert counts.dtype == oracle.dtype and np.array_equal(counts, oracle)
-    assert counts.sum() < x.size  # the probes outside the edges are dropped
+    assert counts.sum() == x.size
 
 
 def test_joint_histogram_of_an_empty_selection_is_zero():
+    # a block in which no pulse passes adds no count
     edges = np.linspace(-2.0, 2.0, 65)
     none = np.zeros(5, bool)
     values = np.linspace(-1.0, 1.0, 5)
-    joint = _JointCounts(edges, edges)
-    joint.add(values[none], values[none])
-    counts = joint.counts()
+    index = _bin_index(values[none], edges)
+    assert index.dtype == np.intp and index.size == 0
+    counts = stream_joint_counts(edges, edges, [(values[none], values[none])])
     assert np.array_equal(counts, np.histogram2d(values[none], values[none], bins=(edges, edges))[0])
     assert counts.shape == (64, 64) and not counts.any()
 
 
 def test_joint_histogram_at_the_bin_ceiling_matches_histogram2d():
-    # run.histogram_bins' ceiling: a 16.7M-entry count array. Every probe (on, beside and
-    # outside the edges, infinite and NaN) is paired twice with a random probe of the other
-    # axis; the oracle is kept as its nonzero cells, so at most two full arrays are alive
+    # run.histogram_bins' ceiling: a 16.7M-entry count array. Each axis's probes are
+    # checked value by value, then every probe is paired twice with a random probe of
+    # the other axis; the oracle is kept as its nonzero cells, so at most two full
+    # arrays are alive
     x_edges = np.linspace(-3.7e12, 3.7e12, HISTOGRAM_BINS_MAX + 1)
     y_edges = np.linspace(-1.1e11, 1.1e11, HISTOGRAM_BINS_MAX + 1)
+    for edges in (x_edges, y_edges):
+        probes = edge_probes(edges)
+        assert np.array_equal(_bin_index(probes, edges), histogram_bin_of_each(probes, edges))
     rng = np.random.default_rng(4096)
     x = np.tile(edge_probes(x_edges), 2)
     y = np.concatenate([rng.permutation(edge_probes(y_edges)) for _ in range(2)])
@@ -654,15 +688,14 @@ def test_joint_histogram_at_the_bin_ceiling_matches_histogram2d():
     cells = np.flatnonzero(oracle)
     oracle_counts, oracle_total = oracle[cells], oracle.sum()
     del oracle
-    joint = _JointCounts(x_edges, y_edges)
-    for start in range(0, x.size, 5000):  # blocks of pairs, as the stream adds them
-        joint.add(x[start:start + 5000], y[start:start + 5000])
-    counts = joint.counts()
+    # blocks of pairs, as the stream adds them
+    counts = stream_joint_counts(x_edges, y_edges, ((x[start:start + 5000], y[start:start + 5000])
+                                                    for start in range(0, x.size, 5000)))
     assert counts.dtype == np.float64
     assert counts.shape == (HISTOGRAM_BINS_MAX, HISTOGRAM_BINS_MAX)
     assert np.array_equal(np.flatnonzero(counts), cells)
     assert np.array_equal(counts.ravel()[cells], oracle_counts)
-    assert counts.sum() == oracle_total < x.size  # the probes outside the edges are dropped
+    assert counts.sum() == oracle_total == x.size
 
 
 @pytest.mark.parametrize("bins", [1, 64])
@@ -772,8 +805,8 @@ SAMPLER_BLOCK = 256
     {"run.histogram_bins": 1},
 ], ids=["measured", "nominal", "none", "no_drive_range", "wide_drive_range", "one_bin"])
 def test_stream_sampler_matches_whole_column_oracle(tmp_path, monkeypatch, pulses, overrides):
-    # the block pass makes the same draws and the same per-pulse arithmetic as one
-    # expression per whole column, so no column or histogram depends on the block size
+    # the blocks make the same draws, and the bin table the same arithmetic per bin, as
+    # one expression per whole column, so no column or histogram depends on the block size
     monkeypatch.setattr(scenarios, "_STREAM_BLOCK", SAMPLER_BLOCK)
     cfg = stream_cfg(tmp_path, pulses=pulses, **overrides)
     result = simulate_feedforward_stream(cfg)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ def test_jsa_npy_matches_per_element_oracle(tmp_path):
 @pytest.mark.parametrize("envelope", [PUMP, GaussianWindow(HERALD_REF, 0.2 * PUMP.sigma)],
                          ids=["pump", "gaussian_window"])
 def test_gaussian_amplitude_is_the_expression_and_leaves_its_input(envelope):
-    # evaluated in place on arrays of its own, in the order of exp(-0.5 * x * x)
+    # evaluated in place on an array of its own, with the bits of exp(-0.5 * x * x)
     omega = envelope.center + np.linspace(-7.0, 7.0, 257) * 0.3e12
     grid = omega[:, None] + np.linspace(-1.0, 1.0, 5)[None, :] * 1e11  # a 2-D argument
     for value in (omega, grid):
@@ -370,6 +371,22 @@ def test_gaussian_amplitude_is_the_expression_and_leaves_its_input(envelope):
     x = (envelope.center + 1.3e11 - envelope.center) / envelope.sigma
     assert isinstance(scalar, np.float64) and scalar == np.exp(-0.5 * x * x)
     assert envelope.amplitude(float(envelope.center)) == 1.0
+
+
+def test_jsa_build_holds_fewer_than_three_grid_arrays():
+    # the pump's argument ws + wh and the one array _gaussian squares and exponentiates in
+    # place, then the amplitude and its intensity for the norm: about 2.3 grid arrays at
+    # the scenario's 257 x 257 grid, where a separate x and exp(-0.5 x x) made three
+    sg = FrequencyGrid(FILTER.center, 12.0 * PUMP.sigma, 257)
+    hg = FrequencyGrid(PUMP.center - FILTER.center, 12.0 * PUMP.sigma, 257)
+    build_anticorrelated_jsa(PUMP, sg, hg)  # first-call allocations
+    tracemalloc.start()
+    try:
+        build_anticorrelated_jsa(PUMP, sg, hg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sg.points * hg.points * 8, peak
 
 
 def jsa_operations() -> dict:
